@@ -4,6 +4,7 @@
 
 #include <atomic>
 
+#include "common/assert.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/sync.hpp"
 
@@ -17,6 +18,13 @@ inline Runtime* runtime_instance() {
 
 /// The ULT running on the calling KLT, or nullptr (scheduler/external).
 ThreadCtl* current_ult_or_null();
+
+/// current_ult_or_null() for ULT-only APIs: aborts with `what` elsewhere.
+inline ThreadCtl* require_ult(const char* what) {
+  ThreadCtl* self = current_ult_or_null();
+  LPT_CHECK_MSG(self != nullptr, what);
+  return self;
+}
 
 /// NoPreemptGuard internals, usable with an explicit ThreadCtl so the guard
 /// survives a migration to another KLT (the depth lives in the ThreadCtl).

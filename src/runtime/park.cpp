@@ -11,10 +11,10 @@
 
 #include "common/assert.hpp"
 #include "common/cpu.hpp"
-#include "common/spinlock.hpp"
 #include "runtime/instrument.hpp"
 #include "runtime/internal.hpp"
 #include "runtime/thread.hpp"
+#include "runtime/wait_queue.hpp"
 #include "runtime/watchdog.hpp"
 
 namespace lpt::park {
@@ -52,8 +52,7 @@ struct alignas(kCacheLineSize) Slot {
   std::atomic<bool> timed{false};
   std::atomic<ResourceState*> res{nullptr};
   std::atomic<ThreadCtl*> direct_owner{nullptr};
-  std::atomic<Spinlock*> guard{nullptr};
-  std::atomic<std::vector<ThreadCtl*>*> waiters{nullptr};
+  std::atomic<WaitQueue*> queue{nullptr};
 };
 
 Slot g_slots[kSlotCap];
@@ -80,8 +79,7 @@ struct ParkedEdge {
   std::uint32_t waiter_id = 0;
   std::uint8_t kind = 0;
   bool timed = false;
-  Spinlock* guard = nullptr;
-  std::vector<ThreadCtl*>* waiters = nullptr;
+  WaitQueue* queue = nullptr;
   ThreadCtl* owner_snap[ResourceState::kMaxOwners] = {};
   int owner_count = 0;
 };
@@ -99,8 +97,7 @@ bool snapshot_slot(std::uint32_t i, ParkedEdge& e) {
   e.waiter_id = s.waiter_id.load(std::memory_order_relaxed);
   e.kind = s.kind.load(std::memory_order_relaxed);
   e.timed = s.timed.load(std::memory_order_relaxed);
-  e.guard = s.guard.load(std::memory_order_relaxed);
-  e.waiters = s.waiters.load(std::memory_order_relaxed);
+  e.queue = s.queue.load(std::memory_order_relaxed);
   ResourceState* res = s.res.load(std::memory_order_relaxed);
   ThreadCtl* direct = s.direct_owner.load(std::memory_order_relaxed);
   if (s.state.load(std::memory_order_acquire) != st) return false;
@@ -118,16 +115,16 @@ bool snapshot_slot(std::uint32_t i, ParkedEdge& e) {
 
 enum class PinCheck { kValidate, kBreak };
 
-/// Pin e's slot (the waiter's unpark spins while pinned, so the primitive
-/// cannot be destroyed under our hands), then check under the primitive's
-/// guard that the waiter is still in the waiter list with its context saved
-/// — the test that separates a genuinely parked thread from a stale edge
-/// whose wakeup is in flight. kBreak additionally cancels the waiter out of
-/// the wait with zero side effects on failure: a victim that lost its park
-/// to a normal handoff is simply left alone (no stranded lock, no double
-/// wake). Returns whether the waiter was verified parked (and, for kBreak,
-/// broken out and enqueued).
-bool pin_and_check(const ParkedEdge& e, PinCheck mode, Runtime* rt) {
+/// Pin e's slot (the waiter's unpark spins while pinned, so its WaitQueue
+/// cannot be destroyed under our hands), then check under the queue's lock
+/// that the waiter is still on it with its context saved — the test that
+/// separates a genuinely parked thread from a stale edge whose wakeup is in
+/// flight. kBreak additionally cancels the waiter out of the wait with zero
+/// side effects on failure: a victim that lost its park to a normal handoff
+/// is simply left alone (no stranded lock, no double wake). Returns whether
+/// the waiter was verified parked (and, for kBreak, removed from its queue;
+/// the caller then owns its wake).
+bool pin_and_check(const ParkedEdge& e, PinCheck mode) {
   Slot& s = g_slots[e.idx];
   const std::uint32_t occupied = make_state(e.gen, kOccupied);
   std::uint32_t expect = occupied;
@@ -135,29 +132,23 @@ bool pin_and_check(const ParkedEdge& e, PinCheck mode, Runtime* rt) {
                                        std::memory_order_acq_rel,
                                        std::memory_order_acquire))
     return false;
-  bool ok = false;
-  if (e.guard != nullptr && e.waiters != nullptr) {
-    e.guard->lock();
-    auto it = std::find(e.waiters->begin(), e.waiters->end(), e.waiter);
-    ok = it != e.waiters->end() &&
-         e.waiter->load_state() == ThreadState::kBlocked;
-    if (ok && mode == PinCheck::kBreak) {
-      e.waiters->erase(it);
-      e.waiter->cancel_fault = FaultKind::kDeadlock;
-      e.waiter->park_broken = true;
-      e.waiter->cancel_requested.store(true, std::memory_order_release);
-    }
-    e.guard->unlock();
+  e.queue->lock().lock();
+  const bool ok = e.queue->contains(e.waiter) &&
+                  e.waiter->load_state() == ThreadState::kBlocked;
+  if (ok && mode == PinCheck::kBreak) {
+    e.queue->remove(e.waiter);
+    e.waiter->cancel_fault = FaultKind::kDeadlock;
+    e.waiter->wait_result = WaitResult::kBroken;
+    e.waiter->cancel_requested.store(true, std::memory_order_release);
   }
+  e.queue->lock().unlock();
   if (ok && mode == PinCheck::kBreak) {
     // Free the slot on the victim's behalf: it wakes with park_slot == 0 and
     // its own unpark is a no-op (these writes are published to the victim by
-    // the enqueue below).
+    // the caller's wake).
     e.waiter->park_slot = 0;
     s.state.store(make_state(e.gen, kFree), std::memory_order_release);
     g_parked.fetch_sub(1, std::memory_order_relaxed);
-    e.waiter->store_state(ThreadState::kReady);
-    rt->enqueue_ready(e.waiter, nullptr, EnqueueKind::kUnblock, 0);
   } else {
     s.state.store(occupied, std::memory_order_release);  // unpin
   }
@@ -241,8 +232,7 @@ void remove_owner(ResourceState* rs, ThreadCtl* t) {
 }
 
 void park(ThreadCtl* self, std::uint8_t kind, bool timed, ResourceState* res,
-          ThreadCtl* direct_owner, Spinlock* guard,
-          std::vector<ThreadCtl*>* waiters) {
+          ThreadCtl* direct_owner, WaitQueue* queue) {
   if (!armed()) return;
   const std::uint32_t start = g_cursor.fetch_add(1, std::memory_order_relaxed);
   for (std::uint32_t probe = 0; probe < kSlotCap; ++probe) {
@@ -261,8 +251,7 @@ void park(ThreadCtl* self, std::uint8_t kind, bool timed, ResourceState* res,
     s.timed.store(timed, std::memory_order_relaxed);
     s.res.store(res, std::memory_order_relaxed);
     s.direct_owner.store(direct_owner, std::memory_order_relaxed);
-    s.guard.store(guard, std::memory_order_relaxed);
-    s.waiters.store(waiters, std::memory_order_relaxed);
+    s.queue.store(queue, std::memory_order_relaxed);
     s.state.store(make_state(next_gen, kOccupied), std::memory_order_release);
     self->park_slot = idx + 1;
     g_parked.fetch_add(1, std::memory_order_relaxed);
@@ -419,7 +408,7 @@ void Runtime::deadlock_poll(Watchdog* wd, int* remediate_budget) {
     if (park::g_reported.count(h) != 0) continue;
     bool valid = true;
     for (int i : cyc) {
-      if (!park::pin_and_check(edges[i], park::PinCheck::kValidate, this)) {
+      if (!park::pin_and_check(edges[i], park::PinCheck::kValidate)) {
         valid = false;
         break;
       }
@@ -440,7 +429,7 @@ void Runtime::deadlock_poll(Watchdog* wd, int* remediate_budget) {
       if (edges[i].waiter_id > edges[victim].waiter_id) victim = i;
     bool broke = false;
     if (want_break) {
-      broke = park::pin_and_check(edges[victim], park::PinCheck::kBreak, this);
+      broke = park::pin_and_check(edges[victim], park::PinCheck::kBreak);
       if (!broke) {
         // The victim's park dissolved under us (the cycle is resolving) —
         // forget the cycle and re-detect from scratch if it persists.
@@ -474,6 +463,9 @@ void Runtime::deadlock_poll(Watchdog* wd, int* remediate_budget) {
     rep.remediation =
         broke ? RemediationKind::kDeadlockBreak : RemediationKind::kNone;
     wd->report(rep);
+    // Wake the victim only now: whoever joins the cycle's survivors then
+    // sees the break fully accounted.
+    if (broke) WaitQueue::wake(edges[victim].waiter, /*waker=*/0);
   }
 
   // 5. Forget cycles that dissolved (a re-formed cycle is re-confirmed from

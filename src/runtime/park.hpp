@@ -1,10 +1,10 @@
 // Unified parking registry (docs/robustness.md, "Deadlock detection &
 // recovery"). Every blocking primitive — Mutex, CondVar, RwLock, Semaphore,
-// Barrier, Latch, WaitGroup, join, sleep and the timed waits — declares a
-// *waiter ULT → resource → owner ULT(s)* edge here at park time and clears
-// it at wake. The registry is the pluggable blocking/wakeup interface the
-// ROADMAP asks for (the future I/O reactor parks through the same calls);
-// today its consumer is the watchdog-driven deadlock detector
+// Barrier, Latch, WaitGroup, join, sleep and the timed waits — parks through
+// WaitQueue::wait (wait_queue.hpp), the only caller of park()/unpark(): it
+// declares a *waiter ULT → resource → owner ULT(s)* edge here at park time,
+// naming the WaitQueue the waiter sits on, and clears it at wake. Its
+// consumers are the watchdog-driven deadlock detector
 // (Runtime::deadlock_poll, defined in park.cpp) and the abandoned-lock
 // tracker (Runtime::note_owner_finished).
 //
@@ -14,7 +14,7 @@
 // claims one slot in a process-global never-freed slab with a versioned CAS
 // and the waiter frees it at wake; the detector reads slots lock-free with a
 // seqlock-style re-read and pins a slot (phase kPinned) only for the short
-// window where it dereferences the primitive's guard.
+// window where it dereferences the waiter's WaitQueue.
 //
 // Slot state word: gen(30 bits) | phase(2 bits). Claim bumps the generation,
 // so a detector snapshot taken against one occupancy can never be confused
@@ -23,12 +23,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 namespace lpt {
 
 struct ThreadCtl;
-class Spinlock;
+class WaitQueue;
 
 namespace park {
 
@@ -94,17 +93,26 @@ ResourceState* acquire_resource(std::uint8_t kind, void* primitive,
 void add_owner(ResourceState* rs, ThreadCtl* t);
 void remove_owner(ResourceState* rs, ThreadCtl* t);
 
-/// Declare "self is parked": called while holding the primitive's `guard`,
-/// after self was pushed onto `waiters`, before suspend_block. The detector
-/// follows res->owners (ownable resources) or `direct_owner` (join: the
-/// joined thread) for the waits-for edge; both may be null (CondVar & co.
-/// have no owner — such waits can never be cycle members). `timed` waiters
-/// (timed acquires, join_for, sleep) are recorded but excluded from cycle
-/// breaking: their waits self-resolve by timeout. `waiters` may be null only
-/// for waits with no competing waker (sleep).
+/// add_owner() on a lazily attached record: while armed, attaches `*rs`
+/// (acquire_resource) on first use, then records `t`. Call under the
+/// primitive's guard; a no-op when disarmed (one relaxed load).
+inline void add_owner(ResourceState*& rs, std::uint8_t kind, void* primitive,
+                      bool (*on_abandon)(void*, ThreadCtl*, bool),
+                      ThreadCtl* t) {
+  if (!armed()) return;
+  if (rs == nullptr) rs = acquire_resource(kind, primitive, on_abandon);
+  add_owner(rs, t);
+}
+
+/// Declare "self is parked": called by WaitQueue::wait while holding
+/// `queue`'s lock, after self joined `queue`, before suspend_block. The
+/// detector follows res->owners (ownable resources) or `direct_owner`
+/// (join: the joined thread) for the waits-for edge; both may be null
+/// (CondVar & co. have no owner — such waits can never be cycle members).
+/// `timed` waiters (timed acquires, join_for, sleep) are recorded but
+/// excluded from cycle breaking: their waits self-resolve by timeout.
 void park(ThreadCtl* self, std::uint8_t kind, bool timed, ResourceState* res,
-          ThreadCtl* direct_owner, Spinlock* guard,
-          std::vector<ThreadCtl*>* waiters);
+          ThreadCtl* direct_owner, WaitQueue* queue);
 
 /// Clear the edge; called by the waiter right after suspend_block returns
 /// (before the primitive can be destroyed). Spins out a detector pin. No-op

@@ -1,7 +1,8 @@
 // Runtime-side recording helpers for the continuous profiler
 // (docs/observability.md, "Profiling") — the only header runtime .cpp files
-// use to attribute off-CPU waits. Every parking site brackets its
-// suspend_block() call with offcpu_begin()/offcpu_end(); the begin tags the
+// use to attribute off-CPU waits. WaitQueue::wait (every blocking primitive)
+// and the annotated syscall regions bracket their suspension with
+// offcpu_begin()/offcpu_end(); the begin tags the
 // ThreadCtl with a wait kind + callsite, the end (running again, possibly on
 // a different KLT) records the block→resume time. Both compile to nothing
 // under LPT_PROF_DISABLED and cost one relaxed flag load when profiling is

@@ -19,7 +19,6 @@
 #include "runtime/instrument.hpp"
 #include "runtime/internal.hpp"
 #include "runtime/park.hpp"
-#include "runtime/prof_glue.hpp"
 #include "runtime/signals.hpp"
 #include "runtime/timer.hpp"
 
@@ -855,12 +854,11 @@ void Runtime::lower_next_due(std::int64_t when) {
     ;
 }
 
-void Runtime::register_timed_wait(ThreadCtl* t, std::int64_t wake_ns,
-                                  Spinlock* guard,
-                                  std::vector<ThreadCtl*>* waiters) {
+void Runtime::register_timed_wait(ThreadCtl* t, WaitQueue* q,
+                                  std::int64_t wake_ns) {
   {
     SpinlockGuard g(timed_lock_);
-    timed_waits_.push_back(TimedWait{t, wake_ns, guard, waiters, false});
+    timed_waits_.push_back(TimedWait{t, q, wake_ns});
   }
   lower_next_due(wake_ns);
   // Close the race with a concurrent cancel: if the flag was set before this
@@ -870,55 +868,50 @@ void Runtime::register_timed_wait(ThreadCtl* t, std::int64_t wake_ns,
   if (t->cancel_requested.load(std::memory_order_acquire)) lower_next_due(0);
 }
 
-void Runtime::unregister_timed_wait(ThreadCtl* t) {
-  for (;;) {
-    bool busy = false;
-    {
-      SpinlockGuard g(timed_lock_);
-      for (std::size_t i = 0; i < timed_waits_.size(); ++i) {
-        if (timed_waits_[i].t != t) continue;
-        if (timed_waits_[i].busy) {
-          // An expiry scan copied this entry and is touching t outside the
-          // lock; it erases the entry when done. Spin it out — the wait
-          // itself is over, only the bookkeeping lags.
-          busy = true;
-        } else {
-          timed_waits_[i] = timed_waits_.back();
-          timed_waits_.pop_back();
-        }
-        break;
-      }
+void Runtime::unregister_timed_wait(ThreadCtl* t, WaitQueue* q) {
+  SpinlockGuard g(timed_lock_);
+  for (TimedWait& e : timed_waits_) {
+    if (e.t == t && e.q == q) {
+      e = timed_waits_.back();
+      timed_waits_.pop_back();
+      return;
     }
-    if (!busy) return;
-    cpu_pause();
   }
 }
 
 void Runtime::expire_timers(std::int64_t now) {
   if (now < next_due_.load(std::memory_order_acquire)) return;
 
-  // Collect due entries under the registry lock, then act on them outside
-  // it: the waker must take each primitive's guard, and guard-then-registry
-  // is the order register_timed_wait uses (holding both here would ABBA).
-  // `busy` / deadline_busy_ pin the copies against concurrent unregister /
-  // finalize while the lock is dropped. Concurrent scans (idle workers +
-  // monitor tick) are safe: busy entries are skipped, so each due entry has
-  // exactly one owner.
-  std::vector<TimedWait> due;
+  // Due waits are settled in place under timed_lock_: an entry pins its
+  // queue (the waiter cannot unregister, let alone return, while we hold the
+  // lock), and try-locking that queue keeps the order queue-then-registry
+  // that register_timed_wait uses — a busy queue is simply retried by the
+  // next scan. Whoever removes the waiter from its queue owns its requeue;
+  // if a notify/handoff got there first, only the entry goes.
+  ThreadCtl* timed_out = nullptr;  // chain through wq_next, woken below
   std::vector<ThreadCtl*> expired;
   {
     SpinlockGuard g(timed_lock_);
     std::int64_t next = kNoDeadline;
-    for (auto& e : timed_waits_) {
+    for (std::size_t i = 0; i < timed_waits_.size();) {
+      TimedWait& e = timed_waits_[i];
       // A cancel request makes the wait due immediately: the thread must
       // reach its wakeup cancellation point, not serve out the timeout.
-      if (!e.busy && (e.wake_ns <= now ||
-                      e.t->cancel_requested.load(std::memory_order_relaxed))) {
-        e.busy = true;
-        due.push_back(e);
-      } else if (!e.busy && e.wake_ns < next) {
-        next = e.wake_ns;
+      const bool due = e.wake_ns <= now ||
+                       e.t->cancel_requested.load(std::memory_order_relaxed);
+      if (!due || !e.q->lock().try_lock()) {
+        next = std::min(next, due ? now : e.wake_ns);
+        ++i;
+        continue;
       }
+      if (e.q->remove(e.t)) {
+        e.t->wait_result = WaitResult::kTimedOut;
+        e.t->wq_next = timed_out;
+        timed_out = e.t;
+      }
+      e.q->lock().unlock();
+      e = timed_waits_.back();
+      timed_waits_.pop_back();
     }
     for (std::size_t i = 0; i < deadline_armed_.size();) {
       ThreadCtl* t = deadline_armed_[i];
@@ -934,45 +927,9 @@ void Runtime::expire_timers(std::int64_t now) {
     }
     next_due_.store(next, std::memory_order_release);
   }
-
-  for (TimedWait& e : due) {
-    bool won;
-    if (e.waiters != nullptr) {
-      // Race the normal notify path for the wakeup under the primitive's
-      // guard: whoever removes t from the waiter list owns the requeue.
-      SpinlockGuard g(*e.guard);
-      auto it = std::find(e.waiters->begin(), e.waiters->end(), e.t);
-      won = it != e.waiters->end();
-      if (won) {
-        e.waiters->erase(it);
-        e.t->wait_timed_out = true;
-      }
-    } else {
-      // Sleep: no competing waker. Taking the guard is still required — it
-      // is released only after the sleeper's context save completes.
-      SpinlockGuard g(*e.guard);
-      e.t->wait_timed_out = true;
-      won = true;
-    }
-    if (won) {
-      e.t->store_state(ThreadState::kReady);
-      // Timed-wait expiry wake: waker 0 (the timer, not a ULT); arg1 keeps
-      // the primitive kind the waiter parked under (kSleep for sleep_for).
-      enqueue_ready(e.t, nullptr, EnqueueKind::kUnblock, /*waker=*/0);
-    }
-  }
-  if (!due.empty()) {
-    SpinlockGuard g(timed_lock_);
-    for (const TimedWait& e : due) {
-      for (std::size_t i = 0; i < timed_waits_.size(); ++i) {
-        if (timed_waits_[i].t == e.t && timed_waits_[i].busy) {
-          timed_waits_[i] = timed_waits_.back();
-          timed_waits_.pop_back();
-          break;
-        }
-      }
-    }
-  }
+  // Timed-wait expiry wake: waker 0 (the timer, not a ULT); the wake edge
+  // keeps the primitive kind the waiter parked under (kSleep for sleep_for).
+  WaitQueue::wake(timed_out, /*waker=*/0);
 
   // Deadline expiry always acts — the per-thread deadline is a spawn-time
   // contract, not part of the opt-in watchdog ladder (which gates only the
@@ -1281,23 +1238,19 @@ void Runtime::publish_done_and_wake(ThreadCtl* t) {
   // published: an external joiner may return from futex_wait and delete the
   // control block the instant done != 0.
   const bool detached = t->detached;
-  std::vector<ThreadCtl*> joiners;
+  const std::uint32_t id = t->trace_id;
+  ThreadCtl* joiners;
   {
-    SpinlockGuard g(t->waiters_lock);
+    SpinlockGuard g(t->joiners.lock());
     t->done.store(1, std::memory_order_release);
-    joiners.swap(t->waiters);
+    joiners = t->joiners.take_all();
   }
   // Waking a possibly already-freed futex word is benign: FUTEX_WAKE only
   // looks the address up; loops on the predicate absorb spurious wakes.
   futex_wake(&t->done, INT_MAX);
-
-  Worker* hint = worker_tls()->worker;
-  for (ThreadCtl* j : joiners) {
-    j->store_state(ThreadState::kReady);
-    // The join wake edge names the finished thread as the waker explicitly:
-    // this runs in scheduler context (post-exit), where no ULT is current.
-    enqueue_ready(j, hint, EnqueueKind::kUnblock, t->trace_id);
-  }
+  // The join wake edge names the finished thread as the waker explicitly:
+  // this runs in scheduler context (post-exit), where no ULT is current.
+  WaitQueue::wake(joiners, id);
   if (detached) delete t;
 }
 
@@ -1361,6 +1314,28 @@ bool Thread::request_cancel() {
   return true;
 }
 
+namespace {
+
+/// One ULT join round: park `self` on t's joiners unless t is already done.
+/// `deadline` as for WaitQueue::wait (0 = untimed); the join edge points at
+/// t, so join cycles are visible to the deadlock detector.
+WaitResult wait_joined(ThreadCtl* self, ThreadCtl* t, void* site,
+                       std::int64_t deadline) {
+  LPT_CHECK_MSG(self != t, "thread cannot join itself");
+  WaitResult r = WaitResult::kWoken;
+  detail::begin_no_preempt(self);
+  t->joiners.lock().lock();
+  if (t->done.load(std::memory_order_acquire) == 0)
+    r = t->joiners.wait(self, prof::WaitKind::kJoin, site, deadline, nullptr,
+                        t, nullptr);
+  else
+    t->joiners.lock().unlock();
+  detail::end_no_preempt(self);  // cancellation point
+  return r;
+}
+
+}  // namespace
+
 bool Thread::join_for(std::chrono::nanoseconds timeout) {
   void* const wait_site = __builtin_return_address(0);
   if (ctl_ == nullptr) return true;  // empty handle: trivially joined
@@ -1369,39 +1344,15 @@ bool Thread::join_for(std::chrono::nanoseconds timeout) {
       now_ns() + (timeout.count() > 0 ? timeout.count() : 0);
 
   ThreadCtl* self = detail::current_ult_or_null();
-  if (self != nullptr) {
-    LPT_CHECK_MSG(self != t, "thread cannot join itself");
-    for (;;) {
-      if (t->done.load(std::memory_order_acquire) != 0) break;
-      if (now_ns() >= deadline) return false;
-      detail::begin_no_preempt(self);
-      t->waiters_lock.lock();
-      if (t->done.load(std::memory_order_acquire) != 0) {
-        t->waiters_lock.unlock();
-        detail::end_no_preempt(self);
-        break;
-      }
-      t->waiters.push_back(self);
-      self->wait_timed_out = false;
-      t->rt->register_timed_wait(self, deadline, &t->waiters_lock,
-                                 &t->waiters);
-      park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kJoin),
-                 /*timed=*/true, nullptr, t, &t->waiters_lock, &t->waiters);
-      prof::offcpu_begin(self, prof::WaitKind::kJoin, wait_site);
-      detail::suspend_block(self, &t->waiters_lock, nullptr);
-      park::unpark(self);
-      prof::offcpu_end(self);
-      t->rt->unregister_timed_wait(self);
-      detail::end_no_preempt(self);  // cancellation point
-      if (self->wait_timed_out && t->done.load(std::memory_order_acquire) == 0)
-        return false;
-    }
-  } else {
-    for (;;) {
-      if (t->done.load(std::memory_order_acquire) != 0) break;
-      const std::int64_t left = deadline - now_ns();
-      if (left <= 0) return false;
+  while (t->done.load(std::memory_order_acquire) == 0) {
+    const std::int64_t left = deadline - now_ns();
+    if (left <= 0) return false;
+    if (self == nullptr) {
       futex_wait_timeout(&t->done, 0, left);
+    } else if (wait_joined(self, t, wait_site, deadline) ==
+                   WaitResult::kTimedOut &&
+               t->done.load(std::memory_order_acquire) == 0) {
+      return false;
     }
   }
 
@@ -1419,28 +1370,11 @@ ThreadStatus Thread::join_status() {
   ThreadCtl* t = ctl_;
 
   ThreadCtl* self = detail::current_ult_or_null();
-  if (self != nullptr) {
-    LPT_CHECK_MSG(self != t, "thread cannot join itself");
-    for (;;) {
-      if (t->done.load(std::memory_order_acquire) != 0) break;
-      detail::begin_no_preempt(self);
-      t->waiters_lock.lock();
-      if (t->done.load(std::memory_order_acquire) != 0) {
-        t->waiters_lock.unlock();
-        detail::end_no_preempt(self);
-        break;
-      }
-      t->waiters.push_back(self);
-      park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kJoin),
-                 /*timed=*/false, nullptr, t, &t->waiters_lock, &t->waiters);
-      prof::offcpu_begin(self, prof::WaitKind::kJoin, wait_site);
-      detail::suspend_block(self, &t->waiters_lock, nullptr);
-      park::unpark(self);
-      prof::offcpu_end(self);
-      detail::end_no_preempt(self);
-    }
-  } else {
-    while (t->done.load(std::memory_order_acquire) == 0) futex_wait(&t->done, 0);
+  while (t->done.load(std::memory_order_acquire) == 0) {
+    if (self != nullptr)
+      wait_joined(self, t, wait_site, 0);
+    else
+      futex_wait(&t->done, 0);
   }
 
   // The done store published t->fault (release/acquire pair above) and the
@@ -1485,23 +1419,14 @@ void sleep_for(std::chrono::nanoseconds d) {
     detail::suspend_yield(self);
     return;
   }
-  // Sleep through the timed-wait registry: waiters == nullptr means no
-  // competing waker, expiry always wins. The thread's own waiters_lock
-  // doubles as the save-rendezvous guard (released by the post action after
-  // the context save, so the expiry scan cannot requeue a half-saved
-  // thread). No joiner can hold it: a sleeping thread is not done.
+  // A timed wait on a queue nobody else knows: only the expiry scan (or a
+  // pending cancel) wakes it.
   const std::int64_t deadline = now_ns() + d.count();
+  WaitQueue q;
   detail::begin_no_preempt(self);
-  self->waiters_lock.lock();
-  self->wait_timed_out = false;
-  self->rt->register_timed_wait(self, deadline, &self->waiters_lock, nullptr);
-  park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kSleep),
-             /*timed=*/true, nullptr, nullptr, &self->waiters_lock, nullptr);
-  prof::offcpu_begin(self, prof::WaitKind::kSleep, wait_site);
-  detail::suspend_block(self, &self->waiters_lock, nullptr);
-  park::unpark(self);
-  prof::offcpu_end(self);
-  self->rt->unregister_timed_wait(self);
+  q.lock().lock();
+  q.wait(self, prof::WaitKind::kSleep, wait_site, deadline, nullptr, nullptr,
+         nullptr);
   detail::end_no_preempt(self);  // cancellation point
 }
 

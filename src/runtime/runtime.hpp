@@ -304,18 +304,15 @@ class Runtime {
   // ----- self-healing: timed waits, deadlines, remediation -----
   // (docs/robustness.md "Self-healing")
 
-  /// Register the calling ULT `t` for a timed wakeup at absolute `wake_ns`.
-  /// `guard` is the spinlock protecting `waiters`, the list t pushed itself
-  /// onto (nullptr waiters = sleep: expiry always wins). Caller must hold
-  /// `guard` across register + suspend_block and call unregister_timed_wait
-  /// after resuming, before the primitive may be destroyed.
-  void register_timed_wait(ThreadCtl* t, std::int64_t wake_ns, Spinlock* guard,
-                           std::vector<ThreadCtl*>* waiters);
-  /// Remove t's entry; spins out a concurrent expiry scan touching it.
-  void unregister_timed_wait(ThreadCtl* t);
+  /// Register the calling ULT `t`, parked on `q`, for a timed wakeup at
+  /// absolute `wake_ns`. Called by WaitQueue::wait with q's lock held; the
+  /// waiter calls unregister_timed_wait after resuming, before q may die.
+  void register_timed_wait(ThreadCtl* t, WaitQueue* q, std::int64_t wake_ns);
+  /// Remove the (t, q) entry if the expiry scan has not already done so.
+  void unregister_timed_wait(ThreadCtl* t, WaitQueue* q);
 
-  /// Expire due timed waits and deadlines: wake timed-out waiters (setting
-  /// ThreadCtl::wait_timed_out) and turn expired deadlines into cancel
+  /// Expire due timed waits and deadlines: wake timed-out waiters (with
+  /// WaitResult::kTimedOut) and turn expired deadlines into cancel
   /// requests plus a directed preemption tick. Cheap when nothing is due.
   void expire_timers(std::int64_t now);
   /// Fast-path wrapper for idle workers: one relaxed load when no timed wait
@@ -428,10 +425,8 @@ class Runtime {
   // -- self-healing: timed waits, deadlines, remediation --
   struct TimedWait {
     ThreadCtl* t;
+    WaitQueue* q;  ///< the queue t waits on (alive while the entry exists)
     std::int64_t wake_ns;
-    Spinlock* guard;                   ///< protects *waiters
-    std::vector<ThreadCtl*>* waiters;  ///< nullptr = sleep (expiry always wins)
-    bool busy;                         ///< expiry scan holds it outside the lock
   };
   static constexpr std::int64_t kNoDeadline =
       std::numeric_limits<std::int64_t>::max();

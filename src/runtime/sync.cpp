@@ -3,38 +3,21 @@
 #include "common/assert.hpp"
 #include "common/cpu.hpp"
 #include "common/time.hpp"
+#include "prof/prof.hpp"
+#include "runtime/instrument.hpp"
 #include "runtime/internal.hpp"
 #include "runtime/park.hpp"
-#include "runtime/prof_glue.hpp"
 
 namespace lpt {
 
 namespace {
 
-ThreadCtl* require_ult(const char* what) {
-  ThreadCtl* self = detail::current_ult_or_null();
-  LPT_CHECK_MSG(self != nullptr, what);
-  return self;
-}
-
-void make_ready(ThreadCtl* t, std::uint32_t waker = Runtime::kWakerFromTls) {
-  Runtime* rt = t->rt;
-  t->store_state(ThreadState::kReady);
-  Worker* hint = worker_tls()->worker;  // may be null (external thread)
-  // enqueue_ready stamps the ready transition and emits the causal kUltWake
-  // edge (waker = the calling ULT by default, kind = what t was parked
-  // under). Paths where the causal waker is not the calling thread — the
-  // abandoned-lock force-release runs on the watchdog but the dead owner is
-  // what freed the lock — pass the waker explicitly.
-  rt->enqueue_ready(t, hint, EnqueueKind::kUnblock, waker);
-}
-
 // ---- lock-contention profiling helpers (all called under the Mutex's
-// guard_ unless noted; every one is a no-op with a null `ls`, and the whole
+// guard unless noted; every one is a no-op with a null `ls`, and the whole
 // block compiles away under LPT_PROF_DISABLED) ----
 #if !defined(LPT_PROF_DISABLED)
 
-/// Lazily attach the Mutex's LockStats slot. Caller holds guard_, so the
+/// Lazily attach the Mutex's LockStats slot. Caller holds the guard, so the
 /// plain member is race-free; slab exhaustion leaves the mutex unprofiled.
 prof::LockStats* lock_stats(prof::LockStats*& slot) {
   if (slot == nullptr) slot = prof::Collector::instance().acquire_lock_stats();
@@ -73,8 +56,8 @@ void lock_note_contended(prof::LockStats* ls, Runtime* rt, void* site) {
 }
 
 /// A parked waiter woke as the new owner (direct handoff already stamped
-/// hold_start_ns/owner under guard_ in unlock); record its wait time.
-/// Called WITHOUT guard_ — touches only atomics/histograms.
+/// hold_start_ns/owner under the guard in unlock); record its wait time.
+/// Called WITHOUT the guard — touches only atomics/histograms.
 void lock_note_waited(prof::LockStats* ls, const ThreadCtl* self,
                       std::int64_t wait_start, void* site) {
   if (ls == nullptr || wait_start == 0) return;
@@ -127,143 +110,80 @@ inline void lock_note_released_idle(prof::LockStats*) {}
 // ---------------------------------------------------------------------------
 
 void Mutex::lock() {
-  void* const site = __builtin_return_address(0);
-  ThreadCtl* self = require_ult("lpt::Mutex::lock outside ULT context");
-  detail::cancel_point(self);  // before acquisition: nothing held yet
-  detail::begin_no_preempt(self);
-  for (;;) {
-    guard_.lock();
-    prof::LockStats* ls = prof::locks_on() ? lock_stats(prof_) : nullptr;
-    lock_note_acquire(ls);
-    if (!locked_) {
-      locked_ = true;
-      owner_ = self;
-      if (park::armed()) {
-        if (res_ == nullptr)
-          res_ = park::acquire_resource(
-              static_cast<std::uint8_t>(prof::WaitKind::kMutex), this,
-              &Mutex::abandon_cb);
-        park::add_owner(res_, self);
-      }
-      lock_note_owned(ls, self);
-      guard_.unlock();
-      detail::end_no_preempt(self);
-      return;
-    }
-    if (owner_ == self && park::armed() && self->no_preempt_depth == 1) {
-      // Self-deadlock: relocking the mutex we already hold would park behind
-      // ourselves forever. Caught synchronously (a 1-cycle, no detector
-      // round trip) and terminated as a deadlock victim. Under an outer
-      // NoPreemptGuard the cancellation point below cannot fire, so the
-      // historical behavior (hang, detectable by the watchdog) is kept; with
-      // the registry disarmed the check is off entirely.
-      guard_.unlock();
-      self->cancel_fault = FaultKind::kDeadlock;
-      self->cancel_requested.store(true, std::memory_order_release);
-      self->rt->note_self_deadlock(
-          self, static_cast<std::uint8_t>(prof::WaitKind::kMutex));
-      detail::end_no_preempt(self);  // cancellation point: does not return
-      detail::begin_no_preempt(self);
-      continue;  // unreachable in practice; keeps the invariant if it ever is
-    }
-    lock_note_contended(ls, self->rt, site);
-    waiters_.push_back(self);
-    park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kMutex),
-               /*timed=*/false, res_, nullptr, &guard_, &waiters_);
-    const std::int64_t wait_start = ls != nullptr ? trace::now_ns() : 0;
-    prof::offcpu_begin(self, prof::WaitKind::kMutex, site);
-    // Direct handoff: unlock() keeps `locked_` set and wakes us as the owner.
-    detail::suspend_block(self, &guard_, nullptr);
-    park::unpark(self);
-    prof::offcpu_end(self);
-    if (self->park_broken) {
-      // The deadlock breaker cancelled us out of the wait: we do NOT own the
-      // lock. The cancellation point below normally terminates us; a thread
-      // it cannot unwind (outer NoPreemptGuard) retries the acquire.
-      self->park_broken = false;
-      detail::end_no_preempt(self);  // cancellation point: usually no return
-      detail::begin_no_preempt(self);
-      continue;
-    }
-    lock_note_waited(ls, self, wait_start, site);
-    detail::end_no_preempt(self);
-    return;
-  }
-}
-
-bool Mutex::try_lock() {
-  ThreadCtl* self = require_ult("lpt::Mutex::try_lock outside ULT context");
-  detail::begin_no_preempt(self);
-  guard_.lock();
-  const bool got = !locked_;
-  if (got) {
-    locked_ = true;
-    owner_ = self;
-    if (park::armed()) {
-      if (res_ == nullptr)
-        res_ = park::acquire_resource(
-            static_cast<std::uint8_t>(prof::WaitKind::kMutex), this,
-            &Mutex::abandon_cb);
-      park::add_owner(res_, self);
-    }
-    prof::LockStats* ls = prof::locks_on() ? lock_stats(prof_) : nullptr;
-    lock_note_acquire(ls);
-    lock_note_owned(ls, self);
-  }
-  guard_.unlock();
-  detail::end_no_preempt(self);
-  return got;
+  ThreadCtl* self = detail::require_ult("lpt::Mutex::lock outside ULT context");
+  acquire(self, __builtin_return_address(0), 0);
 }
 
 bool Mutex::try_lock_for(std::chrono::nanoseconds timeout) {
-  void* const site = __builtin_return_address(0);
   ThreadCtl* self =
-      require_ult("lpt::Mutex::try_lock_for outside ULT context");
+      detail::require_ult("lpt::Mutex::try_lock_for outside ULT context");
+  if (timeout.count() > 0)
+    return acquire(self, __builtin_return_address(0),
+                   now_ns() + timeout.count());
   detail::cancel_point(self);
+  return try_lock();
+}
+
+bool Mutex::acquire(ThreadCtl* self, void* site, std::int64_t deadline) {
+  detail::cancel_point(self);  // before acquisition: nothing held yet
   detail::begin_no_preempt(self);
-  guard_.lock();
-  prof::LockStats* ls = prof::locks_on() ? lock_stats(prof_) : nullptr;
-  if (!locked_) {
-    locked_ = true;
-    owner_ = self;
-    if (park::armed()) {
-      if (res_ == nullptr)
-        res_ = park::acquire_resource(
-            static_cast<std::uint8_t>(prof::WaitKind::kMutex), this,
-            &Mutex::abandon_cb);
-      park::add_owner(res_, self);
+  for (;;) {
+    q_.lock().lock();
+    prof::LockStats* ls = prof::locks_on() ? lock_stats(prof_) : nullptr;
+    if (!locked_) {
+      lock_note_acquire(ls);
+      take(self, ls);
+      q_.lock().unlock();
+      detail::end_no_preempt(self);
+      return true;
+    }
+    if (deadline != 0 && owner_ == self) {
+      // A timed relock by the owner would park behind itself until the
+      // timeout (and timed waits are invisible to the deadlock detector).
+      q_.lock().unlock();
+      detail::end_no_preempt(self);
+      return false;
     }
     lock_note_acquire(ls);
-    lock_note_owned(ls, self);
-    guard_.unlock();
-    detail::end_no_preempt(self);
-    return true;
+    if (deadline == 0 &&
+        q_.self_deadlock(self, owner_ == self, prof::WaitKind::kMutex))
+      continue;
+    lock_note_contended(ls, self->rt, site);
+    const std::int64_t wait_start = ls != nullptr ? trace::now_ns() : 0;
+    // Direct handoff: unlock() keeps `locked_` set and wakes us as the
+    // owner. A timed waiter that loses the race to unlock() owns the mutex
+    // and reports success even if late.
+    const WaitResult r = q_.wait(self, prof::WaitKind::kMutex, site,
+                                 deadline, res_, nullptr, nullptr);
+    if (r == WaitResult::kBroken) continue;  // not the owner: retry
+    if (r == WaitResult::kWoken) lock_note_waited(ls, self, wait_start, site);
+    detail::end_no_preempt(self);  // cancellation point
+    return r == WaitResult::kWoken;
   }
-  if (timeout.count() <= 0) {
-    guard_.unlock();
-    detail::end_no_preempt(self);
-    return false;
+}
+
+void Mutex::take(ThreadCtl* self, prof::LockStats* ls) {
+  locked_ = true;
+  owner_ = self;
+  park::add_owner(res_, static_cast<std::uint8_t>(prof::WaitKind::kMutex),
+                  this, &Mutex::abandon_cb, self);
+  lock_note_owned(ls, self);
+}
+
+bool Mutex::try_lock() {
+  ThreadCtl* self =
+      detail::require_ult("lpt::Mutex::try_lock outside ULT context");
+  detail::begin_no_preempt(self);
+  q_.lock().lock();
+  const bool got = !locked_;
+  if (got) {
+    prof::LockStats* ls = prof::locks_on() ? lock_stats(prof_) : nullptr;
+    lock_note_acquire(ls);
+    take(self, ls);
   }
-  lock_note_acquire(ls);
-  lock_note_contended(ls, self->rt, site);
-  const std::int64_t deadline = now_ns() + timeout.count();
-  waiters_.push_back(self);
-  self->wait_timed_out = false;
-  const std::int64_t wait_start = ls != nullptr ? trace::now_ns() : 0;
-  // Expiry races unlock() for the wakeup under guard_; whoever removes us
-  // from waiters_ wins. Losing to unlock() means we were handed the lock —
-  // a timed waiter that wakes as owner reports success even if late.
-  self->rt->register_timed_wait(self, deadline, &guard_, &waiters_);
-  park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kMutex),
-             /*timed=*/true, res_, nullptr, &guard_, &waiters_);
-  prof::offcpu_begin(self, prof::WaitKind::kMutex, site);
-  detail::suspend_block(self, &guard_, nullptr);
-  park::unpark(self);
-  prof::offcpu_end(self);
-  self->rt->unregister_timed_wait(self);
-  if (!self->wait_timed_out) lock_note_waited(ls, self, wait_start, site);
-  detail::end_no_preempt(self);  // cancellation point
-  return !self->wait_timed_out;
+  q_.lock().unlock();
+  detail::end_no_preempt(self);
+  return got;
 }
 
 void Mutex::unlock() {
@@ -271,27 +191,29 @@ void Mutex::unlock() {
   // so owner bookkeeping uses owner_ — not the calling context.
   ThreadCtl* self = detail::current_ult_or_null();
   detail::begin_no_preempt(self);
-  guard_.lock();
+  q_.lock().lock();
   LPT_CHECK_MSG(locked_, "unlock of unowned lpt::Mutex");
+  park::remove_owner(res_, owner_);
+  release(Runtime::kWakerFromTls);
+  detail::end_no_preempt(self);
+}
+
+void Mutex::release(std::uint32_t waker) {
   prof::LockStats* ls = prof::locks_on() ? prof_ : nullptr;
   lock_note_release(ls);
-  park::remove_owner(res_, owner_);
-  if (waiters_.empty()) {
+  ThreadCtl* next = q_.pop_front();
+  // Ownership transfers before the wake, so edges never dangle; `locked_`
+  // stays set across a handoff.
+  owner_ = next;
+  if (next == nullptr) {
     locked_ = false;
-    owner_ = nullptr;
     lock_note_released_idle(ls);
-    guard_.unlock();
-    detail::end_no_preempt(self);
-    return;
+  } else {
+    park::add_owner(res_, next);
+    lock_note_handoff(ls, next);
   }
-  ThreadCtl* next = waiters_.front();
-  waiters_.erase(waiters_.begin());
-  owner_ = next;  // ownership transfers before the wake: edges never dangle
-  park::add_owner(res_, next);
-  lock_note_handoff(ls, next);
-  guard_.unlock();  // `locked_` stays true: ownership passes to `next`
-  make_ready(next);
-  detail::end_no_preempt(self);
+  q_.lock().unlock();
+  WaitQueue::wake(next, waker);
 }
 
 bool Mutex::held_by_caller() const {
@@ -299,45 +221,28 @@ bool Mutex::held_by_caller() const {
   if (self == nullptr) return false;
   auto* m = const_cast<Mutex*>(this);
   detail::begin_no_preempt(self);
-  m->guard_.lock();
+  m->q_.lock().lock();
   const bool held = locked_ && owner_ == self;
-  m->guard_.unlock();
+  m->q_.lock().unlock();
   detail::end_no_preempt(self);
   return held;
 }
 
-bool Mutex::abandon(ThreadCtl* dead, bool release) {
+bool Mutex::abandon(ThreadCtl* dead, bool release_lock) {
   // Finalize-context hook: `dead` ended while recorded as this mutex's
   // owner. Always clear owner_ (a later ThreadCtl at the same address must
   // not read as the holder); force-unlock with handoff only when asked.
-  guard_.lock();
-  if (!locked_ || owner_ != dead) {
-    guard_.unlock();
+  q_.lock().lock();
+  const bool held = locked_ && owner_ == dead;
+  if (held) owner_ = nullptr;
+  if (!held || !release_lock) {
+    q_.lock().unlock();
     return false;
   }
-  owner_ = nullptr;
-  if (!release) {
-    guard_.unlock();
-    return false;
-  }
-  prof::LockStats* ls = prof::locks_on() ? prof_ : nullptr;
-  lock_note_release(ls);
-  if (waiters_.empty()) {
-    locked_ = false;
-    lock_note_released_idle(ls);
-    guard_.unlock();
-    return true;
-  }
-  ThreadCtl* next = waiters_.front();
-  waiters_.erase(waiters_.begin());
-  owner_ = next;
-  park::add_owner(res_, next);
-  lock_note_handoff(ls, next);
-  guard_.unlock();
   // Causally the dead owner freed the lock, not the watchdog thread running
   // this hook — attribute the wake edge to it so trace_critical_path can
   // walk a survivor's chain back into the broken cycle.
-  make_ready(next, dead->trace_id);
+  release(dead->trace_id);
   return true;
 }
 
@@ -349,74 +254,50 @@ bool Mutex::abandon_cb(void* primitive, ThreadCtl* dead, bool release) {
 // CondVar
 // ---------------------------------------------------------------------------
 
-void CondVar::wait(Mutex& m) {
-  void* const site = __builtin_return_address(0);
-  ThreadCtl* self = require_ult("lpt::CondVar::wait outside ULT context");
-  detail::begin_no_preempt(self);
-  guard_.lock();
-  waiters_.push_back(self);
-  // No owner edge: a condvar waiter can never be a cycle member (it waits on
-  // a notify, not on a thread). Registered for visibility and the reactor.
-  park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kCondVar),
-             /*timed=*/false, nullptr, nullptr, &guard_, &waiters_);
-  prof::offcpu_begin(self, prof::WaitKind::kCondVar, site);
-  // The scheduler releases guard_ and *then* m after our context is saved,
-  // so a signaler can neither miss us nor wake us before we are suspended.
-  detail::suspend_block(self, &guard_, &m);
-  park::unpark(self);
-  prof::offcpu_end(self);
-  detail::end_no_preempt(self);
-  m.lock();
-}
+void CondVar::wait(Mutex& m) { block(m, __builtin_return_address(0), 0); }
 
 bool CondVar::wait_for(Mutex& m, std::chrono::nanoseconds timeout) {
-  void* const site = __builtin_return_address(0);
-  ThreadCtl* self = require_ult("lpt::CondVar::wait_for outside ULT context");
-  if (timeout.count() <= 0) return false;  // immediate timeout, m stays held
-  const std::int64_t deadline = now_ns() + timeout.count();
+  if (timeout.count() <= 0) {  // immediate timeout, m stays held
+    detail::require_ult("lpt::CondVar::wait_for outside ULT context");
+    return false;
+  }
+  return block(m, __builtin_return_address(0), now_ns() + timeout.count());
+}
+
+bool CondVar::block(Mutex& m, void* site, std::int64_t deadline) {
+  ThreadCtl* self = detail::require_ult("lpt::CondVar wait outside ULT context");
   detail::begin_no_preempt(self);
-  guard_.lock();
-  waiters_.push_back(self);
-  self->wait_timed_out = false;
-  self->rt->register_timed_wait(self, deadline, &guard_, &waiters_);
-  park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kCondVar),
-             /*timed=*/true, nullptr, nullptr, &guard_, &waiters_);
-  prof::offcpu_begin(self, prof::WaitKind::kCondVar, site);
-  detail::suspend_block(self, &guard_, &m);
-  park::unpark(self);
-  prof::offcpu_end(self);
-  self->rt->unregister_timed_wait(self);
+  q_.lock().lock();
+  // No owner edge: a condvar waiter can never be a cycle member (it waits on
+  // a notify, not on a thread). The scheduler releases the queue lock and
+  // *then* m after our context is saved, so a signaler can neither miss us
+  // nor wake us before we are suspended.
+  const WaitResult r = q_.wait(self, prof::WaitKind::kCondVar, site, deadline,
+                               nullptr, nullptr, &m);
   // Cancellation point — fires while m is NOT held, so a cancelled waiter
   // never strands the user mutex.
   detail::end_no_preempt(self);
   m.lock();
-  return !self->wait_timed_out;
+  return r != WaitResult::kTimedOut;
 }
 
 void CondVar::notify_one() {
   ThreadCtl* self = detail::current_ult_or_null();
   detail::begin_no_preempt(self);
-  ThreadCtl* t = nullptr;
-  {
-    SpinlockGuard g(guard_);
-    if (!waiters_.empty()) {
-      t = waiters_.front();
-      waiters_.erase(waiters_.begin());
-    }
-  }
-  if (t != nullptr) make_ready(t);
+  q_.lock().lock();
+  ThreadCtl* t = q_.pop_front();
+  q_.lock().unlock();
+  WaitQueue::wake(t);
   detail::end_no_preempt(self);
 }
 
 void CondVar::notify_all() {
   ThreadCtl* self = detail::current_ult_or_null();
   detail::begin_no_preempt(self);
-  std::vector<ThreadCtl*> ts;
-  {
-    SpinlockGuard g(guard_);
-    ts.swap(waiters_);
-  }
-  for (ThreadCtl* t : ts) make_ready(t);
+  q_.lock().lock();
+  ThreadCtl* ts = q_.take_all();
+  q_.lock().unlock();
+  WaitQueue::wake(ts);
   detail::end_no_preempt(self);
 }
 
@@ -424,33 +305,22 @@ void CondVar::notify_all() {
 // Barrier
 // ---------------------------------------------------------------------------
 
-Barrier::Barrier(int parties) : parties_(parties) {
-  LPT_CHECK(parties >= 1);
-  waiters_.reserve(parties);
-}
+Barrier::Barrier(int parties) : parties_(parties) { LPT_CHECK(parties >= 1); }
 
 void Barrier::arrive_and_wait() {
   void* const site = __builtin_return_address(0);
-  ThreadCtl* self = require_ult("lpt::Barrier outside ULT context");
+  ThreadCtl* self = detail::require_ult("lpt::Barrier outside ULT context");
   detail::begin_no_preempt(self);
-  guard_.lock();
-  if (++arrived_ == parties_) {
-    arrived_ = 0;
-    ++generation_;
-    std::vector<ThreadCtl*> ts;
-    ts.swap(waiters_);
-    guard_.unlock();
-    for (ThreadCtl* t : ts) make_ready(t);
-    detail::end_no_preempt(self);
-    return;
+  q_.lock().lock();
+  if (++arrived_ < parties_) {
+    q_.wait(self, prof::WaitKind::kBarrier, site, 0, nullptr, nullptr,
+            nullptr);
+  } else {
+    arrived_ = 0;  // the last arriver releases the phase
+    ThreadCtl* ts = q_.take_all();
+    q_.lock().unlock();
+    WaitQueue::wake(ts);
   }
-  waiters_.push_back(self);
-  park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kBarrier),
-             /*timed=*/false, nullptr, nullptr, &guard_, &waiters_);
-  prof::offcpu_begin(self, prof::WaitKind::kBarrier, site);
-  detail::suspend_block(self, &guard_, nullptr);
-  park::unpark(self);
-  prof::offcpu_end(self);
   detail::end_no_preempt(self);
 }
 

@@ -10,9 +10,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <vector>
 
-#include "common/spinlock.hpp"
+#include "runtime/wait_queue.hpp"
 
 namespace lpt {
 
@@ -31,38 +30,45 @@ class Mutex {
   void lock();
   bool try_lock();
   /// Blocking try_lock with a timeout (~1 ms granularity, timed-wait
-  /// registry) and a cancellation point. False on timeout; on true the
-  /// caller owns the mutex (direct handoff applies to timed waiters too).
+  /// registry) and a cancellation point. False on timeout, and at once when
+  /// the caller already owns the mutex; on true the caller owns the mutex
+  /// (direct handoff applies to timed waiters too).
   bool try_lock_for(std::chrono::nanoseconds timeout);
   void unlock();
 
   /// True when the calling ULT currently owns this mutex. Powers the compat
   /// layer's EDEADLK check; meaningful only from ULT context (false outside).
   /// Owner identity is tracked unconditionally (one pointer store under
-  /// guard_), independent of the parking registry's arming.
+  /// the guard), independent of the parking registry's arming.
   bool held_by_caller() const;
 
  private:
-  friend class CondVar;
+  /// lock()/try_lock_for() body; `deadline` as for WaitQueue::wait.
+  bool acquire(ThreadCtl* self, void* site, std::int64_t deadline);
+  /// Record `self` as the new owner (guard held, mutex free).
+  void take(ThreadCtl* self, prof::LockStats* ls);
+  /// Release with direct handoff to the first waiter (guard held; releases
+  /// it). `waker` names the causal waker of the handoff wake edge.
+  void release(std::uint32_t waker);
 
   /// Abandonment hook (park::ResourceState::on_abandon): `dead` ended while
-  /// recorded as owner. Clears owner_ and, when `release`, force-unlocks with
-  /// normal handoff semantics. Returns whether a release happened.
-  bool abandon(ThreadCtl* dead, bool release);
+  /// recorded as owner. Clears owner_ and, when `release_lock`, force-unlocks
+  /// with normal handoff semantics. Returns whether a release happened.
+  bool abandon(ThreadCtl* dead, bool release_lock);
   static bool abandon_cb(void* primitive, ThreadCtl* dead, bool release);
 
-  Spinlock guard_;
+  WaitQueue q_;  ///< guard + waiters
   bool locked_ = false;
   /// Owning ULT while locked_ (compared by address only — never dereferenced
   /// after the owner may have died; abandon() clears it first). Maintained
-  /// under guard_, including across direct handoff.
+  /// under the guard, including across direct handoff.
   ThreadCtl* owner_ = nullptr;
-  /// Parking-registry owner record, lazily attached under guard_ while the
-  /// registry is armed; null forever otherwise (same slab contract as prof_).
+  /// Parking-registry owner record, lazily attached under the guard while
+  /// the registry is armed; null forever otherwise (same slab contract as
+  /// prof_).
   park::ResourceState* res_ = nullptr;
-  std::vector<ThreadCtl*> waiters_;
   /// Contention-profile slot (docs/observability.md "Profiling"): lazily
-  /// attached under guard_ on the first lock() while the lock profiler is
+  /// attached under the guard on the first lock() while the lock profiler is
   /// armed; null forever otherwise. Points into the collector's never-freed
   /// slab, so the pointer stays valid even when this Mutex outlives the
   /// Runtime that profiled it.
@@ -85,8 +91,11 @@ class CondVar {
   void notify_all();
 
  private:
-  Spinlock guard_;
-  std::vector<ThreadCtl*> waiters_;
+  /// wait()/wait_for() body; `deadline` as for WaitQueue::wait. False on
+  /// timeout; `m` is re-held on return.
+  bool block(Mutex& m, void* site, std::int64_t deadline);
+
+  WaitQueue q_;
 };
 
 /// Cooperative barrier for a fixed number of ULT participants.
@@ -97,11 +106,9 @@ class Barrier {
   void arrive_and_wait();
 
  private:
-  Spinlock guard_;
+  WaitQueue q_;
   const int parties_;
   int arrived_ = 0;
-  std::uint64_t generation_ = 0;
-  std::vector<ThreadCtl*> waiters_;
 };
 
 /// A memory flag with *busy-wait* semantics — the synchronization pattern of

@@ -6,248 +6,118 @@
 #include "common/time.hpp"
 #include "runtime/internal.hpp"
 #include "runtime/park.hpp"
-#include "runtime/prof_glue.hpp"
+#include "prof/prof.hpp"
 
 namespace lpt {
-
-namespace {
-
-ThreadCtl* require_ult(const char* what) {
-  ThreadCtl* self = detail::current_ult_or_null();
-  LPT_CHECK_MSG(self != nullptr, what);
-  return self;
-}
-
-void make_ready(ThreadCtl* t, std::uint32_t waker = Runtime::kWakerFromTls) {
-  Runtime* rt = t->rt;
-  t->store_state(ThreadState::kReady);
-  // Routed through the causal choke point (ready stamp + kUltWake edge).
-  // The abandoned-lock force-release passes the dead owner as the waker: it
-  // runs on the watchdog thread, but the death is the causal release.
-  rt->enqueue_ready(t, worker_tls()->worker, EnqueueKind::kUnblock, waker);
-}
-
-void make_ready_all(std::vector<ThreadCtl*>& ts,
-                    std::uint32_t waker = Runtime::kWakerFromTls) {
-  for (ThreadCtl* t : ts) make_ready(t, waker);
-  ts.clear();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // RwLock
 // ---------------------------------------------------------------------------
 
-void RwLock::lock_shared() {
-  void* const site = __builtin_return_address(0);
-  ThreadCtl* self = require_ult("RwLock::lock_shared outside ULT context");
+void RwLock::lock_shared() { acquire(false, __builtin_return_address(0)); }
+
+void RwLock::lock() { acquire(true, __builtin_return_address(0)); }
+
+void RwLock::acquire(bool exclusive, void* site) {
+  ThreadCtl* self = detail::require_ult(
+      exclusive ? "RwLock::lock outside ULT context"
+                : "RwLock::lock_shared outside ULT context");
   detail::begin_no_preempt(self);
   for (;;) {
-    guard_.lock();
+    writers_q_.lock().lock();
     // Writer preference: readers queue behind any waiting writer.
-    if (!writer_ && waiting_writers_.empty()) {
-      ++readers_;
-      if (park::armed()) {
-        if (res_ == nullptr)
-          res_ = park::acquire_resource(
-              static_cast<std::uint8_t>(prof::WaitKind::kRwLock), this,
-              &RwLock::abandon_cb);
-        park::add_owner(res_, self);
+    if (exclusive ? !writer_ && readers_ == 0
+                  : !writer_ && writers_q_.empty()) {
+      if (exclusive) {
+        writer_ = true;
+        write_owner_ = self;
+      } else {
+        ++readers_;
       }
-      guard_.unlock();
-      detail::end_no_preempt(self);
-      return;
+      park::add_owner(res_, static_cast<std::uint8_t>(prof::WaitKind::kRwLock),
+                      this, &RwLock::abandon_cb, self);
+      writers_q_.lock().unlock();
+      break;
     }
-    if (write_owner_ == self && park::armed() && self->no_preempt_depth == 1) {
-      // Write-then-read self-deadlock: a 1-cycle caught synchronously, like
-      // Mutex::lock. (Read-then-write upgrades are left to the periodic
-      // detector: self shows up among res_->owners, closing the cycle.)
-      guard_.unlock();
-      self->cancel_fault = FaultKind::kDeadlock;
-      self->cancel_requested.store(true, std::memory_order_release);
-      self->rt->note_self_deadlock(
-          self, static_cast<std::uint8_t>(prof::WaitKind::kRwLock));
-      detail::end_no_preempt(self);  // cancellation point: does not return
-      detail::begin_no_preempt(self);
+    // Write-then-read/write self-deadlock: a 1-cycle caught synchronously,
+    // like Mutex::lock. (Read-then-write upgrades are left to the periodic
+    // detector: self shows up among res_->owners, closing the cycle.)
+    if (writers_q_.self_deadlock(self, write_owner_ == self,
+                                 prof::WaitKind::kRwLock))
       continue;
-    }
-    waiting_readers_.push_back(self);
-    park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kRwLock),
-               /*timed=*/false, res_, nullptr, &guard_, &waiting_readers_);
-    prof::offcpu_begin(self, prof::WaitKind::kRwLock, site);
-    detail::suspend_block(self, &guard_, nullptr);
-    park::unpark(self);
-    prof::offcpu_end(self);
-    if (self->park_broken) {
-      // Deadlock breaker cancelled us out of the wait: no share was handed
-      // to us. Terminate at the cancellation point, or retry if unwindable.
-      self->park_broken = false;
-      detail::end_no_preempt(self);  // cancellation point: usually no return
-      detail::begin_no_preempt(self);
-      continue;
-    }
-    detail::end_no_preempt(self);
-    // The releaser incremented readers_ on our behalf (direct handoff).
-    return;
+    // Direct handoff: the releaser set writer_/write_owner_ or incremented
+    // readers_ on our behalf. Broken out by the deadlock breaker: retry.
+    WaitQueue& q = exclusive ? writers_q_ : readers_q_;
+    if (q.wait(self, prof::WaitKind::kRwLock, site, 0, res_, nullptr,
+               nullptr) != WaitResult::kBroken)
+      break;
   }
+  detail::end_no_preempt(self);
 }
 
 void RwLock::unlock_shared() {
   ThreadCtl* self = detail::current_ult_or_null();
   detail::begin_no_preempt(self);
-  guard_.lock();
+  writers_q_.lock().lock();
   LPT_CHECK_MSG(readers_ > 0, "unlock_shared without shared lock");
   --readers_;
   if (self != nullptr) park::remove_owner(res_, self);
-  ThreadCtl* writer_next = nullptr;
-  if (readers_ == 0 && !waiting_writers_.empty()) {
-    writer_next = waiting_writers_.front();
-    waiting_writers_.erase(waiting_writers_.begin());
-    writer_ = true;  // handoff
-    write_owner_ = writer_next;
-    park::add_owner(res_, writer_next);
-  }
-  guard_.unlock();
-  if (writer_next != nullptr) make_ready(writer_next);
+  grant(Runtime::kWakerFromTls);
   detail::end_no_preempt(self);
-}
-
-void RwLock::lock() {
-  void* const site = __builtin_return_address(0);
-  ThreadCtl* self = require_ult("RwLock::lock outside ULT context");
-  detail::begin_no_preempt(self);
-  for (;;) {
-    guard_.lock();
-    if (!writer_ && readers_ == 0) {
-      writer_ = true;
-      write_owner_ = self;
-      if (park::armed()) {
-        if (res_ == nullptr)
-          res_ = park::acquire_resource(
-              static_cast<std::uint8_t>(prof::WaitKind::kRwLock), this,
-              &RwLock::abandon_cb);
-        park::add_owner(res_, self);
-      }
-      guard_.unlock();
-      detail::end_no_preempt(self);
-      return;
-    }
-    if (write_owner_ == self && park::armed() && self->no_preempt_depth == 1) {
-      // Write-after-write self-deadlock, caught synchronously (Mutex::lock
-      // has the full rationale).
-      guard_.unlock();
-      self->cancel_fault = FaultKind::kDeadlock;
-      self->cancel_requested.store(true, std::memory_order_release);
-      self->rt->note_self_deadlock(
-          self, static_cast<std::uint8_t>(prof::WaitKind::kRwLock));
-      detail::end_no_preempt(self);  // cancellation point: does not return
-      detail::begin_no_preempt(self);
-      continue;
-    }
-    waiting_writers_.push_back(self);
-    park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kRwLock),
-               /*timed=*/false, res_, nullptr, &guard_, &waiting_writers_);
-    prof::offcpu_begin(self, prof::WaitKind::kRwLock, site);
-    // Direct handoff: the releaser set writer_/write_owner_ on our behalf.
-    detail::suspend_block(self, &guard_, nullptr);
-    park::unpark(self);
-    prof::offcpu_end(self);
-    if (self->park_broken) {
-      // Deadlock breaker cancelled us out of the wait: we do NOT own the
-      // lock. Terminate at the cancellation point, or retry if unwindable.
-      self->park_broken = false;
-      detail::end_no_preempt(self);  // cancellation point: usually no return
-      detail::begin_no_preempt(self);
-      continue;
-    }
-    detail::end_no_preempt(self);
-    return;
-  }
 }
 
 void RwLock::unlock() {
   ThreadCtl* self = detail::current_ult_or_null();
   detail::begin_no_preempt(self);
-  guard_.lock();
+  writers_q_.lock().lock();
   LPT_CHECK_MSG(writer_, "RwLock::unlock without write lock");
   park::remove_owner(res_, write_owner_);
+  writer_ = false;
   write_owner_ = nullptr;
-  ThreadCtl* writer_next = nullptr;
-  std::vector<ThreadCtl*> readers_next;
-  if (!waiting_writers_.empty()) {
-    writer_next = waiting_writers_.front();
-    waiting_writers_.erase(waiting_writers_.begin());
-    // writer_ stays true: handoff to the next writer.
-    write_owner_ = writer_next;
-    park::add_owner(res_, writer_next);
-  } else {
-    writer_ = false;
-    readers_ += static_cast<int>(waiting_readers_.size());
+  grant(Runtime::kWakerFromTls);
+  detail::end_no_preempt(self);
+}
+
+void RwLock::grant(std::uint32_t waker) {
+  ThreadCtl* next = nullptr;
+  if (!writer_ && readers_ == 0) next = writers_q_.pop_front();
+  if (next != nullptr) {
+    writer_ = true;
+    write_owner_ = next;
+    park::add_owner(res_, next);
+  } else if (!writer_ && writers_q_.empty()) {
+    next = readers_q_.take_all();
     // Every handed-off reader becomes a tracked owner before its wake (edges
     // never dangle); readers past kMaxOwners set the overflow flag instead.
-    for (ThreadCtl* r : waiting_readers_) park::add_owner(res_, r);
-    readers_next.swap(waiting_readers_);
+    for (ThreadCtl* r = next; r != nullptr; r = r->wq_next) {
+      ++readers_;
+      park::add_owner(res_, r);
+    }
   }
-  guard_.unlock();
-  if (writer_next != nullptr) make_ready(writer_next);
-  make_ready_all(readers_next);
-  detail::end_no_preempt(self);
+  writers_q_.lock().unlock();
+  WaitQueue::wake(next, waker);
 }
 
 bool RwLock::abandon(ThreadCtl* dead, bool release) {
   // Finalize context: `dead` has already been CAS-cleared from res_->owners,
-  // so the add_owner calls below land in free slots.
-  guard_.lock();
-  if (writer_ && write_owner_ == dead) {
-    // Dead writer. Always clear the address (it is about to dangle); only
-    // force-unlock when release mode is on.
-    write_owner_ = nullptr;
-    if (!release) {
-      guard_.unlock();
-      return false;
-    }
-    ThreadCtl* writer_next = nullptr;
-    std::vector<ThreadCtl*> readers_next;
-    if (!waiting_writers_.empty()) {
-      writer_next = waiting_writers_.front();
-      waiting_writers_.erase(waiting_writers_.begin());
-      write_owner_ = writer_next;
-      park::add_owner(res_, writer_next);
-    } else {
-      writer_ = false;
-      readers_ += static_cast<int>(waiting_readers_.size());
-      for (ThreadCtl* r : waiting_readers_) park::add_owner(res_, r);
-      readers_next.swap(waiting_readers_);
-    }
-    guard_.unlock();
-    if (writer_next != nullptr) make_ready(writer_next, dead->trace_id);
-    make_ready_all(readers_next, dead->trace_id);
-    return true;
+  // so the add_owner calls in grant() land in free slots. A dead writer
+  // always loses its address (it is about to dangle). A dead reader was
+  // recorded in res_->owners, so it held a share; readers past the
+  // owner-slot cap were never recorded — an overflowed rwlock
+  // under-releases, which the overflow flag already declares.
+  writers_q_.lock().lock();
+  const bool dead_writer = writer_ && write_owner_ == dead;
+  if (dead_writer) write_owner_ = nullptr;
+  if (!(dead_writer || readers_ > 0) || !release) {
+    writers_q_.lock().unlock();
+    return false;
   }
-  if (readers_ > 0) {
-    // Dead reader (it was recorded in res_->owners, so it held a share).
-    // Readers past the owner-slot cap were never recorded — an overflowed
-    // rwlock under-releases, which the overflow flag already declares.
-    if (!release) {
-      guard_.unlock();
-      return false;
-    }
+  if (dead_writer)
+    writer_ = false;
+  else
     --readers_;
-    ThreadCtl* writer_next = nullptr;
-    if (readers_ == 0 && !waiting_writers_.empty()) {
-      writer_next = waiting_writers_.front();
-      waiting_writers_.erase(waiting_writers_.begin());
-      writer_ = true;
-      write_owner_ = writer_next;
-      park::add_owner(res_, writer_next);
-    }
-    guard_.unlock();
-    if (writer_next != nullptr) make_ready(writer_next, dead->trace_id);
-    return true;
-  }
-  guard_.unlock();
-  return false;
+  grant(dead->trace_id);
+  return true;
 }
 
 bool RwLock::abandon_cb(void* primitive, ThreadCtl* dead, bool release) {
@@ -259,91 +129,57 @@ bool RwLock::abandon_cb(void* primitive, ThreadCtl* dead, bool release) {
 // ---------------------------------------------------------------------------
 
 void Semaphore::acquire() {
-  void* const site = __builtin_return_address(0);
-  ThreadCtl* self = require_ult("Semaphore::acquire outside ULT context");
-  detail::begin_no_preempt(self);
-  guard_.lock();
-  if (count_ > 0) {
-    --count_;
-    guard_.unlock();
-    detail::end_no_preempt(self);
-    return;
-  }
-  waiters_.push_back(self);
-  // No owner edge: semaphore units have no owner, so a semaphore waiter can
-  // never be a cycle member. Registered for visibility and the reactor.
-  park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kSemaphore),
-             /*timed=*/false, nullptr, nullptr, &guard_, &waiters_);
-  prof::offcpu_begin(self, prof::WaitKind::kSemaphore, site);
-  detail::suspend_block(self, &guard_, nullptr);
-  park::unpark(self);
-  prof::offcpu_end(self);
-  detail::end_no_preempt(self);
-  // Direct handoff: release() consumed a unit on our behalf.
+  take(detail::require_ult("Semaphore::acquire outside ULT context"),
+       __builtin_return_address(0), 0);
 }
 
 bool Semaphore::try_acquire() {
   ThreadCtl* self = detail::current_ult_or_null();
   detail::begin_no_preempt(self);
-  guard_.lock();
+  q_.lock().lock();
   const bool got = count_ > 0;
   if (got) --count_;
-  guard_.unlock();
+  q_.lock().unlock();
   detail::end_no_preempt(self);
   return got;
 }
 
 bool Semaphore::try_acquire_for(std::chrono::nanoseconds timeout) {
-  void* const site = __builtin_return_address(0);
   ThreadCtl* self =
-      require_ult("Semaphore::try_acquire_for outside ULT context");
+      detail::require_ult("Semaphore::try_acquire_for outside ULT context");
   detail::cancel_point(self);
+  if (timeout.count() <= 0) return try_acquire();
+  return take(self, __builtin_return_address(0), now_ns() + timeout.count());
+}
+
+bool Semaphore::take(ThreadCtl* self, void* site, std::int64_t deadline) {
   detail::begin_no_preempt(self);
-  guard_.lock();
-  if (count_ > 0) {
+  q_.lock().lock();
+  bool got = count_ > 0;
+  if (got) {
     --count_;
-    guard_.unlock();
-    detail::end_no_preempt(self);
-    return true;
+    q_.lock().unlock();
+  } else {
+    // No owner edge: semaphore units have no owner, so a semaphore waiter
+    // can never be a cycle member. Direct handoff: a woken waiter was
+    // handed a unit by release().
+    got = q_.wait(self, prof::WaitKind::kSemaphore, site, deadline, nullptr,
+                  nullptr, nullptr) == WaitResult::kWoken;
   }
-  if (timeout.count() <= 0) {
-    guard_.unlock();
-    detail::end_no_preempt(self);
-    return false;
-  }
-  const std::int64_t deadline = now_ns() + timeout.count();
-  waiters_.push_back(self);
-  self->wait_timed_out = false;
-  // Expiry races release() under guard_; a waiter release() removed was
-  // handed a unit (direct handoff), so a timed-out flag can never coexist
-  // with an owed unit.
-  self->rt->register_timed_wait(self, deadline, &guard_, &waiters_);
-  park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kSemaphore),
-             /*timed=*/true, nullptr, nullptr, &guard_, &waiters_);
-  prof::offcpu_begin(self, prof::WaitKind::kSemaphore, site);
-  detail::suspend_block(self, &guard_, nullptr);
-  park::unpark(self);
-  prof::offcpu_end(self);
-  self->rt->unregister_timed_wait(self);
   detail::end_no_preempt(self);  // cancellation point
-  return !self->wait_timed_out;
+  return got;
 }
 
 void Semaphore::release(int n) {
   LPT_CHECK(n >= 1);
   ThreadCtl* self = detail::current_ult_or_null();
   detail::begin_no_preempt(self);
-  std::vector<ThreadCtl*> to_wake;
-  {
-    SpinlockGuard g(guard_);
-    while (n > 0 && !waiters_.empty()) {
-      to_wake.push_back(waiters_.front());
-      waiters_.erase(waiters_.begin());
-      --n;
-    }
-    count_ += n;
-  }
-  make_ready_all(to_wake);
+  q_.lock().lock();
+  ThreadCtl* woken = q_.take(n);
+  for (ThreadCtl* t = woken; t != nullptr; t = t->wq_next) --n;
+  count_ += n;
+  q_.lock().unlock();
+  WaitQueue::wake(woken);
   detail::end_no_preempt(self);
 }
 
@@ -355,20 +191,18 @@ void Latch::count_down(int n) {
   LPT_CHECK(n >= 1);
   ThreadCtl* self = detail::current_ult_or_null();
   detail::begin_no_preempt(self);
-  std::vector<ThreadCtl*> to_wake;
-  bool fired = false;
-  {
-    SpinlockGuard g(guard_);
-    LPT_CHECK_MSG(remaining_ >= n, "Latch::count_down below zero");
-    remaining_ -= n;
-    if (remaining_ == 0) {
-      fired = true;
-      to_wake.swap(waiters_);
-      done_.store(1, std::memory_order_release);
-    }
+  q_.lock().lock();
+  LPT_CHECK_MSG(remaining_ >= n, "Latch::count_down below zero");
+  remaining_ -= n;
+  const bool fired = remaining_ == 0;
+  ThreadCtl* woken = nullptr;
+  if (fired) {
+    woken = q_.take_all();
+    done_.store(1, std::memory_order_release);
   }
+  q_.lock().unlock();
   if (fired) futex_wake(&done_, INT_MAX);
-  make_ready_all(to_wake);
+  WaitQueue::wake(woken);
   detail::end_no_preempt(self);
 }
 
@@ -381,20 +215,12 @@ void Latch::wait() {
     return;
   }
   detail::begin_no_preempt(self);
-  guard_.lock();
-  if (done_.load(std::memory_order_acquire) != 0) {
-    guard_.unlock();
-    detail::end_no_preempt(self);
-    return;
-  }
-  waiters_.push_back(self);
+  q_.lock().lock();
   // No owner edge: latches count down, nobody "holds" them.
-  park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kLatch),
-             /*timed=*/false, nullptr, nullptr, &guard_, &waiters_);
-  prof::offcpu_begin(self, prof::WaitKind::kLatch, site);
-  detail::suspend_block(self, &guard_, nullptr);
-  park::unpark(self);
-  prof::offcpu_end(self);
+  if (done_.load(std::memory_order_acquire) == 0)
+    q_.wait(self, prof::WaitKind::kLatch, site, 0, nullptr, nullptr, nullptr);
+  else
+    q_.lock().unlock();
   detail::end_no_preempt(self);
 }
 
@@ -403,7 +229,7 @@ void Latch::wait() {
 // ---------------------------------------------------------------------------
 
 void WaitGroup::add(int n) {
-  SpinlockGuard g(guard_);
+  SpinlockGuard g(q_.lock());
   count_ += n;
   LPT_CHECK_MSG(count_ >= 0, "WaitGroup count went negative");
 }
@@ -411,19 +237,17 @@ void WaitGroup::add(int n) {
 void WaitGroup::done() {
   ThreadCtl* self = detail::current_ult_or_null();
   detail::begin_no_preempt(self);
-  std::vector<ThreadCtl*> to_wake;
-  bool fired = false;
-  {
-    SpinlockGuard g(guard_);
-    LPT_CHECK_MSG(count_ > 0, "WaitGroup::done without matching add");
-    if (--count_ == 0) {
-      fired = true;
-      to_wake.swap(waiters_);
-      zero_epoch_.fetch_add(1, std::memory_order_release);
-    }
+  q_.lock().lock();
+  LPT_CHECK_MSG(count_ > 0, "WaitGroup::done without matching add");
+  const bool fired = --count_ == 0;
+  ThreadCtl* woken = nullptr;
+  if (fired) {
+    woken = q_.take_all();
+    zero_epoch_.fetch_add(1, std::memory_order_release);
   }
+  q_.lock().unlock();
   if (fired) futex_wake(&zero_epoch_, INT_MAX);
-  make_ready_all(to_wake);
+  WaitQueue::wake(woken);
   detail::end_no_preempt(self);
 }
 
@@ -434,27 +258,20 @@ void WaitGroup::wait() {
     for (;;) {
       std::uint32_t epoch = zero_epoch_.load(std::memory_order_acquire);
       {
-        SpinlockGuard g(guard_);
+        SpinlockGuard g(q_.lock());
         if (count_ == 0) return;
       }
       futex_wait(&zero_epoch_, epoch);
     }
   }
   detail::begin_no_preempt(self);
-  guard_.lock();
-  if (count_ == 0) {
-    guard_.unlock();
-    detail::end_no_preempt(self);
-    return;
-  }
-  waiters_.push_back(self);
+  q_.lock().lock();
   // No owner edge: wait-group completions have no single owner.
-  park::park(self, static_cast<std::uint8_t>(prof::WaitKind::kWaitGroup),
-             /*timed=*/false, nullptr, nullptr, &guard_, &waiters_);
-  prof::offcpu_begin(self, prof::WaitKind::kWaitGroup, site);
-  detail::suspend_block(self, &guard_, nullptr);
-  park::unpark(self);
-  prof::offcpu_end(self);
+  if (count_ != 0)
+    q_.wait(self, prof::WaitKind::kWaitGroup, site, 0, nullptr, nullptr,
+            nullptr);
+  else
+    q_.lock().unlock();
   detail::end_no_preempt(self);
 }
 

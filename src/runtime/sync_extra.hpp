@@ -8,10 +8,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <vector>
 
 #include "common/futex.hpp"
-#include "common/spinlock.hpp"
+#include "runtime/wait_queue.hpp"
 
 namespace lpt {
 
@@ -30,6 +29,12 @@ class RwLock {
   void unlock();
 
  private:
+  /// lock()/lock_shared() body.
+  void acquire(bool exclusive, void* site);
+  /// After a release (guard held; releases it): hand the lock to the first
+  /// waiting writer once no reader remains, else — with no writer active
+  /// or waiting — to every waiting reader. `waker` names the causal waker.
+  void grant(std::uint32_t waker);
   /// Abandonment hook (park::ResourceState::on_abandon): `dead` ended while
   /// recorded as a holder. A dead writer clears write_owner_ and, when
   /// `release`, force-unlocks with normal handoff semantics; a dead reader
@@ -38,18 +43,17 @@ class RwLock {
   bool abandon(ThreadCtl* dead, bool release);
   static bool abandon_cb(void* primitive, ThreadCtl* dead, bool release);
 
-  Spinlock guard_;
+  WaitQueue writers_q_;              ///< owns the guard
+  WaitQueue readers_q_{writers_q_};  ///< shares writers_q_'s guard
   int readers_ = 0;        ///< active readers
   bool writer_ = false;    ///< active writer
   /// Writing ULT while writer_ (address-compared only; abandon() clears it
   /// before the owner can be freed). Powers the synchronous write-after-write
-  /// self-deadlock check; maintained unconditionally under guard_.
+  /// self-deadlock check; maintained unconditionally under the guard.
   ThreadCtl* write_owner_ = nullptr;
   /// Parking-registry owner record (writer + up to kMaxOwners readers),
-  /// lazily attached under guard_ while the registry is armed.
+  /// lazily attached under the guard while the registry is armed.
   park::ResourceState* res_ = nullptr;
-  std::vector<ThreadCtl*> waiting_readers_;
-  std::vector<ThreadCtl*> waiting_writers_;
 };
 
 /// Counting semaphore for ULTs.
@@ -68,9 +72,11 @@ class Semaphore {
   void release(int n = 1);
 
  private:
-  Spinlock guard_;
+  /// acquire()/try_acquire_for() body; `deadline` as for WaitQueue::wait.
+  bool take(ThreadCtl* self, void* site, std::int64_t deadline);
+
+  WaitQueue q_;
   int count_;
-  std::vector<ThreadCtl*> waiters_;
 };
 
 /// One-shot latch: count_down() `count` times releases every waiter.
@@ -83,10 +89,9 @@ class Latch {
   bool try_wait() const { return done_.load(std::memory_order_acquire) != 0; }
 
  private:
-  Spinlock guard_;
+  WaitQueue q_;
   int remaining_;
   std::atomic<std::uint32_t> done_{0};  // futex word for external waiters
-  std::vector<ThreadCtl*> waiters_;
 };
 
 /// Go-style wait group: add() work, done() it, wait() for the count to hit
@@ -99,10 +104,9 @@ class WaitGroup {
   void wait();
 
  private:
-  Spinlock guard_;
+  WaitQueue q_;
   int count_ = 0;
   std::atomic<std::uint32_t> zero_epoch_{0};  // futex word, bumped at zero
-  std::vector<ThreadCtl*> waiters_;
 };
 
 }  // namespace lpt

@@ -5,12 +5,11 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
-#include "common/spinlock.hpp"
 #include "context/context.hpp"
 #include "context/stack.hpp"
 #include "runtime/options.hpp"
+#include "runtime/wait_queue.hpp"
 
 namespace lpt {
 
@@ -98,8 +97,7 @@ struct ThreadCtl {
 
   /// Completion flag doubling as a futex word for external joiners.
   std::atomic<std::uint32_t> done{0};
-  Spinlock waiters_lock;
-  std::vector<ThreadCtl*> waiters;  ///< ULTs blocked in join()
+  WaitQueue joiners;  ///< ULTs blocked in join(); its lock orders `done`
   bool detached = false;
 
   /// KLT-switching: while this thread is suspended inside the preemption
@@ -154,28 +152,29 @@ struct ThreadCtl {
 
   /// Registry slot index + 1 while parked; 0 = not registered. Owner-written
   /// (by the thread at park, by the thread — or the breaker on its behalf —
-  /// at wake) under the same handoff discipline as wait_timed_out.
+  /// at wake) under the same handoff discipline as wait_result.
   std::uint32_t park_slot = 0;
-  /// Set by the deadlock breaker when it cancelled this thread out of a
-  /// parked wait; the blocking primitive's retry loop consumes it to run the
-  /// cancellation point instead of retrying the acquire.
-  bool park_broken = false;
   /// Ownable resources (Mutex/RwLock) this thread is currently recorded as
   /// holding in the parking registry. Maintained by park::add_owner /
   /// remove_owner; lets a thread that released everything skip the
   /// abandonment scan at exit in O(1).
   int owned_tracked = 0;
 
-  /// Timed-wait handshake (Runtime::register_timed_wait): the expiry scan
-  /// and the normal notify path both remove the waiter from the primitive's
-  /// list under its guard, so exactly one side requeues it; whichever wins
-  /// sets (or leaves) this flag for the resumed waiter. Only written under
-  /// the primitive's guard or while solely owned.
-  bool wait_timed_out = false;
+  // ----- wait queue membership (wait_queue.hpp) -----
+
+  /// The queue this thread is parked on (nullptr = none) and its successor
+  /// there. Written under that queue's lock, or by whoever exclusively owns
+  /// the thread after removing it (a wake chain reuses wq_next).
+  WaitQueue* wq = nullptr;
+  ThreadCtl* wq_next = nullptr;
+  /// How the last wait ended: the waker that removed this thread from its
+  /// queue writes it under the queue's lock (the expiry scan kTimedOut, the
+  /// deadlock breaker kBroken); WaitQueue::wait consumes it.
+  WaitResult wait_result = WaitResult::kWoken;
 
   // ----- off-CPU wait attribution (docs/observability.md "Profiling") -----
 
-  /// What this thread is about to block on, tagged by the parking site just
+  /// What this thread is about to block on, tagged by WaitQueue::wait just
   /// before suspend_block() and consumed (block→resume time recorded) right
   /// after it returns. Owner-written only, so unsynchronized.
   prof::WaitKind prof_wait_kind = prof::WaitKind::kNone;

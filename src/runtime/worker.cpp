@@ -169,8 +169,8 @@ __attribute__((noinline)) void suspend_block(ThreadCtl* self, Spinlock* sl,
   Worker* w = tls->worker;
   LPT_CHECK(w != nullptr);
   if (!claim_host_token(tls)) {
-    // Orphaned mid-block: the block itself stays valid — the thread is in a
-    // waiter list others will wake through make_ready. Save the context,
+    // Orphaned mid-block: the block itself stays valid — the thread is on a
+    // WaitQueue others will wake through WaitQueue::wake. Save the context,
     // hand the guard releases to klt_main (they may only drop once the save
     // is complete — the usual enqueue-before-save race), and retire this
     // KLT. The thread resumes right here on whichever worker wakes it.

@@ -1,17 +1,19 @@
 // TSan-clean unit tests of the parking registry's slot protocol
 // (runtime/park.hpp): versioned claim/free, the detector's seqlock-style
-// scan with pinning, and owner add/remove bookkeeping — all without a
-// Runtime or fiber switches, so the ThreadSanitizer stage of scripts/check.sh
-// can prove the lock-free parts race-free. Runs in the normal stage too.
+// scan with pinning, and owner add/remove bookkeeping — plus the
+// non-switching WaitQueue operations (runtime/wait_queue.hpp) — all without
+// a Runtime or fiber switches, so the ThreadSanitizer stage of
+// scripts/check.sh can prove the lock-free parts race-free. Runs in the
+// normal stage too.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
-#include "common/spinlock.hpp"
 #include "runtime/park.hpp"
 #include "runtime/thread.hpp"
+#include "runtime/wait_queue.hpp"
 
 namespace lpt {
 namespace {
@@ -24,10 +26,9 @@ struct ArmedRegistry {
 TEST(Park, DisarmedRegistersNothing) {
   park::disarm();
   ThreadCtl tc;
-  Spinlock guard;
-  std::vector<ThreadCtl*> waiters;
+  WaitQueue q;
   const std::uint32_t before = park::parked_count();
-  park::park(&tc, 1, false, nullptr, nullptr, &guard, &waiters);
+  park::park(&tc, 1, false, nullptr, nullptr, &q);
   EXPECT_EQ(tc.park_slot, 0u);
   EXPECT_EQ(park::parked_count(), before);
   park::unpark(&tc);  // must be a no-op
@@ -37,13 +38,12 @@ TEST(Park, ParkUnparkRoundTrip) {
   ArmedRegistry armed;
   ThreadCtl tc;
   tc.trace_id = 42;
-  Spinlock guard;
-  std::vector<ThreadCtl*> waiters;
+  WaitQueue q;
   const std::uint32_t before = park::parked_count();
-  guard.lock();
-  waiters.push_back(&tc);
-  park::park(&tc, 1, false, nullptr, nullptr, &guard, &waiters);
-  guard.unlock();
+  q.lock().lock();
+  q.push_back(&tc);
+  park::park(&tc, 1, false, nullptr, nullptr, &q);
+  q.lock().unlock();
   EXPECT_NE(tc.park_slot, 0u);
   EXPECT_EQ(park::parked_count(), before + 1);
   park::unpark(&tc);
@@ -93,20 +93,19 @@ TEST(Park, ConcurrentChurnVsScan) {
     parkers.emplace_back([p] {
       ThreadCtl tc;
       tc.trace_id = static_cast<std::uint32_t>(100 + p);
-      Spinlock guard;
-      std::vector<ThreadCtl*> waiters;
+      WaitQueue q;
       park::ResourceState* rs =
           park::acquire_resource(1, &tc, nullptr);
       for (int i = 0; i < kIters; ++i) {
         park::add_owner(rs, &tc);
-        guard.lock();
-        waiters.push_back(&tc);
-        park::park(&tc, 1, (i & 1) != 0, rs, nullptr, &guard, &waiters);
-        guard.unlock();
+        q.lock().lock();
+        q.push_back(&tc);
+        park::park(&tc, 1, (i & 1) != 0, rs, nullptr, &q);
+        q.lock().unlock();
         park::unpark(&tc);
-        guard.lock();
-        waiters.clear();
-        guard.unlock();
+        q.lock().lock();
+        q.take_all();
+        q.lock().unlock();
         park::remove_owner(rs, &tc);
       }
       EXPECT_EQ(tc.park_slot, 0u);
@@ -124,18 +123,114 @@ TEST(Park, SlotReuseKeepsCountExact) {
   // Far more park/unpark cycles than slots: every park must reuse freed
   // slots (generation bumps) and the registered count must return to zero.
   ThreadCtl tc;
-  Spinlock guard;
-  std::vector<ThreadCtl*> waiters;
+  WaitQueue q;
   for (int i = 0; i < 10'000; ++i) {
-    guard.lock();
-    waiters.push_back(&tc);
-    park::park(&tc, 2, false, nullptr, nullptr, &guard, &waiters);
-    guard.unlock();
+    q.lock().lock();
+    q.push_back(&tc);
+    park::park(&tc, 2, false, nullptr, nullptr, &q);
+    q.lock().unlock();
     park::unpark(&tc);
-    waiters.clear();
+    q.take_all();
   }
   EXPECT_EQ(park::parked_count(), 0u);
   EXPECT_EQ(park::slot_overflows(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// WaitQueue: the intrusive FIFO operations (no parking, no Runtime)
+// ---------------------------------------------------------------------------
+
+/// Drain a chain returned by take()/pop_front() into a vector.
+std::vector<ThreadCtl*> chain_of(ThreadCtl* t) {
+  std::vector<ThreadCtl*> out;
+  for (; t != nullptr; t = t->wq_next) out.push_back(t);
+  return out;
+}
+
+TEST(WaitQueue, FifoOrder) {
+  WaitQueue q;
+  ThreadCtl t[4];
+  for (auto& x : t) q.push_back(&x);
+  for (auto& x : t) EXPECT_EQ(q.pop_front(), &x);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.pop_front(), nullptr);
+  // The tail resets with the last pop: a refilled queue is FIFO again.
+  q.push_back(&t[2]);
+  q.push_back(&t[0]);
+  EXPECT_EQ(chain_of(q.take_all()),
+            (std::vector<ThreadCtl*>{&t[2], &t[0]}));
+}
+
+TEST(WaitQueue, RemoveFromMiddleKeepsOrder) {
+  WaitQueue q;
+  ThreadCtl t[5];
+  for (auto& x : t) q.push_back(&x);
+  EXPECT_TRUE(q.remove(&t[2]));
+  EXPECT_FALSE(q.contains(&t[2]));
+  EXPECT_EQ(t[2].wq, nullptr);
+  EXPECT_TRUE(q.remove(&t[4]));  // the tail: later pushes must still link
+  ThreadCtl extra;
+  q.push_back(&extra);
+  EXPECT_EQ(chain_of(q.take_all()),
+            (std::vector<ThreadCtl*>{&t[0], &t[1], &t[3], &extra}));
+}
+
+TEST(WaitQueue, RemoveOfNonMemberReturnsFalse) {
+  WaitQueue q;
+  WaitQueue other;
+  ThreadCtl a;
+  ThreadCtl b;
+  EXPECT_FALSE(q.remove(&a));  // empty queue
+  q.push_back(&a);
+  other.push_back(&b);
+  EXPECT_FALSE(q.remove(&b));  // member of a different queue
+  EXPECT_TRUE(other.contains(&b));
+  EXPECT_TRUE(q.remove(&a));
+  EXPECT_FALSE(q.remove(&a));  // already removed
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(WaitQueue, TakeAllLeavesQueueEmpty) {
+  WaitQueue q;
+  ThreadCtl t[3];
+  for (auto& x : t) q.push_back(&x);
+  EXPECT_EQ(chain_of(q.take_all()),
+            (std::vector<ThreadCtl*>{&t[0], &t[1], &t[2]}));
+  EXPECT_TRUE(q.empty());
+  for (auto& x : t) EXPECT_FALSE(q.contains(&x));
+  EXPECT_EQ(q.take_all(), nullptr);
+}
+
+TEST(WaitQueue, TakeNPopsAPrefix) {
+  WaitQueue q;
+  ThreadCtl t[3];
+  for (auto& x : t) q.push_back(&x);
+  EXPECT_EQ(chain_of(q.take(2)), (std::vector<ThreadCtl*>{&t[0], &t[1]}));
+  EXPECT_TRUE(q.contains(&t[2]));
+  EXPECT_EQ(chain_of(q.take(5)), (std::vector<ThreadCtl*>{&t[2]}));
+  EXPECT_EQ(q.take(1), nullptr);
+}
+
+TEST(WaitQueue, MembershipClearedOnPop) {
+  WaitQueue q;
+  ThreadCtl a;
+  ThreadCtl b;
+  q.push_back(&a);
+  q.push_back(&b);
+  EXPECT_TRUE(q.contains(&a));
+  EXPECT_EQ(q.pop_front(), &a);
+  EXPECT_FALSE(q.contains(&a));
+  EXPECT_EQ(a.wq, nullptr);
+  EXPECT_EQ(a.wq_next, nullptr);  // a popped thread is a chain of one
+  EXPECT_TRUE(q.contains(&b));
+}
+
+TEST(WaitQueue, SiblingSharesTheLock) {
+  WaitQueue first;
+  WaitQueue second(first);
+  EXPECT_EQ(&first.lock(), &second.lock());
+  WaitQueue alone;
+  EXPECT_NE(&alone.lock(), &first.lock());
 }
 
 }  // namespace

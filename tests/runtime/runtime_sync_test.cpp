@@ -368,6 +368,196 @@ TEST(TimedSync, JoinForFromExternalThread) {
   EXPECT_FALSE(worker.joinable());
 }
 
+TEST(TimedSync, TryLockForByOwnerFailsFast) {
+  Runtime rt{RuntimeOptions{}};
+  Mutex m;
+  Thread t = rt.spawn([&] {
+    m.lock();
+    const std::int64_t start = now_ns();
+    // The owner cannot get the mutex by waiting for itself: false at once,
+    // not after the full timeout.
+    EXPECT_FALSE(m.try_lock_for(std::chrono::seconds(1)));
+    EXPECT_LT(now_ns() - start, 100'000'000);
+    EXPECT_TRUE(m.held_by_caller());
+    m.unlock();
+  });
+  t.join();
+}
+
+// ---------------------------------------------------------------------------
+// Timed-wait expiry racing the normal wake (docs/robustness.md "Timed
+// blocking"): many timed waiters whose timeouts land near the release
+// instants. Whichever side removes a waiter from its queue owns the wake, so
+// a timed-out waiter never also owns a handoff and no wake is delivered
+// twice. Two workers, once nonpreemptive and once under signal-yield with a
+// 100 µs timer.
+// ---------------------------------------------------------------------------
+
+constexpr std::int64_t kRaceTimeoutNs = 2'000'000;
+
+RuntimeOptions race_options(Preempt p) {
+  RuntimeOptions o;
+  o.num_workers = 2;
+  if (p != Preempt::None) {
+    o.timer = TimerKind::PerWorkerAligned;
+    o.interval_us = 100;
+  }
+  return o;
+}
+
+ThreadAttrs race_attrs(Preempt p) {
+  ThreadAttrs a;
+  a.preempt = p;
+  return a;
+}
+
+/// Yield until the absolute instant `at` (now_ns clock).
+void yield_until(std::int64_t at) {
+  while (now_ns() < at) this_thread::yield();
+}
+
+TEST(ExpiryRace, MutexTryLockForVsHandoff) {
+  for (Preempt p : {Preempt::None, Preempt::SignalYield}) {
+    SCOPED_TRACE(p == Preempt::None ? "none" : "signal-yield");
+    Runtime rt(race_options(p));
+    constexpr int kWaiters = 8;
+    for (int round = 0; round < 30; ++round) {
+      Mutex m;
+      long counter = 0;  // guarded by m
+      std::atomic<int> wins{0};
+      std::atomic<bool> held{false};
+      const std::int64_t start = now_ns();
+      Thread holder = rt.spawn(
+          [&] {
+            m.lock();
+            held.store(true, std::memory_order_release);
+            // Unlock somewhere in [timeout - 0.5 ms, timeout + 1.5 ms]
+            // (expiry lands up to ~1 ms after the deadline).
+            yield_until(start + kRaceTimeoutNs - 500'000 +
+                        (round % 5) * 500'000);
+            m.unlock();
+          },
+          race_attrs(p));
+      std::vector<Thread> ts;
+      for (int i = 0; i < kWaiters; ++i)
+        ts.push_back(rt.spawn(
+            [&] {
+              while (!held.load(std::memory_order_acquire))
+                this_thread::yield();
+              if (m.try_lock_for(std::chrono::nanoseconds(kRaceTimeoutNs))) {
+                ++counter;
+                wins.fetch_add(1, std::memory_order_relaxed);
+                busy_spin_ns(60'000);  // spread the handoff chain
+                m.unlock();
+              }
+            },
+            race_attrs(p)));
+      holder.join();
+      for (auto& t : ts) t.join();
+      EXPECT_EQ(counter, wins.load());
+      // No handoff was stranded on a timed-out waiter: the mutex is free.
+      rt.spawn([&] {
+          EXPECT_TRUE(m.try_lock());
+          m.unlock();
+        }).join();
+    }
+  }
+}
+
+TEST(ExpiryRace, CondVarWaitForVsNotify) {
+  for (Preempt p : {Preempt::None, Preempt::SignalYield}) {
+    SCOPED_TRACE(p == Preempt::None ? "none" : "signal-yield");
+    Runtime rt(race_options(p));
+    constexpr int kWaiters = 6;
+    for (int round = 0; round < 30; ++round) {
+      Mutex m;
+      CondVar cv;
+      int ready = 0;     // guarded by m
+      int sent = 0;      // notifies issued, guarded by m
+      int received = 0;  // waiters woken by a notify, guarded by m
+      const std::int64_t start = now_ns();
+      std::vector<Thread> ts;
+      for (int i = 0; i < kWaiters; ++i)
+        ts.push_back(rt.spawn(
+            [&] {
+              m.lock();
+              ++ready;
+              if (cv.wait_for(m, std::chrono::nanoseconds(kRaceTimeoutNs))) {
+                // Each notify wakes at most one waiter.
+                EXPECT_LT(received, sent);
+                ++received;
+              }
+              m.unlock();
+            },
+            race_attrs(p)));
+      Thread notifier = rt.spawn(
+          [&] {
+            for (;;) {
+              m.lock();
+              const bool all = ready == kWaiters;
+              m.unlock();
+              if (all) break;
+              this_thread::yield();
+            }
+            yield_until(start + kRaceTimeoutNs - 500'000 +
+                        (round % 5) * 500'000);
+            for (int k = 0; k < kWaiters; ++k) {
+              m.lock();
+              ++sent;
+              m.unlock();
+              cv.notify_one();
+              busy_spin_ns(150'000);
+            }
+          },
+          race_attrs(p));
+      notifier.join();
+      for (auto& t : ts) t.join();
+      EXPECT_LE(received, sent);
+    }
+  }
+}
+
+TEST(ExpiryRace, JoinForVsExit) {
+  for (Preempt p : {Preempt::None, Preempt::SignalYield}) {
+    SCOPED_TRACE(p == Preempt::None ? "none" : "signal-yield");
+    Runtime rt(race_options(p));
+    constexpr int kPairs = 4;
+    for (int round = 0; round < 30; ++round) {
+      const std::int64_t start = now_ns();
+      std::atomic<int> finished{0};
+      std::vector<Thread> targets;
+      for (int i = 0; i < kPairs; ++i)
+        targets.push_back(rt.spawn(
+            [&, i] {
+              // Exit somewhere around the joiners' timeout.
+              yield_until(start + kRaceTimeoutNs - 500'000 +
+                          ((round + i) % 5) * 500'000);
+              finished.fetch_add(1, std::memory_order_release);
+            },
+            race_attrs(p)));
+      std::atomic<int> joined{0};
+      std::vector<Thread> joiners;
+      for (int i = 0; i < kPairs; ++i)
+        joiners.push_back(rt.spawn(
+            [&, i] {
+              if (targets[i].join_for(
+                      std::chrono::nanoseconds(kRaceTimeoutNs))) {
+                EXPECT_FALSE(targets[i].joinable());
+                joined.fetch_add(1, std::memory_order_relaxed);
+              } else {
+                EXPECT_TRUE(targets[i].joinable())
+                    << "a timed-out join must keep the handle";
+              }
+            },
+            race_attrs(p)));
+      for (auto& j : joiners) j.join();
+      EXPECT_LE(joined.load(), finished.load(std::memory_order_acquire));
+      for (auto& t : targets) t.join();  // the rest, from outside
+      EXPECT_EQ(finished.load(), kPairs);
+    }
+  }
+}
+
 TEST(Sync, MutexUnderPreemption) {
   // Locks + implicit preemption: the no-preempt guards inside the
   // primitives must prevent a preempted lock holder from wedging a worker.

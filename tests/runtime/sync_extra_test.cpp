@@ -194,6 +194,61 @@ TEST(Semaphore, TryAcquireForWinsWhenReleased) {
   releaser.join();
 }
 
+// Expiry racing release() (docs/robustness.md "Timed blocking"): many timed
+// waiters whose timeouts land near the release instants. A unit is either
+// handed to a waiter that then reports success or stays in the count —
+// never handed to a waiter that reports a timeout. Two workers, once
+// nonpreemptive and once under signal-yield with a 100 µs timer.
+TEST(Semaphore, TryAcquireForExpiryRacesRelease) {
+  constexpr std::int64_t kTimeoutNs = 2'000'000;
+  for (Preempt p : {Preempt::None, Preempt::SignalYield}) {
+    SCOPED_TRACE(p == Preempt::None ? "none" : "signal-yield");
+    RuntimeOptions o;
+    o.num_workers = 2;
+    ThreadAttrs attrs;
+    attrs.preempt = p;
+    if (p != Preempt::None) {
+      o.timer = TimerKind::PerWorkerAligned;
+      o.interval_us = 100;
+    }
+    Runtime rt(o);
+    constexpr int kWaiters = 8;
+    for (int round = 0; round < 30; ++round) {
+      Semaphore sem(0);
+      std::atomic<int> acquired{0};
+      int released = 0;
+      const std::int64_t start = now_ns();
+      std::vector<Thread> ts;
+      for (int i = 0; i < kWaiters; ++i)
+        ts.push_back(rt.spawn(
+            [&] {
+              if (sem.try_acquire_for(std::chrono::nanoseconds(kTimeoutNs)))
+                acquired.fetch_add(1, std::memory_order_relaxed);
+            },
+            attrs));
+      Thread releaser = rt.spawn(
+          [&] {
+            // Single and batched releases straddling the deadlines.
+            const std::int64_t at =
+                start + kTimeoutNs - 500'000 + (round % 5) * 500'000;
+            while (now_ns() < at) this_thread::yield();
+            for (int k = 0; k < kWaiters / 2; ++k) {
+              const int n = 1 + (k & 1);
+              sem.release(n);
+              released += n;
+              busy_spin_ns(150'000);
+            }
+          },
+          attrs);
+      releaser.join();
+      for (auto& t : ts) t.join();
+      int left = 0;
+      while (sem.try_acquire()) ++left;
+      EXPECT_EQ(acquired.load() + left, released);
+    }
+  }
+}
+
 TEST(Latch, ReleasesUltAndExternalWaiters) {
   RuntimeOptions o;
   o.num_workers = 2;
