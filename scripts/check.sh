@@ -97,15 +97,18 @@ cmake --build "$BUILD-tsan" -j "$JOBS" --target test_syscall_resilience
 "$BUILD-tsan/tests/test_syscall_resilience" \
   --gtest_filter='IoCall.*:SyscallDetect.*'
 
-echo "== [9/13] deadlock detection & recovery (normal + TSan park unit tests) =="
+echo "== [9/13] deadlock detection & recovery (normal + TSan park/wake unit tests) =="
 # Full suite normal: self-deadlock at lock(), cycle detection/breaking under
 # both preemption techniques, abandoned-lock tracking, healthy-soak zero
 # false positives, and the LPT_DEADLOCK* env-knob validation. The parking
 # registry's slot protocol (versioned claim/free, the detector's pinned
 # seqlock scan) never context-switches, so test_park also runs under TSan.
+# So does the idle workers' EventCount: its lost-wakeup test uses plain
+# std::threads and an untimed wait, so a lost wake hangs instead of passing.
 "$BUILD/tests/test_deadlock"
-cmake --build "$BUILD-tsan" -j "$JOBS" --target test_park
+cmake --build "$BUILD-tsan" -j "$JOBS" --target test_park test_common
 "$BUILD-tsan/tests/test_park"
+"$BUILD-tsan/tests/test_common" --gtest_filter='EventCount.*'
 
 echo "== [10/13] metrics-publisher smoke (bench + prom_check) =="
 cmake --build "$BUILD" -j "$JOBS" --target table1_preemption prom_check

@@ -20,4 +20,12 @@ BUILD="${1:-build}"
 SECONDS_TO_RUN="${SOAK_SECONDS:-60}"
 
 cmake --build "$BUILD" -j "$(nproc 2>/dev/null || echo 2)" --target soak
-"$BUILD/tests/soak" "$SECONDS_TO_RUN"
+# A broken batch exits at once with its reason; the timeout is the backstop
+# for a hang no batch check bounds (each bounded wait in a batch is <= 30 s).
+LIMIT=$((SECONDS_TO_RUN + 180))
+status=0
+timeout --kill-after=10 "$LIMIT" "$BUILD/tests/soak" "$SECONDS_TO_RUN" || status=$?
+if [ "$status" -eq 124 ] || [ "$status" -eq 137 ]; then
+  echo "soak: FAIL: no result after ${LIMIT}s (a batch hung)" >&2
+fi
+exit "$status"

@@ -100,4 +100,57 @@ class FutexGate {
   std::atomic<std::uint32_t> tickets_{0};
 };
 
+/// Eventcount: a sleep/wake word whose notifier enters the kernel only when
+/// a sleeper is registered. Sleeper protocol:
+///
+///   std::uint32_t key = ec.prepare_wait();  // register as a sleeper
+///   if (condition()) ec.cancel_wait();      // re-check AFTER registering
+///   else ec.wait(key);                      // or wait_for(key, timeout)
+///
+/// Notifier: make condition() true, then notify_one() / notify_all(). The
+/// seq_cst fences on both sides (Dekker-style) guarantee that either the
+/// sleeper's re-check sees the notifier's write or the notifier sees the
+/// sleeper's registration; a notify between prepare_wait and the futex wait
+/// moves the epoch, so that wait returns at once.
+class EventCount {
+ public:
+  std::uint32_t prepare_wait() {
+    sleepers_.fetch_add(1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    return epoch_.load(std::memory_order_acquire);
+  }
+  /// The re-check after prepare_wait() found the condition true.
+  void cancel_wait() { sleepers_.fetch_sub(1, std::memory_order_relaxed); }
+  /// Sleep until a notify moves the epoch past `key`.
+  void wait(std::uint32_t key) {
+    while (epoch_.load(std::memory_order_acquire) == key)
+      futex_wait(&epoch_, key);
+    sleepers_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  /// Sleep at most ~timeout_ns. Returns true when a notify moved the epoch,
+  /// false when the nap ended without one (timeout or signal).
+  bool wait_for(std::uint32_t key, std::int64_t timeout_ns) {
+    futex_wait_timeout(&epoch_, key, timeout_ns);
+    sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    return epoch_.load(std::memory_order_acquire) != key;
+  }
+
+  /// Wake one sleeper; a fence and a load, no syscall, when nobody sleeps.
+  void notify_one() {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (sleepers_.load(std::memory_order_relaxed) == 0) return;
+    epoch_.fetch_add(1, std::memory_order_release);
+    futex_wake(&epoch_, 1);
+  }
+  /// Wake every sleeper, unconditionally (shutdown, reconfiguration).
+  void notify_all() {
+    epoch_.fetch_add(1, std::memory_order_seq_cst);
+    futex_wake(&epoch_, INT32_MAX);
+  }
+
+ private:
+  std::atomic<std::uint32_t> epoch_{0};
+  std::atomic<std::uint32_t> sleepers_{0};
+};
+
 }  // namespace lpt

@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -153,11 +154,17 @@ void StackPool::quarantine(Stack&& s) {
   }
 }
 
-std::size_t StackPool::shed_all() {
-  std::vector<Stack> drop;
+std::size_t StackPool::trim(std::size_t keep) {
+  std::vector<Stack> drop;  // unmapped outside the lock
   {
     SpinlockGuard g(lock_);
-    drop.swap(free_);
+    if (free_.size() <= keep) return 0;
+    // The back of the free list is the most recently used end (LIFO reuse);
+    // drop from the front.
+    const auto cut = free_.end() - static_cast<std::ptrdiff_t>(keep);
+    drop.assign(std::make_move_iterator(free_.begin()),
+                std::make_move_iterator(cut));
+    free_.erase(free_.begin(), cut);
     shed_ += drop.size();
   }
   return drop.size();

@@ -5,8 +5,9 @@
 //
 // Robustness (docs/robustness.md): allocation goes through lpt::sys::mmap so
 // failures — real ENOMEM or LPT_FAULT-injected — surface as an invalid Stack
-// instead of an abort, and the pool caps its free list so stack-churn
-// workloads cannot grow RSS without bound.
+// instead of an abort. The runtime's pool is uncapped, so it holds at most as
+// many stacks as were ever live at once, and trims the excess only when it
+// idles: fork/join churn never unmaps and re-maps stacks mid-run.
 #pragma once
 
 #include <cstddef>
@@ -68,9 +69,11 @@ class Stack {
 
 /// Thread-safe pool of equally sized stacks. The free list keeps at most
 /// `max_cached` stacks; releases beyond the cap munmap immediately (counted
-/// in total_shed()).
+/// in total_shed()). With kUncapped the owner bounds the list with trim().
 class StackPool {
  public:
+  static constexpr std::size_t kUncapped = static_cast<std::size_t>(-1);
+
   /// scrub_on_reuse: madvise the usable region back to the kernel every time
   /// a cached stack is handed out (LPT_STACK_SCRUB) — makes watermark()
   /// per-tenant accurate at the cost of re-faulting pages in.
@@ -99,14 +102,19 @@ class StackPool {
   /// total_quarantined().
   void quarantine(Stack&& s);
 
+  /// Drop cached stacks beyond `keep` (oldest first); returns how many were
+  /// freed. The runtime trims to max_cached_stacks when it idles.
+  std::size_t trim(std::size_t keep);
+
   /// Drop every cached stack now; returns how many were freed. Used by the
   /// spawn path to claw back address space before retrying an allocation.
-  std::size_t shed_all();
+  std::size_t shed_all() { return trim(0); }
 
   std::size_t stack_size() const { return stack_size_; }
   std::size_t max_cached() const { return max_cached_; }
   std::size_t cached() const;
-  /// Cumulative stacks dropped (cap overflow + shed_all + failed re-protect).
+  /// Cumulative stacks dropped (cap overflow + trim/shed_all + failed
+  /// re-protect).
   std::uint64_t total_shed() const;
   /// Cumulative faulted stacks routed through quarantine().
   std::uint64_t total_quarantined() const;

@@ -62,8 +62,10 @@ struct RuntimeOptions {
   /// Default ULT stack size (overridable per thread).
   std::size_t stack_size = 256 * 1024;
 
-  /// Max default-sized stacks the StackPool caches for reuse; releases
-  /// beyond the cap munmap immediately (docs/robustness.md).
+  /// Default-sized stacks an idle runtime keeps cached. While ULTs are live
+  /// every released stack is cached for reuse; once the runtime has had no
+  /// live ULT and no spawn for 10 ms, an idle worker unmaps the excess
+  /// (docs/robustness.md).
   std::size_t max_cached_stacks = 64;
 
   /// Upper bound on KLTs the runtime may ever create (worker hosts + spares);

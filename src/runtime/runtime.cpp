@@ -73,8 +73,7 @@ void thread_trampoline(void* arg) {
 
 Runtime::Runtime(RuntimeOptions opts)
     : opts_(resolve_env_options(std::move(opts))),
-      stack_pool_(opts_.stack_size, opts_.max_cached_stacks,
-                  opts_.stack_scrub) {
+      stack_pool_(opts_.stack_size, StackPool::kUncapped, opts_.stack_scrub) {
   LPT_CHECK(opts_.num_workers >= 1);
   LPT_CHECK(opts_.interval_us >= 1);
   LPT_CHECK_MSG(opts_.max_klts == 0 || opts_.max_klts >= opts_.num_workers,
@@ -202,7 +201,7 @@ Runtime::~Runtime() {
     if (fallback_timer_) fallback_timer_->stop();
   }
   set_active_workers(num_workers());  // unpark packing-suspended workers
-  notify_work();
+  idle_.notify_all();
 
   // Wake every parked spare with an exit assignment. Worker-host KLTs leave
   // through the scheduler's exit path and ignore the extra ticket.
@@ -434,6 +433,9 @@ ThreadCtl* Runtime::spawn_ctl(std::function<void()> fn, ThreadAttrs attrs,
       attrs.deadline_ns > 0 ? attrs.deadline_ns : opts_.default_ult_deadline_ns;
   if (deadline_rel > 0) arm_deadline(t, now_ns() + deadline_rel);
 
+  // Counted live before it is runnable, so the gauge never reads 0 while
+  // the thread runs (the idle stack trim keys on it).
+  n_live_ults_.add(1);
   ThreadCtl* self = detail::current_ult_or_null();
   detail::begin_no_preempt(self);
   Worker* hint = self != nullptr
@@ -442,7 +444,6 @@ ThreadCtl* Runtime::spawn_ctl(std::function<void()> fn, ThreadAttrs attrs,
   enqueue_ready(t, hint, EnqueueKind::kSpawn,
                 self != nullptr ? self->trace_id : 0);
   detail::end_no_preempt(self);
-  n_live_ults_.add(1);
   return t;
 }
 
@@ -462,7 +463,7 @@ void Runtime::set_active_workers(int n) {
     w->wake_word.fetch_add(1, std::memory_order_acq_rel);
     futex_wake(&w->wake_word, INT_MAX);
   }
-  notify_work();
+  idle_.notify_all();
 }
 
 std::uint64_t Runtime::total_preemptions() const {
@@ -770,11 +771,6 @@ void Runtime::ProfTicker::thread_loop() {
   }
 }
 
-void Runtime::notify_work() {
-  work_seq_.fetch_add(1, std::memory_order_acq_rel);
-  futex_wake(&work_seq_, INT_MAX);
-}
-
 namespace {
 
 /// Give a ringless OS thread (an application thread calling spawn(), the
@@ -837,10 +833,39 @@ void Runtime::enqueue_ready(ThreadCtl* t, Worker* hint, EnqueueKind kind,
   notify_work();
 }
 
-void Runtime::idle_wait(std::uint32_t seen_seq) {
+namespace {
+/// How long a runtime must stay idle before it trims its stack cache.
+constexpr std::int64_t kTrimQuietNs = 10'000'000;
+}  // namespace
+
+void Runtime::idle_wait(Worker& w) {
+  // Register as a sleeper first, then re-check: an enqueue that the re-check
+  // misses sees the registration and wakes this nap (EventCount).
+  const std::uint32_t key = idle_.prepare_wait();
+  if (sched_->has_work() || shutting_down()) {
+    idle_.cancel_wait();
+    return;
+  }
   // Bounded nap: timer signals, packing changes, and shutdown re-check the
   // loop conditions anyway.
-  futex_wait_timeout(&work_seq_, seen_seq, 1'000'000 /* 1 ms */);
+  const bool notified = idle_.wait_for(key, 1'000'000 /* 1 ms */);
+
+  // Stack trim: only a runtime that has stayed idle — no live ULT, nothing
+  // spawned — across this worker's naps for kTrimQuietNs gives back stacks
+  // beyond max_cached_stacks. Trimming in the gap between two fork/join
+  // bursts would unmap stacks the next burst maps again.
+  const std::uint32_t spawned = next_ult_id_.load(std::memory_order_relaxed);
+  if (notified || n_live_ults_.value() != 0 || sched_->has_work()) {
+    w.quiet_since_ns = 0;
+    return;
+  }
+  const std::int64_t now = now_ns();
+  if (w.quiet_since_ns == 0 || spawned != w.quiet_mark) {
+    w.quiet_since_ns = now;
+    w.quiet_mark = spawned;
+  } else if (now - w.quiet_since_ns >= kTrimQuietNs) {
+    stack_pool_.trim(opts_.max_cached_stacks);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1234,20 +1259,22 @@ void Runtime::finalize_failed_thread(ThreadCtl* t) {
 }
 
 void Runtime::publish_done_and_wake(ThreadCtl* t) {
-  // Everything dereferencing t must happen before the done flag is
-  // published: an external joiner may return from futex_wait and delete the
-  // control block the instant done != 0.
+  // Nothing may dereference t after the joiners lock that publishes kDone
+  // is released: the handle owner frees the control block once it has read
+  // kDone and passed through that lock (free_joined).
   const bool detached = t->detached;
   const std::uint32_t id = t->trace_id;
   ThreadCtl* joiners;
+  std::uint32_t prev;
   {
     SpinlockGuard g(t->joiners.lock());
-    t->done.store(1, std::memory_order_release);
+    prev = t->done.exchange(ThreadCtl::kDone, std::memory_order_acq_rel);
     joiners = t->joiners.take_all();
   }
-  // Waking a possibly already-freed futex word is benign: FUTEX_WAKE only
-  // looks the address up; loops on the predicate absorb spurious wakes.
-  futex_wake(&t->done, INT_MAX);
+  // Only a sleeping external joiner needs the kernel. Waking a possibly
+  // already-freed futex word is benign: FUTEX_WAKE only looks the address
+  // up; loops on the predicate absorb spurious wakes.
+  if (prev == ThreadCtl::kJoinerAsleep) futex_wake(&t->done, INT_MAX);
   // The join wake edge names the finished thread as the waker explicitly:
   // this runs in scheduler context (post-exit), where no ULT is current.
   WaitQueue::wake(joiners, id);
@@ -1294,7 +1321,7 @@ void Thread::join() { (void)join_status(); }
 bool Thread::request_cancel() {
   if (ctl_ == nullptr) return false;
   ThreadCtl* t = ctl_;
-  if (t->done.load(std::memory_order_acquire) != 0) return false;
+  if (t->finished()) return false;
   t->cancel_requested.store(true, std::memory_order_release);
   // If the target is running right now under a preemptive technique, a
   // directed tick unwinds it promptly even if it never reaches a cancellation
@@ -1325,13 +1352,37 @@ WaitResult wait_joined(ThreadCtl* self, ThreadCtl* t, void* site,
   WaitResult r = WaitResult::kWoken;
   detail::begin_no_preempt(self);
   t->joiners.lock().lock();
-  if (t->done.load(std::memory_order_acquire) == 0)
+  if (!t->finished())
     r = t->joiners.wait(self, prof::WaitKind::kJoin, site, deadline, nullptr,
                         t, nullptr);
   else
     t->joiners.lock().unlock();
   detail::end_no_preempt(self);  // cancellation point
   return r;
+}
+
+/// One external (non-ULT) join round: mark t's done word kJoinerAsleep so
+/// the finisher knows to wake it, then sleep on it (at most timeout_ns when
+/// > 0). Returns when the word may have changed; callers loop on finished().
+void external_join_wait(ThreadCtl* t, std::int64_t timeout_ns) {
+  std::uint32_t d = ThreadCtl::kRunning;
+  if (!t->done.compare_exchange_strong(d, ThreadCtl::kJoinerAsleep,
+                                       std::memory_order_acq_rel) &&
+      d == ThreadCtl::kDone)
+    return;
+  if (timeout_ns > 0)
+    futex_wait_timeout(&t->done, ThreadCtl::kJoinerAsleep, timeout_ns);
+  else
+    futex_wait(&t->done, ThreadCtl::kJoinerAsleep);
+}
+
+/// Free a joined control block. The finisher publishes kDone inside the
+/// joiners lock; passing through that lock once means it has left the
+/// critical section before the memory goes away.
+void free_joined(ThreadCtl* t) {
+  t->joiners.lock().lock();
+  t->joiners.lock().unlock();
+  delete t;
 }
 
 }  // namespace
@@ -1344,19 +1395,19 @@ bool Thread::join_for(std::chrono::nanoseconds timeout) {
       now_ns() + (timeout.count() > 0 ? timeout.count() : 0);
 
   ThreadCtl* self = detail::current_ult_or_null();
-  while (t->done.load(std::memory_order_acquire) == 0) {
+  while (!t->finished()) {
     const std::int64_t left = deadline - now_ns();
     if (left <= 0) return false;
     if (self == nullptr) {
-      futex_wait_timeout(&t->done, 0, left);
+      external_join_wait(t, left);
     } else if (wait_joined(self, t, wait_site, deadline) ==
                    WaitResult::kTimedOut &&
-               t->done.load(std::memory_order_acquire) == 0) {
+               !t->finished()) {
       return false;
     }
   }
 
-  delete t;
+  free_joined(t);
   ctl_ = nullptr;
   return true;
 }
@@ -1370,11 +1421,11 @@ ThreadStatus Thread::join_status() {
   ThreadCtl* t = ctl_;
 
   ThreadCtl* self = detail::current_ult_or_null();
-  while (t->done.load(std::memory_order_acquire) == 0) {
+  while (!t->finished()) {
     if (self != nullptr)
       wait_joined(self, t, wait_site, 0);
     else
-      futex_wait(&t->done, 0);
+      external_join_wait(t, 0);
   }
 
   // The done store published t->fault (release/acquire pair above) and the
@@ -1385,7 +1436,7 @@ ThreadStatus Thread::join_status() {
   st.fault = t->fault;
   st.acct = t->acct;
   st.preemptions = t->preemptions.load(std::memory_order_relaxed);
-  delete t;
+  free_joined(t);
   ctl_ = nullptr;
   return st;
 }

@@ -111,7 +111,7 @@ class Runtime {
     std::uint64_t posix_timer_fallbacks = 0; ///< workers on fallback delivery
     std::uint64_t spawn_stack_failures = 0;  ///< spawns refused (stack ENOMEM)
     std::uint64_t stacks_cached = 0;         ///< StackPool free list, now
-    std::uint64_t stacks_shed = 0;           ///< stacks dropped (cap/shed), ever
+    std::uint64_t stacks_shed = 0;           ///< stacks dropped (trim/shed), ever
     std::uint64_t faults_injected = 0;       ///< LPT_FAULT injections (all sites)
 
     // -- fault isolation (docs/robustness.md) --
@@ -282,11 +282,12 @@ class Runtime {
   void enqueue_ready(ThreadCtl* t, Worker* hint, EnqueueKind kind,
                      std::uint32_t waker = kWakerFromTls);
 
-  /// Wake idle workers after an enqueue.
-  void notify_work();
-  /// Idle worker: sleep until notify_work or timeout.
-  void idle_wait(std::uint32_t seen_seq);
-  std::uint32_t work_seq() const { return work_seq_.load(std::memory_order_acquire); }
+  /// Wake one idle worker after an enqueue; no syscall when none sleeps.
+  void notify_work() { idle_.notify_one(); }
+  /// Idle worker: nap up to 1 ms unless work or shutdown shows up. Once w's
+  /// naps have seen no live ULT and no spawn for 10 ms, trims the stack
+  /// cache to max_cached_stacks.
+  void idle_wait(Worker& w);
 
   /// Finalize a terminated thread: recycle its stack, wake joiners, free the
   /// control block if detached. Called by the scheduler after the exit switch.
@@ -485,7 +486,7 @@ class Runtime {
 
   std::atomic<int> n_active_{0};
   std::atomic<bool> shutdown_{false};
-  std::atomic<std::uint32_t> work_seq_{0};
+  EventCount idle_;  ///< idle workers nap on it (DESIGN.md, idle/wake protocol)
   std::atomic<int> spawn_rr_{0};  // round-robin hint for external spawns
 };
 

@@ -95,8 +95,15 @@ struct ThreadCtl {
 
   std::atomic<std::uint32_t> state{static_cast<std::uint32_t>(ThreadState::kReady)};
 
-  /// Completion flag doubling as a futex word for external joiners.
-  std::atomic<std::uint32_t> done{0};
+  /// Completion word, doubling as the futex word of an external joiner:
+  /// kRunning, kJoinerAsleep (still running, and an external joiner sleeps
+  /// on the word) or kDone. The finisher exchanges in kDone and enters the
+  /// kernel only when it took kJoinerAsleep out.
+  static constexpr std::uint32_t kRunning = 0;
+  static constexpr std::uint32_t kDone = 1;
+  static constexpr std::uint32_t kJoinerAsleep = 2;
+  std::atomic<std::uint32_t> done{kRunning};
+  bool finished() const { return done.load(std::memory_order_acquire) == kDone; }
   WaitQueue joiners;  ///< ULTs blocked in join(); its lock orders `done`
   bool detached = false;
 

@@ -590,9 +590,14 @@ void Worker::idle_backoff(int& failures) {
     for (int i = 0; i < 32; ++i) cpu_pause();
     return;
   }
-  std::uint32_t seq = rt->work_seq();
-  if (rt->scheduler().has_work() || rt->shutting_down()) return;
-  rt->idle_wait(seq);
+  if (rt->scheduler().has_work() || rt->shutting_down()) {
+    // Work exists that this worker failed to take (a packing pool it does
+    // not own, a missed steal): pass the wake on to a sleeper that may own
+    // it, since each enqueue wakes only one worker.
+    rt->notify_work();
+    return;
+  }
+  rt->idle_wait(*this);
 }
 
 void Worker::park_for_packing() {

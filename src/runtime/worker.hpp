@@ -94,9 +94,13 @@ struct alignas(kCacheLineSize) Worker {
   /// host token to a compensation and must take the reabsorption path.
   std::atomic<std::uint64_t> syscall_compensated_epoch{0};
 
-  /// Futex word for idle sleep and thread-packing parking.
+  /// Futex word for thread-packing parking.
   std::atomic<std::uint32_t> wake_word{0};
   std::atomic<bool> parked{false};
+  /// Idle stack trim (Runtime::idle_wait): start of this worker's current
+  /// run of naps that saw no live ULT (0 = none), and the spawn count then.
+  std::int64_t quiet_since_ns = 0;
+  std::uint32_t quiet_mark = 0;
 
   /// POSIX per-worker timer (TimerKind::PosixPerWorker).
   timer_t posix_timer{};

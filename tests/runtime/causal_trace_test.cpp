@@ -46,8 +46,8 @@ const EventView* find_wake(const std::vector<EventView>& evs,
 }
 
 // ---------------------------------------------------------------------------
-// Wake edges per primitive. One worker: spawn order is execution order, so
-// the waiter deterministically parks before its waker runs.
+// Wake edges per primitive. One worker runs ULTs in FIFO order, so a waiter
+// spawned before its waker parks before the waker runs.
 // ---------------------------------------------------------------------------
 
 TEST(CausalTrace, MutexUnlockEmitsWakeEdgeWithWakerIdentity) {
@@ -55,13 +55,17 @@ TEST(CausalTrace, MutexUnlockEmitsWakeEdgeWithWakerIdentity) {
   {
     Runtime rt(traced_options(1));
     Mutex m;
-    // t1 takes the lock and yields while holding it; t2 then parks on it.
+    // t1 takes the lock and yields while holding it until t2 has started;
+    // t2 then parks on it (t1 can only run again once t2 left the worker,
+    // and t2's one suspension point after the store is the lock).
+    std::atomic<bool> t2_started{false};
     Thread t1 = rt.spawn([&] {
       m.lock();
-      for (int i = 0; i < 4; ++i) this_thread::yield();
+      for (int i = 0; i < 4 || !t2_started.load(); ++i) this_thread::yield();
       m.unlock();
     });
     Thread t2 = rt.spawn([&] {
+      t2_started.store(true);
       m.lock();
       m.unlock();
     });

@@ -312,7 +312,20 @@ TEST(Prof, FreshRuntimeResetsCollector) {
     Runtime rt(o);
     ThreadAttrs sy;
     sy.preempt = Preempt::SignalYield;
-    rt.spawn([] { busy_spin_ns(10'000'000); }, sy).join();
+    // Spin until the sampler has run at least once (bounded), rather than a
+    // fixed 10 ms a loaded host may not deliver a tick in.
+    std::atomic<bool> sampled{false};
+    Thread spinner = rt.spawn(
+        [&] {
+          while (!sampled.load()) busy_spin_ns(100'000);
+        },
+        sy);
+    const std::int64_t give_up = now_ns() + 10'000'000'000LL;
+    while (rt.metrics_snapshot().prof_sample_invocations == 0 &&
+           now_ns() < give_up)
+      usleep(1000);
+    sampled.store(true);
+    spinner.join();
     EXPECT_GT(rt.metrics_snapshot().prof_sample_invocations, 0u);
   }
   // A second profiled runtime starts from zero — no leakage across runs.

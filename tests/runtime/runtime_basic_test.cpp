@@ -97,7 +97,13 @@ TEST(RuntimeBasic, YieldInterleavesOnSingleWorker) {
   opts.num_workers = 1;
   Runtime rt(opts);
   std::vector<int> trace;
+  // Gate both ULTs until both are in the run queue: a could otherwise run
+  // all its yields before the external thread spawns b. a waits for b's
+  // spawn, b for a's release, so a's first push precedes b's.
+  std::atomic<bool> b_spawned{false}, a_ready{false};
   Thread a = rt.spawn([&] {
+    while (!b_spawned.load()) this_thread::yield();
+    a_ready.store(true);
     trace.push_back(0);
     this_thread::yield();
     trace.push_back(2);
@@ -105,10 +111,12 @@ TEST(RuntimeBasic, YieldInterleavesOnSingleWorker) {
     trace.push_back(4);
   });
   Thread b = rt.spawn([&] {
+    while (!a_ready.load()) this_thread::yield();
     trace.push_back(1);
     this_thread::yield();
     trace.push_back(3);
   });
+  b_spawned.store(true);
   a.join();
   b.join();
   EXPECT_EQ(trace, (std::vector<int>{0, 1, 2, 3, 4}));

@@ -224,8 +224,11 @@ TEST(Preemption, MixedThreadTypesCoexist) {
   ks.preempt = Preempt::KltSwitch;
   Thread spinner_sy = rt.spawn([&] { ASSERT_TRUE(spin_until(flag, 20'000)); }, sy);
   Thread spinner_ks = rt.spawn([&] { ASSERT_TRUE(spin_until(flag, 20'000)); }, ks);
+  // Release the spinners only once a tick has preempted one: coop may
+  // otherwise run its yields before either spinner was ever dispatched.
   Thread coop = rt.spawn([&] {
-    for (int i = 0; i < 5; ++i) this_thread::yield();
+    for (int i = 0; i < 5 || rt.total_preemptions() == 0; ++i)
+      this_thread::yield();
     flag.store(true);
   });
   spinner_sy.join();

@@ -215,6 +215,13 @@ TEST(Priority, AnalysisRunsOnlyWhenSimulationIdle) {
   std::atomic<bool> analysis_ran{false};
   std::atomic<bool> sim_running_when_analysis_started{false};
 
+  // Hold the worker with a high-priority spinner until every thread is
+  // queued: otherwise the analysis thread may run before the external
+  // thread has spawned the simulation threads.
+  std::atomic<bool> go{false};
+  Thread blocker = rt.spawn([&] {
+    while (!go.load()) { /* nonpreemptive busy wait, blocks the worker */ }
+  });
   ThreadAttrs analysis_attrs;
   analysis_attrs.priority = 1;
   analysis_attrs.preempt = Preempt::SignalYield;  // only analysis preemptive
@@ -231,6 +238,8 @@ TEST(Priority, AnalysisRunsOnlyWhenSimulationIdle) {
       busy_spin_ns(2'000'000);
       sim_done.fetch_add(1);
     }));
+  go.store(true);
+  blocker.join();
   for (auto& t : sims) t.join();
   analysis.join();
   EXPECT_TRUE(analysis_ran.load());

@@ -122,10 +122,16 @@ TEST(TraceRuntime, ChromeExportParsesBack) {
   o.num_workers = 2;
   o.trace.enabled = true;
   Runtime rt(o);
+  // The "worker 0" track below needs a run span on worker 0; worker 1 can
+  // steal every ULT, so keep yielding until one has run there.
+  std::atomic<bool> ran_on_0{false};
   std::vector<Thread> ts;
   for (int i = 0; i < 3; ++i)
-    ts.push_back(rt.spawn([] {
-      for (int k = 0; k < 10; ++k) this_thread::yield();
+    ts.push_back(rt.spawn([&] {
+      for (int k = 0; k < 10 || !ran_on_0.load(); ++k) {
+        if (this_thread::worker_rank() == 0) ran_on_0.store(true);
+        this_thread::yield();
+      }
     }));
   for (auto& t : ts) t.join();
 

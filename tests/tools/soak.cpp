@@ -7,7 +7,8 @@
 // destruction the process is back to its baseline kernel-thread count (no
 // orphaned/pooled/compensating KLT survives shutdown), the compensation
 // books reconcile exactly, and a second Runtime in the same process starts
-// healthy and completes work. Exit 0 on success.
+// healthy and completes work. Exit 0 on success; a batch that breaks a
+// contract exits 1 at once, naming the batch and the contract.
 //
 //   soak [seconds]   (default 60)
 #include <dirent.h>
@@ -35,6 +36,15 @@ int fail(const char* msg) {
   return 1;
 }
 
+/// A batch that breaks a contract leaves ULTs wedged (an unbroken cycle, a
+/// blocked pipe reader), and unwinding through ~Thread would join them
+/// forever. Report the batch and leave the process at once instead.
+[[noreturn]] void batch_fail(std::uint64_t round, const char* what) {
+  std::fprintf(stderr, "soak: FAIL: batch %llu: %s\n",
+               static_cast<unsigned long long>(round), what);
+  std::_Exit(1);
+}
+
 /// Kernel threads in this process right now (/proc/self/task entries).
 int task_count() {
   DIR* d = opendir("/proc/self/task");
@@ -46,8 +56,8 @@ int task_count() {
   return n;
 }
 
-/// One batch of mixed work; returns false on any contract violation.
-bool run_batch(Runtime& rt, std::uint64_t round) {
+/// One batch of mixed work; exits the process on any contract violation.
+void run_batch(Runtime& rt, std::uint64_t round) {
   std::vector<Thread> joiners;
 
   // Plain compute under both techniques — must finish untouched.
@@ -82,7 +92,7 @@ bool run_batch(Runtime& rt, std::uint64_t round) {
   // the reader's host reabsorbs on return — every batch is one full
   // activate/reabsorb cycle under live mixed load.
   int pipefd[2];
-  if (sys::pipe2(pipefd, 0) != 0) return false;
+  if (sys::pipe2(pipefd, 0) != 0) batch_fail(round, "pipe2 failed");
   std::atomic<bool> pipe_ok{false};
   Thread reader = rt.spawn([&] {
     char c = 0;
@@ -90,23 +100,10 @@ bool run_batch(Runtime& rt, std::uint64_t round) {
       pipe_ok.store(true, std::memory_order_release);
   });
 
-  // Any early return below would otherwise wedge in ~Thread: the blocking
-  // reader's destructor joins it, and the join can only finish once the
-  // unwedge byte is written. Destructed before the Thread handles (declared
-  // after them), so failure paths release the reader instead of hanging.
-  struct Unwedge {
-    int fd;
-    bool fired = false;
-    void fire() {
-      if (!fired) fired = ::write(fd, "u", 1) == 1;
-    }
-    ~Unwedge() { fire(); }
-  };
-
   // A nonblocking reader bounded by a deadline: exercises the EAGAIN
   // backoff loop ending in ETIMEDOUT (nothing is ever written to this end).
   int nbfd[2];
-  if (sys::pipe2(nbfd, O_NONBLOCK) != 0) return false;
+  if (sys::pipe2(nbfd, O_NONBLOCK) != 0) batch_fail(round, "pipe2 failed");
   std::atomic<bool> timed_ok{false};
   Thread timed_reader = rt.spawn([&] {
     char c = 0;
@@ -116,8 +113,6 @@ bool run_batch(Runtime& rt, std::uint64_t round) {
         io::last_error() == ETIMEDOUT)
       timed_ok.store(true, std::memory_order_release);
   });
-
-  Unwedge unwedge{pipefd[1]};
 
   // Deadlock injection: a deliberate two-ULT mutex cycle the watchdog's
   // detector must flag and break. Fresh heap locks every round (they must
@@ -185,10 +180,13 @@ bool run_batch(Runtime& rt, std::uint64_t round) {
   }
 
   for (Thread& t : joiners) {
-    if (!t.join_for(std::chrono::seconds(30))) return false;
+    if (!t.join_for(std::chrono::seconds(30)))
+      batch_fail(round, "a plain ULT did not finish within 30 s");
   }
-  if (runaway.join_status().fault.kind != FaultKind::kCancelled) return false;
-  if (victim.join_status().fault.kind != FaultKind::kCancelled) return false;
+  if (runaway.join_status().fault.kind != FaultKind::kCancelled)
+    batch_fail(round, "deadline runaway not cancelled");
+  if (victim.join_status().fault.kind != FaultKind::kCancelled)
+    batch_fail(round, "hand-cancelled spinner not cancelled");
 
   // The injected cycle must have been broken, with a deterministic victim:
   // the breaker cancels the youngest cycle member, and db was spawned after
@@ -198,27 +196,32 @@ bool run_batch(Runtime& rt, std::uint64_t round) {
   // success, so the survivor's clean exit is implied by join_for returning
   // true at all: a faulted da would still join, but then db's verdict below
   // would read kNone and fail the round.)
-  if (!da.join_for(std::chrono::seconds(30))) return false;
+  if (!da.join_for(std::chrono::seconds(30)))
+    batch_fail(round, "injected deadlock cycle not broken within 30 s");
   // db is already dead by the time da finished; this returns immediately.
-  if (db.join_status().fault.kind != FaultKind::kDeadlock) return false;
+  if (db.join_status().fault.kind != FaultKind::kDeadlock)
+    batch_fail(round, "cycle victim is not the youngest member");
   if (inject_self) {
     // Caught synchronously at the recursive lock() — no watchdog cadence
     // involved, so an unbounded join_status is effectively immediate.
-    if (selfdl.join_status().fault.kind != FaultKind::kDeadlock) return false;
+    if (selfdl.join_status().fault.kind != FaultKind::kDeadlock)
+      batch_fail(round, "self-deadlock not caught at lock()");
   }
 
   // Unwedge the pipe reader (the joins above kept it blocked well past the
   // grace period) and settle both io threads.
-  unwedge.fire();
-  bool ok = unwedge.fired;
-  ok = reader.join_for(std::chrono::seconds(30)) && ok;
-  ok = timed_reader.join_for(std::chrono::seconds(30)) && ok;
+  if (::write(pipefd[1], "u", 1) != 1) batch_fail(round, "unwedge write failed");
+  if (!reader.join_for(std::chrono::seconds(30)) ||
+      !timed_reader.join_for(std::chrono::seconds(30)))
+    batch_fail(round, "an io reader did not finish within 30 s");
   ::close(pipefd[0]);
   ::close(pipefd[1]);
   ::close(nbfd[0]);
   ::close(nbfd[1]);
-  return ok && pipe_ok.load(std::memory_order_acquire) &&
-         timed_ok.load(std::memory_order_acquire);
+  if (!pipe_ok.load(std::memory_order_acquire))
+    batch_fail(round, "blocking pipe reader lost its byte");
+  if (!timed_ok.load(std::memory_order_acquire))
+    batch_fail(round, "deadline-bounded read did not time out");
 }
 
 }  // namespace
@@ -251,9 +254,7 @@ int main(int argc, char** argv) {
 
     const std::int64_t end = now_ns() + seconds * 1'000'000'000LL;
     while (now_ns() < end) {
-      if (!run_batch(rt, rounds)) {
-        return fail("batch violated a join/cancel contract");
-      }
+      run_batch(rt, rounds);
       ++rounds;
     }
 
