@@ -100,9 +100,11 @@ cmake --build "$BUILD-tsan" -j "$JOBS" --target test_syscall_resilience
 echo "== [9/13] deadlock detection & recovery (normal + TSan park/wake unit tests) =="
 # Full suite normal: self-deadlock at lock(), cycle detection/breaking under
 # both preemption techniques, abandoned-lock tracking, healthy-soak zero
-# false positives, and the LPT_DEADLOCK* env-knob validation. The parking
-# registry's slot protocol (versioned claim/free, the detector's pinned
-# seqlock scan) never context-switches, so test_park also runs under TSan.
+# false positives, no capacity limit on tracked locks or parked waiters, and
+# the LPT_DEADLOCK* env-knob validation. The parking registry's per-worker
+# lists (link/unlink churn against a scanner that snapshots and settles
+# under the list lock, try-locking queues) never context-switch, so
+# test_park also runs under TSan.
 # So does the idle workers' EventCount: its lost-wakeup test uses plain
 # std::threads and an untimed wait, so a lost wake hangs instead of passing.
 "$BUILD/tests/test_deadlock"

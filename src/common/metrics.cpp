@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/env.hpp"
+
 namespace lpt::metrics {
 
 const char* worker_state_name(WorkerState s) {
@@ -556,12 +558,9 @@ void write_json(std::FILE* out, const Snapshot& s) {
 PublishConfig resolve_publish_config(PublishConfig base) {
   if (const char* f = std::getenv("LPT_METRICS_FILE"); f != nullptr)
     base.file = f;
-  if (const char* p = std::getenv("LPT_METRICS_PERIOD_MS");
-      p != nullptr && *p != '\0') {
-    char* end = nullptr;
-    const long long ms = std::strtoll(p, &end, 10);
-    if (end != p && *end == '\0' && ms > 0) base.period_ms = ms;
-  }
+  long long ms = base.period_ms;
+  env_count("LPT_METRICS_PERIOD_MS", kMaxPeriodMs, &ms);
+  base.period_ms = ms;
   if (base.period_ms <= 0) base.period_ms = 1000;
   return base;
 }

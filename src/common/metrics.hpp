@@ -307,6 +307,8 @@ struct PublishConfig {
   std::string file;
   std::int64_t period_ms = 1000;
 };
+/// Largest accepted LPT_METRICS_PERIOD_MS (one day).
+inline constexpr long long kMaxPeriodMs = 86'400'000;
 PublishConfig resolve_publish_config(PublishConfig base);
 
 /// Paths ending in ".json" publish JSON; everything else Prometheus text.

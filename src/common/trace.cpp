@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/env.hpp"
+
 namespace lpt::trace {
 
 std::atomic<bool> g_enabled{false};
@@ -518,10 +520,9 @@ TraceConfig resolve_config(TraceConfig base) {
     base.file = file;
     base.enabled = true;
   }
-  if (const char* cap = std::getenv("LPT_TRACE_RING_CAP"); cap != nullptr) {
-    const long v = std::strtol(cap, nullptr, 10);
-    if (v > 0) base.ring_capacity = static_cast<std::uint32_t>(v);
-  }
+  long long cap = base.ring_capacity;
+  env_count("LPT_TRACE_RING_CAP", kMaxRingCapacity, &cap);
+  base.ring_capacity = static_cast<std::uint32_t>(cap);
   if (const char* ev = std::getenv("LPT_TRACE_EVENTS_FILE");
       ev != nullptr && ev[0] != '\0') {
     base.events_file = ev;

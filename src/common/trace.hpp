@@ -14,9 +14,7 @@
 //  * zero allocation after startup — all slots are carved out of one slab
 //    allocated when tracing is configured.
 //
-// The types below are always compiled (Runtime::Stats embeds HistSnapshot);
-// only the *recording macros* in runtime/instrument.hpp compile to nothing
-// when LPT_TRACE_DISABLED is defined.
+// The recording macros live in runtime/instrument.hpp.
 #pragma once
 
 #include <atomic>
@@ -258,6 +256,9 @@ class LatencyHistogram {
 // ---------------------------------------------------------------------------
 // Collector: ring registry, config, export
 // ---------------------------------------------------------------------------
+
+/// Largest accepted LPT_TRACE_RING_CAP (events per OS thread).
+inline constexpr long long kMaxRingCapacity = 1ll << 24;
 
 struct TraceConfig {
   bool enabled = false;

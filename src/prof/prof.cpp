@@ -75,8 +75,6 @@ void json_escape(std::FILE* out, const std::string& s) {
 
 }  // namespace
 
-#if !defined(LPT_PROF_DISABLED)
-
 std::atomic<bool> g_oncpu{false};
 std::atomic<bool> g_piggyback{false};
 std::atomic<bool> g_offcpu{false};
@@ -206,7 +204,6 @@ void Collector::configure(const ProfConfig& cfg) {
       locks_[i].acquires.store(0, std::memory_order_relaxed);
       locks_[i].contended.store(0, std::memory_order_relaxed);
       locks_[i].chains.store(0, std::memory_order_relaxed);
-      locks_[i].owner.store(nullptr, std::memory_order_relaxed);
       locks_[i].hold_start_ns = 0;
       locks_[i].site.store(0, std::memory_order_relaxed);
       locks_[i].hold_ns.reset();
@@ -503,56 +500,5 @@ bool Collector::write_file(const std::string& path) const {
   }
   return true;
 }
-
-#else  // LPT_PROF_DISABLED -------------------------------------------------
-
-Collector& Collector::instance() {
-  static Collector c;
-  return c;
-}
-
-void Collector::write_folded(std::FILE* out) const {
-  const Totals t{};
-  std::fprintf(out, "# lpt profile v1\n# mode: off\n# sample_hz: 0\n"
-                    "# max_depth: 0\n");
-  std::fprintf(out, "# invocations: %" PRIu64 "\n# recorded: %" PRIu64
-                    "\n# dropped: %" PRIu64 "\n",
-               t.invocations, t.recorded, t.dropped);
-  std::fprintf(out, "# offcpu_waits: 0\n# offcpu_dropped: 0\n"
-                    "# lock_acquires: 0\n# lock_contended: 0\n"
-                    "# contention_chains: 0\n");
-}
-
-void Collector::write_json(std::FILE* out) const {
-  std::fprintf(out,
-               "{\n  \"prof\": {\"enabled\": false, \"mode\": \"off\", "
-               "\"sample_hz\": 0, \"max_depth\": 0},\n"
-               "  \"oncpu\": {\"invocations\": 0, \"recorded\": 0, "
-               "\"dropped\": 0,\n    \"by_ult\": [\n    ],\n"
-               "    \"by_worker\": [\n    ]\n  },\n"
-               "  \"offcpu\": {\"waits\": 0, \"total_ns\": 0, \"dropped\": 0,"
-               "\n    \"sites\": [\n    ]\n  },\n"
-               "  \"locks\": {\"acquires\": 0, \"contended\": 0, "
-               "\"chains\": 0,\n    \"table\": [\n    ]\n  }\n}\n");
-}
-
-bool Collector::write_file(const std::string& path) const {
-  if (path.empty()) return false;
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return false;
-  if (pick_format(path) == Format::kJson)
-    write_json(f);
-  else
-    write_folded(f);
-  const bool ok = std::fclose(f) == 0;
-  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
-#endif  // LPT_PROF_DISABLED
 
 }  // namespace lpt::prof

@@ -21,9 +21,6 @@
 // Signal-safety contract: sample() runs inside signal handlers and
 // record_wait() on block/wake paths; neither allocates, locks, nor calls
 // non-reentrant libc. Export and configuration are ordinary-thread-only.
-//
-// The whole surface compiles to no-ops under -DLPT_PROF_BUILD=OFF
-// (LPT_PROF_DISABLED), mirroring the tracer's LPT_TRACE_DISABLED.
 #pragma once
 
 #include <atomic>
@@ -139,8 +136,6 @@ struct LockProfile {
   trace::HistSnapshot wait_ns;
 };
 
-#if !defined(LPT_PROF_DISABLED)
-
 // ---------------------------------------------------------------------------
 // On-CPU sample ring (trace::Ring discipline, wider slots)
 // ---------------------------------------------------------------------------
@@ -208,9 +203,6 @@ struct LockStats {
   std::atomic<std::uint64_t> acquires{0};
   std::atomic<std::uint64_t> contended{0};
   std::atomic<std::uint64_t> chains{0};
-  /// Current holder (opaque ThreadCtl*), for the contention-chain check.
-  /// Pointer-compared only — never dereferenced (the holder may finalize).
-  std::atomic<const void*> owner{nullptr};
   /// Written only under the owning Mutex's guard_ (acquire fast path and the
   /// handoff in unlock), so a plain field is race-free.
   std::int64_t hold_start_ns = 0;
@@ -333,46 +325,5 @@ extern std::atomic<std::uint64_t> g_offcpu_waits;
 extern std::atomic<std::uint64_t> g_offcpu_ns;
 extern std::atomic<std::uint64_t> g_offcpu_dropped;
 extern std::atomic<std::uint32_t> g_depth;  ///< effective max walk depth
-
-#else  // LPT_PROF_DISABLED -------------------------------------------------
-
-class SampleRing;  // opaque; WorkerTls keeps a (never-set) pointer
-
-struct LockStats;  // opaque; Mutex keeps a (never-set) atomic pointer
-
-inline constexpr bool oncpu_on() { return false; }
-inline constexpr bool piggyback_on() { return false; }
-inline constexpr bool offcpu_on() { return false; }
-inline constexpr bool locks_on() { return false; }
-
-inline void sample(SampleRing*, std::uint32_t, std::int16_t, std::uint8_t,
-                   std::uintptr_t, std::uintptr_t, std::uintptr_t,
-                   std::uintptr_t) {}
-inline void record_wait(WaitKind, std::uintptr_t, std::int64_t) {}
-
-/// Stub collector: configuration is accepted (and reported back) but nothing
-/// records; exports emit an empty-but-valid profile so tooling keeps working.
-class Collector {
- public:
-  static Collector& instance();
-  void configure(const ProfConfig& cfg) { cfg_ = cfg; }
-  void disable() {}
-  const ProfConfig& config() const { return cfg_; }
-  SampleRing* acquire_ring() { return nullptr; }
-  LockStats* acquire_lock_stats() { return nullptr; }
-  Totals totals() const { return Totals{}; }
-  std::vector<UltProfile> oncpu_by_ult() const { return {}; }
-  std::vector<WorkerProfile> oncpu_by_worker() const { return {}; }
-  std::vector<WaitSiteProfile> offcpu_sites() const { return {}; }
-  std::vector<LockProfile> lock_profiles() const { return {}; }
-  void write_folded(std::FILE* out) const;
-  void write_json(std::FILE* out) const;
-  bool write_file(const std::string& path) const;
-
- private:
-  ProfConfig cfg_;
-};
-
-#endif  // LPT_PROF_DISABLED
 
 }  // namespace lpt::prof

@@ -1,8 +1,6 @@
 // Recording side of the scheduling tracer — the only header runtime .cpp
 // files use to emit trace events. Every macro is gated on the global enabled
-// flag (one relaxed load + predicted branch when tracing is off), and the
-// whole surface compiles to nothing under -DLPT_TRACE_DISABLED so the hot
-// path can be proven untouched.
+// flag (one relaxed load + predicted branch when tracing is off).
 //
 // Signal-safety contract: LPT_TRACE_EVENT and LPT_TRACE_HIST are callable
 // from the preemption signal handler. They must stay free of allocation,
@@ -11,14 +9,11 @@
 // Observability has two layers: this opt-in tracer (events + histograms for
 // offline analysis) and the always-on metrics counters (common/metrics.hpp,
 // embedded in Worker as `metrics`). Hot-path sites typically feed both — a
-// relaxed counter store unconditionally, a trace event when armed. Counters
-// survive LPT_TRACE_DISABLED; only the event log compiles out.
+// relaxed counter store unconditionally, a trace event when armed.
 #pragma once
 
 #include "common/trace.hpp"
 #include "runtime/worker.hpp"
-
-#if !defined(LPT_TRACE_DISABLED)
 
 namespace lpt::trace {
 
@@ -52,16 +47,3 @@ inline void emit(EventType type, std::uint32_t ult = 0, std::uint64_t arg0 = 0,
   do {                                      \
     if (LPT_TRACE_ON()) (hist).record(ns);  \
   } while (0)
-
-#else  // LPT_TRACE_DISABLED
-
-namespace lpt::trace {
-inline void emit(EventType, std::uint32_t = 0, std::uint64_t = 0,
-                 std::uint64_t = 0) {}
-}  // namespace lpt::trace
-
-#define LPT_TRACE_ON() false
-#define LPT_TRACE_EVENT(...) ((void)0)
-#define LPT_TRACE_HIST(hist, ns) ((void)0)
-
-#endif

@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/env.hpp"
+
 namespace lpt {
 
 namespace {
@@ -39,30 +41,6 @@ bool parse_size(const char* v, std::size_t* out) {
   if (*end != '\0' || x == 0 || x > (1ull << 40) / mult) return false;
   *out = static_cast<std::size_t>(x) * mult;
   return true;
-}
-
-/// Parse a positive decimal integer in [1, cap]. Rejects trailing junk,
-/// zero, and negatives, mirroring parse_size().
-bool parse_count(const char* v, long long cap, long long* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long long x = std::strtoll(v, &end, 10);
-  if (errno != 0 || end == v || *end != '\0' || x <= 0 || x > cap) return false;
-  *out = x;
-  return true;
-}
-
-/// Overlay an integer env knob, reporting and ignoring malformed values like
-/// the LPT_STACK_SIZE path does.
-void env_count(const char* name, long long cap, long long* out) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return;
-  long long x = 0;
-  if (!parse_count(v, cap, &x)) {
-    std::fprintf(stderr, "lpt: ignoring malformed %s='%s'\n", name, v);
-    return;
-  }
-  *out = x;
 }
 
 }  // namespace

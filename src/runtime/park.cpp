@@ -1,7 +1,7 @@
 // Parking registry + the deadlock detector and abandonment scan built on it.
 // Runtime::deadlock_poll / note_self_deadlock / note_owner_finished are
 // defined here (not in runtime.cpp) so the whole deadlock subsystem lives in
-// one translation unit next to the slot protocol it depends on.
+// one translation unit next to the lists it walks.
 #include "runtime/park.hpp"
 
 #include <algorithm>
@@ -10,12 +10,12 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/cpu.hpp"
 #include "runtime/instrument.hpp"
 #include "runtime/internal.hpp"
 #include "runtime/thread.hpp"
 #include "runtime/wait_queue.hpp"
 #include "runtime/watchdog.hpp"
+#include "runtime/worker.hpp"
 
 namespace lpt::park {
 
@@ -25,43 +25,6 @@ std::atomic<bool> g_armed{false};
 
 namespace {
 
-constexpr std::uint32_t kSlotCap = 2048;
-constexpr std::uint32_t kResourceCap = 1024;
-
-// Slot state word: gen(30) | phase(2).
-constexpr std::uint32_t kFree = 0;
-constexpr std::uint32_t kWriting = 1;
-constexpr std::uint32_t kOccupied = 2;
-constexpr std::uint32_t kPinned = 3;
-
-inline std::uint32_t phase_of(std::uint32_t st) { return st & 3u; }
-inline std::uint32_t gen_of(std::uint32_t st) { return st >> 2; }
-inline std::uint32_t make_state(std::uint32_t gen, std::uint32_t phase) {
-  return (gen << 2) | phase;
-}
-
-/// One parked waiter. All payload fields are relaxed atomics: the detector
-/// reads them lock-free under the seqlock-style state re-read (the
-/// happens-before edge comes from the release store of kOccupied), and
-/// relaxed atomics keep the protocol a non-race under TSan.
-struct alignas(kCacheLineSize) Slot {
-  std::atomic<std::uint32_t> state{0};
-  std::atomic<ThreadCtl*> waiter{nullptr};
-  std::atomic<std::uint32_t> waiter_id{0};
-  std::atomic<std::uint8_t> kind{0};
-  std::atomic<bool> timed{false};
-  std::atomic<ResourceState*> res{nullptr};
-  std::atomic<ThreadCtl*> direct_owner{nullptr};
-  std::atomic<WaitQueue*> queue{nullptr};
-};
-
-Slot g_slots[kSlotCap];
-ResourceState g_resources[kResourceCap];
-std::atomic<std::uint32_t> g_res_next{0};
-std::atomic<std::uint32_t> g_cursor{0};
-std::atomic<std::uint32_t> g_high{0};     ///< scan bound: max slot index + 1
-std::atomic<std::uint32_t> g_parked{0};
-std::atomic<std::uint64_t> g_overflows{0};
 std::atomic<std::uint32_t> g_cycle_seq{0};
 std::atomic<bool> g_abandon_release{false};
 
@@ -71,88 +34,73 @@ std::atomic<bool> g_abandon_release{false};
 std::unordered_set<std::uint64_t> g_pending;   ///< seen once, validated
 std::unordered_set<std::uint64_t> g_reported;  ///< flagged (and maybe broken)
 
-/// A coherent snapshot of one occupied slot plus its owner edges.
+/// One linked waiter as the detector saw it under its list's lock. Owner
+/// pointers are snapshotted for pointer comparison only — they are never
+/// dereferenced (the owner may be finalizing).
 struct ParkedEdge {
-  std::uint32_t idx = 0;
-  std::uint32_t gen = 0;
+  List* list = nullptr;
   ThreadCtl* waiter = nullptr;
   std::uint32_t waiter_id = 0;
   std::uint8_t kind = 0;
   bool timed = false;
-  WaitQueue* queue = nullptr;
-  ThreadCtl* owner_snap[ResourceState::kMaxOwners] = {};
+  ThreadCtl* owner_snap[kMaxHolders] = {};
   int owner_count = 0;
 };
 
-/// Seqlock read of slot i. False when the slot is not occupied or its tenant
-/// changed mid-read. Owner pointers are snapshotted for pointer comparison
-/// only — they are never dereferenced (the owner may be finalizing).
-bool snapshot_slot(std::uint32_t i, ParkedEdge& e) {
-  Slot& s = g_slots[i];
-  const std::uint32_t st = s.state.load(std::memory_order_acquire);
-  if (phase_of(st) != kOccupied) return false;
-  e.idx = i;
-  e.gen = gen_of(st);
-  e.waiter = s.waiter.load(std::memory_order_relaxed);
-  e.waiter_id = s.waiter_id.load(std::memory_order_relaxed);
-  e.kind = s.kind.load(std::memory_order_relaxed);
-  e.timed = s.timed.load(std::memory_order_relaxed);
-  e.queue = s.queue.load(std::memory_order_relaxed);
-  ResourceState* res = s.res.load(std::memory_order_relaxed);
-  ThreadCtl* direct = s.direct_owner.load(std::memory_order_relaxed);
-  if (s.state.load(std::memory_order_acquire) != st) return false;
-  if (direct != nullptr) {
-    e.owner_snap[e.owner_count++] = direct;
-  } else if (res != nullptr) {
-    for (const auto& o : res->owners) {
-      ThreadCtl* t = o.load(std::memory_order_relaxed);
-      if (t != nullptr && e.owner_count < ResourceState::kMaxOwners)
-        e.owner_snap[e.owner_count++] = t;
-    }
-  }
-  return e.waiter != nullptr;
+/// Unlink `t` from its list; that list's lock held.
+void unlink_locked(ThreadCtl* t) {
+  Entry& en = t->parking;
+  List& list = *en.list;
+  if (en.prev != nullptr)
+    en.prev->parking.next = en.next;
+  else
+    list.head = en.next;
+  if (en.next != nullptr) en.next->parking.prev = en.prev;
+  en.list = nullptr;
+  list.count.store(list.count.load(std::memory_order_relaxed) - 1,
+                   std::memory_order_relaxed);
 }
 
-enum class PinCheck { kValidate, kBreak };
+/// Snapshot every entry of `list` (its lock keeps each waiter, and so its
+/// primitive's holder slots, alive while we read).
+void snapshot_list(List& list, std::vector<ParkedEdge>& out) {
+  SpinlockGuard g(list.lock);
+  for (ThreadCtl* t = list.head; t != nullptr; t = t->parking.next) {
+    const Entry& en = t->parking;
+    ParkedEdge e;
+    e.list = &list;
+    e.waiter = t;
+    e.waiter_id = t->trace_id;
+    e.kind = en.kind;
+    e.timed = en.deadline != 0;
+    if (en.edge.joinee != nullptr) {
+      e.owner_snap[e.owner_count++] = en.edge.joinee;
+    } else {
+      for (int k = 0; k < en.edge.n_holders; ++k) {
+        ThreadCtl* o = en.edge.holders[k].load(std::memory_order_relaxed);
+        if (o != nullptr) e.owner_snap[e.owner_count++] = o;
+      }
+    }
+    out.push_back(e);
+  }
+}
 
-/// Pin e's slot (the waiter's unpark spins while pinned, so its WaitQueue
-/// cannot be destroyed under our hands), then check under the queue's lock
-/// that the waiter is still on it with its context saved — the test that
-/// separates a genuinely parked thread from a stale edge whose wakeup is in
-/// flight. kBreak additionally cancels the waiter out of the wait with zero
-/// side effects on failure: a victim that lost its park to a normal handoff
-/// is simply left alone (no stranded lock, no double wake). Returns whether
-/// the waiter was verified parked (and, for kBreak, removed from its queue;
-/// the caller then owns its wake).
-bool pin_and_check(const ParkedEdge& e, PinCheck mode) {
-  Slot& s = g_slots[e.idx];
-  const std::uint32_t occupied = make_state(e.gen, kOccupied);
-  std::uint32_t expect = occupied;
-  if (!s.state.compare_exchange_strong(expect, make_state(e.gen, kPinned),
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire))
-    return false;
-  e.queue->lock().lock();
-  const bool ok = e.queue->contains(e.waiter) &&
-                  e.waiter->load_state() == ThreadState::kBlocked;
-  if (ok && mode == PinCheck::kBreak) {
-    e.queue->remove(e.waiter);
-    e.waiter->cancel_fault = FaultKind::kDeadlock;
-    e.waiter->wait_result = WaitResult::kBroken;
-    e.waiter->cancel_requested.store(true, std::memory_order_release);
-  }
-  e.queue->lock().unlock();
-  if (ok && mode == PinCheck::kBreak) {
-    // Free the slot on the victim's behalf: it wakes with park_slot == 0 and
-    // its own unpark is a no-op (these writes are published to the victim by
-    // the caller's wake).
-    e.waiter->park_slot = 0;
-    s.state.store(make_state(e.gen, kFree), std::memory_order_release);
-    g_parked.fetch_sub(1, std::memory_order_relaxed);
-  } else {
-    s.state.store(occupied, std::memory_order_release);  // unpin
-  }
-  return ok;
+/// Re-check under e's list lock that its waiter is still linked there (the
+/// same thread: the trace id guards a recycled control block) and still on
+/// its queue — the test that separates a genuinely parked thread from a
+/// stale edge whose wakeup is in flight. With `brk`, settle it as a deadlock
+/// victim instead; the caller then owns its wake.
+bool recheck(const ParkedEdge& e, bool brk) {
+  SpinlockGuard g(e.list->lock);
+  ThreadCtl* t = e.list->head;
+  while (t != nullptr && t != e.waiter) t = t->parking.next;
+  if (t == nullptr || t->trace_id != e.waiter_id) return false;
+  if (brk) return settle(t, WaitResult::kBroken);
+  WaitQueue* q = t->parking.queue;
+  if (!q->lock().try_lock()) return false;
+  const bool parked = q->contains(t);
+  q->lock().unlock();
+  return parked;
 }
 
 /// Order-independent hash of the cycle's member trace ids.
@@ -186,135 +134,66 @@ void arm(bool deadlock_detection, bool abandon_release) {
 
 void disarm() { internal::g_armed.store(false, std::memory_order_release); }
 
-ResourceState* acquire_resource(std::uint8_t kind, void* primitive,
-                                bool (*on_abandon)(void*, ThreadCtl*, bool)) {
-  if (!armed()) return nullptr;
-  std::uint32_t i = g_res_next.load(std::memory_order_relaxed);
-  for (;;) {
-    if (i >= kResourceCap) return nullptr;  // exhausted: untracked, not wrong
-    if (g_res_next.compare_exchange_weak(i, i + 1,
-                                         std::memory_order_relaxed))
-      break;
-  }
-  ResourceState& rs = g_resources[i];
-  rs.kind = kind;
-  rs.primitive = primitive;
-  rs.on_abandon = on_abandon;
-  rs.ready.store(true, std::memory_order_release);
-  return &rs;
+void link(ThreadCtl* self, List& list, WaitQueue* queue, std::uint8_t kind,
+          std::int64_t deadline, const Edge& edge) {
+  Entry& en = self->parking;
+  en.queue = queue;
+  en.deadline = deadline;
+  en.edge = edge;
+  en.kind = kind;
+  en.prev = nullptr;
+  SpinlockGuard g(list.lock);
+  en.list = &list;
+  en.next = list.head;
+  if (list.head != nullptr) list.head->parking.prev = self;
+  list.head = self;
+  list.count.store(list.count.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
 }
 
-void add_owner(ResourceState* rs, ThreadCtl* t) {
-  if (rs == nullptr || t == nullptr) return;
-  for (auto& o : rs->owners) {
-    ThreadCtl* expect = nullptr;
-    if (o.load(std::memory_order_relaxed) == nullptr &&
-        o.compare_exchange_strong(expect, t, std::memory_order_relaxed)) {
-      ++t->owned_tracked;
-      return;
+void unlink(ThreadCtl* self) {
+  List* list = self->parking.list;
+  if (list == nullptr) return;  // never linked, or settle() unlinked us
+  SpinlockGuard g(list->lock);
+  unlink_locked(self);
+}
+
+bool settle(ThreadCtl* t, WaitResult r) {
+  WaitQueue* q = t->parking.queue;
+  if (!q->lock().try_lock()) return false;
+  const bool removed = q->remove(t);
+  if (removed) {
+    t->wait_result = r;
+    if (r == WaitResult::kBroken) {
+      t->cancel_fault = FaultKind::kDeadlock;
+      t->cancel_requested.store(true, std::memory_order_release);
     }
   }
-  rs->owner_overflow.store(true, std::memory_order_relaxed);
+  q->lock().unlock();
+  if (removed) unlink_locked(t);
+  return removed;
 }
 
-void remove_owner(ResourceState* rs, ThreadCtl* t) {
-  if (rs == nullptr || t == nullptr) return;
-  for (auto& o : rs->owners) {
-    ThreadCtl* expect = t;
-    if (o.load(std::memory_order_relaxed) == t &&
-        o.compare_exchange_strong(expect, nullptr,
-                                  std::memory_order_relaxed)) {
-      --t->owned_tracked;
-      return;
-    }
+bool record(Ownable* lock, std::atomic<ThreadCtl*>* slots, int n,
+            ThreadCtl* t) {
+  for (int i = 0; i < n; ++i) {
+    if (slots[i].load(std::memory_order_relaxed) != nullptr) continue;
+    if (!hold(t->parking, lock)) return false;
+    slots[i].store(t, std::memory_order_relaxed);
+    return true;
   }
-  // Not found: inserted during overflow, or acquired while disarmed.
+  return false;
 }
 
-void park(ThreadCtl* self, std::uint8_t kind, bool timed, ResourceState* res,
-          ThreadCtl* direct_owner, WaitQueue* queue) {
-  if (!armed()) return;
-  const std::uint32_t start = g_cursor.fetch_add(1, std::memory_order_relaxed);
-  for (std::uint32_t probe = 0; probe < kSlotCap; ++probe) {
-    const std::uint32_t idx = (start + probe) % kSlotCap;
-    Slot& s = g_slots[idx];
-    std::uint32_t st = s.state.load(std::memory_order_relaxed);
-    if (phase_of(st) != kFree) continue;
-    const std::uint32_t next_gen = gen_of(st) + 1;
-    if (!s.state.compare_exchange_strong(st, make_state(next_gen, kWriting),
-                                         std::memory_order_acquire,
-                                         std::memory_order_relaxed))
-      continue;
-    s.waiter.store(self, std::memory_order_relaxed);
-    s.waiter_id.store(self->trace_id, std::memory_order_relaxed);
-    s.kind.store(kind, std::memory_order_relaxed);
-    s.timed.store(timed, std::memory_order_relaxed);
-    s.res.store(res, std::memory_order_relaxed);
-    s.direct_owner.store(direct_owner, std::memory_order_relaxed);
-    s.queue.store(queue, std::memory_order_relaxed);
-    s.state.store(make_state(next_gen, kOccupied), std::memory_order_release);
-    self->park_slot = idx + 1;
-    g_parked.fetch_add(1, std::memory_order_relaxed);
-    std::uint32_t hw = g_high.load(std::memory_order_relaxed);
-    while (idx + 1 > hw &&
-           !g_high.compare_exchange_weak(hw, idx + 1,
-                                         std::memory_order_release)) {
-    }
-    return;
+bool unrecord(Ownable* lock, std::atomic<ThreadCtl*>* slots, int n,
+              ThreadCtl* t) {
+  for (int i = 0; i < n; ++i) {
+    if (slots[i].load(std::memory_order_relaxed) != t) continue;
+    slots[i].store(nullptr, std::memory_order_relaxed);
+    drop(t->parking, lock);
+    return true;
   }
-  // Slab full: this wait goes unregistered (invisible to the detector).
-  g_overflows.fetch_add(1, std::memory_order_relaxed);
-}
-
-void unpark(ThreadCtl* self) {
-  const std::uint32_t ref = self->park_slot;
-  if (ref == 0) return;  // unregistered park, or a break freed it for us
-  self->park_slot = 0;
-  Slot& s = g_slots[ref - 1];
-  for (;;) {
-    std::uint32_t st = s.state.load(std::memory_order_acquire);
-    if (phase_of(st) == kPinned) {  // detector is dereferencing our payload
-      cpu_pause();
-      continue;
-    }
-    LPT_CHECK(phase_of(st) == kOccupied);
-    if (s.state.compare_exchange_weak(st, make_state(gen_of(st), kFree),
-                                      std::memory_order_release,
-                                      std::memory_order_relaxed))
-      break;
-  }
-  g_parked.fetch_sub(1, std::memory_order_relaxed);
-}
-
-std::uint32_t parked_count() {
-  return g_parked.load(std::memory_order_relaxed);
-}
-
-std::uint64_t slot_overflows() {
-  return g_overflows.load(std::memory_order_relaxed);
-}
-
-std::uint32_t debug_scan() {
-  std::uint32_t coherent = 0;
-  const std::uint32_t hw =
-      std::min(g_high.load(std::memory_order_acquire), kSlotCap);
-  for (std::uint32_t i = 0; i < hw; ++i) {
-    Slot& s = g_slots[i];
-    const std::uint32_t st = s.state.load(std::memory_order_acquire);
-    if (phase_of(st) != kOccupied) continue;
-    ThreadCtl* w = s.waiter.load(std::memory_order_relaxed);
-    if (s.state.load(std::memory_order_acquire) != st) continue;
-    std::uint32_t expect = st;
-    if (!s.state.compare_exchange_strong(expect,
-                                         make_state(gen_of(st), kPinned),
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire))
-      continue;
-    if (w != nullptr && s.waiter.load(std::memory_order_relaxed) == w)
-      ++coherent;
-    s.state.store(st, std::memory_order_release);  // unpin
-  }
-  return coherent;
+  return false;
 }
 
 }  // namespace lpt::park
@@ -325,23 +204,21 @@ std::uint32_t debug_scan() {
 
 namespace lpt {
 
+std::uint32_t Runtime::parked_count() const {
+  std::uint32_t n = 0;
+  for (const auto& w : workers_)
+    n += w->park_list.count.load(std::memory_order_relaxed);
+  return n;
+}
+
 void Runtime::deadlock_poll(Watchdog* wd, int* remediate_budget) {
   using park::ParkedEdge;
   if (!park::armed()) return;
-  if (park::g_parked.load(std::memory_order_relaxed) == 0) {
-    park::g_pending.clear();
-    return;
-  }
 
-  // 1. Snapshot every coherently-occupied slot (lock-free).
-  const std::uint32_t hw =
-      std::min(park::g_high.load(std::memory_order_acquire), park::kSlotCap);
+  // 1. Snapshot every worker's list, one list lock at a time.
   std::vector<ParkedEdge> edges;
-  edges.reserve(64);
-  for (std::uint32_t i = 0; i < hw; ++i) {
-    ParkedEdge e;
-    if (park::snapshot_slot(i, e)) edges.push_back(e);
-  }
+  if (parked_count() != 0)
+    for (auto& w : workers_) park::snapshot_list(w->park_list, edges);
   if (edges.empty()) {
     park::g_pending.clear();
     return;
@@ -408,7 +285,7 @@ void Runtime::deadlock_poll(Watchdog* wd, int* remediate_budget) {
     if (park::g_reported.count(h) != 0) continue;
     bool valid = true;
     for (int i : cyc) {
-      if (!park::pin_and_check(edges[i], park::PinCheck::kValidate)) {
+      if (!park::recheck(edges[i], /*brk=*/false)) {
         valid = false;
         break;
       }
@@ -429,7 +306,7 @@ void Runtime::deadlock_poll(Watchdog* wd, int* remediate_budget) {
       if (edges[i].waiter_id > edges[victim].waiter_id) victim = i;
     bool broke = false;
     if (want_break) {
-      broke = park::pin_and_check(edges[victim], park::PinCheck::kBreak);
+      broke = park::recheck(edges[victim], /*brk=*/true);
       if (!broke) {
         // The victim's park dissolved under us (the cycle is resolving) —
         // forget the cycle and re-detect from scratch if it persists.
@@ -498,48 +375,29 @@ void Runtime::note_self_deadlock(ThreadCtl* self, std::uint8_t kind) {
 }
 
 void Runtime::note_owner_finished(ThreadCtl* t) {
-  // O(1) for threads that released everything they took (the common case);
-  // the slab scan runs only when tracked ownership is provably outstanding.
-  if (t->owned_tracked <= 0) return;
-  if (!park::armed()) {
-    t->owned_tracked = 0;
-    return;
-  }
+  // Every lock still in t's held set records t as a holder (park.hpp): each
+  // is an abandoned lock. A thread that released everything skips this.
+  park::Entry& en = t->parking;
   const bool release = park::abandon_release_enabled();
-  const std::uint32_t nres =
-      std::min(park::g_res_next.load(std::memory_order_acquire),
-               park::kResourceCap);
-  for (std::uint32_t i = 0; i < nres; ++i) {
-    park::ResourceState& rs = park::g_resources[i];
-    if (!rs.ready.load(std::memory_order_acquire)) continue;
-    bool held = false;
-    for (auto& o : rs.owners) {
-      ThreadCtl* expect = t;
-      if (o.load(std::memory_order_relaxed) == t &&
-          o.compare_exchange_strong(expect, nullptr,
-                                    std::memory_order_relaxed))
-        held = true;
-    }
-    if (!held) continue;
+  while (en.n_held > 0) {
+    park::Ownable* lock = en.held[--en.n_held];
+    const std::uint8_t kind = lock->kind();
     n_abandoned_locks_.add(1);
     LPT_TRACE_EVENT(trace::EventType::kAbandonedLock, t->trace_id,
-                    static_cast<std::uint64_t>(rs.kind), release ? 1 : 0);
-    bool released = false;
-    if (rs.on_abandon != nullptr)
-      released = rs.on_abandon(rs.primitive, t, release);
+                    static_cast<std::uint64_t>(kind), release ? 1 : 0);
+    const bool released = lock->abandon(t, release);
     if (released) n_abandoned_released_.add(1);
     WatchdogReport rep;
     rep.kind = WatchdogReport::Kind::kAbandonedLock;
     rep.worker = -1;
     rep.cycle_len = 1;
     rep.cycle[0] = t->trace_id;
-    rep.cycle_kinds[0] = rs.kind;
+    rep.cycle_kinds[0] = kind;
     // For this report kind `victim` doubles as the released flag (there is
     // no cancelled ULT to name).
     rep.victim = released ? 1 : 0;
     watchdog_.report(rep);
   }
-  t->owned_tracked = 0;
 }
 
 }  // namespace lpt

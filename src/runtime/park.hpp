@@ -1,67 +1,43 @@
-// Unified parking registry (docs/robustness.md, "Deadlock detection &
-// recovery"). Every blocking primitive — Mutex, CondVar, RwLock, Semaphore,
-// Barrier, Latch, WaitGroup, join, sleep and the timed waits — parks through
-// WaitQueue::wait (wait_queue.hpp), the only caller of park()/unpark(): it
-// declares a *waiter ULT → resource → owner ULT(s)* edge here at park time,
-// naming the WaitQueue the waiter sits on, and clears it at wake. Its
-// consumers are the watchdog-driven deadlock detector
-// (Runtime::deadlock_poll, defined in park.cpp) and the abandoned-lock
-// tracker (Runtime::note_owner_finished).
+// Parking registry (docs/robustness.md, "Deadlock detection & recovery").
+// Every blocking primitive — Mutex, CondVar, RwLock, Semaphore, Barrier,
+// Latch, WaitGroup, join, sleep and the timed waits — parks through
+// WaitQueue::wait (wait_queue.hpp), the only caller of link()/unlink().
 //
-// Cost discipline matches prof/metrics: when disarmed (LPT_DEADLOCK=0) every
-// entry point is one relaxed load + predicted branch — no atomics, no slab
-// writes, so the yield/mutex fast paths stay untouched. When armed, a park
-// claims one slot in a process-global never-freed slab with a versioned CAS
-// and the waiter frees it at wake; the detector reads slots lock-free with a
-// seqlock-style re-read and pins a slot (phase kPinned) only for the short
-// window where it dereferences the waiter's WaitQueue.
+// Each worker keeps one intrusive List of the ULTs that parked on it, under
+// a worker-local spinlock. A waiter links itself while holding its queue's
+// lock and unlinks itself after it resumes, so holding a list's lock keeps
+// every linked waiter inside wait() — its queue and its primitive stay
+// alive. Two consumers walk the lists: the timed-wait expiry scan
+// (Runtime::expire_timers) and the deadlock detector (Runtime::deadlock_poll,
+// in park.cpp). Both end a wait the same way, through settle(). Lock order
+// is queue, then list: scanners only try-lock queues.
 //
-// Slot state word: gen(30 bits) | phase(2 bits). Claim bumps the generation,
-// so a detector snapshot taken against one occupancy can never be confused
-// with a later tenant of the same slot (ABA-safe).
+// Timed waits are always linked; every wait is linked while armed()
+// (RuntimeOptions::deadlock_detection). Disarmed, an untimed park costs one
+// relaxed load. Lock holders are recorded in the locks themselves (Mutex's
+// owner, RwLock's writer and reader slots); each thread keeps the small set
+// of tracked locks it holds, which the abandonment scan
+// (Runtime::note_owner_finished) walks when the thread ends.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 
+#include "common/spinlock.hpp"
+
 namespace lpt {
 
 struct ThreadCtl;
 class WaitQueue;
+enum class WaitResult : std::uint8_t;
 
 namespace park {
-
-/// Owner-tracking record for an ownable resource (Mutex, RwLock): who holds
-/// it right now, readable lock-free by the deadlock detector and the
-/// abandonment scan. Lives in a process-global never-freed slab, so the
-/// pointer a primitive caches stays valid across Runtime lifetimes (same
-/// contract as prof::LockStats).
-struct ResourceState {
-  static constexpr int kMaxOwners = 4;
-  /// Current owners: the writer (or mutex holder) in any slot; RwLock
-  /// readers CAS-insert into free slots. Cleared on release/handoff.
-  std::atomic<ThreadCtl*> owners[kMaxOwners] = {};
-  /// More simultaneous readers than slots: tracking is incomplete and
-  /// abandonment detection degrades to best-effort for this resource.
-  std::atomic<bool> owner_overflow{false};
-  /// Published (release) once kind/primitive/on_abandon are written; the
-  /// abandonment scan reads nothing else before it (acquire).
-  std::atomic<bool> ready{false};
-  std::uint8_t kind = 0;  ///< prof::WaitKind of the primitive
-  void* primitive = nullptr;
-  /// Abandonment hook, called from finalize context when an owner ULT ends
-  /// while still recorded as holding this resource: must clear the
-  /// primitive's own owner record and, when `release`, force-release the
-  /// resource so parked siblings unwedge. Returns true when a release
-  /// actually freed or handed off the resource.
-  bool (*on_abandon)(void* primitive, ThreadCtl* dead, bool release) = nullptr;
-};
 
 namespace internal {
 extern std::atomic<bool> g_armed;
 }
 
-/// True when the registry records edges (RuntimeOptions::deadlock_detection).
+/// True when every wait is linked (RuntimeOptions::deadlock_detection).
 /// One relaxed load — the whole disarmed-cost story hangs on this.
 inline bool armed() {
   return internal::g_armed.load(std::memory_order_relaxed);
@@ -71,67 +47,118 @@ inline bool armed() {
 bool abandon_release_enabled();
 
 /// Arm/disarm, called by the Runtime constructor/destructor. Arming resets
-/// the detector's cycle memory (pending/reported hashes) so sequential
-/// runtimes start clean; slots and resource records persist (never freed).
+/// the detector's cycle memory so sequential runtimes start clean.
 void arm(bool deadlock_detection, bool abandon_release);
 void disarm();
 
-/// Attach an owner-tracking record for `primitive`. Returns nullptr when
-/// disarmed or the slab is exhausted (the primitive stays untracked — missed
-/// detection, never false positives). Call under the primitive's guard.
-ResourceState* acquire_resource(std::uint8_t kind, void* primitive,
-                                bool (*on_abandon)(void*, ThreadCtl*, bool));
+/// A lock whose holders the registry tracks (Mutex, RwLock). The lock keeps
+/// its holder slots itself; the abandonment scan calls back into it.
+class Ownable {
+ public:
+  /// Finalize-context hook for a thread that ended while recorded as a
+  /// holder: clear `dead` from the lock's slots and, when `release`,
+  /// force-release so parked waiters unwedge. Returns whether a release
+  /// freed or handed off the lock.
+  virtual bool abandon(ThreadCtl* dead, bool release) = 0;
+  /// prof::WaitKind of the lock, for reports and trace events.
+  virtual std::uint8_t kind() const = 0;
 
-/// Record/clear `t` as an owner of `rs`. Both tolerate rs == nullptr (slab
-/// exhaustion) and maintain t->owned_tracked — the per-ULT count that lets
-/// a normally-exiting thread skip the abandonment scan in O(1). add_owner
-/// sets owner_overflow instead of inserting when all slots are taken;
-/// remove_owner decrements only when it actually cleared a slot, keeping the
-/// two in agreement. Callers serialize per resource via the primitive's
-/// guard (or the handoff discipline: a waker edits on behalf of a thread it
-/// exclusively owns).
-void add_owner(ResourceState* rs, ThreadCtl* t);
-void remove_owner(ResourceState* rs, ThreadCtl* t);
+ protected:
+  ~Ownable() = default;
+};
 
-/// add_owner() on a lazily attached record: while armed, attaches `*rs`
-/// (acquire_resource) on first use, then records `t`. Call under the
-/// primitive's guard; a no-op when disarmed (one relaxed load).
-inline void add_owner(ResourceState*& rs, std::uint8_t kind, void* primitive,
-                      bool (*on_abandon)(void*, ThreadCtl*, bool),
-                      ThreadCtl* t) {
-  if (!armed()) return;
-  if (rs == nullptr) rs = acquire_resource(kind, primitive, on_abandon);
-  add_owner(rs, t);
+/// The waits-for edge a waiter declares: the holder slots of the lock it
+/// waits for, or the thread it joins. Empty for waits on a notify or a
+/// count (CondVar & co.): such waiters can never be cycle members.
+struct Edge {
+  const std::atomic<ThreadCtl*>* holders = nullptr;
+  int n_holders = 0;
+  ThreadCtl* joinee = nullptr;
+};
+
+/// Holder slots a lock can expose (RwLock: writer + kMaxReaders readers).
+inline constexpr int kMaxReaders = 4;
+inline constexpr int kMaxHolders = 1 + kMaxReaders;
+/// Tracked locks one thread can be recorded as holding at once.
+inline constexpr int kMaxHeld = 8;
+
+struct List;
+
+/// A thread's registry record (ThreadCtl::parking). The link fields are
+/// written by the thread under its list's lock, or — by settle() — on its
+/// behalf while the thread is parked; the held set is written by whoever
+/// exclusively owns the thread under the lock being recorded.
+struct Entry {
+  List* list = nullptr;  ///< the list this thread is linked on; null = none
+  ThreadCtl* prev = nullptr;
+  ThreadCtl* next = nullptr;
+  WaitQueue* queue = nullptr;  ///< the queue it waits on, while linked
+  std::int64_t deadline = 0;   ///< absolute now_ns(); 0 = untimed
+  Edge edge;
+  std::uint8_t kind = 0;       ///< prof::WaitKind
+  /// Tracked locks held. Invariant: a reader is in an RwLock's reader slots
+  /// exactly when the lock is in its set; a Mutex owner or RwLock writer is
+  /// in the set only while it is the lock's recorded holder. A full set
+  /// records neither side, so detection may miss a cycle (or an abandoned
+  /// lock) but never reports a false one.
+  Ownable* held[kMaxHeld] = {};
+  int n_held = 0;
+};
+
+/// One worker's parked ULTs.
+struct List {
+  Spinlock lock;
+  ThreadCtl* head = nullptr;
+  /// Linked entries; written under `lock`, read lock-free by stats.
+  std::atomic<std::uint32_t> count{0};
+};
+
+/// Whether a wait with `deadline` (0 = untimed) is linked: timed waits
+/// always (expiry walks the lists), every wait while armed().
+inline bool links(std::int64_t deadline) { return deadline != 0 || armed(); }
+
+/// Link `self` onto `list`: called by WaitQueue::wait with `queue`'s lock
+/// held, after self joined `queue`, before suspend_block.
+void link(ThreadCtl* self, List& list, WaitQueue* queue, std::uint8_t kind,
+          std::int64_t deadline, const Edge& edge);
+/// Unlink `self` after it resumed (before its primitive may die). No-op
+/// when settle() already unlinked it.
+void unlink(ThreadCtl* self);
+
+/// End linked waiter `t`'s wait on behalf of a non-primitive waker (timed
+/// expiry kTimedOut, deadlock break kBroken), with t's list lock held:
+/// try-lock t's queue, remove t from it, record `r` (kBroken also marks a
+/// kDeadlock cancel) and unlink t. False, with nothing changed, when the
+/// queue lock is busy or a normal waker removed t first. On true the caller
+/// owns t's wake (WaitQueue::wake) once it has dropped the list lock.
+bool settle(ThreadCtl* t, WaitResult r);
+
+/// Record `lock` in a thread's held set (ThreadCtl::parking); false when
+/// disarmed or the set is full. Mutex owners and RwLock writers: the lock's
+/// own slot is set regardless.
+inline bool hold(Entry& en, Ownable* lock) {
+  if (!armed() || en.n_held == kMaxHeld) return false;
+  en.held[en.n_held++] = lock;
+  return true;
+}
+/// Drop `lock` from a thread's held set (no-op when absent).
+inline void drop(Entry& en, Ownable* lock) {
+  for (int i = 0; i < en.n_held; ++i) {
+    if (en.held[i] == lock) {
+      en.held[i] = en.held[--en.n_held];
+      return;
+    }
+  }
 }
 
-/// Declare "self is parked": called by WaitQueue::wait while holding
-/// `queue`'s lock, after self joined `queue`, before suspend_block. The
-/// detector follows res->owners (ownable resources) or `direct_owner`
-/// (join: the joined thread) for the waits-for edge; both may be null
-/// (CondVar & co. have no owner — such waits can never be cycle members).
-/// `timed` waiters (timed acquires, join_for, sleep) are recorded but
-/// excluded from cycle breaking: their waits self-resolve by timeout.
-void park(ThreadCtl* self, std::uint8_t kind, bool timed, ResourceState* res,
-          ThreadCtl* direct_owner, WaitQueue* queue);
-
-/// Clear the edge; called by the waiter right after suspend_block returns
-/// (before the primitive can be destroyed). Spins out a detector pin. No-op
-/// when park() registered nothing or a deadlock break already freed the slot
-/// on the victim's behalf.
-void unpark(ThreadCtl* self);
-
-// ----- introspection (tests, detector fast path) -----
-
-/// Registered parked waiters right now.
-std::uint32_t parked_count();
-/// Parks that found no free slot (unregistered, counted, never an error).
-std::uint64_t slot_overflows();
-
-/// Test-only: one detector-style pass over the registry without a Runtime —
-/// seqlock-read every occupied slot, pin it, re-check coherence, unpin.
-/// Returns the number of coherently-read slots. Exercises the slot protocol
-/// against concurrent park/unpark (TSan coverage in park_test.cpp).
-std::uint32_t debug_scan();
+/// Record `t` in a free slot of `slots[0..n)` and `lock` in t's held set —
+/// both or neither (RwLock readers). Call under the lock's guard.
+bool record(Ownable* lock, std::atomic<ThreadCtl*>* slots, int n,
+            ThreadCtl* t);
+/// Undo record(): clear t's slot and drop `lock` from its held set. False
+/// when t was not recorded. Call under the lock's guard.
+bool unrecord(Ownable* lock, std::atomic<ThreadCtl*>* slots, int n,
+              ThreadCtl* t);
 
 }  // namespace park
 }  // namespace lpt

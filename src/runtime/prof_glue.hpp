@@ -4,9 +4,8 @@
 // and the annotated syscall regions bracket their suspension with
 // offcpu_begin()/offcpu_end(); the begin tags the
 // ThreadCtl with a wait kind + callsite, the end (running again, possibly on
-// a different KLT) records the block→resume time. Both compile to nothing
-// under LPT_PROF_DISABLED and cost one relaxed flag load when profiling is
-// off.
+// a different KLT) records the block→resume time. Both cost one relaxed
+// flag load when profiling is off.
 #pragma once
 
 #include "prof/prof.hpp"

@@ -537,7 +537,9 @@ metrics::Snapshot Runtime::metrics_snapshot() const {
   s.self_deadlocks = n_self_deadlocks_.value();
   s.abandoned_locks = n_abandoned_locks_.value();
   s.abandoned_released = n_abandoned_released_.value();
-  s.parked_waiters = park::parked_count();
+  // Disarmed, only timed waits are linked; the gauge keeps its meaning of
+  // waiters the deadlock detector sees.
+  s.parked_waiters = park::armed() ? parked_count() : 0;
 
   s.syscall_comp_activated = n_syscall_comp_[0].value();
   s.syscall_comp_reabsorbed = n_syscall_comp_[1].value();
@@ -879,65 +881,47 @@ void Runtime::lower_next_due(std::int64_t when) {
     ;
 }
 
-void Runtime::register_timed_wait(ThreadCtl* t, WaitQueue* q,
-                                  std::int64_t wake_ns) {
-  {
-    SpinlockGuard g(timed_lock_);
-    timed_waits_.push_back(TimedWait{t, q, wake_ns});
-  }
-  lower_next_due(wake_ns);
-  // Close the race with a concurrent cancel: if the flag was set before this
-  // entry became visible, the canceller's kick_timers may have fired against
-  // an empty registry. The registry lock orders the two critical sections,
-  // so one side is guaranteed to see the other's write.
-  if (t->cancel_requested.load(std::memory_order_acquire)) lower_next_due(0);
-}
-
-void Runtime::unregister_timed_wait(ThreadCtl* t, WaitQueue* q) {
-  SpinlockGuard g(timed_lock_);
-  for (TimedWait& e : timed_waits_) {
-    if (e.t == t && e.q == q) {
-      e = timed_waits_.back();
-      timed_waits_.pop_back();
-      return;
-    }
-  }
-}
-
 void Runtime::expire_timers(std::int64_t now) {
   if (now < next_due_.load(std::memory_order_acquire)) return;
+  // Start over from "nothing due" and only lower from here on: a wait
+  // linked, or a deadline armed, behind the scan lowers next_due_ itself
+  // (arm_timed_wait, arm_deadline), and that must not be overwritten.
+  next_due_.store(kNoDeadline, std::memory_order_release);
 
-  // Due waits are settled in place under timed_lock_: an entry pins its
-  // queue (the waiter cannot unregister, let alone return, while we hold the
-  // lock), and try-locking that queue keeps the order queue-then-registry
-  // that register_timed_wait uses — a busy queue is simply retried by the
-  // next scan. Whoever removes the waiter from its queue owns its requeue;
-  // if a notify/handoff got there first, only the entry goes.
+  // Due waits are settled in place under their list's lock: a linked waiter
+  // cannot return from wait() while we hold it, so its queue stays alive,
+  // and settle() only try-locks that queue (the order WaitQueue::wait uses
+  // is queue, then list) — a busy queue is simply retried by the next scan.
+  // Whoever removes the waiter from its queue owns its requeue; if a
+  // notify/handoff got there first, settle() changes nothing.
   ThreadCtl* timed_out = nullptr;  // chain through wq_next, woken below
+  std::int64_t next = kNoDeadline;
+  for (auto& w : workers_) {
+    park::List& list = w->park_list;
+    SpinlockGuard g(list.lock);
+    for (ThreadCtl* t = list.head; t != nullptr;) {
+      ThreadCtl* const after = t->parking.next;  // settle() unlinks t
+      const std::int64_t wake_ns = t->parking.deadline;
+      // A cancel request makes the wait due immediately: the thread must
+      // reach its wakeup cancellation point, not serve out the timeout.
+      const bool due =
+          wake_ns != 0 &&
+          (wake_ns <= now ||
+           t->cancel_requested.load(std::memory_order_relaxed));
+      if (due && park::settle(t, WaitResult::kTimedOut)) {
+        t->wq_next = timed_out;
+        timed_out = t;
+      } else if (wake_ns != 0) {
+        // Due but not settled: its queue was busy, or a normal waker won
+        // and the waiter has yet to unlink — either way, look again soon.
+        next = std::min(next, due ? now : wake_ns);
+      }
+      t = after;
+    }
+  }
   std::vector<ThreadCtl*> expired;
   {
     SpinlockGuard g(timed_lock_);
-    std::int64_t next = kNoDeadline;
-    for (std::size_t i = 0; i < timed_waits_.size();) {
-      TimedWait& e = timed_waits_[i];
-      // A cancel request makes the wait due immediately: the thread must
-      // reach its wakeup cancellation point, not serve out the timeout.
-      const bool due = e.wake_ns <= now ||
-                       e.t->cancel_requested.load(std::memory_order_relaxed);
-      if (!due || !e.q->lock().try_lock()) {
-        next = std::min(next, due ? now : e.wake_ns);
-        ++i;
-        continue;
-      }
-      if (e.q->remove(e.t)) {
-        e.t->wait_result = WaitResult::kTimedOut;
-        e.t->wq_next = timed_out;
-        timed_out = e.t;
-      }
-      e.q->lock().unlock();
-      e = timed_waits_.back();
-      timed_waits_.pop_back();
-    }
     for (std::size_t i = 0; i < deadline_armed_.size();) {
       ThreadCtl* t = deadline_armed_[i];
       if (t->deadline_ns <= now) {
@@ -950,8 +934,8 @@ void Runtime::expire_timers(std::int64_t now) {
         ++i;
       }
     }
-    next_due_.store(next, std::memory_order_release);
   }
+  lower_next_due(next);
   // Timed-wait expiry wake: waker 0 (the timer, not a ULT); the wake edge
   // keeps the primitive kind the waiter parked under (kSleep for sleep_for).
   WaitQueue::wake(timed_out, /*waker=*/0);
@@ -1353,8 +1337,8 @@ WaitResult wait_joined(ThreadCtl* self, ThreadCtl* t, void* site,
   detail::begin_no_preempt(self);
   t->joiners.lock().lock();
   if (!t->finished())
-    r = t->joiners.wait(self, prof::WaitKind::kJoin, site, deadline, nullptr,
-                        t, nullptr);
+    r = t->joiners.wait(self, prof::WaitKind::kJoin, site, deadline,
+                        park::Edge{nullptr, 0, t}, nullptr);
   else
     t->joiners.lock().unlock();
   detail::end_no_preempt(self);  // cancellation point
@@ -1476,8 +1460,7 @@ void sleep_for(std::chrono::nanoseconds d) {
   WaitQueue q;
   detail::begin_no_preempt(self);
   q.lock().lock();
-  q.wait(self, prof::WaitKind::kSleep, wait_site, deadline, nullptr, nullptr,
-         nullptr);
+  q.wait(self, prof::WaitKind::kSleep, wait_site, deadline, {}, nullptr);
   detail::end_no_preempt(self);  // cancellation point
 }
 

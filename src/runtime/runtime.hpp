@@ -305,16 +305,22 @@ class Runtime {
   // ----- self-healing: timed waits, deadlines, remediation -----
   // (docs/robustness.md "Self-healing")
 
-  /// Register the calling ULT `t`, parked on `q`, for a timed wakeup at
-  /// absolute `wake_ns`. Called by WaitQueue::wait with q's lock held; the
-  /// waiter calls unregister_timed_wait after resuming, before q may die.
-  void register_timed_wait(ThreadCtl* t, WaitQueue* q, std::int64_t wake_ns);
-  /// Remove the (t, q) entry if the expiry scan has not already done so.
-  void unregister_timed_wait(ThreadCtl* t, WaitQueue* q);
+  /// Make the expiry scan due by `wake_ns` for `t`, which WaitQueue::wait
+  /// just linked as a timed waiter (or at once when t has a pending cancel).
+  void arm_timed_wait(ThreadCtl* t, std::int64_t wake_ns) {
+    lower_next_due(wake_ns);
+    // Close the race with a concurrent cancel: if the flag was set before
+    // t's entry became visible, the canceller's kick_timers may have fired
+    // against a list without it. The list lock orders the two, so one side
+    // is guaranteed to see the other's write.
+    if (t->cancel_requested.load(std::memory_order_acquire))
+      lower_next_due(0);
+  }
 
-  /// Expire due timed waits and deadlines: wake timed-out waiters (with
-  /// WaitResult::kTimedOut) and turn expired deadlines into cancel
-  /// requests plus a directed preemption tick. Cheap when nothing is due.
+  /// Expire due timed waits and deadlines: settle timed-out waiters on the
+  /// workers' parked lists (WaitResult::kTimedOut) and turn expired
+  /// deadlines into cancel requests plus a directed preemption tick. Cheap
+  /// when nothing is due.
   void expire_timers(std::int64_t now);
   /// Fast-path wrapper for idle workers: one relaxed load when no timed wait
   /// or deadline is armed, so timed waits keep ~1 ms granularity even with
@@ -358,6 +364,8 @@ class Runtime {
 
   // ----- deadlock detection & recovery (park.cpp; docs/robustness.md) -----
 
+  /// ULTs linked on the workers' parked lists right now.
+  std::uint32_t parked_count() const;
   /// One detector pass over the parking registry: snapshot the waits-for
   /// graph, DFS for cycles, confirm each over two consecutive passes, and —
   /// when `remediate_budget` is non-null with budget remaining — break each
@@ -424,15 +432,9 @@ class Runtime {
   std::atomic<std::uint64_t> stack_watermark_max_{0};  ///< CAS-max on release
 
   // -- self-healing: timed waits, deadlines, remediation --
-  struct TimedWait {
-    ThreadCtl* t;
-    WaitQueue* q;  ///< the queue t waits on (alive while the entry exists)
-    std::int64_t wake_ns;
-  };
   static constexpr std::int64_t kNoDeadline =
       std::numeric_limits<std::int64_t>::max();
-  Spinlock timed_lock_;
-  std::vector<TimedWait> timed_waits_;
+  Spinlock timed_lock_;  ///< guards the two deadline lists
   /// Threads with an armed deadline. Entries pin liveness: removed in
   /// finalize_* (disarm_deadline) before the control block can be deleted.
   std::vector<ThreadCtl*> deadline_armed_;
@@ -440,7 +442,7 @@ class Runtime {
   /// pin liveness the same way (disarm_deadline spins until the scan drops
   /// its entry, so the control block cannot die under the scan's hands).
   std::vector<ThreadCtl*> deadline_busy_;
-  /// Earliest pending wake/deadline; kNoDeadline when neither list has one.
+  /// Earliest pending timed wait or deadline; kNoDeadline when none is.
   std::atomic<std::int64_t> next_due_{kNoDeadline};
   metrics::AtomicCounter n_remediations_[4];  ///< indexed RemediationKind - 1
   /// Blocking-syscall compensation outcomes: [0] activated (sentinel

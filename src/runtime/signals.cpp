@@ -22,7 +22,6 @@ int prof_signo() { return SIGRTMIN + 2; }
 
 namespace {
 
-#if !defined(LPT_PROF_DISABLED)
 /// Capture an on-CPU sample of the interrupted ULT: PC + frame-pointer chain
 /// out of the signal ucontext, bounded to the ULT's own stack. Runs inside
 /// both the preemption handler (piggyback mode) and the dedicated sampling
@@ -48,9 +47,6 @@ void prof_sample_interrupted(WorkerTls* tls, ThreadCtl* t, void* uctx) {
   LPT_TRACE_EVENT(trace::EventType::kProfSample, t->trace_id,
                   static_cast<std::uint64_t>(pc));
 }
-#else
-void prof_sample_interrupted(WorkerTls*, ThreadCtl*, void*) {}
-#endif
 
 /// One eligible check used by forwarding: the worker is running a thread
 /// that wants implicit preemption. Benign races: a stale positive costs one

@@ -13,9 +13,7 @@ namespace lpt {
 namespace {
 
 // ---- lock-contention profiling helpers (all called under the Mutex's
-// guard unless noted; every one is a no-op with a null `ls`, and the whole
-// block compiles away under LPT_PROF_DISABLED) ----
-#if !defined(LPT_PROF_DISABLED)
+// guard unless noted; every one is a no-op with a null `ls`) ----
 
 /// Lazily attach the Mutex's LockStats slot. Caller holds the guard, so the
 /// plain member is race-free; slab exhaustion leaves the mutex unprofiled.
@@ -28,25 +26,26 @@ void lock_note_acquire(prof::LockStats* ls) {
   if (ls != nullptr) ls->acquires.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// The caller just became the owner without waiting (fast path / try_lock).
-void lock_note_owned(prof::LockStats* ls, const ThreadCtl* self) {
-  if (ls == nullptr) return;
-  ls->owner.store(self, std::memory_order_relaxed);
-  ls->hold_start_ns = trace::now_ns();
+/// The caller (or, on a direct handoff, the woken waiter) owns the lock from
+/// this instant. A handed-off waiter's hold time includes its wakeup latency
+/// — it *is* holding the lock while it waits to run, which is exactly what a
+/// contention profile should show.
+void lock_note_owned(prof::LockStats* ls) {
+  if (ls != nullptr) ls->hold_start_ns = trace::now_ns();
 }
 
-/// The caller is about to park behind the current owner. The contention
-/// chain check (the pathology ULT-aware locks target: waiting behind a
-/// holder that is itself off-CPU) compares the opaque owner pointer against
-/// every worker's current ULT — pointer compares only, the holder may be
-/// finalizing concurrently.
-void lock_note_contended(prof::LockStats* ls, Runtime* rt, void* site) {
+/// The caller is about to park behind `owner`. The contention chain check
+/// (the pathology ULT-aware locks target: waiting behind a holder that is
+/// itself off-CPU) compares the opaque owner pointer against every worker's
+/// current ULT — pointer compares only, the holder may be finalizing
+/// concurrently.
+void lock_note_contended(prof::LockStats* ls, Runtime* rt, void* site,
+                         const ThreadCtl* owner) {
   if (ls == nullptr) return;
   ls->contended.fetch_add(1, std::memory_order_relaxed);
   std::uintptr_t none = 0;
   ls->site.compare_exchange_strong(
       none, reinterpret_cast<std::uintptr_t>(site), std::memory_order_relaxed);
-  const void* owner = ls->owner.load(std::memory_order_relaxed);
   if (owner == nullptr || rt == nullptr) return;
   for (int r = 0; r < rt->num_workers(); ++r) {
     if (rt->worker(r).current_ult.load(std::memory_order_acquire) == owner)
@@ -56,7 +55,7 @@ void lock_note_contended(prof::LockStats* ls, Runtime* rt, void* site) {
 }
 
 /// A parked waiter woke as the new owner (direct handoff already stamped
-/// hold_start_ns/owner under the guard in unlock); record its wait time.
+/// hold_start_ns under the guard in unlock); record its wait time.
 /// Called WITHOUT the guard — touches only atomics/histograms.
 void lock_note_waited(prof::LockStats* ls, const ThreadCtl* self,
                       std::int64_t wait_start, void* site) {
@@ -75,33 +74,6 @@ void lock_note_release(prof::LockStats* ls) {
   ls->hold_ns.record(trace::now_ns() - ls->hold_start_ns);
   ls->hold_start_ns = 0;
 }
-
-/// Direct handoff: `next` owns the lock from this instant (its hold time
-/// includes the wakeup latency — it *is* holding the lock while it waits to
-/// run, which is exactly what a contention profile should show).
-void lock_note_handoff(prof::LockStats* ls, const ThreadCtl* next) {
-  if (ls == nullptr) return;
-  ls->owner.store(next, std::memory_order_relaxed);
-  ls->hold_start_ns = trace::now_ns();
-}
-
-void lock_note_released_idle(prof::LockStats* ls) {
-  if (ls != nullptr) ls->owner.store(nullptr, std::memory_order_relaxed);
-}
-
-#else  // LPT_PROF_DISABLED
-
-inline prof::LockStats* lock_stats(prof::LockStats*&) { return nullptr; }
-inline void lock_note_acquire(prof::LockStats*) {}
-inline void lock_note_owned(prof::LockStats*, const ThreadCtl*) {}
-inline void lock_note_contended(prof::LockStats*, Runtime*, void*) {}
-inline void lock_note_waited(prof::LockStats*, const ThreadCtl*, std::int64_t,
-                             void*) {}
-inline void lock_note_release(prof::LockStats*) {}
-inline void lock_note_handoff(prof::LockStats*, const ThreadCtl*) {}
-inline void lock_note_released_idle(prof::LockStats*) {}
-
-#endif  // LPT_PROF_DISABLED
 
 }  // namespace
 
@@ -137,7 +109,8 @@ bool Mutex::acquire(ThreadCtl* self, void* site, std::int64_t deadline) {
       detail::end_no_preempt(self);
       return true;
     }
-    if (deadline != 0 && owner_ == self) {
+    ThreadCtl* const owner = owner_.load(std::memory_order_relaxed);
+    if (deadline != 0 && owner == self) {
       // A timed relock by the owner would park behind itself until the
       // timeout (and timed waits are invisible to the deadlock detector).
       q_.lock().unlock();
@@ -146,15 +119,16 @@ bool Mutex::acquire(ThreadCtl* self, void* site, std::int64_t deadline) {
     }
     lock_note_acquire(ls);
     if (deadline == 0 &&
-        q_.self_deadlock(self, owner_ == self, prof::WaitKind::kMutex))
+        q_.self_deadlock(self, owner == self, prof::WaitKind::kMutex))
       continue;
-    lock_note_contended(ls, self->rt, site);
+    lock_note_contended(ls, self->rt, site, owner);
     const std::int64_t wait_start = ls != nullptr ? trace::now_ns() : 0;
     // Direct handoff: unlock() keeps `locked_` set and wakes us as the
     // owner. A timed waiter that loses the race to unlock() owns the mutex
     // and reports success even if late.
     const WaitResult r = q_.wait(self, prof::WaitKind::kMutex, site,
-                                 deadline, res_, nullptr, nullptr);
+                                 deadline, park::Edge{&owner_, 1, nullptr},
+                                 nullptr);
     if (r == WaitResult::kBroken) continue;  // not the owner: retry
     if (r == WaitResult::kWoken) lock_note_waited(ls, self, wait_start, site);
     detail::end_no_preempt(self);  // cancellation point
@@ -162,12 +136,11 @@ bool Mutex::acquire(ThreadCtl* self, void* site, std::int64_t deadline) {
   }
 }
 
-void Mutex::take(ThreadCtl* self, prof::LockStats* ls) {
+void Mutex::take(ThreadCtl* t, prof::LockStats* ls) {
   locked_ = true;
-  owner_ = self;
-  park::add_owner(res_, static_cast<std::uint8_t>(prof::WaitKind::kMutex),
-                  this, &Mutex::abandon_cb, self);
-  lock_note_owned(ls, self);
+  owner_.store(t, std::memory_order_relaxed);
+  park::hold(t->parking, this);
+  lock_note_owned(ls);
 }
 
 bool Mutex::try_lock() {
@@ -193,7 +166,8 @@ void Mutex::unlock() {
   detail::begin_no_preempt(self);
   q_.lock().lock();
   LPT_CHECK_MSG(locked_, "unlock of unowned lpt::Mutex");
-  park::remove_owner(res_, owner_);
+  ThreadCtl* const owner = owner_.load(std::memory_order_relaxed);
+  if (owner != nullptr) park::drop(owner->parking, this);
   release(Runtime::kWakerFromTls);
   detail::end_no_preempt(self);
 }
@@ -204,13 +178,11 @@ void Mutex::release(std::uint32_t waker) {
   ThreadCtl* next = q_.pop_front();
   // Ownership transfers before the wake, so edges never dangle; `locked_`
   // stays set across a handoff.
-  owner_ = next;
   if (next == nullptr) {
+    owner_.store(nullptr, std::memory_order_relaxed);
     locked_ = false;
-    lock_note_released_idle(ls);
   } else {
-    park::add_owner(res_, next);
-    lock_note_handoff(ls, next);
+    take(next, ls);
   }
   q_.lock().unlock();
   WaitQueue::wake(next, waker);
@@ -222,7 +194,7 @@ bool Mutex::held_by_caller() const {
   auto* m = const_cast<Mutex*>(this);
   detail::begin_no_preempt(self);
   m->q_.lock().lock();
-  const bool held = locked_ && owner_ == self;
+  const bool held = locked_ && owner_.load(std::memory_order_relaxed) == self;
   m->q_.lock().unlock();
   detail::end_no_preempt(self);
   return held;
@@ -233,8 +205,8 @@ bool Mutex::abandon(ThreadCtl* dead, bool release_lock) {
   // owner. Always clear owner_ (a later ThreadCtl at the same address must
   // not read as the holder); force-unlock with handoff only when asked.
   q_.lock().lock();
-  const bool held = locked_ && owner_ == dead;
-  if (held) owner_ = nullptr;
+  const bool held = locked_ && owner_.load(std::memory_order_relaxed) == dead;
+  if (held) owner_.store(nullptr, std::memory_order_relaxed);
   if (!held || !release_lock) {
     q_.lock().unlock();
     return false;
@@ -246,8 +218,8 @@ bool Mutex::abandon(ThreadCtl* dead, bool release_lock) {
   return true;
 }
 
-bool Mutex::abandon_cb(void* primitive, ThreadCtl* dead, bool release) {
-  return static_cast<Mutex*>(primitive)->abandon(dead, release);
+std::uint8_t Mutex::kind() const {
+  return static_cast<std::uint8_t>(prof::WaitKind::kMutex);
 }
 
 // ---------------------------------------------------------------------------
@@ -272,8 +244,8 @@ bool CondVar::block(Mutex& m, void* site, std::int64_t deadline) {
   // a notify, not on a thread). The scheduler releases the queue lock and
   // *then* m after our context is saved, so a signaler can neither miss us
   // nor wake us before we are suspended.
-  const WaitResult r = q_.wait(self, prof::WaitKind::kCondVar, site, deadline,
-                               nullptr, nullptr, &m);
+  const WaitResult r =
+      q_.wait(self, prof::WaitKind::kCondVar, site, deadline, {}, &m);
   // Cancellation point — fires while m is NOT held, so a cancelled waiter
   // never strands the user mutex.
   detail::end_no_preempt(self);
@@ -313,8 +285,7 @@ void Barrier::arrive_and_wait() {
   detail::begin_no_preempt(self);
   q_.lock().lock();
   if (++arrived_ < parties_) {
-    q_.wait(self, prof::WaitKind::kBarrier, site, 0, nullptr, nullptr,
-            nullptr);
+    q_.wait(self, prof::WaitKind::kBarrier, site, 0, {}, nullptr);
   } else {
     arrived_ = 0;  // the last arriver releases the phase
     ThreadCtl* ts = q_.take_all();

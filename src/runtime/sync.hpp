@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 
+#include "runtime/park.hpp"
 #include "runtime/wait_queue.hpp"
 
 namespace lpt {
@@ -20,12 +21,9 @@ struct ThreadCtl;
 namespace prof {
 struct LockStats;
 }
-namespace park {
-struct ResourceState;
-}
 
 /// Mutual exclusion with cooperative blocking and direct handoff.
-class Mutex {
+class Mutex : park::Ownable {
  public:
   void lock();
   bool try_lock();
@@ -45,28 +43,28 @@ class Mutex {
  private:
   /// lock()/try_lock_for() body; `deadline` as for WaitQueue::wait.
   bool acquire(ThreadCtl* self, void* site, std::int64_t deadline);
-  /// Record `self` as the new owner (guard held, mutex free).
-  void take(ThreadCtl* self, prof::LockStats* ls);
+  /// Record `t` as the new owner (guard held; the mutex is free, or being
+  /// handed to waiter `t`): owner_, plus t's held set while the parking
+  /// registry is armed.
+  void take(ThreadCtl* t, prof::LockStats* ls);
   /// Release with direct handoff to the first waiter (guard held; releases
   /// it). `waker` names the causal waker of the handoff wake edge.
   void release(std::uint32_t waker);
 
-  /// Abandonment hook (park::ResourceState::on_abandon): `dead` ended while
-  /// recorded as owner. Clears owner_ and, when `release_lock`, force-unlocks
-  /// with normal handoff semantics. Returns whether a release happened.
-  bool abandon(ThreadCtl* dead, bool release_lock);
-  static bool abandon_cb(void* primitive, ThreadCtl* dead, bool release);
+  /// park::Ownable: `dead` ended while recorded as owner. Clears owner_ and,
+  /// when `release_lock`, force-unlocks with normal handoff semantics.
+  /// Returns whether a release happened.
+  bool abandon(ThreadCtl* dead, bool release_lock) override;
+  std::uint8_t kind() const override;
 
   WaitQueue q_;  ///< guard + waiters
   bool locked_ = false;
   /// Owning ULT while locked_ (compared by address only — never dereferenced
-  /// after the owner may have died; abandon() clears it first). Maintained
-  /// under the guard, including across direct handoff.
-  ThreadCtl* owner_ = nullptr;
-  /// Parking-registry owner record, lazily attached under the guard while
-  /// the registry is armed; null forever otherwise (same slab contract as
-  /// prof_).
-  park::ResourceState* res_ = nullptr;
+  /// after the owner may have died; abandon() clears it first). Written
+  /// under the guard, including across direct handoff; relaxed-atomic
+  /// because it doubles as the deadlock detector's owner record, which the
+  /// detector reads without the guard.
+  std::atomic<ThreadCtl*> owner_{nullptr};
   /// Contention-profile slot (docs/observability.md "Profiling"): lazily
   /// attached under the guard on the first lock() while the lock profiler is
   /// armed; null forever otherwise. Points into the collector's never-freed

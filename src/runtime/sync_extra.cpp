@@ -30,25 +30,27 @@ void RwLock::acquire(bool exclusive, void* site) {
                   : !writer_ && writers_q_.empty()) {
       if (exclusive) {
         writer_ = true;
-        write_owner_ = self;
+        holders_[0].store(self, std::memory_order_relaxed);
+        park::hold(self->parking, this);
       } else {
         ++readers_;
+        park::record(this, holders_ + 1, park::kMaxReaders, self);
       }
-      park::add_owner(res_, static_cast<std::uint8_t>(prof::WaitKind::kRwLock),
-                      this, &RwLock::abandon_cb, self);
       writers_q_.lock().unlock();
       break;
     }
     // Write-then-read/write self-deadlock: a 1-cycle caught synchronously,
     // like Mutex::lock. (Read-then-write upgrades are left to the periodic
-    // detector: self shows up among res_->owners, closing the cycle.)
-    if (writers_q_.self_deadlock(self, write_owner_ == self,
-                                 prof::WaitKind::kRwLock))
+    // detector: self shows up in its own holder slots, closing the cycle.)
+    if (writers_q_.self_deadlock(
+            self, holders_[0].load(std::memory_order_relaxed) == self,
+            prof::WaitKind::kRwLock))
       continue;
-    // Direct handoff: the releaser set writer_/write_owner_ or incremented
+    // Direct handoff: the releaser set writer_/holders_[0] or incremented
     // readers_ on our behalf. Broken out by the deadlock breaker: retry.
     WaitQueue& q = exclusive ? writers_q_ : readers_q_;
-    if (q.wait(self, prof::WaitKind::kRwLock, site, 0, res_, nullptr,
+    if (q.wait(self, prof::WaitKind::kRwLock, site, 0,
+               park::Edge{holders_, park::kMaxHolders, nullptr},
                nullptr) != WaitResult::kBroken)
       break;
   }
@@ -61,7 +63,8 @@ void RwLock::unlock_shared() {
   writers_q_.lock().lock();
   LPT_CHECK_MSG(readers_ > 0, "unlock_shared without shared lock");
   --readers_;
-  if (self != nullptr) park::remove_owner(res_, self);
+  if (self != nullptr)
+    park::unrecord(this, holders_ + 1, park::kMaxReaders, self);
   grant(Runtime::kWakerFromTls);
   detail::end_no_preempt(self);
 }
@@ -71,9 +74,10 @@ void RwLock::unlock() {
   detail::begin_no_preempt(self);
   writers_q_.lock().lock();
   LPT_CHECK_MSG(writer_, "RwLock::unlock without write lock");
-  park::remove_owner(res_, write_owner_);
+  ThreadCtl* const owner = holders_[0].load(std::memory_order_relaxed);
+  if (owner != nullptr) park::drop(owner->parking, this);
   writer_ = false;
-  write_owner_ = nullptr;
+  holders_[0].store(nullptr, std::memory_order_relaxed);
   grant(Runtime::kWakerFromTls);
   detail::end_no_preempt(self);
 }
@@ -83,15 +87,15 @@ void RwLock::grant(std::uint32_t waker) {
   if (!writer_ && readers_ == 0) next = writers_q_.pop_front();
   if (next != nullptr) {
     writer_ = true;
-    write_owner_ = next;
-    park::add_owner(res_, next);
+    holders_[0].store(next, std::memory_order_relaxed);
+    park::hold(next->parking, this);
   } else if (!writer_ && writers_q_.empty()) {
     next = readers_q_.take_all();
-    // Every handed-off reader becomes a tracked owner before its wake (edges
-    // never dangle); readers past kMaxOwners set the overflow flag instead.
+    // Every handed-off reader is recorded before its wake (edges never
+    // dangle), as far as the reader slots reach.
     for (ThreadCtl* r = next; r != nullptr; r = r->wq_next) {
       ++readers_;
-      park::add_owner(res_, r);
+      park::record(this, holders_ + 1, park::kMaxReaders, r);
     }
   }
   writers_q_.lock().unlock();
@@ -99,16 +103,18 @@ void RwLock::grant(std::uint32_t waker) {
 }
 
 bool RwLock::abandon(ThreadCtl* dead, bool release) {
-  // Finalize context: `dead` has already been CAS-cleared from res_->owners,
-  // so the add_owner calls in grant() land in free slots. A dead writer
-  // always loses its address (it is about to dangle). A dead reader was
-  // recorded in res_->owners, so it held a share; readers past the
-  // owner-slot cap were never recorded — an overflowed rwlock
-  // under-releases, which the overflow flag already declares.
+  // Finalize context. A dead writer always loses its slot (the address is
+  // about to dangle). A dead reader was recorded in a reader slot, so it
+  // held a share; readers past the slots were never recorded and are never
+  // released here — an over-full rwlock under-releases.
   writers_q_.lock().lock();
-  const bool dead_writer = writer_ && write_owner_ == dead;
-  if (dead_writer) write_owner_ = nullptr;
-  if (!(dead_writer || readers_ > 0) || !release) {
+  const bool dead_writer =
+      writer_ && holders_[0].load(std::memory_order_relaxed) == dead;
+  if (dead_writer) holders_[0].store(nullptr, std::memory_order_relaxed);
+  const bool dead_reader =
+      !dead_writer &&
+      park::unrecord(this, holders_ + 1, park::kMaxReaders, dead);
+  if (!(dead_writer || dead_reader) || !release) {
     writers_q_.lock().unlock();
     return false;
   }
@@ -120,8 +126,8 @@ bool RwLock::abandon(ThreadCtl* dead, bool release) {
   return true;
 }
 
-bool RwLock::abandon_cb(void* primitive, ThreadCtl* dead, bool release) {
-  return static_cast<RwLock*>(primitive)->abandon(dead, release);
+std::uint8_t RwLock::kind() const {
+  return static_cast<std::uint8_t>(prof::WaitKind::kRwLock);
 }
 
 // ---------------------------------------------------------------------------
@@ -163,8 +169,8 @@ bool Semaphore::take(ThreadCtl* self, void* site, std::int64_t deadline) {
     // No owner edge: semaphore units have no owner, so a semaphore waiter
     // can never be a cycle member. Direct handoff: a woken waiter was
     // handed a unit by release().
-    got = q_.wait(self, prof::WaitKind::kSemaphore, site, deadline, nullptr,
-                  nullptr, nullptr) == WaitResult::kWoken;
+    got = q_.wait(self, prof::WaitKind::kSemaphore, site, deadline, {},
+                  nullptr) == WaitResult::kWoken;
   }
   detail::end_no_preempt(self);  // cancellation point
   return got;
@@ -218,7 +224,7 @@ void Latch::wait() {
   q_.lock().lock();
   // No owner edge: latches count down, nobody "holds" them.
   if (done_.load(std::memory_order_acquire) == 0)
-    q_.wait(self, prof::WaitKind::kLatch, site, 0, nullptr, nullptr, nullptr);
+    q_.wait(self, prof::WaitKind::kLatch, site, 0, {}, nullptr);
   else
     q_.lock().unlock();
   detail::end_no_preempt(self);
@@ -268,8 +274,7 @@ void WaitGroup::wait() {
   q_.lock().lock();
   // No owner edge: wait-group completions have no single owner.
   if (count_ != 0)
-    q_.wait(self, prof::WaitKind::kWaitGroup, site, 0, nullptr, nullptr,
-            nullptr);
+    q_.wait(self, prof::WaitKind::kWaitGroup, site, 0, {}, nullptr);
   else
     q_.lock().unlock();
   detail::end_no_preempt(self);

@@ -10,18 +10,15 @@
 #include <cstdint>
 
 #include "common/futex.hpp"
+#include "runtime/park.hpp"
 #include "runtime/wait_queue.hpp"
 
 namespace lpt {
 
 struct ThreadCtl;
 
-namespace park {
-struct ResourceState;
-}
-
 /// Writer-preferring reader-writer lock for ULTs.
-class RwLock {
+class RwLock : park::Ownable {
  public:
   void lock_shared();
   void unlock_shared();
@@ -35,25 +32,24 @@ class RwLock {
   /// waiting writer once no reader remains, else — with no writer active
   /// or waiting — to every waiting reader. `waker` names the causal waker.
   void grant(std::uint32_t waker);
-  /// Abandonment hook (park::ResourceState::on_abandon): `dead` ended while
-  /// recorded as a holder. A dead writer clears write_owner_ and, when
-  /// `release`, force-unlocks with normal handoff semantics; a dead reader
-  /// drops its share (best-effort once owner slots overflowed). Returns
-  /// whether a release/handoff happened.
-  bool abandon(ThreadCtl* dead, bool release);
-  static bool abandon_cb(void* primitive, ThreadCtl* dead, bool release);
+  /// park::Ownable: `dead` ended while recorded as a holder. A dead writer
+  /// clears the writer slot and, when `release`, force-unlocks with normal
+  /// handoff semantics; a dead reader drops its share. Returns whether a
+  /// release/handoff happened.
+  bool abandon(ThreadCtl* dead, bool release) override;
+  std::uint8_t kind() const override;
 
   WaitQueue writers_q_;              ///< owns the guard
   WaitQueue readers_q_{writers_q_};  ///< shares writers_q_'s guard
   int readers_ = 0;        ///< active readers
   bool writer_ = false;    ///< active writer
-  /// Writing ULT while writer_ (address-compared only; abandon() clears it
-  /// before the owner can be freed). Powers the synchronous write-after-write
-  /// self-deadlock check; maintained unconditionally under the guard.
-  ThreadCtl* write_owner_ = nullptr;
-  /// Parking-registry owner record (writer + up to kMaxOwners readers),
-  /// lazily attached under the guard while the registry is armed.
-  park::ResourceState* res_ = nullptr;
+  /// The deadlock detector's owner record, written under the guard and read
+  /// without it. [0] is the writing ULT while writer_ (address-compared
+  /// only; abandon() clears it before the owner can be freed), maintained
+  /// unconditionally: it powers the synchronous write-after-write
+  /// self-deadlock check. [1..] record up to park::kMaxReaders readers while
+  /// the registry is armed (park::record: slot and held set, or neither).
+  std::atomic<ThreadCtl*> holders_[park::kMaxHolders] = {};
 };
 
 /// Counting semaphore for ULTs.

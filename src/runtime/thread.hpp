@@ -155,18 +155,6 @@ struct ThreadCtl {
   /// itself after wake).
   FaultKind cancel_fault = FaultKind::kCancelled;
 
-  // ----- parking registry (park.hpp; docs/robustness.md "Deadlock") -----
-
-  /// Registry slot index + 1 while parked; 0 = not registered. Owner-written
-  /// (by the thread at park, by the thread — or the breaker on its behalf —
-  /// at wake) under the same handoff discipline as wait_result.
-  std::uint32_t park_slot = 0;
-  /// Ownable resources (Mutex/RwLock) this thread is currently recorded as
-  /// holding in the parking registry. Maintained by park::add_owner /
-  /// remove_owner; lets a thread that released everything skip the
-  /// abandonment scan at exit in O(1).
-  int owned_tracked = 0;
-
   // ----- wait queue membership (wait_queue.hpp) -----
 
   /// The queue this thread is parked on (nullptr = none) and its successor
@@ -175,8 +163,9 @@ struct ThreadCtl {
   WaitQueue* wq = nullptr;
   ThreadCtl* wq_next = nullptr;
   /// How the last wait ended: the waker that removed this thread from its
-  /// queue writes it under the queue's lock (the expiry scan kTimedOut, the
-  /// deadlock breaker kBroken); WaitQueue::wait consumes it.
+  /// queue writes it under the queue's lock (park::settle: kTimedOut for the
+  /// expiry scan, kBroken for the deadlock breaker); WaitQueue::wait
+  /// consumes it.
   WaitResult wait_result = WaitResult::kWoken;
 
   // ----- off-CPU wait attribution (docs/observability.md "Profiling") -----
@@ -187,6 +176,13 @@ struct ThreadCtl {
   prof::WaitKind prof_wait_kind = prof::WaitKind::kNone;
   std::uintptr_t prof_wait_site = 0;   ///< caller PC of the blocking primitive
   std::int64_t prof_wait_start_ns = 0;
+
+  // ----- parking registry (park.hpp; docs/robustness.md "Deadlock") -----
+
+  /// This thread's link on a worker's parked list while it waits, and the
+  /// tracked locks it holds (park::Entry documents who writes what). Last:
+  /// touched only on the park path and by lock bookkeeping.
+  park::Entry parking;
 
   ThreadState load_state() const {
     return static_cast<ThreadState>(state.load(std::memory_order_acquire));

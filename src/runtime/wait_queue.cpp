@@ -9,24 +9,25 @@ namespace lpt {
 static_assert(WaitQueue::kWakerFromTls == Runtime::kWakerFromTls);
 
 WaitResult WaitQueue::wait(ThreadCtl* self, prof::WaitKind kind, void* site,
-                           std::int64_t deadline, park::ResourceState* res,
-                           ThreadCtl* direct_owner, Mutex* release_after) {
+                           std::int64_t deadline, const park::Edge& edge,
+                           Mutex* release_after) {
   const bool timed = deadline != 0;
   push_back(self);
   self->wait_result = WaitResult::kWoken;
-  // Timed waits race their expiry against the normal waker: both remove the
-  // waiter under lock(), so exactly one side requeues it (see expire_timers).
-  if (timed) self->rt->register_timed_wait(self, this, deadline);
-  // Timed waits are recorded but never broken: they self-resolve.
-  park::park(self, static_cast<std::uint8_t>(kind), timed, res, direct_owner,
-             this);
+  // Timed waits are always linked: the expiry scan walks the same lists as
+  // the deadlock detector, and races the normal waker through settle() —
+  // both remove the waiter under lock(), so exactly one side requeues it.
+  if (park::links(deadline)) {
+    park::link(self, worker_tls()->worker->park_list, this,
+               static_cast<std::uint8_t>(kind), deadline, edge);
+    if (timed) self->rt->arm_timed_wait(self, deadline);
+  }
   prof::offcpu_begin(self, kind, site);
   // The scheduler releases lock() (then release_after) only once our context
   // is saved, so a waker can neither miss us nor resume us half-saved.
   detail::suspend_block(self, lock_, release_after);
-  park::unpark(self);
+  park::unlink(self);
   prof::offcpu_end(self);
-  if (timed) self->rt->unregister_timed_wait(self, this);
   const WaitResult r = self->wait_result;
   if (r == WaitResult::kBroken) {
     detail::end_no_preempt(self);  // cancellation point: usually no return

@@ -4,9 +4,9 @@
 // A WaitQueue owns the primitive's spinlock and an intrusive FIFO of parked
 // ULTs threaded through ThreadCtl (wq_next, plus wq = the queue the thread
 // is on, so membership is O(1) and parking never allocates). wait() runs the
-// whole park sequence once: enqueue, timed-wait registration, the parking
-// registry edge, off-CPU attribution, the suspend, and the unwinding of all
-// of it at wake. Primitives keep only their own state machine: they decide
+// whole park sequence once: enqueue, the parking-registry link (park.hpp;
+// it also arms timed-wait expiry), off-CPU attribution, the suspend, and the
+// unwinding of all of it at wake. Primitives keep only their own state machine: they decide
 // under lock() whether to wait, and whom to pop and wake on release.
 //
 // Every wakeup — a notify, a lock handoff, a join, a timed-wait expiry, a
@@ -18,6 +18,7 @@
 #include <cstdint>
 
 #include "common/spinlock.hpp"
+#include "runtime/park.hpp"
 
 namespace lpt {
 
@@ -26,9 +27,6 @@ class Mutex;
 
 namespace prof {
 enum class WaitKind : std::uint8_t;
-}
-namespace park {
-struct ResourceState;
 }
 
 /// How a wait ended. The waker that removes the waiter records it (in
@@ -54,13 +52,13 @@ class WaitQueue {
   /// Park `self` (the calling ULT, preemption masked, lock() held) until a
   /// waker removes it. lock() is released by the scheduler after the
   /// context save, then `release_after` (CondVar's user mutex) if non-null.
-  /// `deadline` (absolute now_ns(); 0 = untimed) registers a timed wait.
-  /// `res` / `direct_owner` name the owner edge for the deadlock detector.
+  /// `deadline` (absolute now_ns(); 0 = untimed) makes it a timed wait.
+  /// `edge` names the owner edge for the deadlock detector.
   /// On kBroken the cancellation point has already run (it returns only
   /// under an outer NoPreemptGuard); the caller retries or gives up.
   WaitResult wait(ThreadCtl* self, prof::WaitKind kind, void* site,
-                  std::int64_t deadline, park::ResourceState* res,
-                  ThreadCtl* direct_owner, Mutex* release_after);
+                  std::int64_t deadline, const park::Edge& edge,
+                  Mutex* release_after);
 
   // All of the following require lock() held.
   bool empty() const { return head_ == nullptr; }

@@ -14,6 +14,7 @@
 #include "context/context.hpp"
 #include "context/stack.hpp"
 #include "runtime/options.hpp"
+#include "runtime/park.hpp"
 
 #include <ctime>
 
@@ -142,6 +143,10 @@ struct alignas(kCacheLineSize) Worker {
   /// native Prometheus histograms and merged into Runtime::Stats.
   trace::LatencyHistogram hist_sched_delay;    ///< ready → dispatch
   trace::LatencyHistogram hist_spawn_latency;  ///< spawn → first dispatch
+
+  /// ULTs that parked while running on this worker (park.hpp). Last, on its
+  /// own cache line: waiters that resume elsewhere unlink from here.
+  alignas(kCacheLineSize) park::List park_list;
 
   /// Body of the scheduler context: pick/run loop until runtime shutdown.
   void scheduler_loop();

@@ -249,6 +249,22 @@ TEST(MetricsConfig, EnvOverridesPublishConfig) {
   unsetenv("LPT_METRICS_PERIOD_MS");
 }
 
+TEST(MetricsConfig, PeriodRejectsJunkAndOutOfRange) {
+  metrics::PublishConfig base;
+  base.period_ms = 250;
+  for (const char* bad :
+       {"75junk", "99999999999999999999", "86400001", "0", "-5"}) {
+    setenv("LPT_METRICS_PERIOD_MS", bad, 1);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(metrics::resolve_publish_config(base).period_ms, 250) << bad;
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "lpt: ignoring malformed LPT_METRICS_PERIOD_MS"),
+              std::string::npos)
+        << bad;
+  }
+  unsetenv("LPT_METRICS_PERIOD_MS");
+}
+
 TEST(MetricsConfig, FormatFollowsPathSuffix) {
   EXPECT_EQ(metrics::format_for_path("metrics.prom"),
             metrics::Format::kPrometheus);

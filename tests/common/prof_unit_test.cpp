@@ -48,8 +48,6 @@ TEST(ProfConfig, DefaultsAreOff) {
   EXPECT_TRUE(cfg.locks);
 }
 
-#if !defined(LPT_PROF_DISABLED)
-
 TEST(ProfUnit, RingReconcilesUnderConcurrentWriters) {
   // Small rings force drops; the contract must hold regardless.
   Collector::instance().configure(armed(/*ring_cap=*/128));
@@ -180,30 +178,6 @@ TEST(ProfUnit, JsonWriterValidOverSyntheticData) {
   EXPECT_EQ(j.root.get("locks")->num_or("contended", -1), 3.0);
   Collector::instance().disable();
 }
-
-#else  // LPT_PROF_DISABLED
-
-TEST(ProfUnit, DisabledBuildStubsStayInert) {
-  ProfConfig cfg;
-  cfg.enabled = true;
-  Collector::instance().configure(cfg);
-  EXPECT_EQ(Collector::instance().acquire_ring(), nullptr);
-  EXPECT_EQ(Collector::instance().acquire_lock_stats(), nullptr);
-  sample(nullptr, 0, 0, 0, 0, 0, 0, 0);
-  record_wait(WaitKind::kMutex, 0x1, 1);
-  const Totals t = Collector::instance().totals();
-  EXPECT_EQ(t.invocations, 0u);
-  EXPECT_EQ(t.offcpu_waits, 0u);
-  // Exports still produce a parseable (empty) profile for tooling.
-  const std::string path = tmp_path("disabled.folded");
-  ASSERT_TRUE(Collector::instance().write_file(path));
-  const proftest::FoldedParsed p = proftest::parse_folded(slurp(path));
-  std::remove(path.c_str());
-  EXPECT_TRUE(p.ok());
-  EXPECT_EQ(p.folded_sum(), 0u);
-}
-
-#endif  // LPT_PROF_DISABLED
 
 }  // namespace
 }  // namespace lpt::prof

@@ -438,5 +438,19 @@ TEST_F(TraceEnvTest, RingCapOverride) {
   EXPECT_EQ(resolve_config({}).ring_capacity, 512u);
 }
 
+TEST_F(TraceEnvTest, RingCapRejectsJunkAndOutOfRange) {
+  TraceConfig base;
+  base.ring_capacity = 1024;
+  for (const char* bad : {"4096junk", "4294967296", "0", "-8", "banana"}) {
+    setenv("LPT_TRACE_RING_CAP", bad, 1);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(resolve_config(base).ring_capacity, 1024u) << bad;
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "lpt: ignoring malformed LPT_TRACE_RING_CAP"),
+              std::string::npos)
+        << bad;
+  }
+}
+
 }  // namespace
 }  // namespace lpt::trace

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <utility>
 #include <vector>
@@ -392,6 +393,119 @@ TEST(Deadlock, AbandonedLockWithoutReleaseOnlyFlags) {
   EXPECT_EQ(s.abandoned_locks, 1u);
   EXPECT_EQ(s.abandoned_released, 0u);
   EXPECT_GE(rt.watchdog_flags(WatchdogReport::Kind::kAbandonedLock), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// No capacity to run out of: owner records live in the locks and parked
+// waiters on per-worker lists, so neither lock churn nor thousands of parked
+// ULTs can leave a later cycle or abandoned lock untracked.
+// ---------------------------------------------------------------------------
+
+/// Wait up to 30 s for `done`. A missed cycle leaves ULTs parked forever
+/// and ~Thread would then hang instead of failing, so a timeout ends the
+/// process, naming `what`.
+template <typename Pred>
+void await_or_die(Pred done, const char* what) {
+  const std::int64_t deadline = now_ns() + 30'000'000'000;
+  while (!done()) {
+    if (now_ns() > deadline) {
+      std::fprintf(stderr, "FATAL: %s within 30 s\n", what);
+      std::fflush(stderr);
+      std::_Exit(1);
+    }
+    usleep(1000);
+  }
+}
+
+/// Cross-lock two fresh mutexes from two ULTs and return how many of them
+/// ended as the deadlock victim (the other must complete).
+int run_two_cycle(Runtime& rt) {
+  Mutex m1, m2;
+  std::atomic<bool> a_holds{false}, b_holds{false};
+  ThreadAttrs attrs;
+  attrs.preempt = Preempt::SignalYield;
+  auto crossed = [](Mutex* first, Mutex* second, std::atomic<bool>* mine,
+                    std::atomic<bool>* theirs) {
+    return [=] {
+      first->lock();
+      mine->store(true, std::memory_order_release);
+      while (!theirs->load(std::memory_order_acquire)) this_thread::yield();
+      second->lock();
+      second->unlock();
+      first->unlock();
+    };
+  };
+  const std::uint64_t before = rt.stats().remediations_deadlock_break;
+  Thread a = rt.spawn(crossed(&m1, &m2, &a_holds, &b_holds), attrs);
+  Thread b = rt.spawn(crossed(&m2, &m1, &b_holds, &a_holds), attrs);
+  await_or_die(
+      [&] { return rt.stats().remediations_deadlock_break > before; },
+      "injected cycle not broken");
+  int victims = 0;
+  for (Thread* t : {&a, &b}) {
+    const FaultKind k = t->join_status().fault.kind;
+    EXPECT_TRUE(k == FaultKind::kNone || k == FaultKind::kDeadlock);
+    victims += k == FaultKind::kDeadlock;
+  }
+  return victims;
+}
+
+TEST(DeadlockCapacity, LockChurnLeavesLaterCyclesAndAbandonmentTracked) {
+  RuntimeOptions o = deadlock_opts(2);
+  o.abandon_release = true;
+  Runtime rt(o);
+  // More short-lived tracked locks than the old 1,024-record slab held.
+  rt.spawn([] {
+      for (int i = 0; i < 1100; ++i) {
+        Mutex m;
+        m.lock();
+        m.unlock();
+      }
+    }).join();
+
+  EXPECT_EQ(run_two_cycle(rt), 1);
+  Mutex fresh;
+  EXPECT_EQ(rt.spawn([&] { fresh.lock(); }).join_status().fault.kind,
+            FaultKind::kNone);
+
+  const Runtime::Stats s = rt.stats();
+  EXPECT_EQ(s.deadlock_cycles, 1u);
+  EXPECT_EQ(s.remediations_deadlock_break, 1u);
+  // The victim's first lock plus `fresh`, each flagged and released.
+  EXPECT_EQ(s.abandoned_locks, 2u);
+  EXPECT_EQ(s.abandoned_released, 2u);
+}
+
+TEST(DeadlockCapacity, CycleFoundBehindThousandsOfParkedWaiters) {
+  constexpr int kParked = 2100;  // more than the old 2,048-slot registry
+  RuntimeOptions o = deadlock_opts(2);
+  o.abandon_release = true;
+  o.stack_size = 32 * 1024;
+  Runtime rt(o);
+
+  Latch gate(1);
+  std::atomic<int> entered{0};
+  std::vector<Thread> parked;
+  parked.reserve(kParked);
+  for (int i = 0; i < kParked; ++i) {
+    parked.push_back(rt.spawn([&] {
+      entered.fetch_add(1, std::memory_order_relaxed);
+      gate.wait();
+    }));
+  }
+  await_or_die([&] { return entered.load() == kParked; },
+               "latch waiters not all started");
+  usleep(20'000);  // let the last ones park
+
+  EXPECT_EQ(run_two_cycle(rt), 1);
+  EXPECT_EQ(rt.metrics_snapshot().parked_waiters, kParked);
+  gate.count_down();
+  for (Thread& t : parked)
+    EXPECT_EQ(t.join_status().fault.kind, FaultKind::kNone);
+  const Runtime::Stats s = rt.stats();
+  EXPECT_EQ(s.deadlock_cycles, 1u);
+  EXPECT_EQ(s.remediations_deadlock_break, 1u);
+  EXPECT_EQ(rt.metrics_snapshot().parked_waiters, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-// TSan-clean unit tests of the parking registry's slot protocol
-// (runtime/park.hpp): versioned claim/free, the detector's seqlock-style
-// scan with pinning, and owner add/remove bookkeeping — plus the
-// non-switching WaitQueue operations (runtime/wait_queue.hpp) — all without
-// a Runtime or fiber switches, so the ThreadSanitizer stage of
-// scripts/check.sh can prove the lock-free parts race-free. Runs in the
-// normal stage too.
+// TSan-clean unit tests of the parking registry's lists (runtime/park.hpp):
+// link/unlink, the settle routine shared by timed-wait expiry and the
+// deadlock break, the held-set/holder-slot symmetry, and the disarmed
+// policy — plus the non-switching WaitQueue operations
+// (runtime/wait_queue.hpp) — all on plain std::threads without a Runtime
+// or fiber switches, so the ThreadSanitizer stage of scripts/check.sh can
+// prove the locking protocol race-free. Runs in the normal stage too.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,117 +23,225 @@ struct ArmedRegistry {
   ~ArmedRegistry() { park::disarm(); }
 };
 
+/// A stand-in for Mutex/RwLock: the registry only calls back into it.
+struct FakeLock : park::Ownable {
+  bool abandon(ThreadCtl*, bool) override { return false; }
+  std::uint8_t kind() const override { return 1; }
+};
+
+/// Park `t` on `q` the way WaitQueue::wait does: join the queue, then link
+/// under the queue's lock.
+void park_on(ThreadCtl* t, WaitQueue& q, park::List& list,
+             std::int64_t deadline, const park::Edge& edge = {}) {
+  SpinlockGuard g(q.lock());
+  q.push_back(t);
+  t->wait_result = WaitResult::kWoken;
+  park::link(t, list, &q, 1, deadline, edge);
+}
+
+std::vector<ThreadCtl*> linked(park::List& list) {
+  SpinlockGuard g(list.lock);
+  std::vector<ThreadCtl*> out;
+  for (ThreadCtl* t = list.head; t != nullptr; t = t->parking.next)
+    out.push_back(t);
+  return out;
+}
+
 TEST(Park, DisarmedRegistersNothing) {
   park::disarm();
-  ThreadCtl tc;
-  WaitQueue q;
-  const std::uint32_t before = park::parked_count();
-  park::park(&tc, 1, false, nullptr, nullptr, &q);
-  EXPECT_EQ(tc.park_slot, 0u);
-  EXPECT_EQ(park::parked_count(), before);
-  park::unpark(&tc);  // must be a no-op
+  EXPECT_FALSE(park::links(0)) << "an untimed wait stays off the lists";
+  EXPECT_TRUE(park::links(12345)) << "timed waits are linked for expiry";
+  ThreadCtl t;
+  FakeLock lock;
+  EXPECT_FALSE(park::hold(t.parking, &lock));
+  std::atomic<ThreadCtl*> slots[2] = {};
+  EXPECT_FALSE(park::record(&lock, slots, 2, &t));
+  EXPECT_EQ(slots[0].load(), nullptr);
+  EXPECT_EQ(t.parking.n_held, 0);
+  park::unlink(&t);  // never linked: a no-op
+
+  ArmedRegistry armed;
+  EXPECT_TRUE(park::links(0));
 }
 
 TEST(Park, ParkUnparkRoundTrip) {
-  ArmedRegistry armed;
-  ThreadCtl tc;
-  tc.trace_id = 42;
+  park::List list;
   WaitQueue q;
-  const std::uint32_t before = park::parked_count();
-  q.lock().lock();
-  q.push_back(&tc);
-  park::park(&tc, 1, false, nullptr, nullptr, &q);
-  q.lock().unlock();
-  EXPECT_NE(tc.park_slot, 0u);
-  EXPECT_EQ(park::parked_count(), before + 1);
-  park::unpark(&tc);
-  EXPECT_EQ(tc.park_slot, 0u);
-  EXPECT_EQ(park::parked_count(), before);
+  ThreadCtl t[3];
+  for (auto& x : t) park_on(&x, q, list, 0);
+  EXPECT_EQ(list.count.load(), 3u);
+  EXPECT_EQ(linked(list), (std::vector<ThreadCtl*>{&t[2], &t[1], &t[0]}));
+  q.take_all();
+  park::unlink(&t[1]);  // the middle entry
+  EXPECT_EQ(t[1].parking.list, nullptr);
+  EXPECT_EQ(linked(list), (std::vector<ThreadCtl*>{&t[2], &t[0]}));
+  park::unlink(&t[1]);  // already unlinked: a no-op
+  park::unlink(&t[2]);  // the head
+  park::unlink(&t[0]);
+  EXPECT_EQ(list.head, nullptr);
+  EXPECT_EQ(list.count.load(), 0u);
 }
 
+TEST(Park, SettleRemovesRecordsAndUnlinks) {
+  park::List list;
+  WaitQueue q;
+  ThreadCtl timed;
+  ThreadCtl victim;
+  park_on(&timed, q, list, 1);
+  park_on(&victim, q, list, 0);
+  {
+    SpinlockGuard g(list.lock);
+    EXPECT_TRUE(park::settle(&timed, WaitResult::kTimedOut));
+    EXPECT_TRUE(park::settle(&victim, WaitResult::kBroken));
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(list.head, nullptr);
+  EXPECT_EQ(list.count.load(), 0u);
+  EXPECT_EQ(timed.wait_result, WaitResult::kTimedOut);
+  EXPECT_FALSE(timed.cancel_requested.load());
+  EXPECT_EQ(victim.wait_result, WaitResult::kBroken);
+  EXPECT_EQ(victim.cancel_fault, FaultKind::kDeadlock);
+  EXPECT_TRUE(victim.cancel_requested.load());
+  park::unlink(&victim);  // its own unlink after the wake is a no-op
+}
+
+TEST(Park, SettleLosesToTheNormalWakerAndToABusyQueue) {
+  park::List list;
+  WaitQueue q;
+  ThreadCtl t;
+  park_on(&t, q, list, 1);
+  {
+    SpinlockGuard g(q.lock());  // a waker is inside the primitive
+    SpinlockGuard l(list.lock);
+    EXPECT_FALSE(park::settle(&t, WaitResult::kTimedOut));
+  }
+  {
+    SpinlockGuard g(q.lock());
+    EXPECT_EQ(q.pop_front(), &t);  // the normal waker wins
+  }
+  {
+    SpinlockGuard l(list.lock);
+    EXPECT_FALSE(park::settle(&t, WaitResult::kTimedOut));
+  }
+  EXPECT_EQ(t.wait_result, WaitResult::kWoken);
+  EXPECT_EQ(t.parking.list, &list) << "the waiter unlinks itself";
+  park::unlink(&t);
+  EXPECT_EQ(list.count.load(), 0u);
+}
+
+// Holder slots and held sets stay symmetric when either side is full: a
+// thread is in a lock's slots exactly when the lock is in its set.
 TEST(Park, OwnerSlotsTrackAndOverflow) {
   ArmedRegistry armed;
-  park::ResourceState* rs = park::acquire_resource(1, &armed, nullptr);
-  ASSERT_NE(rs, nullptr);
-  ThreadCtl owners[park::ResourceState::kMaxOwners + 1];
-  for (auto& t : owners) park::add_owner(rs, &t);
-  // The slab has kMaxOwners slots; the extra owner flips the overflow flag
-  // instead of being inserted.
-  EXPECT_TRUE(rs->owner_overflow.load(std::memory_order_relaxed));
-  int tracked = 0;
-  for (auto& t : owners) tracked += t.owned_tracked;
-  EXPECT_EQ(tracked, park::ResourceState::kMaxOwners);
-  for (auto& t : owners) park::remove_owner(rs, &t);
-  for (auto& t : owners) EXPECT_EQ(t.owned_tracked, 0);
-  for (auto& o : rs->owners)
-    EXPECT_EQ(o.load(std::memory_order_relaxed), nullptr);
-  // Tolerates null resources (slab exhaustion contract).
-  park::add_owner(nullptr, &owners[0]);
-  park::remove_owner(nullptr, &owners[0]);
-  EXPECT_EQ(owners[0].owned_tracked, 0);
+  FakeLock lock;
+  std::atomic<ThreadCtl*> slots[park::kMaxReaders] = {};
+  ThreadCtl readers[park::kMaxReaders + 1];
+  for (auto& r : readers) park::record(&lock, slots, park::kMaxReaders, &r);
+  int recorded = 0;
+  for (auto& r : readers) recorded += r.parking.n_held;
+  EXPECT_EQ(recorded, park::kMaxReaders) << "slots full: the extra reader "
+                                            "must not hold the lock either";
+  EXPECT_EQ(readers[park::kMaxReaders].parking.n_held, 0);
+  EXPECT_FALSE(park::unrecord(&lock, slots, park::kMaxReaders,
+                              &readers[park::kMaxReaders]));
+  for (int i = 0; i < park::kMaxReaders; ++i)
+    EXPECT_TRUE(park::unrecord(&lock, slots, park::kMaxReaders, &readers[i]));
+  for (auto& r : readers) EXPECT_EQ(r.parking.n_held, 0);
+
+  // The other side: a thread whose held set is full takes no slot.
+  ThreadCtl busy;
+  FakeLock others[park::kMaxHeld];
+  for (auto& o : others) EXPECT_TRUE(park::hold(busy.parking, &o));
+  EXPECT_FALSE(park::record(&lock, slots, park::kMaxReaders, &busy));
+  for (auto& s : slots) EXPECT_EQ(s.load(), nullptr);
+  park::drop(busy.parking, &others[3]);
+  EXPECT_TRUE(park::record(&lock, slots, park::kMaxReaders, &busy));
+  EXPECT_EQ(busy.parking.n_held, park::kMaxHeld);
+  EXPECT_TRUE(park::unrecord(&lock, slots, park::kMaxReaders, &busy));
+  for (auto& o : others) park::drop(busy.parking, &o);
+  EXPECT_EQ(busy.parking.n_held, 0);
 }
 
-// The core TSan target: concurrent park/unpark churn against a detector-style
-// scanner that seqlock-reads and pins occupied slots. Any protocol hole —
-// torn payload reads, ABA reuse, pin/free races — shows up here.
+// The core TSan target: std::threads park on their own queues, link onto two
+// shared lists, and race their own "normal wake" against a scanner that
+// snapshots every entry (including the holder edge) and settles the timed
+// ones, exactly like the expiry scan and the deadlock break. Whoever removes
+// a parker from its queue owns its wake; a settled parker's unlink must be a
+// no-op and every list must drain to zero.
 TEST(Park, ConcurrentChurnVsScan) {
   ArmedRegistry armed;
   constexpr int kParkers = 4;
   constexpr int kIters = 2000;
+  park::List lists[2];
   std::atomic<bool> stop{false};
+  struct Parker {
+    ThreadCtl t;
+    WaitQueue q;
+    std::atomic<ThreadCtl*> holder{nullptr};
+    std::atomic<bool> settled{false};  ///< the scanner's "wake"
+  };
+  Parker parkers[kParkers];
 
   std::thread scanner([&] {
-    std::uint64_t total = 0;
-    while (!stop.load(std::memory_order_acquire)) total += park::debug_scan();
-    (void)total;
+    std::uint64_t seen = 0;
+    while (!stop.load(std::memory_order_acquire)) {
+      for (auto& list : lists) {
+        std::vector<ThreadCtl*> woken;
+        {
+          SpinlockGuard g(list.lock);
+          for (ThreadCtl* t = list.head; t != nullptr;) {
+            ThreadCtl* const after = t->parking.next;
+            const park::Edge& e = t->parking.edge;
+            for (int k = 0; k < e.n_holders; ++k)
+              seen += e.holders[k].load(std::memory_order_relaxed) != nullptr;
+            if (t->parking.deadline != 0 &&
+                park::settle(t, WaitResult::kTimedOut))
+              woken.push_back(t);
+            t = after;
+          }
+        }
+        for (ThreadCtl* t : woken) {
+          for (auto& p : parkers)
+            if (&p.t == t) p.settled.store(true, std::memory_order_release);
+        }
+      }
+    }
+    (void)seen;
   });
 
-  std::vector<std::thread> parkers;
+  std::vector<std::thread> threads;
   for (int p = 0; p < kParkers; ++p) {
-    parkers.emplace_back([p] {
-      ThreadCtl tc;
-      tc.trace_id = static_cast<std::uint32_t>(100 + p);
-      WaitQueue q;
-      park::ResourceState* rs =
-          park::acquire_resource(1, &tc, nullptr);
+    threads.emplace_back([&, p] {
+      Parker& me = parkers[p];
       for (int i = 0; i < kIters; ++i) {
-        park::add_owner(rs, &tc);
-        q.lock().lock();
-        q.push_back(&tc);
-        park::park(&tc, 1, (i & 1) != 0, rs, nullptr, &q);
-        q.lock().unlock();
-        park::unpark(&tc);
-        q.lock().lock();
-        q.take_all();
-        q.lock().unlock();
-        park::remove_owner(rs, &tc);
+        me.holder.store(&me.t, std::memory_order_relaxed);
+        park_on(&me.t, me.q, lists[(p + i) & 1], (i & 1) != 0 ? 1 : 0,
+                park::Edge{&me.holder, 1, nullptr});
+        if ((i & 1) != 0) std::this_thread::yield();  // let the scanner in
+        bool removed;
+        {
+          SpinlockGuard g(me.q.lock());
+          removed = me.q.remove(&me.t);
+        }
+        if (!removed) {
+          while (!me.settled.load(std::memory_order_acquire)) {
+          }
+          me.settled.store(false, std::memory_order_relaxed);
+          EXPECT_EQ(me.t.wait_result, WaitResult::kTimedOut);
+          EXPECT_EQ(me.t.parking.list, nullptr);
+        }
+        park::unlink(&me.t);
+        me.holder.store(nullptr, std::memory_order_relaxed);
       }
-      EXPECT_EQ(tc.park_slot, 0u);
-      EXPECT_EQ(tc.owned_tracked, 0);
     });
   }
-  for (auto& t : parkers) t.join();
+  for (auto& t : threads) t.join();
   stop.store(true, std::memory_order_release);
   scanner.join();
-  EXPECT_EQ(park::parked_count(), 0u);
-}
-
-TEST(Park, SlotReuseKeepsCountExact) {
-  ArmedRegistry armed;
-  // Far more park/unpark cycles than slots: every park must reuse freed
-  // slots (generation bumps) and the registered count must return to zero.
-  ThreadCtl tc;
-  WaitQueue q;
-  for (int i = 0; i < 10'000; ++i) {
-    q.lock().lock();
-    q.push_back(&tc);
-    park::park(&tc, 2, false, nullptr, nullptr, &q);
-    q.lock().unlock();
-    park::unpark(&tc);
-    q.take_all();
+  for (auto& list : lists) {
+    EXPECT_EQ(list.head, nullptr);
+    EXPECT_EQ(list.count.load(), 0u);
   }
-  EXPECT_EQ(park::parked_count(), 0u);
-  EXPECT_EQ(park::slot_overflows(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -83,8 +83,6 @@ TEST(Prof, OffByDefaultNothingRecorded) {
   EXPECT_FALSE(rt.write_profile(tmp_path("never")));
 }
 
-#if !defined(LPT_PROF_DISABLED)
-
 TEST(Prof, PiggybackReconcilesWithHandlerEntries) {
   RuntimeOptions o;
   o.num_workers = 1;
@@ -335,8 +333,6 @@ TEST(Prof, FreshRuntimeResetsCollector) {
   EXPECT_EQ(s.prof_offcpu_waits, 0u);
   EXPECT_EQ(s.prof_lock_acquires, 0u);
 }
-
-#endif  // !LPT_PROF_DISABLED
 
 TEST(Prof, EnvKnobsResolve) {
   auto clear = [] {
