@@ -37,15 +37,28 @@ cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
+# Configure build dir $1 (extra cmake arguments follow). Ninja is asked for
+# only when the dir is new: cmake refuses to switch the generator of an
+# existing dir, e.g. one configured with Makefiles by a plain `cmake -B`.
+configure() {
+  local dir="$1"
+  shift
+  if [ -f "$dir/CMakeCache.txt" ]; then
+    cmake -S . -B "$dir" "$@" >/dev/null
+  else
+    cmake -S . -B "$dir" -G Ninja "$@" >/dev/null
+  fi
+}
+
 echo "== [1/13] normal build =="
-cmake -S . -B "$BUILD" -G Ninja >/dev/null
+configure "$BUILD"
 cmake --build "$BUILD" -j "$JOBS"
 
 echo "== [2/13] tier-1 tests =="
 ctest --test-dir "$BUILD" -L tier1 --output-on-failure
 
 echo "== [3/13] tracer unit tests under TSan =="
-cmake -S . -B "$BUILD-tsan" -G Ninja -DLPT_SANITIZE=thread >/dev/null
+configure "$BUILD-tsan" -DLPT_SANITIZE=thread
 cmake --build "$BUILD-tsan" -j "$JOBS" --target test_trace_unit
 "$BUILD-tsan/tests/test_trace_unit"
 
@@ -57,7 +70,7 @@ cmake --build "$BUILD-tsan" -j "$JOBS" --target test_metrics_unit test_prof_unit
 "$BUILD-tsan/tests/test_prof_unit"
 
 echo "== [5/13] fault-injection tests under ASan =="
-cmake -S . -B "$BUILD-asan" -G Ninja -DLPT_SANITIZE=address >/dev/null
+configure "$BUILD-asan" -DLPT_SANITIZE=address
 cmake --build "$BUILD-asan" -j "$JOBS" --target test_sys test_fault
 "$BUILD-asan/tests/test_sys"
 "$BUILD-asan/tests/test_fault"

@@ -203,8 +203,9 @@ struct LockStats {
   std::atomic<std::uint64_t> acquires{0};
   std::atomic<std::uint64_t> contended{0};
   std::atomic<std::uint64_t> chains{0};
-  /// Written only under the owning Mutex's guard_ (acquire fast path and the
-  /// handoff in unlock), so a plain field is race-free.
+  /// Written only under the owning Mutex's guard (every acquisition while
+  /// the lock profiler is armed, the starvation handoff and the release),
+  /// so a plain field is race-free.
   std::int64_t hold_start_ns = 0;
   std::atomic<std::uintptr_t> site{0};  ///< first contended-acquire callsite
   trace::LatencyHistogram hold_ns;

@@ -12,6 +12,36 @@ namespace lpt {
 
 namespace {
 
+// Mutex::state_ bits.
+constexpr std::uint32_t kLocked = 1u << 0;   ///< held
+constexpr std::uint32_t kWaiters = 1u << 1;  ///< q_ may be non-empty
+/// A starving waiter asked for the lock: the next unlock hands it to the
+/// head waiter instead of freeing the word (set only while kLocked).
+constexpr std::uint32_t kHandoff = 1u << 2;
+/// An unlock woke a waiter that has not run yet: until it has, a free word
+/// is left to it, to the releaser and to spinners; others park behind it.
+constexpr std::uint32_t kWoken = 1u << 3;
+
+/// Pauses a contender spends on the word while the owner runs before it
+/// parks: long enough for a short critical section to end, far shorter than
+/// the park/wake round trip it saves.
+constexpr int kSpinPauses = 64;
+/// A waiter parked this long (since its first park) asks for direct handoff:
+/// far above a normal contended wait (microseconds), so only a waiter that
+/// keeps losing to barging pays the handoff convoy.
+constexpr std::int64_t kStarveNs = 1'000'000;
+
+/// True when `owner` is some worker's running ULT — pointer compares only,
+/// the holder may be finalizing concurrently.
+bool owner_running(Runtime* rt, const ThreadCtl* owner) {
+  if (owner == nullptr || rt == nullptr) return false;
+  for (int r = 0; r < rt->num_workers(); ++r) {
+    if (rt->worker(r).current_ult.load(std::memory_order_acquire) == owner)
+      return true;
+  }
+  return false;
+}
+
 // ---- lock-contention profiling helpers (all called under the Mutex's
 // guard unless noted; every one is a no-op with a null `ls`) ----
 
@@ -26,19 +56,18 @@ void lock_note_acquire(prof::LockStats* ls) {
   if (ls != nullptr) ls->acquires.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// The caller (or, on a direct handoff, the woken waiter) owns the lock from
-/// this instant. A handed-off waiter's hold time includes its wakeup latency
-/// — it *is* holding the lock while it waits to run, which is exactly what a
-/// contention profile should show.
+/// The caller (or, on a starvation handoff, the parked waiter) owns the
+/// lock from this instant. A handed-off waiter's hold time includes its
+/// wakeup latency — it *is* holding the lock while it waits to run, which
+/// is exactly what a contention profile should show.
 void lock_note_owned(prof::LockStats* ls) {
   if (ls != nullptr) ls->hold_start_ns = trace::now_ns();
 }
 
-/// The caller is about to park behind `owner`. The contention chain check
-/// (the pathology ULT-aware locks target: waiting behind a holder that is
-/// itself off-CPU) compares the opaque owner pointer against every worker's
-/// current ULT — pointer compares only, the holder may be finalizing
-/// concurrently.
+/// The caller is about to park behind `owner` for the first time in this
+/// acquisition. The contention chain check (the pathology ULT-aware locks
+/// target: waiting behind a holder that is itself off-CPU) asks whether the
+/// owner runs on a core.
 void lock_note_contended(prof::LockStats* ls, Runtime* rt, void* site,
                          const ThreadCtl* owner) {
   if (ls == nullptr) return;
@@ -46,17 +75,12 @@ void lock_note_contended(prof::LockStats* ls, Runtime* rt, void* site,
   std::uintptr_t none = 0;
   ls->site.compare_exchange_strong(
       none, reinterpret_cast<std::uintptr_t>(site), std::memory_order_relaxed);
-  if (owner == nullptr || rt == nullptr) return;
-  for (int r = 0; r < rt->num_workers(); ++r) {
-    if (rt->worker(r).current_ult.load(std::memory_order_acquire) == owner)
-      return;  // the holder is on a core; normal contention
-  }
+  if (owner == nullptr || rt == nullptr || owner_running(rt, owner)) return;
   ls->chains.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// A parked waiter woke as the new owner (direct handoff already stamped
-/// hold_start_ns under the guard in unlock); record its wait time.
-/// Called WITHOUT the guard — touches only atomics/histograms.
+/// A waiter that parked acquired the lock; record its wait time since its
+/// first park. Called WITHOUT the guard — touches only atomics/histograms.
 void lock_note_waited(prof::LockStats* ls, const ThreadCtl* self,
                       std::int64_t wait_start, void* site) {
   if (ls == nullptr || wait_start == 0) return;
@@ -83,61 +107,147 @@ void lock_note_release(prof::LockStats* ls) {
 
 void Mutex::lock() {
   ThreadCtl* self = detail::require_ult("lpt::Mutex::lock outside ULT context");
+  detail::cancel_point(self);  // before acquisition: nothing held yet
+  if (!prof::locks_on() && try_grab(self, nullptr, true)) return;
   acquire(self, __builtin_return_address(0), 0);
 }
 
 bool Mutex::try_lock_for(std::chrono::nanoseconds timeout) {
   ThreadCtl* self =
       detail::require_ult("lpt::Mutex::try_lock_for outside ULT context");
-  if (timeout.count() > 0)
-    return acquire(self, __builtin_return_address(0),
-                   now_ns() + timeout.count());
   detail::cancel_point(self);
-  return try_lock();
+  if (timeout.count() <= 0) return try_lock();
+  if (!prof::locks_on() && try_grab(self, nullptr, true)) return true;
+  return acquire(self, __builtin_return_address(0),
+                 now_ns() + timeout.count());
+}
+
+bool Mutex::try_grab(ThreadCtl* self, prof::LockStats* ls, bool defer) {
+  std::uint32_t s = state_.load(std::memory_order_relaxed);
+  while ((s & kLocked) == 0) {
+    if (defer && yields_to_woken(s, self)) return false;
+    if (state_.compare_exchange_weak(s, s | kLocked, std::memory_order_acquire,
+                                     std::memory_order_relaxed)) {
+      take(self, ls);
+      return true;
+    }
+  }
+  return false;
+}
+
+bool Mutex::yields_to_woken(std::uint32_t s, const ThreadCtl* self) const {
+  return (s & kWoken) != 0 && releaser_.load(std::memory_order_relaxed) != self;
+}
+
+bool Mutex::spin(ThreadCtl* self) {
+  for (int i = 0; i < kSpinPauses; ++i) {
+    if (!owner_running(self->rt, owner_.load(std::memory_order_relaxed)))
+      return false;
+    cpu_pause();
+    if (try_grab(self, nullptr, false)) return true;
+  }
+  return false;
 }
 
 bool Mutex::acquire(ThreadCtl* self, void* site, std::int64_t deadline) {
-  detail::cancel_point(self);  // before acquisition: nothing held yet
-  detail::begin_no_preempt(self);
+  // Every profiled acquisition runs under the guard, which keeps LockStats
+  // guard-protected; the profiler also sees no spin, so a contended
+  // acquisition is one that parks.
+  const bool profiled = prof::locks_on();
+  prof::LockStats* ls = nullptr;
+  std::int64_t parked_at = 0;  // trace clock at the first park
+  bool counted = false;
   for (;;) {
+    if (!profiled && owner_.load(std::memory_order_relaxed) != self &&
+        spin(self))
+      return true;
+    detail::begin_no_preempt(self);
     q_.lock().lock();
-    prof::LockStats* ls = prof::locks_on() ? lock_stats(prof_) : nullptr;
-    if (!locked_) {
+    if (!counted) {  // once per call, however many passes it takes
+      ls = profiled ? lock_stats(prof_) : nullptr;
       lock_note_acquire(ls);
+      counted = true;
+    }
+    // Take the word if it is free and not left to a woken waiter. Otherwise
+    // announce a waiter (and, once starving on a held word, ask for handoff)
+    // in a CAS that a fast-path unlock races: that unlock either sees the
+    // bits and takes the guard, or frees the word first and we take it on
+    // the next round.
+    const bool starving =
+        parked_at != 0 && trace::now_ns() - parked_at >= kStarveNs;
+    bool got = false;
+    for (std::uint32_t s = state_.load(std::memory_order_relaxed);;) {
+      if ((s & kLocked) == 0 && !yields_to_woken(s, self)) {
+        got = state_.compare_exchange_weak(s, s | kLocked,
+                                           std::memory_order_acquire,
+                                           std::memory_order_relaxed);
+        if (got) break;
+        continue;
+      }
+      const std::uint32_t bits =
+          kWaiters | (starving && (s & kLocked) != 0 ? kHandoff : 0u);
+      if (state_.compare_exchange_weak(s, s | bits,
+                                       std::memory_order_relaxed))
+        break;
+    }
+    if (got) {
       take(self, ls);
       q_.lock().unlock();
       detail::end_no_preempt(self);
+      lock_note_waited(ls, self, parked_at, site);
       return true;
     }
     ThreadCtl* const owner = owner_.load(std::memory_order_relaxed);
-    if (deadline != 0 && owner == self) {
+    if (deadline != 0 && (owner == self || now_ns() >= deadline)) {
       // A timed relock by the owner would park behind itself until the
       // timeout (and timed waits are invisible to the deadlock detector).
+      // A stale kWaiters only sends the next unlock through the guard.
       q_.lock().unlock();
       detail::end_no_preempt(self);
       return false;
     }
-    lock_note_acquire(ls);
     if (deadline == 0 &&
-        q_.self_deadlock(self, owner == self, prof::WaitKind::kMutex))
+        q_.self_deadlock(self, owner == self, prof::WaitKind::kMutex)) {
+      detail::end_no_preempt(self);
       continue;
-    lock_note_contended(ls, self->rt, site, owner);
-    const std::int64_t wait_start = ls != nullptr ? trace::now_ns() : 0;
-    // Direct handoff: unlock() keeps `locked_` set and wakes us as the
-    // owner. A timed waiter that loses the race to unlock() owns the mutex
-    // and reports success even if late.
-    const WaitResult r = q_.wait(self, prof::WaitKind::kMutex, site,
-                                 deadline, park::Edge{&owner_, 1, nullptr},
-                                 nullptr);
-    if (r == WaitResult::kBroken) continue;  // not the owner: retry
-    if (r == WaitResult::kWoken) lock_note_waited(ls, self, wait_start, site);
+    }
+    // A waiter that was woken and lost the lock waits again at the head;
+    // a newcomer waits at the tail, behind any woken waiter too.
+    const bool again = parked_at != 0;
+    if (!again) {
+      lock_note_contended(ls, self->rt, site, owner);
+      parked_at = trace::now_ns();
+    }
+    const WaitResult r = q_.wait(self, prof::WaitKind::kMutex, site, deadline,
+                                 park::Edge{&owner_, 1, nullptr}, nullptr,
+                                 /*front=*/again);
+    if (r == WaitResult::kWoken) {
+      if (owner_.load(std::memory_order_relaxed) == self) {  // handed over
+        detail::end_no_preempt(self);  // cancellation point
+        lock_note_waited(ls, self, parked_at, site);
+        return true;
+      }
+      // Woken to compete. This thread has run, so it clears kWoken, and it
+      // takes a free word in the same guarded section: threads that parked
+      // behind it while the word was free rely on that.
+      q_.lock().lock();
+      state_.fetch_and(~kWoken, std::memory_order_relaxed);
+      const bool won = try_grab(self, ls, false);
+      q_.lock().unlock();
+      detail::end_no_preempt(self);  // cancellation point
+      if (won) {
+        lock_note_waited(ls, self, parked_at, site);
+        return true;
+      }
+      continue;  // the word is held: spin on its owner, or park again
+    }
     detail::end_no_preempt(self);  // cancellation point
-    return r == WaitResult::kWoken;
+    if (r == WaitResult::kTimedOut) return false;
+    // Broken out of the wait: compete again.
   }
 }
 
 void Mutex::take(ThreadCtl* t, prof::LockStats* ls) {
-  locked_ = true;
   owner_.store(t, std::memory_order_relaxed);
   park::hold(t->parking, this);
   lock_note_owned(ls);
@@ -146,14 +256,12 @@ void Mutex::take(ThreadCtl* t, prof::LockStats* ls) {
 bool Mutex::try_lock() {
   ThreadCtl* self =
       detail::require_ult("lpt::Mutex::try_lock outside ULT context");
+  if (!prof::locks_on()) return try_grab(self, nullptr, false);
   detail::begin_no_preempt(self);
   q_.lock().lock();
-  const bool got = !locked_;
-  if (got) {
-    prof::LockStats* ls = prof::locks_on() ? lock_stats(prof_) : nullptr;
-    lock_note_acquire(ls);
-    take(self, ls);
-  }
+  prof::LockStats* ls = lock_stats(prof_);
+  const bool got = try_grab(self, ls, false);
+  if (got) lock_note_acquire(ls);
   q_.lock().unlock();
   detail::end_no_preempt(self);
   return got;
@@ -162,50 +270,60 @@ bool Mutex::try_lock() {
 void Mutex::unlock() {
   // Callable from ULT context and from the scheduler (condvar-wait release),
   // so owner bookkeeping uses owner_ — not the calling context.
+  ThreadCtl* const owner = owner_.load(std::memory_order_relaxed);
+  if (owner != nullptr) park::drop(owner->parking, this);
+  owner_.store(nullptr, std::memory_order_relaxed);
+  std::uint32_t s = kLocked;
+  if (!prof::locks_on() &&
+      state_.compare_exchange_strong(s, 0, std::memory_order_release,
+                                     std::memory_order_relaxed))
+    return;
   ThreadCtl* self = detail::current_ult_or_null();
   detail::begin_no_preempt(self);
   q_.lock().lock();
-  LPT_CHECK_MSG(locked_, "unlock of unowned lpt::Mutex");
-  ThreadCtl* const owner = owner_.load(std::memory_order_relaxed);
-  if (owner != nullptr) park::drop(owner->parking, this);
-  release(Runtime::kWakerFromTls);
+  LPT_CHECK_MSG((state_.load(std::memory_order_relaxed) & kLocked) != 0,
+                "unlock of unowned lpt::Mutex");
+  release(self, Runtime::kWakerFromTls);
   detail::end_no_preempt(self);
 }
 
-void Mutex::release(std::uint32_t waker) {
+void Mutex::release(ThreadCtl* releaser, std::uint32_t waker) {
   prof::LockStats* ls = prof::locks_on() ? prof_ : nullptr;
   lock_note_release(ls);
+  // The word is locked and the guard is held, so nobody else writes it:
+  // plain stores suffice.
+  const std::uint32_t s = state_.load(std::memory_order_relaxed);
   ThreadCtl* next = q_.pop_front();
-  // Ownership transfers before the wake, so edges never dangle; `locked_`
-  // stays set across a handoff.
-  if (next == nullptr) {
-    owner_.store(nullptr, std::memory_order_relaxed);
-    locked_ = false;
-  } else {
+  const std::uint32_t kept = (q_.empty() ? 0 : kWaiters) | (s & kWoken);
+  if (next != nullptr && (s & kHandoff) != 0) {
+    // Starvation handoff: ownership transfers before the wake, so edges
+    // never dangle, and the word stays locked.
     take(next, ls);
+    state_.store(kLocked | kept, std::memory_order_relaxed);
+  } else if (next != nullptr) {
+    releaser_.store(releaser, std::memory_order_relaxed);
+    state_.store(kept | kWoken, std::memory_order_release);
+  } else {
+    state_.store(kept, std::memory_order_release);
   }
   q_.lock().unlock();
   WaitQueue::wake(next, waker);
 }
 
 bool Mutex::held_by_caller() const {
+  // owner_ equals the caller only between the caller's own take() and
+  // unlock() (or a handoff made while it was parked), so no guard is needed.
   ThreadCtl* self = detail::current_ult_or_null();
-  if (self == nullptr) return false;
-  auto* m = const_cast<Mutex*>(this);
-  detail::begin_no_preempt(self);
-  m->q_.lock().lock();
-  const bool held = locked_ && owner_.load(std::memory_order_relaxed) == self;
-  m->q_.lock().unlock();
-  detail::end_no_preempt(self);
-  return held;
+  return self != nullptr && owner_.load(std::memory_order_relaxed) == self;
 }
 
 bool Mutex::abandon(ThreadCtl* dead, bool release_lock) {
   // Finalize-context hook: `dead` ended while recorded as this mutex's
   // owner. Always clear owner_ (a later ThreadCtl at the same address must
-  // not read as the holder); force-unlock with handoff only when asked.
+  // not read as the holder); force-unlock only when asked.
   q_.lock().lock();
-  const bool held = locked_ && owner_.load(std::memory_order_relaxed) == dead;
+  const bool held = (state_.load(std::memory_order_relaxed) & kLocked) != 0 &&
+                    owner_.load(std::memory_order_relaxed) == dead;
   if (held) owner_.store(nullptr, std::memory_order_relaxed);
   if (!held || !release_lock) {
     q_.lock().unlock();
@@ -214,7 +332,7 @@ bool Mutex::abandon(ThreadCtl* dead, bool release_lock) {
   // Causally the dead owner freed the lock, not the watchdog thread running
   // this hook — attribute the wake edge to it so trace_critical_path can
   // walk a survivor's chain back into the broken cycle.
-  release(dead->trace_id);
+  release(nullptr, dead->trace_id);
   return true;
 }
 

@@ -22,48 +22,77 @@ namespace prof {
 struct LockStats;
 }
 
-/// Mutual exclusion with cooperative blocking and direct handoff.
+/// Mutual exclusion on one atomic state word. Uncontended lock, try_lock and
+/// unlock are one CAS each; the WaitQueue guard is taken only on contention
+/// (and whenever the lock profiler is armed). A contender spins briefly
+/// while the owner runs on a core, then parks. unlock() wakes the head
+/// waiter without giving it the lock, so the releaser or a spinner may take
+/// it first (barging); other callers park behind the woken waiter until it
+/// has run. The woken waiter competes again and, if it loses, parks again
+/// at the head. A waiter that has waited >= 1 ms asks for the lock,
+/// and the next unlock hands it over directly, which bounds starvation.
 class Mutex : park::Ownable {
  public:
   void lock();
   bool try_lock();
   /// Blocking try_lock with a timeout (~1 ms granularity, timed-wait
   /// registry) and a cancellation point. False on timeout, and at once when
-  /// the caller already owns the mutex; on true the caller owns the mutex
-  /// (direct handoff applies to timed waiters too).
+  /// the caller already owns the mutex; on true the caller owns the mutex.
+  /// A timed waiter woken by an unlock competes like any other; one that
+  /// loses waits again until its deadline, and one handed the lock by a
+  /// starvation handoff owns it and reports success even if late.
   bool try_lock_for(std::chrono::nanoseconds timeout);
   void unlock();
 
   /// True when the calling ULT currently owns this mutex. Powers the compat
   /// layer's EDEADLK check; meaningful only from ULT context (false outside).
-  /// Owner identity is tracked unconditionally (one pointer store under
-  /// the guard), independent of the parking registry's arming.
+  /// Owner identity is tracked unconditionally (one pointer store per
+  /// acquire), independent of the parking registry's arming.
   bool held_by_caller() const;
 
  private:
-  /// lock()/try_lock_for() body; `deadline` as for WaitQueue::wait.
+  /// Take the lock for `self` if the word is free, whether or not threads
+  /// are parked on it (one CAS); take() then records the owner. With
+  /// `defer`, it leaves a free word to a woken waiter (yields_to_woken).
+  bool try_grab(ThreadCtl* self, prof::LockStats* ls, bool defer);
+  /// State `s` has a woken waiter that has not run yet (kWoken), and the
+  /// caller must let it take the lock first — unless the caller is the
+  /// releaser, whose relock at once is the point of barging.
+  bool yields_to_woken(std::uint32_t s, const ThreadCtl* self) const;
+  /// Spin a bounded number of pauses while the owner runs on some worker;
+  /// true once try_grab() took the lock. Preemptible: no guard is held.
+  bool spin(ThreadCtl* self);
+  /// lock()/try_lock_for() contended body; `deadline` as for WaitQueue::wait.
   bool acquire(ThreadCtl* self, void* site, std::int64_t deadline);
-  /// Record `t` as the new owner (guard held; the mutex is free, or being
-  /// handed to waiter `t`): owner_, plus t's held set while the parking
-  /// registry is armed.
+  /// Record `t` as the owner of the held lock: owner_, plus t's held set
+  /// while the parking registry is armed. `t` is the caller, or a parked
+  /// waiter being handed the lock (guard held).
   void take(ThreadCtl* t, prof::LockStats* ls);
-  /// Release with direct handoff to the first waiter (guard held; releases
-  /// it). `waker` names the causal waker of the handoff wake edge.
-  void release(std::uint32_t waker);
+  /// Release with waiters (guard held; releases it): free the word and wake
+  /// the head waiter, or hand the lock to it when it asked (kHandoff).
+  /// `releaser` (null outside a ULT) may retake the word ahead of the woken
+  /// waiter; `waker` names the causal waker of the wake edge.
+  void release(ThreadCtl* releaser, std::uint32_t waker);
 
   /// park::Ownable: `dead` ended while recorded as owner. Clears owner_ and,
-  /// when `release_lock`, force-unlocks with normal handoff semantics.
+  /// when `release_lock`, force-unlocks as unlock() would.
   /// Returns whether a release happened.
   bool abandon(ThreadCtl* dead, bool release_lock) override;
   std::uint8_t kind() const override;
 
   WaitQueue q_;  ///< guard + waiters
-  bool locked_ = false;
-  /// Owning ULT while locked_ (compared by address only — never dereferenced
-  /// after the owner may have died; abandon() clears it first). Written
-  /// under the guard, including across direct handoff; relaxed-atomic
-  /// because it doubles as the deadlock detector's owner record, which the
-  /// detector reads without the guard.
+  /// kLocked | kWaiters | kHandoff | kWoken (sync.cpp). kLocked is set by a
+  /// CAS from a free word; the other bits change only under the guard.
+  std::atomic<std::uint32_t> state_{0};
+  /// The thread whose unlock set kWoken (written under the guard; compared
+  /// by address only).
+  std::atomic<ThreadCtl*> releaser_{nullptr};
+  /// Owning ULT while locked (compared by address only — never dereferenced
+  /// after the owner may have died; abandon() clears it first). Written by
+  /// the owner right after it takes the word and cleared right before it
+  /// frees it, or under the guard on a handoff; relaxed-atomic because it
+  /// doubles as the deadlock detector's owner record, which the detector
+  /// reads without the guard.
   std::atomic<ThreadCtl*> owner_{nullptr};
   /// Contention-profile slot (docs/observability.md "Profiling"): lazily
   /// attached under the guard on the first lock() while the lock profiler is

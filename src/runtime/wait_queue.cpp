@@ -10,9 +10,12 @@ static_assert(WaitQueue::kWakerFromTls == Runtime::kWakerFromTls);
 
 WaitResult WaitQueue::wait(ThreadCtl* self, prof::WaitKind kind, void* site,
                            std::int64_t deadline, const park::Edge& edge,
-                           Mutex* release_after) {
+                           Mutex* release_after, bool front) {
   const bool timed = deadline != 0;
-  push_back(self);
+  if (front)
+    push_front(self);
+  else
+    push_back(self);
   self->wait_result = WaitResult::kWoken;
   // Timed waits are always linked: the expiry scan walks the same lists as
   // the deadlock detector, and races the normal waker through settle() —
@@ -46,6 +49,13 @@ void WaitQueue::push_back(ThreadCtl* t) {
   else
     head_ = t;
   tail_ = t;
+}
+
+void WaitQueue::push_front(ThreadCtl* t) {
+  t->wq = this;
+  t->wq_next = head_;
+  if (head_ == nullptr) tail_ = t;
+  head_ = t;
 }
 
 ThreadCtl* WaitQueue::take(int n) {

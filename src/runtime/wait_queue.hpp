@@ -53,17 +53,20 @@ class WaitQueue {
   /// waker removes it. lock() is released by the scheduler after the
   /// context save, then `release_after` (CondVar's user mutex) if non-null.
   /// `deadline` (absolute now_ns(); 0 = untimed) makes it a timed wait.
-  /// `edge` names the owner edge for the deadlock detector.
+  /// `edge` names the owner edge for the deadlock detector. `front` parks
+  /// at the head of the queue instead of the tail (a Mutex waiter that was
+  /// woken, lost the lock and waits again keeps its place).
   /// On kBroken the cancellation point has already run (it returns only
   /// under an outer NoPreemptGuard); the caller retries or gives up.
   WaitResult wait(ThreadCtl* self, prof::WaitKind kind, void* site,
                   std::int64_t deadline, const park::Edge& edge,
-                  Mutex* release_after);
+                  Mutex* release_after, bool front = false);
 
   // All of the following require lock() held.
   bool empty() const { return head_ == nullptr; }
   bool contains(const ThreadCtl* t) const;
   void push_back(ThreadCtl* t);
+  void push_front(ThreadCtl* t);
   /// Pop up to `n` waiters (all of them for n < 0) in FIFO order as a chain
   /// linked through wq_next (nullptr when empty); each popped thread's
   /// membership is cleared.

@@ -253,6 +253,38 @@ TEST(Prof, LockContentionAndChainDetection) {
   EXPECT_TRUE(found);
 }
 
+TEST(Prof, ContendedLockCountsEachAcquisitionOnce) {
+  // A contended lock() may take several passes (woken without the lock, it
+  // competes again and may park again); the profiler counts the call once.
+  // One worker, and every holder yields inside its critical section, so
+  // the other ULTs find the lock held.
+  RuntimeOptions o;
+  o.num_workers = 1;
+  o.prof.enabled = true;
+  Runtime rt(o);
+
+  constexpr int kUlts = 4, kLocks = 200;
+  Mutex m;
+  long counter = 0;  // guarded by m
+  std::vector<Thread> ts;
+  for (int i = 0; i < kUlts; ++i)
+    ts.push_back(rt.spawn([&] {
+      for (int k = 0; k < kLocks; ++k) {
+        m.lock();
+        ++counter;
+        this_thread::yield();
+        m.unlock();
+      }
+    }));
+  for (auto& t : ts) t.join();
+
+  const metrics::Snapshot s = rt.metrics_snapshot();
+  EXPECT_EQ(counter, kUlts * kLocks);
+  EXPECT_EQ(s.prof_lock_acquires, static_cast<std::uint64_t>(kUlts * kLocks));
+  EXPECT_GE(s.prof_lock_contended, 1u);
+  EXPECT_LE(s.prof_lock_contended, s.prof_lock_acquires);
+}
+
 TEST(Prof, ShutdownExportAndPublisherRefresh) {
   const std::string prof_path = tmp_path("shutdown.folded");
   const std::string prom_path = tmp_path("shutdown.prom");

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "common/time.hpp"
@@ -86,6 +89,243 @@ TEST(Mutex, FairHandoffFifo) {
   holder.join();
   for (auto& t : waiters) t.join();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Mutex, UnlockerRelocksAheadOfWokenWaiter) {
+  // unlock() wakes the head waiter without handing it the lock, so an
+  // unlocker that relocks at once keeps running instead of parking behind a
+  // waiter that has not run yet (the lock convoy).
+  RuntimeOptions o;
+  o.num_workers = 1;
+  Runtime rt(o);
+  Mutex m;
+  std::atomic<bool> b_started{false}, b_locked{false};
+  bool relocked_first = false;
+  Thread a = rt.spawn([&] {
+    m.lock();
+    // b parks on m: its one suspension point after the store is the lock.
+    while (!b_started.load()) this_thread::yield();
+    m.unlock();
+    m.lock();
+    relocked_first = !b_locked.load();
+    m.unlock();
+  });
+  Thread b = rt.spawn([&] {
+    b_started.store(true);
+    m.lock();
+    b_locked.store(true);
+    m.unlock();
+  });
+  a.join();
+  b.join();
+  EXPECT_TRUE(relocked_first);
+  EXPECT_TRUE(b_locked.load());
+}
+
+TEST(Mutex, LockerBehindWokenLowPriorityWaiterLetsItRun) {
+  // One worker, priority scheduler: a runnable priority-0 thread always runs
+  // before a priority-1 one. h's unlock wakes the priority-1 waiter w; then
+  // p (priority 0) calls lock() before w has run. p must park behind w, so
+  // w runs once the high class is idle and both finish. A p that kept
+  // retrying until w had run would keep the high class busy forever.
+  RuntimeOptions o;
+  o.num_workers = 1;
+  o.scheduler = SchedulerKind::Priority;
+  Runtime rt(o);
+  ThreadAttrs high, low;
+  high.priority = 0;
+  low.priority = 1;
+  Mutex m;
+  std::atomic<bool> w_started{false};
+  std::atomic<int> done{0};
+  Thread h = rt.spawn(
+      [&] {
+        m.lock();
+        // Sleeping idles the high class: w runs and parks on m (no timer,
+        // so nothing preempts it between the store and the lock).
+        while (!w_started.load())
+          this_thread::sleep_for(std::chrono::milliseconds(1));
+        this_thread::sleep_for(std::chrono::milliseconds(1));
+        m.unlock();
+        Thread p = rt.spawn(
+            [&] {
+              m.lock();
+              m.unlock();
+              done.fetch_add(1);
+            },
+            high);
+        p.join();
+      },
+      high);
+  Thread w = rt.spawn(
+      [&] {
+        w_started.store(true);
+        m.lock();
+        m.unlock();
+        done.fetch_add(1);
+      },
+      low);
+  // A hung runtime cannot be torn down (~Thread would wait forever).
+  const std::int64_t deadline = now_ns() + 10'000'000'000;
+  while (done.load() < 2) {
+    if (now_ns() > deadline) {
+      std::fprintf(stderr, "FATAL: p or w still blocked after 10 s\n");
+      std::fflush(stderr);
+      std::_Exit(1);
+    }
+    usleep(1000);
+  }
+  h.join();
+  w.join();
+  EXPECT_EQ(done.load(), 2);
+}
+
+TEST(Mutex, StarvingWaiterIsHandedTheLock) {
+  // Two ULTs relock in a tight loop for 300 ms. A third ULT's lock() must
+  // still return promptly: it may win a race, and once it has waited ~1 ms
+  // it asks for direct handoff.
+  RuntimeOptions o;
+  o.num_workers = 3;
+  Runtime rt(o);
+  Mutex m;
+  long counter = 0;  // guarded by m
+  std::atomic<long> issued{0};
+  std::atomic<int> running{0};
+  const auto hammer = [&] {
+    running.fetch_add(1);
+    long n = 0;
+    const std::int64_t end = now_ns() + 300'000'000;
+    while (now_ns() < end) {
+      m.lock();
+      ++counter;
+      m.unlock();
+      ++n;
+    }
+    issued.fetch_add(n);
+  };
+  Thread h1 = rt.spawn(hammer);
+  Thread h2 = rt.spawn(hammer);
+  std::int64_t waited = -1;
+  Thread starving = rt.spawn([&] {
+    while (running.load() < 2) this_thread::yield();
+    const std::int64_t start = now_ns();
+    m.lock();
+    waited = now_ns() - start;
+    ++counter;
+    m.unlock();
+    issued.fetch_add(1);
+  });
+  starving.join();
+  h1.join();
+  h2.join();
+  EXPECT_GE(waited, 0);
+  EXPECT_LT(waited, 50'000'000);
+  EXPECT_EQ(counter, issued.load());
+}
+
+TEST(Mutex, LongParkedWaiterIsHandedTheLockDirectly) {
+  // One worker, so the order is deterministic. b has waited over 1 ms when
+  // a's unlock wakes it; a relocks first, b loses, asks for handoff and
+  // parks again. a's next unlock hands b the lock, and a's relock then
+  // parks behind b instead of barging in.
+  RuntimeOptions o;
+  o.num_workers = 1;
+  Runtime rt(o);
+  Mutex m;
+  std::atomic<bool> b_started{false};
+  std::vector<int> order;  // guarded by m
+  Thread a = rt.spawn([&] {
+    m.lock();
+    while (!b_started.load()) this_thread::yield();  // b parks on m
+    busy_spin_ns(2'000'000);
+    m.unlock();
+    m.lock();
+    this_thread::yield();  // b runs, loses, and parks asking for handoff
+    m.unlock();
+    m.lock();
+    order.push_back(1);
+    m.unlock();
+  });
+  Thread b = rt.spawn([&] {
+    b_started.store(true);
+    m.lock();
+    order.push_back(2);
+    m.unlock();
+  });
+  a.join();
+  b.join();
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+}
+
+TEST(Mutex, TimedWaiterThatLosesTheRaceHonoursDeadline) {
+  // Two timed waiters share one deadline. The holder unlocks while both are
+  // parked, which wakes the head waiter w, then relocks before w can run: a
+  // spinner occupies the other worker across the unlock/relock, so w is
+  // runnable but has no worker. w loses the race, parks again and must time
+  // out on its original deadline — together with w2, which was never woken
+  // — without ever owning the lock. w2 is the yardstick because a stall of
+  // the host delays both expiries alike. Once the spinner leaves, its idle
+  // worker drives timed-wait expiry.
+  RuntimeOptions o;
+  o.num_workers = 2;
+  Runtime rt(o);
+  Mutex m;
+  constexpr std::int64_t kTimeout = 50'000'000;
+  const auto blocks = [&rt] { return rt.metrics_snapshot().blocks; };
+  std::atomic<bool> held{false}, parked{false}, spinning{false};
+  std::atomic<bool> relocked{false};
+  std::atomic<int> done{0};
+  std::atomic<std::int64_t> deadline{0};
+  bool got = true, got2 = true, owned_after = true;
+  std::int64_t late = -1, late2 = -1;
+  Thread holder = rt.spawn([&] {
+    m.lock();
+    held.store(true);
+    // Only the two waiters ever park in this runtime.
+    while (blocks() < 2) this_thread::yield();
+    parked.store(true);
+    while (!spinning.load()) this_thread::yield();
+    m.unlock();  // wakes w onto this worker's queue ...
+    m.lock();    // ... and relocks before it can run
+    relocked.store(true);
+    while (done.load() < 2) this_thread::yield();
+    m.unlock();
+  });
+  Thread w = rt.spawn([&] {
+    while (!held.load()) this_thread::yield();
+    deadline.store(now_ns() + kTimeout);
+    got = m.try_lock_for(std::chrono::nanoseconds(kTimeout));
+    late = now_ns() - deadline.load();
+    owned_after = m.held_by_caller();
+    if (got) m.unlock();
+    done.fetch_add(1);
+  });
+  Thread w2 = rt.spawn([&] {
+    while (blocks() < 1) this_thread::yield();  // w is the head waiter
+    got2 = m.try_lock_for(std::chrono::nanoseconds(deadline.load() - now_ns()));
+    late2 = now_ns() - deadline.load();
+    if (got2) m.unlock();
+    done.fetch_add(1);
+  });
+  Thread spinner = rt.spawn([&] {
+    while (!parked.load()) this_thread::yield();
+    spinning.store(true);
+    while (!relocked.load()) {
+    }
+  });
+  holder.join();
+  w.join();
+  w2.join();
+  spinner.join();
+  EXPECT_FALSE(got);
+  EXPECT_FALSE(got2);
+  EXPECT_FALSE(owned_after);
+  EXPECT_GE(late, 0) << "returned before the deadline";
+  EXPECT_LE(late, late2 + 2'000'000)
+      << "returned more than 2 ms after a waiter with the same deadline";
+  // w parked twice (before the unlock, and again after losing the race),
+  // w2 once.
+  EXPECT_EQ(blocks(), 3u);
 }
 
 TEST(CondVar, WaitReleasesAndReacquiresMutex) {
