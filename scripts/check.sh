@@ -2,7 +2,9 @@
 # Repo gate: configure + build + tier-1 tests, the tracer's and the metrics
 # subsystem's non-context-switching unit tests under ThreadSanitizer, the
 # fault-injection and fault-isolation suites under AddressSanitizer, the
-# self-healing remediation suite via its env knobs (LPT_REMEDIATE) and under
+# spawn and stack-cache suites with every guard seal refused (the unsealed
+# fallback, LPT_FAULT=mseal:every=1) and the stack pool's shard stress test
+# under TSan, the self-healing remediation suite via its env knobs (LPT_REMEDIATE) and under
 # LPT_FAULT-degraded KLT creation, an end-to-end smoke of the metrics
 # publisher (bench run with LPT_METRICS_FILE set, output validated by the
 # strict Prometheus parser in tests/tools/prom_check.cpp), an end-to-end
@@ -50,37 +52,48 @@ configure() {
   fi
 }
 
-echo "== [1/13] normal build =="
+echo "== [1/14] normal build =="
 configure "$BUILD"
 cmake --build "$BUILD" -j "$JOBS"
 
-echo "== [2/13] tier-1 tests =="
+echo "== [2/14] tier-1 tests =="
 ctest --test-dir "$BUILD" -L tier1 --output-on-failure
 
-echo "== [3/13] tracer unit tests under TSan =="
+echo "== [3/14] tracer unit tests under TSan =="
 configure "$BUILD-tsan" -DLPT_SANITIZE=thread
 cmake --build "$BUILD-tsan" -j "$JOBS" --target test_trace_unit
 "$BUILD-tsan/tests/test_trace_unit"
 
-echo "== [4/13] metrics + watchdog + profiler unit tests under TSan =="
+echo "== [4/14] metrics + watchdog + profiler unit tests under TSan =="
 cmake --build "$BUILD-tsan" -j "$JOBS" --target test_metrics_unit test_prof_unit
 "$BUILD-tsan/tests/test_metrics_unit"
 # Profiler primitives (sample ring, wait-site CAS table, lock slab) never
 # context-switch, so they run TSan-clean like the tracer's structures.
 "$BUILD-tsan/tests/test_prof_unit"
 
-echo "== [5/13] fault-injection tests under ASan =="
+echo "== [5/14] fault-injection tests under ASan =="
 configure "$BUILD-asan" -DLPT_SANITIZE=address
 cmake --build "$BUILD-asan" -j "$JOBS" --target test_sys test_fault
 "$BUILD-asan/tests/test_sys"
 "$BUILD-asan/tests/test_fault"
 
-echo "== [6/13] fault-isolation tests (normal + ASan self-skip) =="
+echo "== [6/14] fault-isolation tests (normal + ASan self-skip) =="
 "$BUILD/tests/test_fault_isolation"
 cmake --build "$BUILD-asan" -j "$JOBS" --target test_fault_isolation
 "$BUILD-asan/tests/test_fault_isolation"
 
-echo "== [7/13] self-healing: remediation suite (LPT_REMEDIATE=1 + degraded) =="
+echo "== [7/14] stack pool: unsealed fallback + TSan shard stress =="
+# Where the kernel refuses mseal(2), each stack keeps an ordinary PROT_NONE
+# guard that every reuse re-asserts with mprotect (docs/robustness.md, fault
+# isolation). Refusing every seal runs the spawn/reuse/trim paths that way;
+# the tests that need sealed guards skip themselves. The pool's per-worker
+# shards never switch context, so their stress test runs under TSan.
+LPT_FAULT='mseal:every=1' "$BUILD/tests/test_runtime_basic"
+LPT_FAULT='mseal:every=1' "$BUILD/tests/test_wake_path"
+cmake --build "$BUILD-tsan" -j "$JOBS" --target test_context
+"$BUILD-tsan/tests/test_context" --gtest_filter='StackPool.*'
+
+echo "== [8/14] self-healing: remediation suite (LPT_REMEDIATE=1 + degraded) =="
 # Env-path acceptance (docs/robustness.md, "Self-healing"): the wedged-worker
 # and runaway workloads recover with remediation enabled via the environment.
 # The off-by-default test is the one run that must NOT see the flag, so it is
@@ -98,7 +111,7 @@ LPT_FAULT='pthread_create:after=8,every=2' "$BUILD/tests/test_remediation" \
 LPT_FAULT='pthread_create:after=8,every=2' "$BUILD/tests/test_remediation" \
   --gtest_filter='Deadline.PerSpawnDeadlineCancelsRunaway'
 
-echo "== [8/13] blocking-syscall resilience (normal + TSan guard/detect) =="
+echo "== [9/14] blocking-syscall resilience (normal + TSan guard/detect) =="
 # Full suite normal (io::call retry/deadline semantics, the wedge sentinel's
 # detection rung, compensation + reabsorption accounting under both
 # preemption techniques). The IoCall.* and SyscallDetect.* suites never
@@ -110,7 +123,7 @@ cmake --build "$BUILD-tsan" -j "$JOBS" --target test_syscall_resilience
 "$BUILD-tsan/tests/test_syscall_resilience" \
   --gtest_filter='IoCall.*:SyscallDetect.*'
 
-echo "== [9/13] deadlock detection & recovery (normal + TSan park/wake unit tests) =="
+echo "== [10/14] deadlock detection & recovery (normal + TSan park/wake unit tests) =="
 # Full suite normal: self-deadlock at lock(), cycle detection/breaking under
 # both preemption techniques, abandoned-lock tracking, healthy-soak zero
 # false positives, no capacity limit on tracked locks or parked waiters, and
@@ -125,7 +138,7 @@ cmake --build "$BUILD-tsan" -j "$JOBS" --target test_park test_common
 "$BUILD-tsan/tests/test_park"
 "$BUILD-tsan/tests/test_common" --gtest_filter='EventCount.*'
 
-echo "== [10/13] metrics-publisher smoke (bench + prom_check) =="
+echo "== [11/14] metrics-publisher smoke (bench + prom_check) =="
 cmake --build "$BUILD" -j "$JOBS" --target table1_preemption prom_check
 METRICS_OUT="$(mktemp /tmp/lpt_check_metrics.XXXXXX.prom)"
 LPT_METRICS_FILE="$METRICS_OUT" LPT_METRICS_PERIOD_MS=200 \
@@ -133,7 +146,7 @@ LPT_METRICS_FILE="$METRICS_OUT" LPT_METRICS_PERIOD_MS=200 \
 "$BUILD/tests/prom_check" "$METRICS_OUT"
 rm -f "$METRICS_OUT"
 
-echo "== [11/13] continuous-profiling smoke (fig7 real section + prof_check) =="
+echo "== [12/14] continuous-profiling smoke (fig7 real section + prof_check) =="
 # End-to-end LPT_PROF path: env config -> piggyback sampler + off-CPU/lock
 # collectors -> shutdown export, validated by the strict folded parser and
 # cross-checked against the same run's published metrics counters.
@@ -145,7 +158,7 @@ LPT_PROF=1 LPT_PROF_FILE="$PROF_OUT" LPT_METRICS_FILE="$PROF_METRICS" \
 "$BUILD/tests/prof_check" "$PROF_OUT" "$PROF_METRICS"
 rm -f "$PROF_OUT" "$PROF_METRICS"
 
-echo "== [12/13] causal-trace smoke (trace_viz mixed workload + trace_check) =="
+echo "== [13/14] causal-trace smoke (trace_viz mixed workload + trace_check) =="
 # End-to-end causal-observability path: env config -> wake-edge tracing +
 # per-ULT accounting -> JSONL event log + Prometheus histograms, with the
 # validator proving every dispatch resolves to a ready stamp, every wake edge
@@ -164,7 +177,7 @@ LPT_TRACE_EVENTS_FILE="$TRACE_EVENTS" LPT_TRACE_RING_CAP=$((1<<18)) \
 "$BUILD/tools/trace_critical_path" "$TRACE_EVENTS" >/dev/null
 rm -f "$TRACE_EVENTS" "$TRACE_METRICS" "$TRACE_JSON"
 
-echo "== [13/13] self-healing soak (scripts/soak.sh, short) =="
+echo "== [14/14] self-healing soak (scripts/soak.sh, short) =="
 SOAK_SECONDS=5 scripts/soak.sh "$BUILD"
 
 echo "== all checks passed =="

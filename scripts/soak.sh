@@ -12,7 +12,7 @@
 # in the same process still works.
 #
 #   scripts/soak.sh [build-dir]        (default: build)
-#   SOAK_SECONDS=5 scripts/soak.sh     (short run, used by check.sh stage 11)
+#   SOAK_SECONDS=5 scripts/soak.sh     (short run, used by check.sh stage 14)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -1,6 +1,7 @@
 #include "common/sys.hpp"
 
 #include <sys/eventfd.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -145,6 +146,7 @@ bool parse_site(const std::string& v, Site* out) {
 }
 
 int default_errno(Site s) {
+  if (s == Site::kMseal) return ENOSYS;  // as on a kernel without mseal(2)
   return s == Site::kMmap || s == Site::kMprotect ? ENOMEM : EAGAIN;
 }
 
@@ -254,6 +256,7 @@ const char* site_name(Site s) {
     case Site::kPoll: return "poll";
     case Site::kAccept: return "accept";
     case Site::kConnect: return "connect";
+    case Site::kMseal: return "mseal";
     case Site::kCount: break;
   }
   return "unknown";
@@ -383,6 +386,26 @@ int mprotect(void* addr, std::size_t len, int prot) {
   const int rc = ::mprotect(addr, len, prot);
   if (rc != 0)
     site(Site::kMprotect).failed.fetch_add(1, std::memory_order_relaxed);
+  return rc;
+}
+
+int mseal(void* addr, std::size_t len) {
+  if (const int e = maybe_fail(Site::kMseal)) {
+    errno = e;
+    return -1;
+  }
+#if defined(__NR_mseal)
+  const int rc = static_cast<int>(::syscall(__NR_mseal, addr, len, 0UL));
+#elif defined(__x86_64__) || defined(__aarch64__)
+  // Headers older than the syscall; the number is the same on both ABIs.
+  const int rc = static_cast<int>(::syscall(462, addr, len, 0UL));
+#else
+  (void)addr;
+  (void)len;
+  errno = ENOSYS;
+  const int rc = -1;
+#endif
+  if (rc != 0) site(Site::kMseal).failed.fetch_add(1, std::memory_order_relaxed);
   return rc;
 }
 

@@ -2,9 +2,10 @@
 //
 // Every kernel resource the runtime acquires under preemption pressure —
 // KLTs (pthread_create), POSIX timers (timer_create/timer_settime), ULT
-// stacks (mmap), and signal delivery (pthread_sigqueue) — goes through the
-// wrappers below instead of calling libc directly, as do the blocking I/O
-// calls behind `lpt::io` (read/write/pipe2/eventfd/poll/accept/connect). In
+// stacks (mmap, and mseal for their guard pages), and signal delivery
+// (pthread_sigqueue) — goes through the wrappers below instead of calling
+// libc directly, as do the blocking I/O calls behind `lpt::io`
+// (read/write/pipe2/eventfd/poll/accept/connect). In
 // production builds the wrappers are a single relaxed atomic increment on top
 // of the raw call; with a fault plan armed (LPT_FAULT environment variable or
 // configure_faults()) they deterministically inject failures so every
@@ -47,6 +48,7 @@ enum class Site : int {
   kPoll,
   kAccept,
   kConnect,
+  kMseal,
   kCount,
 };
 
@@ -80,9 +82,16 @@ void* mmap(void* addr, std::size_t length, int prot, int flags, int fd,
 int pthread_sigqueue(pthread_t thread, int sig, const union sigval value);
 
 /// Returns -1 with errno set on failure (injected or real). Used by the
-/// stack pool to re-assert guard-page protection on cached-stack reuse
-/// (docs/robustness.md, fault isolation).
+/// stack pool to re-assert guard-page protection when it reuses a stack
+/// whose guard is not sealed (docs/robustness.md, fault isolation).
 int mprotect(void* addr, std::size_t len, int prot);
+
+/// mseal(2) (Linux >= 6.10): seal [addr, addr+len) so its protection and
+/// mapping can never change again. Returns -1 with errno set on failure
+/// (injected, or real: ENOSYS on older kernels, EPERM/EINVAL where sealing
+/// is refused). Used to seal each stack's guard page once, when it is mapped
+/// (docs/robustness.md, fault isolation).
+int mseal(void* addr, std::size_t len);
 
 // Blocking-I/O sites used by lpt::io::call() (docs/robustness.md,
 // "Blocking-syscall resilience"). All return -1 with errno set on failure
@@ -104,7 +113,7 @@ int connect(int sockfd, const struct sockaddr* addr, socklen_t addrlen);
 //   clause  := site ':' kv (',' kv)*
 //   site    := pthread_create | timer_create | timer_settime | mmap
 //            | pthread_sigqueue | mprotect | read | write | pipe2
-//            | eventfd | poll | accept | connect
+//            | eventfd | poll | accept | connect | mseal
 //   kv      := nth=N      fail exactly the Nth eligible call (1-based)
 //            | first=N    fail eligible calls 1..N
 //            | every=N    fail every Nth eligible call
@@ -116,7 +125,8 @@ int connect(int sockfd, const struct sockaddr* addr, socklen_t addrlen);
 //            | max=N      stop after N injected failures at this site
 //            | errno=E    failure code: EAGAIN|ENOMEM|EPERM|EINVAL|ENFILE
 //                         |ENOSPC|EINTR|ENOSYS or a number (default: ENOMEM
-//                         for mmap/mprotect, EAGAIN elsewhere)
+//                         for mmap/mprotect, ENOSYS for mseal, EAGAIN
+//                         elsewhere)
 //
 // Example: fail every pthread_create after the 8th with EAGAIN, and the 3rd
 // mmap with ENOMEM:

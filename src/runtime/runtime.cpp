@@ -73,7 +73,8 @@ void thread_trampoline(void* arg) {
 
 Runtime::Runtime(RuntimeOptions opts)
     : opts_(resolve_env_options(std::move(opts))),
-      stack_pool_(opts_.stack_size, StackPool::kUncapped, opts_.stack_scrub) {
+      stack_pool_(opts_.stack_size, StackPool::kUncapped, opts_.stack_scrub,
+                  opts_.num_workers) {
   LPT_CHECK(opts_.num_workers >= 1);
   LPT_CHECK(opts_.interval_us >= 1);
   LPT_CHECK_MSG(opts_.max_klts == 0 || opts_.max_klts >= opts_.num_workers,
@@ -110,6 +111,7 @@ Runtime::Runtime(RuntimeOptions opts)
     auto w = std::make_unique<Worker>();
     w->rt = this;
     w->rank = r;
+    w->spawn_rr = static_cast<std::uint32_t>(r);
     w->sched_stack = Stack(128 * 1024);
     LPT_CHECK_MSG(w->sched_stack.valid(),
                   "cannot map worker scheduler stack (construction is fatal; "
@@ -345,9 +347,9 @@ void Runtime::klt_main(KltCtl* self) {
       ThreadCtl* dead = self->orphan_finalize;
       self->orphan_finalize = nullptr;
       if (self->orphan_finished)
-        finalize_thread(dead);
+        finalize_thread(dead, nullptr);
       else
-        finalize_failed_thread(dead);
+        finalize_failed_thread(dead, nullptr);
       self->orphan_finished = false;
     }
 
@@ -386,13 +388,23 @@ void Runtime::klt_main(KltCtl* self) {
 
 ThreadCtl* Runtime::spawn_ctl(std::function<void()> fn, ThreadAttrs attrs,
                               bool detached) {
+  // A spawning ULT stays on its worker for the whole call and borrows the
+  // worker's spawn caches — stack shard, trace ids, counters — so a
+  // steady-state spawn writes no line another worker writes and makes no
+  // syscall (DESIGN.md, "Spawn path"). External threads take the shared
+  // paths.
+  ThreadCtl* self = detail::current_ult_or_null();
+  detail::begin_no_preempt(self);
+  Worker* w = detail::borrow_worker(self);
+  const int shard = w != nullptr ? w->rank : StackPool::kShared;
+
   // Acquire the stack first: its allocation is the recoverable failure mode
   // (docs/robustness.md) and nothing else here may be half-done when it
   // fails. Custom-size stacks get the same shed-and-retry the pool applies.
   int err = 0;
   Stack stack;
   if (attrs.stack_size == 0) {
-    stack = stack_pool_.try_acquire(&err);
+    stack = stack_pool_.try_acquire(&err, shard);
   } else {
     stack = Stack(attrs.stack_size);
     if (!stack.valid()) {
@@ -403,6 +415,8 @@ ThreadCtl* Runtime::spawn_ctl(std::function<void()> fn, ThreadAttrs attrs,
     }
   }
   if (!stack.valid()) {
+    detail::return_worker(w);
+    detail::end_no_preempt(self);
     if (err == 0) err = ENOMEM;
     n_spawn_stack_fail_.fetch_add(1, std::memory_order_relaxed);
     LPT_TRACE_EVENT(trace::EventType::kStackAllocFail, 0,
@@ -410,19 +424,31 @@ ThreadCtl* Runtime::spawn_ctl(std::function<void()> fn, ThreadAttrs attrs,
     detail::tl_spawn_errno = err;
     return nullptr;
   }
-  detail::tl_spawn_errno = 0;
 
   auto* t = new ThreadCtl;
+  const unsigned n = static_cast<unsigned>(num_workers());
+  t->home_pool = attrs.home_pool;
+  // Counted live before it is runnable, so the count never reads 0 while the
+  // thread runs (the idle stack trim keys on it).
+  if (w != nullptr) {
+    t->trace_id = w->trace_ids.take(next_ult_id_);
+    if (attrs.home_pool < 0) t->home_pool = static_cast<int>(w->spawn_rr++ % n);
+    w->ults_spawned.inc();
+  } else {
+    t->trace_id = IdBlock::take_one(next_ult_id_);
+    if (attrs.home_pool < 0)
+      t->home_pool = static_cast<int>(
+          spawn_rr_.fetch_add(1, std::memory_order_relaxed) % n);
+    ext_spawned_.add(1);
+  }
+  detail::return_worker(w);
+  detail::tl_spawn_errno = 0;
+
   t->rt = this;
   t->fn = std::move(fn);
-  t->trace_id = next_ult_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   t->preempt = attrs.preempt;
   t->priority = attrs.priority;
   t->detached = detached;
-  t->home_pool =
-      attrs.home_pool >= 0
-          ? attrs.home_pool
-          : spawn_rr_.fetch_add(1, std::memory_order_relaxed) % num_workers();
 
   t->stack = std::move(stack);
   t->ctx = make_context(t->stack.base(), t->stack.size(), &thread_trampoline, t);
@@ -433,11 +459,6 @@ ThreadCtl* Runtime::spawn_ctl(std::function<void()> fn, ThreadAttrs attrs,
       attrs.deadline_ns > 0 ? attrs.deadline_ns : opts_.default_ult_deadline_ns;
   if (deadline_rel > 0) arm_deadline(t, now_ns() + deadline_rel);
 
-  // Counted live before it is runnable, so the gauge never reads 0 while
-  // the thread runs (the idle stack trim keys on it).
-  n_live_ults_.add(1);
-  ThreadCtl* self = detail::current_ult_or_null();
-  detail::begin_no_preempt(self);
   Worker* hint = self != nullptr
                      ? worker_tls()->worker
                      : workers_[t->home_pool % num_workers()].get();
@@ -494,8 +515,7 @@ metrics::Snapshot Runtime::metrics_snapshot() const {
   }
   s.finalize();
 
-  s.ults_spawned = next_ult_id_.load(std::memory_order_relaxed);
-  s.ults_live = n_live_ults_.value();
+  ult_counts(&s.ults_spawned, &s.ults_live);
   s.klts_created = total_klts();
   s.klts_on_demand = klt_creator_.created();
   s.klt_create_failures = klt_creator_.create_failures();
@@ -840,6 +860,15 @@ namespace {
 constexpr std::int64_t kTrimQuietNs = 10'000'000;
 }  // namespace
 
+void Runtime::ult_counts(std::uint64_t* spawned, std::int64_t* live) const {
+  std::uint64_t finished = ext_finished_.value();
+  for (const auto& w : workers_) finished += w->ults_finished.value();
+  std::uint64_t s = ext_spawned_.value();
+  for (const auto& w : workers_) s += w->ults_spawned.value();
+  *spawned = s;
+  *live = s > finished ? static_cast<std::int64_t>(s - finished) : 0;
+}
+
 void Runtime::idle_wait(Worker& w) {
   // Register as a sleeper first, then re-check: an enqueue that the re-check
   // misses sees the registration and wakes this nap (EventCount).
@@ -856,8 +885,10 @@ void Runtime::idle_wait(Worker& w) {
   // spawned — across this worker's naps for kTrimQuietNs gives back stacks
   // beyond max_cached_stacks. Trimming in the gap between two fork/join
   // bursts would unmap stacks the next burst maps again.
-  const std::uint32_t spawned = next_ult_id_.load(std::memory_order_relaxed);
-  if (notified || n_live_ults_.value() != 0 || sched_->has_work()) {
+  std::uint64_t spawned = 0;
+  std::int64_t live = 0;
+  if (!notified) ult_counts(&spawned, &live);  // a sum over the workers
+  if (notified || live != 0 || sched_->has_work()) {
     w.quiet_since_ns = 0;
     return;
   }
@@ -1188,28 +1219,39 @@ std::size_t pooled_stack_size(const StackPool& pool) {
 
 }  // namespace
 
-void Runtime::finalize_thread(ThreadCtl* t) {
+void Runtime::finalize_thread(ThreadCtl* t, Worker* w) {
   LPT_CHECK(t->load_state() == ThreadState::kFinished);
   disarm_deadline(t);
   note_owner_finished(t);  // abandoned-lock scan, before joiners can run
   t->fn = nullptr;  // release captures in scheduler context
-  n_live_ults_.sub(1);
+  if (w != nullptr)
+    w->ults_finished.inc();
+  else
+    ext_finished_.add(1);
 
   // Recycle default-sized stacks through the pool (sizes are page-rounded,
-  // so compare against the rounded pool size).
-  if (t->stack.valid() && t->stack.size() == pooled_stack_size(stack_pool_)) {
-    stack_pool_.release(std::move(t->stack));
+  // so compare against the rounded pool size). Others are unmapped here, in
+  // scheduler context, not by the joiner: unmapping a sealed stack takes the
+  // parked-guard lock, which a preemptible ULT must not hold.
+  if (t->stack.size() == pooled_stack_size(stack_pool_)) {
+    stack_pool_.release(std::move(t->stack),
+                        w != nullptr ? w->rank : StackPool::kShared);
+  } else {
+    t->stack = Stack();
   }
 
   publish_done_and_wake(t);
 }
 
-void Runtime::finalize_failed_thread(ThreadCtl* t) {
+void Runtime::finalize_failed_thread(ThreadCtl* t, Worker* w) {
   LPT_CHECK(t->load_state() == ThreadState::kFailed);
   disarm_deadline(t);
   note_owner_finished(t);  // abandoned-lock scan, before joiners can run
   t->fn = nullptr;
-  n_live_ults_.sub(1);
+  if (w != nullptr)
+    w->ults_finished.inc();
+  else
+    ext_finished_.add(1);
 
   if (t->stack.valid()) {
     // Sample how deep the thread actually got before it died (resident pages
@@ -1236,6 +1278,8 @@ void Runtime::finalize_failed_thread(ThreadCtl* t) {
     // the stack entirely if the guard cannot be re-established.
     if (t->stack.size() == pooled_stack_size(stack_pool_)) {
       stack_pool_.quarantine(std::move(t->stack));
+    } else {
+      t->stack = Stack();  // as in finalize_thread
     }
   }
 

@@ -290,13 +290,15 @@ class Runtime {
   void idle_wait(Worker& w);
 
   /// Finalize a terminated thread: recycle its stack, wake joiners, free the
-  /// control block if detached. Called by the scheduler after the exit switch.
-  void finalize_thread(ThreadCtl* t);
+  /// control block if detached. Called by the scheduler after the exit switch
+  /// with its worker `w` (whose spawn caches it then writes), or with nullptr
+  /// from an orphaned KLT.
+  void finalize_thread(ThreadCtl* t, Worker* w);
 
   /// Finalize a kFailed thread (fault isolation): sample the stack watermark
   /// into t->fault, quarantine the stack instead of pooling it directly, then
   /// wake joiners like finalize_thread. Called from the kFault post action.
-  void finalize_failed_thread(ThreadCtl* t);
+  void finalize_failed_thread(ThreadCtl* t, Worker* w);
 
   /// Count a poisoned KLT retired by the fault handler. Async-signal-safe
   /// (called from the SIGSEGV handler before the KLT exits).
@@ -391,6 +393,11 @@ class Runtime {
   /// Shared tail of finalize_thread/finalize_failed_thread: publish done,
   /// wake joiners, free detached control blocks.
   void publish_done_and_wake(ThreadCtl* t);
+  /// ULTs ever spawned and live right now, summed over the per-worker and
+  /// external counters. Finishes are summed before spawns, so a racing
+  /// spawn-and-finish reads as still live rather than as a negative count
+  /// (which is clamped to 0 anyway).
+  void ult_counts(std::uint64_t* spawned, std::int64_t* live) const;
   /// Deadline registry maintenance (self-healing). arm_ is called from
   /// spawn_ctl for threads with an effective deadline; disarm_ from the
   /// finalize paths, before the control block may be deleted.
@@ -402,9 +409,13 @@ class Runtime {
   RuntimeOptions opts_;
   trace::TraceConfig trace_cfg_;  ///< options.trace resolved against env
   std::int64_t start_ns_ = 0;     ///< construction time (uptime metric)
+  /// Trace-id cursor: workers claim IdBlock::kSize ids at a time, external
+  /// spawns one.
   std::atomic<std::uint32_t> next_ult_id_{0};
-  /// ULTs spawned minus ULTs finished (the lpt_ults_live gauge).
-  metrics::Gauge n_live_ults_;
+  /// Spawns and finishes not counted on a worker: external spawners and
+  /// orphaned KLTs. The per-worker halves live in Worker.
+  metrics::AtomicCounter ext_spawned_;
+  metrics::AtomicCounter ext_finished_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::unique_ptr<Scheduler> sched_;
   std::unique_ptr<PreemptionTimer> timer_;
@@ -489,7 +500,7 @@ class Runtime {
   std::atomic<int> n_active_{0};
   std::atomic<bool> shutdown_{false};
   EventCount idle_;  ///< idle workers nap on it (DESIGN.md, idle/wake protocol)
-  std::atomic<int> spawn_rr_{0};  // round-robin hint for external spawns
+  std::atomic<unsigned> spawn_rr_{0};  // round-robin hint for external spawns
 };
 
 /// Reason the calling thread's most recent spawn/spawn_detached returned an

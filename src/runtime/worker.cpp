@@ -51,6 +51,24 @@ ThreadCtl* current_ult_or_null() {
   }
 }
 
+Worker* borrow_worker(ThreadCtl* self) {
+  if (self == nullptr) return nullptr;
+  WorkerTls* tls = worker_tls();
+  Worker* w = tls->worker;
+  KltCtl* expect = tls->klt;
+  if (w == nullptr || expect == nullptr) return nullptr;
+  return w->host_token.compare_exchange_strong(expect, nullptr,
+                                               std::memory_order_acq_rel,
+                                               std::memory_order_acquire)
+             ? w
+             : nullptr;
+}
+
+void return_worker(Worker* w) {
+  if (w != nullptr)
+    w->host_token.store(worker_tls()->klt, std::memory_order_release);
+}
+
 namespace {
 
 /// Claim the worker's scheduler-context ownership token for this KLT.
@@ -565,12 +583,12 @@ void Worker::process_post_action() {
       metrics.exits.inc();
       close_run_episode(a.thread);
       LPT_TRACE_EVENT(trace::EventType::kUltExit, a.thread->trace_id);
-      rt->finalize_thread(a.thread);
+      rt->finalize_thread(a.thread, this);
       break;
     case PostKind::kFault:
       clear_current();
       close_run_episode(a.thread);
-      rt->finalize_failed_thread(a.thread);
+      rt->finalize_failed_thread(a.thread, this);
       // The SEGV/BUS containment jump skipped sigreturn (fault.hpp); when
       // the fault came from the exception firewall instead this is a cheap
       // no-op-shaped unblock of already-unblocked signals.

@@ -25,6 +25,34 @@ struct ThreadCtl;
 struct KltCtl;
 class Mutex;
 
+/// Trace ids without a shared write per spawn: a worker hands out ids from a
+/// private block of kSize claimed from one shared cursor (external spawns
+/// claim one id at a time). Ids are unique until the 32-bit cursor wraps;
+/// 0 means "untraced" and is skipped, also across the wrap. Ids follow spawn
+/// order among external spawns and among one worker's spawns.
+struct IdBlock {
+  static constexpr std::uint32_t kSize = 1024;
+  std::uint32_t next = 0;
+  std::uint32_t end = 0;
+
+  std::uint32_t take(std::atomic<std::uint32_t>& cursor) {
+    for (;;) {
+      if (next == end) {
+        next = cursor.fetch_add(kSize, std::memory_order_relaxed);
+        end = next + kSize;
+      }
+      const std::uint32_t id = next++;
+      if (id != 0) return id;
+    }
+  }
+  static std::uint32_t take_one(std::atomic<std::uint32_t>& cursor) {
+    for (;;) {
+      const std::uint32_t id = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (id != 0) return id;
+    }
+  }
+};
+
 /// Deferred action a suspending context leaves for the scheduler. The
 /// suspender must not be enqueued/finalized before its register state is
 /// saved, so the *scheduler* performs the action right after the switch.
@@ -101,7 +129,7 @@ struct alignas(kCacheLineSize) Worker {
   /// Idle stack trim (Runtime::idle_wait): start of this worker's current
   /// run of naps that saw no live ULT (0 = none), and the spawn count then.
   std::int64_t quiet_since_ns = 0;
-  std::uint32_t quiet_mark = 0;
+  std::uint64_t quiet_mark = 0;
 
   /// POSIX per-worker timer (TimerKind::PosixPerWorker).
   timer_t posix_timer{};
@@ -143,6 +171,18 @@ struct alignas(kCacheLineSize) Worker {
   /// native Prometheus histograms and merged into Runtime::Stats.
   trace::LatencyHistogram hist_sched_delay;    ///< ready → dispatch
   trace::LatencyHistogram hist_spawn_latency;  ///< spawn → first dispatch
+
+  // -- spawn caches (DESIGN.md, "Spawn path"). Written only by this worker's
+  // scheduler context or by a ULT that borrowed the worker
+  // (detail::borrow_worker), one at a time: single-writer, no locked RMW.
+  // Other threads only read the counters. On a line of their own. --
+  /// ULTs spawned from / finalized on this worker (summed with the external
+  /// counters by Runtime::ult_counts).
+  alignas(kCacheLineSize) metrics::Counter ults_spawned;
+  metrics::Counter ults_finished;
+  IdBlock trace_ids;
+  /// Round-robin home pool of this worker's spawns (starts at its rank).
+  std::uint32_t spawn_rr = 0;
 
   /// ULTs that parked while running on this worker (park.hpp). Last, on its
   /// own cache line: waiters that resume elsewhere unlink from here.

@@ -147,6 +147,19 @@ TEST_F(SysFault, PthreadCreateInjectionSkipsRealCall) {
   pthread_join(t, nullptr);
 }
 
+// The mseal site defaults to ENOSYS, as on a kernel without mseal(2), and an
+// injected failure leaves the range unsealed.
+TEST_F(SysFault, MsealInjectionDefaultsToEnosysAndSealsNothing) {
+  void* p = ::mmap(nullptr, 4096, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(p, MAP_FAILED);
+  ASSERT_TRUE(sys::configure_faults("mseal:every=1"));
+  errno = 0;
+  EXPECT_EQ(sys::mseal(p, 4096), -1);
+  EXPECT_EQ(errno, ENOSYS);
+  EXPECT_EQ(sys::counters(sys::Site::kMseal).injected, 1u);
+  EXPECT_EQ(::munmap(p, 4096), 0) << "an injected failure must not seal";
+}
+
 TEST_F(SysFault, SiteNamesRoundTrip) {
   for (int i = 0; i < static_cast<int>(sys::Site::kCount); ++i) {
     const auto s = static_cast<sys::Site>(i);

@@ -303,6 +303,9 @@ TEST_F(FaultIsolation, StackSizeEnvOverrideIsValidatedAndRounded) {
 
 TEST_F(FaultIsolation, CachedStackIsDroppedWhenGuardCannotBeReasserted) {
   StackPool pool(64 * 1024, 4);
+  // An unsealed stack, as on a kernel without mseal: only its guard can be
+  // lifted, so only its reuse re-asserts the guard.
+  ASSERT_TRUE(sys::configure_faults("mseal:every=1"));
   Stack s = pool.acquire();
   ASSERT_TRUE(s.valid());
   pool.release(std::move(s));
@@ -322,6 +325,7 @@ TEST_F(FaultIsolation, CachedStackIsDroppedWhenGuardCannotBeReasserted) {
 
 TEST_F(FaultIsolation, QuarantineScrubsAndRecachesOrDrops) {
   StackPool pool(64 * 1024, 4);
+  ASSERT_TRUE(sys::configure_faults("mseal:every=1"));  // unsealed, as above
   Stack s = pool.acquire();
   ASSERT_TRUE(s.valid());
   std::memset(s.base(), 0xab, 4096);
@@ -337,6 +341,44 @@ TEST_F(FaultIsolation, QuarantineScrubsAndRecachesOrDrops) {
   EXPECT_EQ(pool.total_quarantined(), 2u);
   EXPECT_EQ(pool.cached(), 0u);
   EXPECT_GE(pool.total_shed(), 1u);
+}
+
+// The sealed counterparts: a sealed guard cannot be lifted, so neither reuse
+// nor quarantine calls mprotect, and a failing mprotect drops nothing.
+TEST_F(FaultIsolation, SealedCachedStackIsReusedWithoutMprotect) {
+  StackPool pool(64 * 1024, 4);
+  Stack s = pool.acquire();
+  ASSERT_TRUE(s.valid());
+  if (!s.sealed()) GTEST_SKIP() << "kernel refused mseal";
+  void* const base = s.base();
+  pool.release(std::move(s));
+
+  ASSERT_TRUE(sys::configure_faults("mprotect:every=1"));
+  const std::uint64_t calls = sys::counters(sys::Site::kMprotect).calls;
+  Stack again = pool.acquire();
+  EXPECT_EQ(sys::counters(sys::Site::kMprotect).calls, calls);
+  ASSERT_TRUE(again.valid());
+  EXPECT_EQ(again.base(), base);
+  EXPECT_EQ(pool.total_shed(), 0u);
+}
+
+TEST_F(FaultIsolation, SealedQuarantineRecachesWithoutMprotect) {
+  StackPool pool(64 * 1024, 4);
+  Stack s = pool.acquire();
+  ASSERT_TRUE(s.valid());
+  if (!s.sealed()) GTEST_SKIP() << "kernel refused mseal";
+  std::memset(s.base(), 0xab, 4096);
+
+  ASSERT_TRUE(sys::configure_faults("mprotect:every=1"));
+  const std::uint64_t calls = sys::counters(sys::Site::kMprotect).calls;
+  pool.quarantine(std::move(s));
+  EXPECT_EQ(sys::counters(sys::Site::kMprotect).calls, calls);
+  EXPECT_EQ(pool.total_quarantined(), 1u);
+  EXPECT_EQ(pool.cached(), 1u);
+  EXPECT_EQ(pool.total_shed(), 0u);
+  Stack again = pool.acquire();
+  ASSERT_TRUE(again.valid());
+  EXPECT_EQ(static_cast<unsigned char*>(again.base())[0], 0) << "scrubbed";
 }
 
 }  // namespace

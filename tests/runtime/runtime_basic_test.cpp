@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <set>
 #include <vector>
 
 #include "runtime/lpt.hpp"
+#include "runtime/worker.hpp"
 
 namespace lpt {
 namespace {
@@ -205,6 +208,60 @@ TEST(RuntimeBasic, InitialSpareKltsCreated) {
   Runtime rt(opts);
   EXPECT_EQ(rt.total_klts(), 4u);
   // Spares park in the pool and must shut down cleanly with the runtime.
+}
+
+// Spawn and finish counts live per worker (single writer) plus one
+// external pair; the sums must match the spawns of every kind. ULT joiners
+// and detached finishes recycle control blocks through the worker caches.
+TEST(RuntimeBasic, SpawnCountsCoverWorkerAndExternalSpawns) {
+  RuntimeOptions opts;
+  opts.num_workers = 2;
+  Runtime rt(opts);
+  const std::uint64_t before = rt.metrics_snapshot().ults_spawned;
+  constexpr int kRounds = 50, kKids = 8;
+  std::atomic<int> ran{0};
+  rt.spawn([&] {
+      for (int r = 0; r < kRounds; ++r) {
+        std::vector<Thread> kids;
+        for (int i = 0; i < kKids; ++i)
+          kids.push_back(Runtime::current()->spawn([&] { ran.fetch_add(1); }));
+        Runtime::current()->spawn_detached([&] { ran.fetch_add(1); });
+        for (auto& k : kids) k.join();
+      }
+    }).join();
+  for (int i = 0; i < 20; ++i) rt.spawn([&] { ran.fetch_add(1); }).join();
+  while (ran.load() < kRounds * (kKids + 1) + 20) this_thread::yield();
+  // A detached ULT bumps `ran` while it runs; wait for its finalize too.
+  for (int i = 0; i < 1000 && rt.metrics_snapshot().ults_live != 0; ++i) usleep(1000);
+  const metrics::Snapshot s = rt.metrics_snapshot();
+  EXPECT_EQ(s.ults_spawned - before,
+            static_cast<std::uint64_t>(1 + kRounds * (kKids + 1) + 20));
+  EXPECT_EQ(s.ults_live, 0);
+}
+
+// Trace ids come from per-worker blocks of one 32-bit cursor; 0 means
+// "untraced" and must never be handed out, also where the cursor wraps.
+TEST(TraceIds, BlocksSkipZeroAcrossTheWrap) {
+  std::atomic<std::uint32_t> cursor{0xffffffffu - 3 * IdBlock::kSize / 2};
+  IdBlock a, b;
+  std::set<std::uint32_t> seen;
+  for (std::uint32_t i = 0; i < 2 * IdBlock::kSize; ++i) {
+    for (IdBlock* blk : {&a, &b}) {
+      const std::uint32_t id = blk->take(cursor);
+      EXPECT_NE(id, 0u);
+      EXPECT_TRUE(seen.insert(id).second) << "duplicate id " << id;
+    }
+    const std::uint32_t one = IdBlock::take_one(cursor);
+    EXPECT_NE(one, 0u);
+    EXPECT_TRUE(seen.insert(one).second) << "duplicate id " << one;
+  }
+  EXPECT_LT(cursor.load(), 0x10000u) << "the cursor must have wrapped";
+  // A cursor sitting on 0 hands out 1 first.
+  std::atomic<std::uint32_t> zero{0};
+  EXPECT_EQ(IdBlock::take_one(zero), 1u);
+  IdBlock c;
+  std::atomic<std::uint32_t> zero2{0};
+  EXPECT_EQ(c.take(zero2), 1u);
 }
 
 }  // namespace

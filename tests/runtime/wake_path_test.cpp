@@ -1,17 +1,22 @@
 // The steady-state spawn -> run -> exit -> join path (DESIGN.md, "Idle/wake
-// protocol"): idle workers napping on the runtime's EventCount are woken by
-// the next enqueue, the stack cache keeps every stack while ULTs are live and
-// trims only an idle runtime, and external joiners sleep on the done word
-// with the finisher waking them only when one announced itself.
+// protocol" and "Spawn path"): idle workers napping on the runtime's
+// EventCount are woken by the next enqueue, the stack cache keeps every stack
+// while ULTs are live and trims only an idle runtime, reused stacks with
+// sealed guards cost no syscall, sealed guards of dropped stacks are reused,
+// and external joiners sleep on the done word with the finisher waking them
+// only when one announced itself.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <thread>
 #include <vector>
 
+#include "common/sys.hpp"
 #include "common/time.hpp"
+#include "context/stack.hpp"
 #include "runtime/lpt.hpp"
 
 namespace lpt {
@@ -78,6 +83,88 @@ TEST(StackCache, ChurnNeverShedsAndIdleRuntimeTrims) {
   EXPECT_GT(st.stacks_cached, 0u);
   // Everything dropped came from the trim: the kids' stacks plus the root's.
   EXPECT_EQ(st.stacks_shed - shed_before, cached_at_end + 1 - st.stacks_cached);
+}
+
+// With sealed guards, a reused stack needs no mprotect, and once the pool
+// holds enough stacks no spawn maps one, wherever the stacks were released:
+// after warm-up, spawn+join makes no mprotect and no mmap call at all.
+TEST(SealedStacks, SteadyStateSpawnMakesNoGuardSyscall) {
+  if (!Stack(16 * 1024).sealed())
+    GTEST_SKIP() << "stacks are not sealed here (kernel or LPT_FAULT)";
+  RuntimeOptions o;
+  o.num_workers = 2;
+  Runtime rt(o);
+  // The warm-up burst leaves more stacks cached than the loop ever holds
+  // live, and the pool maps none while it holds one.
+  constexpr int kBurst = 64, kKids = 16, kRounds = 20'000 / kKids;
+  sys::SiteCounters mprot0{}, mmap0{};
+  std::atomic<int> ran{0};
+  // One live root for the whole run, so the idle trim never fires.
+  rt.spawn([&] {
+      Runtime& r = *Runtime::current();
+      std::atomic<bool> go{false};
+      std::vector<Thread> kids;
+      for (int i = 0; i < kBurst; ++i)
+        kids.push_back(r.spawn([&] {
+          while (!go.load()) this_thread::yield();
+        }));
+      go.store(true);
+      kids.clear();  // joins
+      mprot0 = sys::counters(sys::Site::kMprotect);
+      mmap0 = sys::counters(sys::Site::kMmap);
+      for (int round = 0; round < kRounds; ++round) {
+        for (int i = 0; i < kKids; ++i)
+          kids.push_back(r.spawn([&] { ran.fetch_add(1); }));
+        kids.clear();
+      }
+    }).join();
+  EXPECT_EQ(ran.load(), kRounds * kKids);
+  EXPECT_EQ(sys::counters(sys::Site::kMprotect).calls - mprot0.calls, 0u);
+  EXPECT_EQ(sys::counters(sys::Site::kMmap).calls - mmap0.calls, 0u);
+}
+
+/// Lines of /proc/self/maps: one per mapping (VMA) of this process.
+int maps_lines() {
+  std::FILE* f = std::fopen("/proc/self/maps", "r");
+  if (f == nullptr) return -1;
+  int n = 0;
+  for (int c; (c = std::fgetc(f)) != EOF;)
+    if (c == '\n') ++n;
+  std::fclose(f);
+  return n;
+}
+
+// A sealed guard can never be unmapped. Dropping a sealed stack parks its
+// guard and the next fresh stack maps above it, so building and destroying
+// runtimes does not pile up guard mappings.
+TEST(SealedStacks, ParkedGuardsAreReused) {
+  constexpr int kRuntimes = 100, kLive = 64;
+  auto one_runtime = [] {
+    RuntimeOptions o;
+    o.num_workers = 2;
+    Runtime rt(o);
+    std::atomic<bool> go{false};
+    std::vector<Thread> ts;
+    for (int i = 0; i < kLive; ++i)
+      ts.push_back(rt.spawn([&] {
+        while (!go.load()) this_thread::yield();
+      }));
+    go.store(true);
+    for (auto& t : ts) t.join();
+  };
+  one_runtime();  // first-runtime mappings: KLT stacks, trace/prof slabs
+  const int start = maps_lines();
+  ASSERT_GT(start, 0);
+  int peak = start;
+  for (int i = 0; i < kRuntimes; ++i) {
+    one_runtime();
+    peak = std::max(peak, maps_lines());
+  }
+  const int end = maps_lines();
+  // One runtime's worth of stacks is ~70 guards; without parking the count
+  // would grow by that much per runtime.
+  EXPECT_LE(end, start + 16) << "start " << start << ", end " << end;
+  EXPECT_LE(peak, start + 16) << "start " << start << ", peak " << peak;
 }
 
 // External joiners against the kRunning / kJoinerAsleep / kDone word: the

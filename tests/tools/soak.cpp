@@ -6,15 +6,20 @@
 // ladder on, followed by leak checks no unit test can make: after Runtime
 // destruction the process is back to its baseline kernel-thread count (no
 // orphaned/pooled/compensating KLT survives shutdown), the compensation
-// books reconcile exactly, and a second Runtime in the same process starts
-// healthy and completes work. Exit 0 on success; a batch that breaks a
-// contract exits 1 at once, naming the batch and the contract.
+// books reconcile exactly, the process's mapping count stays bounded (sealed
+// stack guards can never be unmapped, so dropped ones must be parked and
+// reused, not left behind) across the batches and across a series of fresh
+// Runtimes built afterwards, each of which starts healthy and completes
+// work. Exit 0 on success; a batch that breaks a contract exits 1 at once,
+// naming the batch and the contract.
 //
 //   soak [seconds]   (default 60)
 #include <dirent.h>
 #include <fcntl.h>
+#include <pthread.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -55,6 +60,41 @@ int task_count() {
   closedir(d);
   return n;
 }
+
+/// Mappings (VMAs) of this process right now — /proc/self/maps lines — not
+/// counting kernel-thread stacks (an rw mapping of the default pthread stack
+/// size, plus its guard page). Those are not ULT stacks, and the stacks of
+/// KLTs retired during the soak stay mapped until the runtime's shutdown
+/// joins them (ROADMAP).
+int maps_lines() {
+  std::size_t thread_stack = 0;
+  pthread_attr_t attr;
+  if (pthread_getattr_default_np(&attr) == 0) {
+    pthread_attr_getstacksize(&attr, &thread_stack);
+    pthread_attr_destroy(&attr);
+  }
+  std::FILE* f = std::fopen("/proc/self/maps", "r");
+  if (f == nullptr) return -1;
+  int n = 0, thread_stacks = 0;
+  char line[512];
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    ++n;
+    unsigned long lo = 0, hi = 0;
+    char perms[8] = {};
+    if (std::sscanf(line, "%lx-%lx %7s", &lo, &hi, perms) == 3 &&
+        perms[0] == 'r' && perms[1] == 'w' && hi - lo == thread_stack)
+      ++thread_stacks;
+  }
+  std::fclose(f);
+  return n - 2 * thread_stacks;
+}
+
+/// Allowed growth of maps_lines() over its value after the first batch (or
+/// the first fresh runtime): malloc arenas and cached ULT stacks settle
+/// within it, while leaked guard pages would grow without end.
+constexpr int kMapsSlack = 64;
+/// Runtimes built and destroyed after the soak.
+constexpr int kFreshRuntimes = 20;
 
 /// One batch of mixed work; exits the process on any contract violation.
 void run_batch(Runtime& rt, std::uint64_t round) {
@@ -253,10 +293,18 @@ int main(int argc, char** argv) {
     Runtime rt(o);
 
     const std::int64_t end = now_ns() + seconds * 1'000'000'000LL;
+    int maps_first = -1, maps_max = 0;
     while (now_ns() < end) {
       run_batch(rt, rounds);
       ++rounds;
+      const int maps = maps_lines();
+      if (maps_first < 0) maps_first = maps;
+      maps_max = std::max(maps_max, maps);
+      if (maps > maps_first + kMapsSlack)
+        batch_fail(rounds - 1, "mapping count keeps growing (guard leak?)");
     }
+    std::printf("soak: maps lines: %d after the first batch, max %d\n",
+                maps_first, maps_max);
 
     // The breaker's accounting lands on the watchdog thread after the victim
     // is already joinable, so the final round's break/cycle counters can lag
@@ -324,16 +372,29 @@ int main(int argc, char** argv) {
   for (int i = 0; i < 100 && task_count() > baseline; ++i) usleep(10'000);
   if (task_count() > baseline) return fail("kernel threads leaked shutdown");
 
-  // A fresh runtime in the same process starts healthy.
-  {
-    Runtime rt{RuntimeOptions{}};
-    std::atomic<int> n{0};
-    std::vector<Thread> ts;
-    for (int i = 0; i < 32; ++i)
-      ts.push_back(rt.spawn([&] { n.fetch_add(1, std::memory_order_relaxed); }));
-    for (Thread& t : ts) t.join();
-    if (n.load() != 32) return fail("post-soak runtime lost work");
+  // Fresh runtimes in the same process start healthy, and building and
+  // destroying them leaves no mappings behind: each one's dropped stacks
+  // park their sealed guards for the next one's stacks.
+  int maps_first = -1, maps_max = 0;
+  for (int r = 0; r < kFreshRuntimes; ++r) {
+    {
+      Runtime rt{RuntimeOptions{}};
+      std::atomic<int> n{0};
+      std::vector<Thread> ts;
+      for (int i = 0; i < 32; ++i)
+        ts.push_back(
+            rt.spawn([&] { n.fetch_add(1, std::memory_order_relaxed); }));
+      for (Thread& t : ts) t.join();
+      if (n.load() != 32) return fail("post-soak runtime lost work");
+    }
+    const int maps = maps_lines();
+    if (maps_first < 0) maps_first = maps;
+    maps_max = std::max(maps_max, maps);
   }
+  std::printf("soak: maps lines over %d fresh runtimes: first %d, max %d\n",
+              kFreshRuntimes, maps_first, maps_max);
+  if (maps_max > maps_first + kMapsSlack)
+    return fail("fresh runtimes leave mappings behind");
 
   std::printf("soak: PASS\n");
   return 0;
