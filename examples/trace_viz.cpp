@@ -19,7 +19,19 @@ using namespace lpt;
 
 namespace {
 volatile std::uint64_t g_sink;
+
+/// fib(n) as a fork/join tree spawned and joined from ULTs: each join runs
+/// its unstarted child next, and the child's exit hands the worker back to
+/// the joiner (DESIGN.md, "Join handoff").
+long fib_tree(Runtime& rt, int n) {
+  if (n < 2) return n;
+  long a = 0;
+  Thread t = rt.spawn([&rt, &a, n] { a = fib_tree(rt, n - 1); });
+  const long b = fib_tree(rt, n - 2);
+  t.join();
+  return a + b;
 }
+}  // namespace
 
 int main(int argc, char** argv) {
   std::string out = argc > 1 ? argv[1] : "trace_viz.json";
@@ -89,10 +101,17 @@ int main(int argc, char** argv) {
       sem.release();
     }));
 
+    // Nested fork/join: every join in the tree comes from a ULT, so the
+    // trace carries join handoffs in both directions.
+    long fib12 = 0;
+    Thread tree = rt.spawn([&] { fib12 = fib_tree(rt, 12); });
+
     for (auto& t : coop) t.join();
     t_sy.join();
     t_ks.join();
     for (auto& t : sync_ts) t.join();
+    tree.join();
+    std::printf("fib(12) fork/join tree: %ld\n", fib12);
 
     const Runtime::Stats st = rt.stats();
     std::printf("\n%llu events recorded (%llu dropped), "

@@ -291,8 +291,8 @@ class Runtime {
 
   /// Finalize a terminated thread: recycle its stack, wake joiners, free the
   /// control block if detached. Called by the scheduler after the exit switch
-  /// with its worker `w` (whose spawn caches it then writes), or with nullptr
-  /// from an orphaned KLT.
+  /// with its worker `w` (whose spawn caches and handoff slot it then
+  /// writes), or with nullptr from an orphaned KLT.
   void finalize_thread(ThreadCtl* t, Worker* w);
 
   /// Finalize a kFailed thread (fault isolation): sample the stack watermark
@@ -391,8 +391,13 @@ class Runtime {
   void klt_main(KltCtl* self);
   ThreadCtl* spawn_ctl(std::function<void()> fn, ThreadAttrs attrs, bool detached);
   /// Shared tail of finalize_thread/finalize_failed_thread: publish done,
-  /// wake joiners, free detached control blocks.
-  void publish_done_and_wake(ThreadCtl* t);
+  /// wake joiners, free detached control blocks. With a worker `w`, a thread
+  /// a join took (ThreadCtl::join_taken) hands w straight back to its lone
+  /// joiner through w->run_next (DESIGN.md, "Join handoff").
+  void publish_done_and_wake(ThreadCtl* t, Worker* w);
+  /// enqueue_ready's accounting half (ready stamp, blocked time, wake edge),
+  /// for a thread made ready without a queue. Call only with tracing on.
+  void stamp_ready(ThreadCtl* t, EnqueueKind kind, std::uint32_t waker);
   /// ULTs ever spawned and live right now, summed over the per-worker and
   /// external counters. Finishes are summed before spawns, so a racing
   /// spawn-and-finish reads as still live rather than as a negative count

@@ -23,8 +23,11 @@ ThreadCtl* WorkStealingScheduler::pick(Worker& w) {
   // Steal from a randomly chosen remote queue when the local one is empty.
   Xoshiro256& rng = *rngs_[w.rank];
   for (int attempt = 0; attempt < 4; ++attempt) {
-    const int v = static_cast<int>(rng.next_below(n));
-    if (v == w.rank) continue;
+    const int v = steal_victim(w.rank, n, rng);
+    // Skip an empty victim on its lock-free depth mirror: locking it anyway
+    // pulls the lock's line away from the owner, which pushes and pops there
+    // on every spawn, wake and yield.
+    if (queues_[v]->depth() == 0) continue;
     if (ThreadCtl* t = queues_[v]->pop_front()) {
       w.metrics.steals.inc();
       LPT_TRACE_EVENT(trace::EventType::kSteal, t->trace_id,
@@ -41,6 +44,10 @@ void WorkStealingScheduler::enqueue(ThreadCtl* t, Worker* hint, EnqueueKind kind
                     ? hint->rank
                     : t->home_pool % static_cast<int>(queues_.size());
   queues_[q]->push_back(t);
+}
+
+bool WorkStealingScheduler::take_for_join(Worker& w, ThreadCtl* t) {
+  return queues_[w.rank]->pop_back_if(t);
 }
 
 bool WorkStealingScheduler::has_work() const {

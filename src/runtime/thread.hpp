@@ -106,6 +106,11 @@ struct ThreadCtl {
   bool finished() const { return done.load(std::memory_order_acquire) == kDone; }
   WaitQueue joiners;  ///< ULTs blocked in join(); its lock orders `done`
   bool detached = false;
+  /// Join handoff (DESIGN.md, "Join handoff"): a joiner took this thread
+  /// out of its worker's queue to run it next. Written by that joiner while
+  /// it owns the thread (out of every queue); read by the finisher, which
+  /// then hands its worker straight back to a lone joiner. Never cleared.
+  bool join_taken = false;
 
   /// KLT-switching: while this thread is suspended inside the preemption
   /// signal handler, the kernel thread it ran on is parked here and must be

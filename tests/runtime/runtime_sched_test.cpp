@@ -44,6 +44,28 @@ TEST(WorkStealing, IdleWorkersStealQueuedThreads) {
   EXPECT_GT(ranks.size(), 1u);
 }
 
+TEST(WorkStealing, StealVictimSkipsSelfAndReachesEveryOther) {
+  // Every steal attempt targets a remote queue: at 2 workers, drawing from
+  // all n ranks would waste half of the attempts on the thief's own queue.
+  Xoshiro256 rng(42);
+  for (int n = 2; n <= 9; ++n) {
+    for (int self = 0; self < n; ++self) {
+      std::vector<int> hits(n, 0);
+      for (int i = 0; i < 100 * n; ++i) {
+        const int v = WorkStealingScheduler::steal_victim(self, n, rng);
+        ASSERT_GE(v, 0);
+        ASSERT_LT(v, n);
+        ASSERT_NE(v, self);
+        ++hits[v];
+      }
+      for (int v = 0; v < n; ++v) {
+        if (v == self) continue;
+        EXPECT_GT(hits[v], 0) << "n=" << n << " self=" << self;
+      }
+    }
+  }
+}
+
 TEST(PackingAlgorithm, PrivateBoundMatchesAlgorithmLine6) {
   // N_private = N_active * floor(N_total / N_active)
   EXPECT_EQ(PackingScheduler::private_bound(28, 28), 28);
