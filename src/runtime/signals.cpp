@@ -22,6 +22,12 @@ int prof_signo() { return SIGRTMIN + 2; }
 
 namespace {
 
+/// errno of the kernel thread running the caller. noinline for the reason
+/// io_guard's accessors are: glibc's __errno_location() is attribute-const,
+/// so the compiler reuses the address it returned before a context switch,
+/// and a signal-yield thread resumes its handler on another kernel thread.
+__attribute__((noinline)) void set_errno_here(int e) { errno = e; }
+
 /// Capture an on-CPU sample of the interrupted ULT: PC + frame-pointer chain
 /// out of the signal ucontext, bounded to the ULT's own stack. Runs inside
 /// both the preemption handler (piggyback mode) and the dedicated sampling
@@ -209,7 +215,9 @@ void preempt_handler(int /*signo*/, siginfo_t* si, void* uctx) {
   else
     detail::handler_klt_switch(rt, w, t);
 
-  errno = saved_errno;
+  // Possibly on another kernel thread now: a plain `errno =` would write
+  // the one this handler entered on, under the ULT that runs there now.
+  set_errno_here(saved_errno);
 }
 
 /// The resume signal only needs to interrupt sigsuspend; the wake token is

@@ -6,11 +6,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <vector>
 
 #include "common/cpu.hpp"
 #include "common/time.hpp"
 #include "runtime/lpt.hpp"
+#include "runtime/signals.hpp"
 
 namespace lpt {
 namespace {
@@ -163,6 +165,89 @@ TEST(Preemption, SignalYieldRunsFineAcrossWorkers) {
   for (auto& t : ts) t.join();
   EXPECT_GT(rt.total_preemptions(), 0u);
   EXPECT_GT(acc.load(), 0);
+}
+
+// errno through calls the compiler cannot merge: glibc's __errno_location()
+// is attribute-const, so an inlined access may reuse an address computed on
+// another kernel thread.
+__attribute__((noinline)) void put_errno(int e) { errno = e; }
+__attribute__((noinline)) int get_errno() { return errno; }
+
+TEST(Preemption, SignalYieldResumedElsewhereLeavesTheOldKltsErrnoAlone) {
+  // The preemption handler saves errno on entry and restores it on exit. A
+  // signal-yield thread can resume on another kernel thread in between, and
+  // the restore must then write that thread's errno, not the errno of the
+  // one it was preempted on, which by then runs another ULT.
+  //
+  // u (signal-yield) runs on worker x with errno EDOM; blocker holds the
+  // other worker; r (cooperative) waits in x's queue. A hand-sent tick
+  // preempts u, x runs r, r releases blocker, and the other worker steals
+  // u. r watches the errno of x's kernel thread while u's handler returns.
+  RuntimeOptions o;
+  o.num_workers = 2;
+  o.timer = TimerKind::None;
+  Runtime rt(o);
+  std::atomic<int> u_rank{-1}, u_last_rank{-1};
+  std::atomic<bool> stop{false}, blocking{false}, r_ready{false};
+  ThreadAttrs sy;
+  sy.preempt = Preempt::SignalYield;
+  Thread u = rt.spawn(
+      [&] {
+        put_errno(EDOM);
+        u_rank.store(this_thread::worker_rank(), std::memory_order_release);
+        while (!stop.load(std::memory_order_acquire)) {
+          u_last_rank.store(this_thread::worker_rank());
+          busy_spin_ns(10'000);
+        }
+      },
+      sy);
+  const std::int64_t deadline = now_ns() + 5'000'000'000;
+  while (u_rank.load(std::memory_order_acquire) < 0 && now_ns() < deadline)
+    usleep(1000);
+  ASSERT_GE(u_rank.load(), 0);
+  const int x = u_rank.load();
+
+  ThreadAttrs on_y;
+  on_y.home_pool = 1 - x;  // an external spawn queues on its home pool
+  Thread blocker = rt.spawn(
+      [&] {
+        blocking.store(true, std::memory_order_release);
+        while (!r_ready.load(std::memory_order_acquire)) cpu_pause();
+      },
+      on_y);
+  ASSERT_TRUE(spin_until(blocking, 5'000));
+
+  std::atomic<int> r_rank{-1}, r_saw{0};
+  ThreadAttrs on_x;
+  on_x.home_pool = x;
+  Thread r = rt.spawn(
+      [&] {
+        put_errno(0);
+        r_rank.store(this_thread::worker_rank());
+        r_ready.store(true, std::memory_order_release);
+        const std::int64_t end = now_ns() + 200'000'000;
+        while (now_ns() < end) {
+          if (const int e = get_errno(); e != 0) {
+            r_saw.store(e);
+            break;
+          }
+        }
+      },
+      on_x);
+  while (!r_ready.load(std::memory_order_acquire) && now_ns() < deadline) {
+    signals::send_preempt(rt.worker(x), -1);
+    usleep(1000);
+  }
+  r.join();
+  const int u_moved_to = u_last_rank.load();
+  stop.store(true, std::memory_order_release);
+  u.join();
+  blocker.join();
+  ASSERT_TRUE(r_ready.load());
+  EXPECT_EQ(r_rank.load(), x);
+  EXPECT_EQ(u_moved_to, 1 - x) << "u did not resume on the other worker";
+  EXPECT_EQ(r_saw.load(), 0)
+      << "errno of r's kernel thread changed under it (EDOM = " << EDOM << ")";
 }
 
 TEST(Preemption, NonpreemptiveThreadIsNeverPreempted) {
