@@ -82,8 +82,8 @@ class JsonReport {
 
   /// The two causal-scheduling histograms of a traced run, as
   /// <key>.{sched_delay,spawn_latency}.{count,p50_ns,...} — call with
-  /// Runtime::stats() taken while tracing was armed (no-op histograms
-  /// otherwise; see docs/observability.md "Causal tracing").
+  /// Runtime::metrics_snapshot() taken while tracing was armed (empty
+  /// histograms otherwise; see docs/observability.md "Causal tracing").
   void set_sched_hists(const std::string& key, const trace::HistSnapshot& delay,
                        const trace::HistSnapshot& spawn) {
     set_hist(key + ".sched_delay", delay);

@@ -29,17 +29,10 @@ namespace {
 
 volatile std::uint64_t g_sink;
 
-struct RealDelivery {
-  trace::HistSnapshot hist;          ///< timer fire -> handler entry
-  trace::HistSnapshot sched_delay;   ///< ready -> dispatch (all pools)
-  trace::HistSnapshot spawn_latency; ///< spawn -> first dispatch
-  metrics::Snapshot metrics;         ///< tick-effectiveness counters
-};
-
 /// Run a traced real runtime with `workers` busy signal-yield ULTs for
-/// ~100 ms and return the preemption-delivery histogram plus the run's
-/// metrics snapshot.
-RealDelivery real_delivery(TimerKind timer, int workers) {
+/// ~100 ms and return the run's metrics snapshot (preemption-delivery and
+/// scheduling histograms plus tick-effectiveness counters).
+metrics::Snapshot real_delivery(TimerKind timer, int workers) {
   RuntimeOptions o;
   o.num_workers = workers;
   o.timer = timer;
@@ -64,9 +57,7 @@ RealDelivery real_delivery(TimerKind timer, int workers) {
   }
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : ts) t.join();
-  const Runtime::Stats st = rt.stats();
-  return {st.preempt_delivery_ns, st.sched_delay_ns, st.spawn_latency_ns,
-          rt.metrics_snapshot()};
+  return rt.metrics_snapshot();
 }
 
 }  // namespace
@@ -150,22 +141,23 @@ int main(int argc, char** argv) {
                     "p99 (us)", "delay p50/p99/p999 (us)", "eff (%)"});
   for (const RealRow& row : rows) {
     for (int workers : {1, 2}) {
-      const RealDelivery r = real_delivery(row.kind, workers);
-      const trace::HistSnapshot& h = r.hist;
+      const metrics::Snapshot r = real_delivery(row.kind, workers);
+      const trace::HistSnapshot& h = r.preempt_delivery_ns;
       real_table.add_row(
           {row.name, Table::fmt("%d", workers),
            Table::fmt("%llu", static_cast<unsigned long long>(h.count())),
            Table::fmt("%7.1f", h.percentile_ns(50.0) / 1000.0),
            Table::fmt("%7.1f", h.percentile_ns(99.0) / 1000.0),
-           Table::fmt("%.0f/%.0f/%.0f", r.sched_delay.percentile_ns(50.0) / 1000.0,
-                      r.sched_delay.percentile_ns(99.0) / 1000.0,
-                      r.sched_delay.percentile_ns(99.9) / 1000.0),
-           Table::fmt("%5.0f", 100.0 * r.metrics.tick_effectiveness())});
+           Table::fmt("%.0f/%.0f/%.0f",
+                      r.sched_delay_ns.percentile_ns(50.0) / 1000.0,
+                      r.sched_delay_ns.percentile_ns(99.0) / 1000.0,
+                      r.sched_delay_ns.percentile_ns(99.9) / 1000.0),
+           Table::fmt("%5.0f", 100.0 * r.tick_effectiveness())});
       const std::string key =
           std::string("real.") + row.key + ".w" + std::to_string(workers);
       json.set_hist(key + ".delivery", h);
-      json.set_sched_hists(key, r.sched_delay, r.spawn_latency);
-      json.set_tick_effectiveness(key + ".ticks", r.metrics);
+      json.set_sched_hists(key, r.sched_delay_ns, r.spawn_latency_ns);
+      json.set_tick_effectiveness(key + ".ticks", r);
     }
   }
   real_table.print();

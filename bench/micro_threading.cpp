@@ -250,7 +250,7 @@ void BM_YieldPingPongTraced(benchmark::State& state) {
   });
   main_ult.join();
   if (traced) {
-    const Runtime::Stats st = rt.stats();
+    const metrics::Snapshot st = rt.metrics_snapshot();
     state.counters["sched_delay_p50_ns"] = st.sched_delay_ns.percentile_ns(50.0);
     state.counters["sched_delay_p99_ns"] = st.sched_delay_ns.percentile_ns(99.0);
     state.counters["sched_delay_p999_ns"] =
@@ -274,7 +274,7 @@ void BM_SpawnJoinTraced(benchmark::State& state) {
     t.join();
   }
   if (traced) {
-    const Runtime::Stats st = rt.stats();
+    const metrics::Snapshot st = rt.metrics_snapshot();
     state.counters["spawn_latency_p50_ns"] =
         st.spawn_latency_ns.percentile_ns(50.0);
     state.counters["spawn_latency_p99_ns"] =

@@ -70,7 +70,8 @@ TrialResult run_trial(bool sentinel, int wedged) {
         a));
   }
   // Both enter the annotated read before the clock starts.
-  while (rt.stats().syscall_blocks < static_cast<std::uint64_t>(wedged))
+  while (rt.metrics_snapshot().syscall_blocks <
+         static_cast<std::uint64_t>(wedged))
     busy_spin_ns(100'000);
 
   std::vector<std::atomic<std::int64_t>> started(kProbes);
@@ -94,7 +95,7 @@ TrialResult run_trial(bool sentinel, int wedged) {
     const double ms = (s.load(std::memory_order_acquire) - t0) / 1e6;
     if (ms > r.dispatch_ms_max) r.dispatch_ms_max = ms;
   }
-  r.activated = rt.stats().syscall_comp_activated;
+  r.activated = rt.metrics_snapshot().syscall_comp_activated;
   for (auto& p : pipes) {
     ::close(p[0]);
     ::close(p[1]);

@@ -69,7 +69,7 @@ RealPreempt measure_real_preempt(Preempt mode, std::int64_t interval_us,
     t.join();
     const std::int64_t elapsed = now_ns() - t0;
     if (timer != TimerKind::None) {
-      const Runtime::Stats st = rt.stats();
+      const metrics::Snapshot st = rt.metrics_snapshot();
       out.delivery.merge(st.preempt_delivery_ns);
       out.resched.merge(st.preempt_resched_ns);
       out.klt_trip.merge(st.klt_switch_trip_ns);
@@ -78,10 +78,9 @@ RealPreempt measure_real_preempt(Preempt mode, std::int64_t interval_us,
       out.degraded_ticks += st.klt_degraded_ticks;
       out.timer_fallbacks += st.posix_timer_fallbacks;
       out.faults_injected += st.faults_injected;
-      const metrics::Snapshot ms = rt.metrics_snapshot();
-      out.ticks_sent += ms.ticks_sent;
-      out.handler_entries += ms.handler_entries;
-      out.handler_deferred += ms.handler_deferred;
+      out.ticks_sent += st.ticks_sent;
+      out.handler_entries += st.handler_entries;
+      out.handler_deferred += st.handler_deferred;
     }
     return {static_cast<double>(elapsed), rt.total_preemptions()};
   };

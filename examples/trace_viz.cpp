@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
     tree.join();
     std::printf("fib(12) fork/join tree: %ld\n", fib12);
 
-    const Runtime::Stats st = rt.stats();
+    const metrics::Snapshot st = rt.metrics_snapshot();
     std::printf("\n%llu events recorded (%llu dropped), "
                 "%llu preemptions observed.\n",
                 static_cast<unsigned long long>(st.trace_events),
@@ -123,25 +123,24 @@ int main(int argc, char** argv) {
 
     // The always-on metrics need no tracing: the same run, seen as the
     // counters a production scrape would export (docs/observability.md).
-    const metrics::Snapshot ms = rt.metrics_snapshot();
     std::printf("\nAlways-on metrics (no tracer required):\n");
     std::printf("  dispatches %llu, yields %llu, steals %llu, "
                 "queue depth now %lld\n",
-                static_cast<unsigned long long>(ms.dispatches),
-                static_cast<unsigned long long>(ms.yields),
-                static_cast<unsigned long long>(ms.steals),
-                static_cast<long long>(ms.run_queue_depth));
+                static_cast<unsigned long long>(st.dispatches),
+                static_cast<unsigned long long>(st.yields),
+                static_cast<unsigned long long>(st.steals),
+                static_cast<long long>(st.run_queue_depth));
     std::printf("  preemption pipeline: %llu ticks -> %llu handler entries "
                 "(%.0f%% effective) -> %llu switches\n",
-                static_cast<unsigned long long>(ms.ticks_sent),
-                static_cast<unsigned long long>(ms.handler_entries),
-                100.0 * ms.tick_effectiveness(),
-                static_cast<unsigned long long>(ms.preemptions));
+                static_cast<unsigned long long>(st.ticks_sent),
+                static_cast<unsigned long long>(st.handler_entries),
+                100.0 * st.tick_effectiveness(),
+                static_cast<unsigned long long>(st.preemptions));
     std::printf("  watchdog: %llu checks, %llu flags\n",
-                static_cast<unsigned long long>(ms.watchdog_checks),
-                static_cast<unsigned long long>(ms.watchdog_runnable_starvation +
-                                                ms.watchdog_worker_stall +
-                                                ms.watchdog_quantum_overrun));
+                static_cast<unsigned long long>(st.watchdog_checks),
+                static_cast<unsigned long long>(st.watchdog_runnable_starvation +
+                                                st.watchdog_worker_stall +
+                                                st.watchdog_quantum_overrun));
     std::printf("  (export with LPT_METRICS_FILE=<path> — Prometheus text, "
                 "or JSON for .json paths)\n");
   }  // ~Runtime writes the Chrome trace

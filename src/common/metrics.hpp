@@ -157,14 +157,19 @@ struct alignas(64) WorkerMetrics {
     return preempt_signal_yield.value() + preempt_klt_switch.value();
   }
   /// Copy every counter into a plain sample (each field an independent
-  /// relaxed read; see the snapshot-coherence note on Runtime::Stats).
+  /// relaxed read; see the coherence note on Snapshot).
   WorkerSample sample() const;
 };
 
 /// Point-in-time view of the whole runtime. Per-worker samples plus totals
-/// (finalize()) plus runtime-global gauges. Same coherence contract as
-/// Runtime::Stats: independent relaxed reads, monotonic between snapshots,
-/// exact equalities only after quiescing.
+/// (finalize()) plus runtime-global gauges.
+///
+/// Coherence: every field is an independent relaxed read of a live counter;
+/// the struct is NOT a consistent cut of the runtime. Monotonic counters
+/// (dispatches, preemptions, steals, histogram buckets) never run backwards
+/// between two snapshots, but sums across workers may disagree transiently
+/// with per-thread views, and `parked` is an instantaneous flag. Quiesce the
+/// runtime (join all ULTs) before asserting exact equalities.
 struct Snapshot {
   std::int64_t taken_ns = 0;   ///< CLOCK_MONOTONIC at snapshot time
   std::int64_t uptime_ns = 0;  ///< since Runtime construction
@@ -245,8 +250,16 @@ struct Snapshot {
 
   // -- tracer pass-through (zero when tracing is off) --
   bool trace_enabled = false;
-  std::uint64_t trace_events = 0;
-  std::uint64_t trace_dropped = 0;
+  std::uint64_t trace_events = 0;   ///< committed across all rings
+  std::uint64_t trace_dropped = 0;  ///< lost to ring overflow
+  /// Log2 latency histograms merged across workers (ns); see
+  /// trace::HistSnapshot::percentile_ns. Not exported by the writers below.
+  trace::HistSnapshot preempt_delivery_ns;  ///< timer fire → handler entry
+  trace::HistSnapshot preempt_resched_ns;   ///< preemption → re-dispatch
+  trace::HistSnapshot klt_switch_trip_ns;   ///< KLT suspend → resume
+  /// The pool_* vectors below, merged across pools.
+  trace::HistSnapshot sched_delay_ns;       ///< ready → dispatch
+  trace::HistSnapshot spawn_latency_ns;     ///< spawn → first dispatch
   // Per-pool scheduling-delay accounting (docs/observability.md, "Causal
   // tracing & scheduling delay"): index == worker rank == pool; a stolen ULT
   // is attributed to the pool that dispatched it. Like the counters above

@@ -148,7 +148,8 @@ void reset_faults();
 void load_env_faults();
 
 SiteCounters counters(Site s);
-/// Injected failures summed over all sites (Runtime::Stats::faults_injected).
+/// Injected failures summed over all sites
+/// (metrics::Snapshot::faults_injected).
 std::uint64_t total_injected();
 
 }  // namespace lpt::sys

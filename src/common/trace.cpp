@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/env.hpp"
 
@@ -512,10 +511,8 @@ void Collector::write_summary(std::FILE* out) const {
 }
 
 TraceConfig resolve_config(TraceConfig base) {
-  const char* on = std::getenv("LPT_TRACE");
-  if (on != nullptr)
-    base.enabled = !(std::strcmp(on, "0") == 0 || std::strcmp(on, "") == 0 ||
-                     std::strcmp(on, "off") == 0);
+  const bool on = env_flag("LPT_TRACE", false);
+  base.enabled = env_flag("LPT_TRACE", base.enabled);
   if (const char* file = std::getenv("LPT_TRACE_FILE"); file != nullptr && file[0] != '\0') {
     base.file = file;
     base.enabled = true;
@@ -528,7 +525,7 @@ TraceConfig resolve_config(TraceConfig base) {
     base.events_file = ev;
     base.enabled = true;
   }
-  if (base.enabled && base.file.empty() && on != nullptr)
+  if (on && base.file.empty())
     base.file = "lpt_trace.json";  // plain LPT_TRACE=1 still leaves a trace
   return base;
 }

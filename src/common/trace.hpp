@@ -181,7 +181,7 @@ class Ring {
 // Fixed-bucket log2 latency histograms
 // ---------------------------------------------------------------------------
 
-/// Plain (non-atomic) histogram snapshot; embedded in Runtime::Stats.
+/// Plain (non-atomic) histogram snapshot; embedded in metrics::Snapshot.
 /// Bucket 0 holds [0, 1] ns; bucket b >= 1 holds [2^(b-1), 2^b) ns.
 /// All values are nanoseconds — sum_ns is the *exact* sum of the recorded
 /// samples (not reconstructed from bucket midpoints), so exporters can emit
@@ -340,9 +340,11 @@ inline bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 /// Resolve the effective config: `base` (RuntimeOptions) overridden by the
 /// LPT_TRACE / LPT_TRACE_FILE / LPT_TRACE_RING_CAP / LPT_TRACE_EVENTS_FILE
-/// environment variables. LPT_TRACE=1 with no file configured defaults the
-/// file to "lpt_trace.json" so a plain `LPT_TRACE=1 ./bench` always leaves a
-/// trace; LPT_TRACE_EVENTS_FILE (raw JSONL event log) implies enabled.
+/// environment variables. LPT_TRACE is read by env_flag (common/env.hpp), so
+/// "0", "off", "false" and "no" disable and an empty value counts as unset.
+/// LPT_TRACE set to an on value with no file configured defaults the file to
+/// "lpt_trace.json" so a plain `LPT_TRACE=1 ./bench` always leaves a trace;
+/// LPT_TRACE_EVENTS_FILE (raw JSONL event log) implies enabled.
 TraceConfig resolve_config(TraceConfig base);
 
 }  // namespace lpt::trace

@@ -8,20 +8,12 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/env.hpp"
 
 namespace lpt {
 
 namespace {
-
-bool env_flag(const char* name, bool fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return fallback;
-  return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-           std::strcmp(v, "false") == 0);
-}
 
 /// Parse "262144", "256K", "1M" (case-insensitive suffix). Returns false on
 /// anything else, including trailing junk and zero.

@@ -71,7 +71,8 @@ struct RuntimeOptions {
   /// Upper bound on KLTs the runtime may ever create (worker hosts + spares);
   /// 0 = unlimited (the paper's as-many-KLTs-as-threads worst case, §3.1.2).
   /// When the cap is hit, KLT-switch preemptions degrade to deferred ticks
-  /// (Stats::klt_degraded_ticks) instead of creating more kernel threads.
+  /// (metrics::Snapshot::klt_degraded_ticks) instead of creating more kernel
+  /// threads.
   /// Must be 0 or >= num_workers.
   int max_klts = 0;
 
@@ -143,9 +144,9 @@ struct RuntimeOptions {
   /// watchdog escalates from flagging to acting: a quantum overrun gets a
   /// directed re-tick, a stalled worker gets its KLT force-replaced from the
   /// KLT pool, and an overrunning ULT past its deadline is cancelled. Every
-  /// action is counted (Stats::remediations_*, lpt_remediations_total),
-  /// traced (kRemediation), and reported through watchdog_callback. Off by
-  /// default: detection stays flag-only.
+  /// action is counted (metrics::Snapshot::remediations_*,
+  /// lpt_remediations_total), traced (kRemediation), and reported through
+  /// watchdog_callback. Off by default: detection stays flag-only.
   bool remediation = false;
   /// Cap on remediation actions taken per watchdog poll period
   /// (LPT_REMEDIATE_MAX_PER_PERIOD overrides; must be >= 1). Bounds the blast

@@ -570,8 +570,13 @@ metrics::Snapshot Runtime::metrics_snapshot() const {
     s.trace_events = trace::Collector::instance().total_events();
     s.trace_dropped = trace::Collector::instance().total_dropped();
     for (const auto& w : workers_) {
+      s.preempt_delivery_ns.merge(w->hist_delivery.snapshot());
+      s.preempt_resched_ns.merge(w->hist_resched.snapshot());
+      s.klt_switch_trip_ns.merge(w->hist_klt_trip.snapshot());
       s.pool_sched_delay_ns.push_back(w->hist_sched_delay.snapshot());
       s.pool_spawn_latency_ns.push_back(w->hist_spawn_latency.snapshot());
+      s.sched_delay_ns.merge(s.pool_sched_delay_ns.back());
+      s.spawn_latency_ns.merge(s.pool_spawn_latency_ns.back());
     }
   }
 
@@ -600,78 +605,6 @@ bool Runtime::write_metrics(std::FILE* out, metrics::Format format) const {
   return true;
 }
 
-Runtime::Stats Runtime::stats() const {
-  // Single aggregation path: every counter Stats shares with the metrics
-  // subsystem comes from the same snapshot, so the two views cannot
-  // disagree. Only the tracer histograms are merged here directly — they
-  // live outside the always-on counters.
-  const metrics::Snapshot m = metrics_snapshot();
-  Stats s;
-  for (int r = 0; r < static_cast<int>(m.workers.size()); ++r) {
-    const metrics::WorkerSample& ws = m.workers[r];
-    const Worker& w = *workers_[r];
-    Stats::PerWorker pw;
-    pw.scheduled = ws.dispatches;
-    pw.preempt_signal_yield = ws.preempt_signal_yield;
-    pw.preempt_klt_switch = ws.preempt_klt_switch;
-    pw.steals = ws.steals;
-    pw.parked = ws.parked;
-    pw.preempt_delivery_samples = w.hist_delivery.count();
-    pw.preempt_resched_samples = w.hist_resched.count();
-    pw.klt_trip_samples = w.hist_klt_trip.count();
-    pw.klt_degraded_ticks = ws.klt_degraded_ticks;
-    pw.posix_timer_fallback = ws.posix_timer_fallback;
-    s.preempt_delivery_ns.merge(w.hist_delivery.snapshot());
-    s.preempt_resched_ns.merge(w.hist_resched.snapshot());
-    s.klt_switch_trip_ns.merge(w.hist_klt_trip.snapshot());
-    s.sched_delay_ns.merge(w.hist_sched_delay.snapshot());
-    s.spawn_latency_ns.merge(w.hist_spawn_latency.snapshot());
-    s.workers.push_back(pw);
-  }
-  s.klts_created = m.klts_created;
-  s.klts_on_demand = m.klts_on_demand;
-  s.active_workers = m.active_workers;
-  s.klt_degraded_ticks = m.klt_degraded_ticks;
-  s.klt_create_failures = m.klt_create_failures;
-  s.posix_timer_fallbacks = m.posix_timer_fallbacks;
-  s.spawn_stack_failures = m.spawn_stack_failures;
-  s.stacks_cached = m.stacks_cached;
-  s.stacks_shed = m.stacks_shed;
-  s.faults_injected = m.faults_injected;
-  s.ult_faults = m.ult_faults;
-  s.stack_overflows = m.stack_overflows;
-  s.escaped_exceptions = m.escaped_exceptions;
-  s.ult_cancels = m.ult_cancels;
-  s.remediations_retick = m.remediations_retick;
-  s.remediations_cancel = m.remediations_cancel;
-  s.remediations_klt_replace = m.remediations_klt_replace;
-  s.remediations_deadlock_break = m.remediations_deadlock_break;
-  s.deadlock_cycles = m.deadlock_cycles;
-  s.self_deadlocks = m.self_deadlocks;
-  s.abandoned_locks = m.abandoned_locks;
-  s.abandoned_released = m.abandoned_released;
-  s.syscall_blocks = m.syscall_blocks;
-  s.syscall_comp_activated = m.syscall_comp_activated;
-  s.syscall_comp_reabsorbed = m.syscall_comp_reabsorbed;
-  s.syscall_comp_saturated = m.syscall_comp_saturated;
-  s.klts_retired = m.klts_retired;
-  s.stacks_quarantined = m.stacks_quarantined;
-  s.stack_near_overflows = m.stack_near_overflows;
-  s.stack_watermark_max = m.stack_watermark_max;
-  s.trace_enabled = m.trace_enabled;
-  s.trace_events = m.trace_events;
-  s.trace_dropped = m.trace_dropped;
-  s.prof_enabled = m.prof_enabled;
-  s.prof_sample_invocations = m.prof_sample_invocations;
-  s.prof_samples_recorded = m.prof_samples_recorded;
-  s.prof_samples_dropped = m.prof_samples_dropped;
-  s.prof_offcpu_waits = m.prof_offcpu_waits;
-  s.prof_lock_acquires = m.prof_lock_acquires;
-  s.prof_lock_contended = m.prof_lock_contended;
-  s.prof_contention_chains = m.prof_contention_chains;
-  return s;
-}
-
 bool Runtime::write_profile(const std::string& path) const {
   if (!opts_.prof.enabled) return false;
   return prof::Collector::instance().write_file(path);
@@ -688,7 +621,7 @@ void Runtime::print_trace_summary(std::FILE* out) const {
     return;
   }
   trace::Collector::instance().write_summary(out);
-  const Stats s = stats();
+  const metrics::Snapshot s = metrics_snapshot();
   auto hist_line = [&](const char* name, const trace::HistSnapshot& h) {
     if (h.count() == 0) return;
     std::fprintf(out,
@@ -704,54 +637,50 @@ void Runtime::print_trace_summary(std::FILE* out) const {
   // Per-pool ready→dispatch delay: the task-level tail signal the serving
   // arc consumes (docs/observability.md, "Causal tracing & scheduling
   // delay"). Printed per pool because steals make pool delays diverge.
-  {
-    const metrics::Snapshot m = metrics_snapshot();
-    for (std::size_t r = 0; r < m.pool_sched_delay_ns.size(); ++r) {
-      const trace::HistSnapshot& h = m.pool_sched_delay_ns[r];
-      if (h.count() == 0) continue;
-      std::fprintf(out,
-                   "  pool %-2zu sched delay          n=%-8llu p50=%8.0f ns  "
-                   "p99=%8.0f ns  p999=%8.0f ns\n",
-                   r, static_cast<unsigned long long>(h.count()),
-                   h.percentile_ns(50), h.percentile_ns(99),
-                   h.percentile_ns(99.9));
-    }
+  for (std::size_t r = 0; r < s.pool_sched_delay_ns.size(); ++r) {
+    const trace::HistSnapshot& h = s.pool_sched_delay_ns[r];
+    if (h.count() == 0) continue;
+    std::fprintf(out,
+                 "  pool %-2zu sched delay          n=%-8llu p50=%8.0f ns  "
+                 "p99=%8.0f ns  p999=%8.0f ns\n",
+                 r, static_cast<unsigned long long>(h.count()),
+                 h.percentile_ns(50), h.percentile_ns(99),
+                 h.percentile_ns(99.9));
   }
 
   // Degradation counters (docs/robustness.md): all zero on a healthy run;
   // nonzero values mean the latencies above were taken on a degraded
-  // runtime. Printed only when something actually degraded.
-  if (s.klt_degraded_ticks > 0 || s.klt_create_failures > 0 ||
-      s.posix_timer_fallbacks > 0 || s.spawn_stack_failures > 0 ||
-      s.stacks_shed > 0 || s.faults_injected > 0 || s.ult_faults > 0 ||
-      s.klts_retired > 0 || s.ult_cancels > 0 || s.remediations_retick > 0 ||
-      s.remediations_cancel > 0 || s.remediations_klt_replace > 0 ||
-      s.syscall_comp_activated > 0) {
-    std::fprintf(out, "degradation:\n");
-    auto count_line = [&](const char* name, std::uint64_t v) {
-      if (v > 0)
-        std::fprintf(out, "  %-28s %llu\n", name,
-                     static_cast<unsigned long long>(v));
-    };
-    count_line("klt degraded ticks", s.klt_degraded_ticks);
-    count_line("klt create failures", s.klt_create_failures);
-    count_line("posix timer fallbacks", s.posix_timer_fallbacks);
-    count_line("spawn stack failures", s.spawn_stack_failures);
-    count_line("stacks shed", s.stacks_shed);
-    count_line("faults injected", s.faults_injected);
-    count_line("ult faults contained", s.ult_faults);
-    count_line("stack overflows", s.stack_overflows);
-    count_line("escaped exceptions", s.escaped_exceptions);
-    count_line("klts retired", s.klts_retired);
-    count_line("stacks quarantined", s.stacks_quarantined);
-    count_line("ult cancels", s.ult_cancels);
-    count_line("remediations: retick", s.remediations_retick);
-    count_line("remediations: cancel", s.remediations_cancel);
-    count_line("remediations: klt replace", s.remediations_klt_replace);
-    count_line("syscall comp: activated", s.syscall_comp_activated);
-    count_line("syscall comp: reabsorbed", s.syscall_comp_reabsorbed);
-    count_line("syscall comp: saturated", s.syscall_comp_saturated);
-  }
+  // runtime. The header comes with the first nonzero line, so nothing is
+  // printed when nothing degraded.
+  bool header = false;
+  auto count_line = [&](const char* name, std::uint64_t v) {
+    if (v == 0) return;
+    if (!header) std::fprintf(out, "degradation:\n");
+    header = true;
+    std::fprintf(out, "  %-28s %llu\n", name,
+                 static_cast<unsigned long long>(v));
+  };
+  count_line("klt degraded ticks", s.klt_degraded_ticks);
+  count_line("klt create failures", s.klt_create_failures);
+  count_line("posix timer fallbacks", s.posix_timer_fallbacks);
+  count_line("spawn stack failures", s.spawn_stack_failures);
+  count_line("stacks shed", s.stacks_shed);
+  count_line("faults injected", s.faults_injected);
+  count_line("ult faults contained", s.ult_faults);
+  count_line("stack overflows", s.stack_overflows);
+  count_line("escaped exceptions", s.escaped_exceptions);
+  count_line("klts retired", s.klts_retired);
+  count_line("stacks quarantined", s.stacks_quarantined);
+  count_line("ult cancels", s.ult_cancels);
+  count_line("remediations: retick", s.remediations_retick);
+  count_line("remediations: cancel", s.remediations_cancel);
+  count_line("remediations: klt replace", s.remediations_klt_replace);
+  count_line("remediations: deadlock break", s.remediations_deadlock_break);
+  count_line("deadlock cycles", s.deadlock_cycles);
+  count_line("abandoned locks", s.abandoned_locks);
+  count_line("syscall comp: activated", s.syscall_comp_activated);
+  count_line("syscall comp: reabsorbed", s.syscall_comp_reabsorbed);
+  count_line("syscall comp: saturated", s.syscall_comp_saturated);
 }
 
 void Runtime::enable_posix_timer_fallback() {

@@ -73,116 +73,17 @@ class Runtime {
   /// paper's worst case where KLT-switching degenerates to 1:1 (§3.1.2).
   std::uint64_t total_klts() const;
 
-  /// Point-in-time counters for observability/tuning.
-  ///
-  /// Snapshot coherence: every field is an independent relaxed read of a
-  /// live counter — the struct is NOT a consistent cut of the runtime.
-  /// Monotonic counters (scheduled, preemptions, steals, histogram buckets)
-  /// never run backwards between two stats() calls, but sums across workers
-  /// may disagree transiently with per-thread views (e.g. total_preemptions()
-  /// taken a microsecond later), and `parked` is an instantaneous flag.
-  /// Quiesce the runtime (join all ULTs) before asserting exact equalities.
-  struct Stats {
-    struct PerWorker {
-      std::uint64_t scheduled = 0;           ///< threads dispatched
-      std::uint64_t preempt_signal_yield = 0;
-      std::uint64_t preempt_klt_switch = 0;
-      std::uint64_t steals = 0;
-      bool parked = false;                   ///< packing-suspended right now
-      // Totals of this worker's latency histograms (tracing only; 0 when
-      // tracing is off).
-      std::uint64_t preempt_delivery_samples = 0;
-      std::uint64_t preempt_resched_samples = 0;
-      std::uint64_t klt_trip_samples = 0;
-      /// KLT-switch ticks deferred because the creator was saturated or the
-      /// max_klts cap was hit (the thread keeps running, §3.1.2 retry).
-      std::uint64_t klt_degraded_ticks = 0;
-      /// This worker's POSIX timer degraded to monitor-thread delivery.
-      bool posix_timer_fallback = false;
-    };
-    std::vector<PerWorker> workers;
-    std::uint64_t klts_created = 0;   ///< incl. initial worker hosts
-    std::uint64_t klts_on_demand = 0; ///< created by the KLT creator
-    int active_workers = 0;
-
-    // -- graceful degradation counters (docs/robustness.md) --
-    std::uint64_t klt_degraded_ticks = 0;    ///< sum over workers
-    std::uint64_t klt_create_failures = 0;   ///< failed pthread_create attempts
-    std::uint64_t posix_timer_fallbacks = 0; ///< workers on fallback delivery
-    std::uint64_t spawn_stack_failures = 0;  ///< spawns refused (stack ENOMEM)
-    std::uint64_t stacks_cached = 0;         ///< StackPool free list, now
-    std::uint64_t stacks_shed = 0;           ///< stacks dropped (trim/shed), ever
-    std::uint64_t faults_injected = 0;       ///< LPT_FAULT injections (all sites)
-
-    // -- fault isolation (docs/robustness.md) --
-    std::uint64_t ult_faults = 0;            ///< ULTs terminated kFailed, ever
-    std::uint64_t stack_overflows = 0;       ///< ... by guard-page overflow
-    std::uint64_t escaped_exceptions = 0;    ///< ... by the exception firewall
-    std::uint64_t ult_cancels = 0;           ///< ... by cancel/deadline expiry
-    std::uint64_t klts_retired = 0;          ///< poisoned KLTs exited, ever
-    std::uint64_t stacks_quarantined = 0;    ///< failed-ULT stacks re-guarded
-    std::uint64_t stack_near_overflows = 0;  ///< watermark within a page of guard
-    std::uint64_t stack_watermark_max = 0;   ///< deepest sampled stack use, bytes
-
-    // -- self-healing remediation (docs/robustness.md) --
-    std::uint64_t remediations_retick = 0;       ///< directed re-ticks sent
-    std::uint64_t remediations_cancel = 0;       ///< deadline-driven cancels
-    std::uint64_t remediations_klt_replace = 0;  ///< forced KLT replacements
-    std::uint64_t remediations_deadlock_break = 0;  ///< cycle victims cancelled
-
-    // -- deadlock detection & abandoned locks (docs/robustness.md). After
-    //    quiescing with remediation on:
-    //    deadlock_cycles == remediations_deadlock_break + self_deadlocks. --
-    std::uint64_t deadlock_cycles = 0;     ///< cycles flagged (incl. self)
-    std::uint64_t self_deadlocks = 0;      ///< relock-own-mutex, caught at lock()
-    std::uint64_t abandoned_locks = 0;     ///< owner ended while holding
-    std::uint64_t abandoned_released = 0;  ///< ... force-released (opt-in)
-
-    // -- blocking-syscall resilience (docs/robustness.md). After quiescing:
-    //    syscall_comp_activated == comp_reabsorbed + comp_saturated. --
-    std::uint64_t syscall_blocks = 0;          ///< annotated regions entered
-    std::uint64_t syscall_comp_activated = 0;  ///< sentinel compensations
-    std::uint64_t syscall_comp_reabsorbed = 0; ///< old hosts parked back
-    std::uint64_t syscall_comp_saturated = 0;  ///< compensations w/o a KLT
-
-    // -- profiler results (docs/observability.md "Profiling"; all zero when
-    //    profiling is off) --
-    bool prof_enabled = false;
-    std::uint64_t prof_sample_invocations = 0;
-    std::uint64_t prof_samples_recorded = 0;
-    std::uint64_t prof_samples_dropped = 0;
-    std::uint64_t prof_offcpu_waits = 0;
-    std::uint64_t prof_lock_acquires = 0;
-    std::uint64_t prof_lock_contended = 0;
-    std::uint64_t prof_contention_chains = 0;
-
-    // -- tracer results (all zero when tracing is off) --
-    bool trace_enabled = false;
-    std::uint64_t trace_events = 0;   ///< committed across all rings
-    std::uint64_t trace_dropped = 0;  ///< lost to ring overflow
-    /// Log2 latency histograms merged across workers (ns). See
-    /// trace::HistSnapshot::percentile_ns for summary extraction.
-    trace::HistSnapshot preempt_delivery_ns;  ///< timer fire → handler entry
-    trace::HistSnapshot preempt_resched_ns;   ///< preemption → re-dispatch
-    trace::HistSnapshot klt_switch_trip_ns;   ///< KLT suspend → resume
-    /// Causal scheduling-delay accounting (docs/observability.md, "Causal
-    /// tracing & scheduling delay"), merged across pools; the per-pool view
-    /// lives in metrics_snapshot(). sum_ns is exact (atomic accumulation,
-    /// not reconstructed from buckets), so it reconciles with per-ULT
-    /// UltAccounting totals after quiescing.
-    trace::HistSnapshot sched_delay_ns;       ///< ready → dispatch
-    trace::HistSnapshot spawn_latency_ns;     ///< spawn → first dispatch
-  };
-  Stats stats() const;
-
   // ----- always-on metrics (docs/observability.md) -----
 
-  /// Full metrics snapshot: per-worker counters + queue depths, totals, and
-  /// runtime-global gauges. Always available (no tracing required). Same
-  /// coherence contract as stats() — and stats() is itself built from this
-  /// snapshot, so the two views agree on every shared counter by
-  /// construction.
+  /// Full metrics snapshot: per-worker counters + queue depths, totals,
+  /// runtime-global gauges and, while tracing, the tracer's latency
+  /// histograms. Always available (no tracing required). See
+  /// metrics::Snapshot for its coherence contract.
   metrics::Snapshot metrics_snapshot() const;
+
+  // Kept only for perfbench/, which still names Runtime::Stats and stats().
+  using Stats = metrics::Snapshot;
+  Stats stats() const { return metrics_snapshot(); }
 
   /// Write a snapshot to `out` in Prometheus text format or JSON. Returns
   /// false only when `out` is null.

@@ -153,7 +153,7 @@ struct alignas(kCacheLineSize) Worker {
   /// Always-on counters and the sampled state marker (common/metrics.hpp).
   /// Scheduler-context sites use the store-based Counter members; the
   /// preemption handler and timer threads write only the AtomicCounter ones.
-  /// Runtime::stats() and metrics_snapshot() both aggregate from here.
+  /// Runtime::metrics_snapshot() aggregates from here.
   metrics::WorkerMetrics metrics;
 
   // -- tracing (see docs/observability.md) --
@@ -161,14 +161,14 @@ struct alignas(kCacheLineSize) Worker {
   /// the timer/forwarding sender, consumed by the handler to compute the
   /// fire→handler-entry delivery latency). 0 = consumed / none.
   std::atomic<std::int64_t> preempt_sent_ns{0};
-  /// Signal-safe log2 latency histograms, merged into Runtime::Stats.
+  /// Signal-safe log2 latency histograms, merged into metrics::Snapshot.
   trace::LatencyHistogram hist_delivery;   ///< signal send → handler entry
   trace::LatencyHistogram hist_resched;    ///< preemption → next dispatch
   trace::LatencyHistogram hist_klt_trip;   ///< KLT suspend → resume round trip
   /// Per-pool scheduling-delay accounting (pool == worker rank; a stolen ULT
   /// is attributed to the pool that *dispatched* it, which is where the wait
   /// ended). Recorded at dispatch while the tracer is armed; exported as
-  /// native Prometheus histograms and merged into Runtime::Stats.
+  /// native Prometheus histograms and merged into metrics::Snapshot.
   trace::LatencyHistogram hist_sched_delay;    ///< ready → dispatch
   trace::LatencyHistogram hist_spawn_latency;  ///< spawn → first dispatch
 

@@ -418,6 +418,23 @@ TEST_F(TraceEnvTest, Lpt_TraceZeroOverridesProgrammaticEnable) {
   EXPECT_FALSE(resolve_config(base).enabled);
 }
 
+TEST_F(TraceEnvTest, Lpt_TraceOffWordsDisableAndEmptyIsUnset) {
+  TraceConfig base;
+  base.enabled = true;
+  for (const char* off : {"0", "off", "false", "no"}) {
+    setenv("LPT_TRACE", off, 1);
+    const TraceConfig r = resolve_config(base);
+    EXPECT_FALSE(r.enabled) << off;
+    EXPECT_EQ(r.file, "") << off;
+  }
+  // Empty means unset: the programmatic setting stands and, as LPT_TRACE is
+  // not an on value, no default file is chosen.
+  setenv("LPT_TRACE", "", 1);
+  const TraceConfig r = resolve_config(base);
+  EXPECT_TRUE(r.enabled);
+  EXPECT_EQ(r.file, "");
+}
+
 TEST_F(TraceEnvTest, Lpt_TraceFileImpliesEnabled) {
   setenv("LPT_TRACE_FILE", "/tmp/t.json", 1);
   const TraceConfig r = resolve_config({});

@@ -191,7 +191,7 @@ TEST(CausalTrace, EveryDispatchHasAPriorReadyEvent) {
         }
       }));
     for (auto& t : ts) t.join();
-    const Runtime::Stats st = rt.stats();
+    const metrics::Snapshot st = rt.metrics_snapshot();
     ASSERT_EQ(st.trace_dropped, 0u) << "ring too small for this workload";
     evs = events_after(rt);
   }
@@ -276,20 +276,19 @@ TEST(CausalTrace, DelayAccountingSurvivesStealsAndReconciles) {
     joined_run += st.acct.run_ns;
   }
   EXPECT_GT(joined_run, 0u);
-  const Runtime::Stats st = rt.stats();
+  const metrics::Snapshot st = rt.metrics_snapshot();
   // Exact reconciliation: these 64 ULTs are the only ones that ever
   // dispatched, each dispatch recorded its consumed ready stamp into the
-  // per-pool histogram of whichever worker ran it, and stats() merges all
-  // pools — so totals match to the nanosecond even across steals.
+  // per-pool histogram of whichever worker ran it, and the snapshot merges
+  // all pools — so totals match to the nanosecond even across steals.
   EXPECT_EQ(st.sched_delay_ns.count(), joined_dispatches);
   EXPECT_EQ(st.sched_delay_ns.sum_ns, joined_delay);
   EXPECT_EQ(st.spawn_latency_ns.count(), 64u);
   EXPECT_EQ(st.spawn_latency_ns.sum_ns, joined_spawn_lat);
   // Per-pool histograms partition the merged ones.
-  const metrics::Snapshot ms = rt.metrics_snapshot();
-  ASSERT_EQ(ms.pool_sched_delay_ns.size(), 4u);
+  ASSERT_EQ(st.pool_sched_delay_ns.size(), 4u);
   std::uint64_t pool_count = 0, pool_sum = 0;
-  for (const auto& h : ms.pool_sched_delay_ns) {
+  for (const auto& h : st.pool_sched_delay_ns) {
     pool_count += h.count();
     pool_sum += h.sum_ns;
   }
@@ -310,7 +309,7 @@ TEST(CausalTrace, AccountingStaysZeroWhenTracingOff) {
   EXPECT_EQ(st.acct.run_ns, 0u);
   EXPECT_EQ(st.acct.blocked_ns, 0u);
   EXPECT_EQ(st.acct.dispatches, 0u);
-  EXPECT_EQ(rt.stats().sched_delay_ns.count(), 0u);
+  EXPECT_EQ(rt.metrics_snapshot().sched_delay_ns.count(), 0u);
 }
 
 TEST(CausalTrace, BlockedTimeIsAttributedToTheWait) {

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -61,7 +62,7 @@ TEST(Deadlock, SelfDeadlockMutexCaughtAtLock) {
   EXPECT_TRUE(st.completed);
   EXPECT_EQ(st.fault.kind, FaultKind::kDeadlock);
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_EQ(s.self_deadlocks, 1u);
   EXPECT_EQ(s.deadlock_cycles, 1u);
   EXPECT_EQ(s.remediations_deadlock_break, 0u);
@@ -81,7 +82,7 @@ TEST(Deadlock, SelfDeadlockRwLockWriteAfterWrite) {
     ADD_FAILURE() << "write-after-write relock must not return";
   });
   EXPECT_EQ(t.join_status().fault.kind, FaultKind::kDeadlock);
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_EQ(s.self_deadlocks, 1u);
   EXPECT_EQ(s.deadlock_cycles, 1u);
 }
@@ -104,7 +105,7 @@ TEST(Deadlock, DisarmedRegistrySkipsSelfDeadlockCheck) {
   });
   EXPECT_EQ(t.join_status().fault.kind, FaultKind::kNone);
   EXPECT_TRUE(relock_would_park.load());
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_EQ(s.self_deadlocks, 0u);
   EXPECT_EQ(s.deadlock_cycles, 0u);
 }
@@ -115,11 +116,12 @@ TEST(Deadlock, DisarmedRegistrySkipsSelfDeadlockCheck) {
 // because the victim's abandoned mutex is force-released.
 // ---------------------------------------------------------------------------
 
-void expect_two_cycle_broken(Preempt technique) {
+void expect_two_cycle_broken(Preempt technique, bool traced = false) {
   std::atomic<int> cycle_len_seen{0};
   std::atomic<std::uint32_t> victim_seen{0};
   RuntimeOptions o = deadlock_opts(2);
   o.abandon_release = true;  // the victim dies holding its first lock
+  o.trace.enabled = traced;
   o.watchdog_callback = [&](const WatchdogReport& r) {
     if (r.kind == WatchdogReport::Kind::kDeadlock &&
         r.remediation == RemediationKind::kDeadlockBreak) {
@@ -164,7 +166,7 @@ void expect_two_cycle_broken(Preempt technique) {
   EXPECT_EQ((a_victim ? sb : sa).fault.kind, FaultKind::kNone)
       << "survivor must complete once the abandoned lock is released";
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_EQ(s.deadlock_cycles, 1u);
   EXPECT_EQ(s.remediations_deadlock_break, 1u);
   EXPECT_EQ(s.self_deadlocks, 0u);
@@ -175,6 +177,21 @@ void expect_two_cycle_broken(Preempt technique) {
   EXPECT_GE(rt.watchdog_flags(WatchdogReport::Kind::kAbandonedLock), 1u);
   EXPECT_EQ(cycle_len_seen.load(), 2) << "report must name the full cycle";
   EXPECT_NE(victim_seen.load(), 0u);
+  if (!traced) return;
+
+  // The break is the run's only remediation; the summary's degradation block
+  // must name it.
+  char* buf = nullptr;
+  std::size_t len = 0;
+  std::FILE* f = open_memstream(&buf, &len);
+  ASSERT_NE(f, nullptr);
+  rt.print_trace_summary(f);
+  std::fclose(f);
+  const std::string summary(buf, len);
+  std::free(buf);
+  EXPECT_NE(summary.find("degradation:"), std::string::npos) << summary;
+  EXPECT_NE(summary.find("remediations: deadlock break"), std::string::npos)
+      << summary;
 }
 
 TEST(Deadlock, TwoCycleMutexBrokenSignalYield) {
@@ -183,6 +200,10 @@ TEST(Deadlock, TwoCycleMutexBrokenSignalYield) {
 
 TEST(Deadlock, TwoCycleMutexBrokenKltSwitch) {
   expect_two_cycle_broken(Preempt::KltSwitch);
+}
+
+TEST(Deadlock, TwoCycleBreakShowsInTraceSummary) {
+  expect_two_cycle_broken(Preempt::SignalYield, /*traced=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -241,7 +262,7 @@ void expect_three_cycle_mixed_broken(Preempt technique) {
   EXPECT_EQ(c_fault.load(), static_cast<int>(FaultKind::kDeadlock))
       << "B's join must report the victim's deadlock fault";
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_EQ(s.deadlock_cycles, 1u);
   EXPECT_EQ(s.remediations_deadlock_break, 1u);
   EXPECT_EQ(s.self_deadlocks, 0u);
@@ -315,7 +336,7 @@ TEST(Deadlock, HealthyContentionSoakZeroFalsePositives) {
   stop.store(true, std::memory_order_release);
   for (Thread& t : ts) EXPECT_EQ(t.join_status().fault.kind, FaultKind::kNone);
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_EQ(s.deadlock_cycles, 0u);
   EXPECT_EQ(s.self_deadlocks, 0u);
   EXPECT_EQ(s.remediations_deadlock_break, 0u);
@@ -355,7 +376,7 @@ TEST(Deadlock, AbandonedLockFlaggedAndForceReleased) {
   // Force-release hands the abandoned mutex to the parked waiter.
   EXPECT_EQ(waiter.join_status().fault.kind, FaultKind::kNone);
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_EQ(s.abandoned_locks, 1u);
   EXPECT_EQ(s.abandoned_released, 1u);
   EXPECT_EQ(s.deadlock_cycles, 0u) << "an abandoned lock is not a cycle";
@@ -389,7 +410,7 @@ TEST(Deadlock, AbandonedLockWithoutReleaseOnlyFlags) {
   EXPECT_EQ(prober.join_status().fault.kind, FaultKind::kNone);
   EXPECT_FALSE(got.load()) << "without force-release the lock stays wedged";
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_EQ(s.abandoned_locks, 1u);
   EXPECT_EQ(s.abandoned_released, 0u);
   EXPECT_GE(rt.watchdog_flags(WatchdogReport::Kind::kAbandonedLock), 1u);
@@ -435,11 +456,14 @@ int run_two_cycle(Runtime& rt) {
       first->unlock();
     };
   };
-  const std::uint64_t before = rt.stats().remediations_deadlock_break;
+  const std::uint64_t before =
+      rt.metrics_snapshot().remediations_deadlock_break;
   Thread a = rt.spawn(crossed(&m1, &m2, &a_holds, &b_holds), attrs);
   Thread b = rt.spawn(crossed(&m2, &m1, &b_holds, &a_holds), attrs);
   await_or_die(
-      [&] { return rt.stats().remediations_deadlock_break > before; },
+      [&] {
+        return rt.metrics_snapshot().remediations_deadlock_break > before;
+      },
       "injected cycle not broken");
   int victims = 0;
   for (Thread* t : {&a, &b}) {
@@ -468,7 +492,7 @@ TEST(DeadlockCapacity, LockChurnLeavesLaterCyclesAndAbandonmentTracked) {
   EXPECT_EQ(rt.spawn([&] { fresh.lock(); }).join_status().fault.kind,
             FaultKind::kNone);
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_EQ(s.deadlock_cycles, 1u);
   EXPECT_EQ(s.remediations_deadlock_break, 1u);
   // The victim's first lock plus `fresh`, each flagged and released.
@@ -502,7 +526,7 @@ TEST(DeadlockCapacity, CycleFoundBehindThousandsOfParkedWaiters) {
   gate.count_down();
   for (Thread& t : parked)
     EXPECT_EQ(t.join_status().fault.kind, FaultKind::kNone);
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_EQ(s.deadlock_cycles, 1u);
   EXPECT_EQ(s.remediations_deadlock_break, 1u);
   EXPECT_EQ(rt.metrics_snapshot().parked_waiters, 0);

@@ -1,6 +1,6 @@
 // Graceful-degradation tests (docs/robustness.md): the runtime must survive
 // injected pthread_create / timer_create / mmap failures without aborting or
-// deadlocking, and report the degradation in Runtime::Stats.
+// deadlocking, and report the degradation in metrics::Snapshot.
 //
 // Workloads here use DEADLINE spinners, never flag-waiting pairs: with KLT
 // creation failing, KLT-switch preemption legitimately cannot fire, and a
@@ -60,9 +60,10 @@ TEST_F(FaultInjection, KltCreateStormDegradesWithoutDeadlock) {
     for (int i = 0; i < 6; ++i)
       ts.push_back(rt.spawn([] { busy_spin_ms(50); }, attrs));
     for (Thread& t : ts) t.join();
-  } while (rt.stats().klt_degraded_ticks == 0 && now_ns() < deadline);
+  } while (rt.metrics_snapshot().klt_degraded_ticks == 0 &&
+           now_ns() < deadline);
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_GT(s.klt_degraded_ticks, 0u);
   EXPECT_GT(s.klt_create_failures, 0u);
   EXPECT_GT(s.faults_injected, 0u);
@@ -136,7 +137,7 @@ TEST_F(FaultInjection, MixedFaultStormCompletesAllWork) {
     completed += batch.size();
   }
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_GE(s.faults_injected, 100u);
   EXPECT_EQ(completed, spawned);               // every accepted ULT joined
   EXPECT_EQ(finished.load(), spawned);         // ...and actually ran
@@ -170,7 +171,7 @@ TEST_F(FaultInjection, PosixTimerFailureFallsBackToMonitor) {
   a.join();
   b.join();
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_GE(s.posix_timer_fallbacks, 1u);
   EXPECT_TRUE(s.workers[0].posix_timer_fallback);
   EXPECT_GT(rt.total_preemptions(), 0u);
@@ -193,7 +194,7 @@ TEST_F(FaultInjection, StackFailureYieldsEmptyHandleAndErrno) {
   big.stack_size = 512 * 1024;
   EXPECT_FALSE(rt.spawn([] {}, big).joinable());
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_GE(s.spawn_stack_failures, 3u);
 
   // Clear the fault: spawning works again and spawn_errno resets.
@@ -217,7 +218,7 @@ TEST_F(FaultInjection, TransientStackFailureHealedByShedRetry) {
   ASSERT_TRUE(t.joinable());
   t.join();
   EXPECT_TRUE(ran.load());
-  EXPECT_EQ(rt.stats().spawn_stack_failures, 0u);
+  EXPECT_EQ(rt.metrics_snapshot().spawn_stack_failures, 0u);
 }
 
 // --- max_klts cap: sticky degraded ticks -----------------------------------
@@ -234,9 +235,10 @@ TEST_F(FaultInjection, MaxKltsCapDegradesInsteadOfCreating) {
   const std::int64_t deadline = now_ns() + 15'000'000'000;
   do {
     rt.spawn([] { busy_spin_ms(40); }, attrs).join();
-  } while (rt.stats().klt_degraded_ticks == 0 && now_ns() < deadline);
+  } while (rt.metrics_snapshot().klt_degraded_ticks == 0 &&
+           now_ns() < deadline);
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_EQ(s.klts_created, 1u);
   EXPECT_GT(s.klt_degraded_ticks, 0u);
   EXPECT_EQ(s.workers[0].preempt_klt_switch, 0u);
@@ -289,7 +291,7 @@ TEST_F(FaultInjection, CleanRunReportsNoDegradation) {
     ts.push_back(rt.spawn([] { busy_spin_ms(10); }, attrs));
   for (Thread& t : ts) t.join();
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_EQ(s.faults_injected, 0u);
   EXPECT_EQ(s.spawn_stack_failures, 0u);
   EXPECT_EQ(s.posix_timer_fallbacks, 0u);

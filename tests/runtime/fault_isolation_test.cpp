@@ -104,7 +104,7 @@ void run_overflow_survival(Runtime& rt, Preempt mode) {
   rt.spawn([&] { after.store(true); }).join();
   EXPECT_TRUE(after.load());
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_GE(s.ult_faults, 1u);
   EXPECT_GE(s.stack_overflows, 1u);
   EXPECT_GE(s.stacks_quarantined, 1u);
@@ -130,7 +130,7 @@ TEST_F(FaultIsolation, StackOverflowContainedKltSwitch) {
   run_overflow_survival(rt, Preempt::KltSwitch);
   // The faulting KLT was poisoned by the abandoned signal frame: it must be
   // retired, never returned to the pool.
-  EXPECT_GE(rt.stats().klts_retired, 1u);
+  EXPECT_GE(rt.metrics_snapshot().klts_retired, 1u);
 }
 
 TEST_F(FaultIsolation, RepeatedOverflowsDoNotExhaustTheRuntime) {
@@ -144,7 +144,7 @@ TEST_F(FaultIsolation, RepeatedOverflowsDoNotExhaustTheRuntime) {
     ASSERT_TRUE(st.completed);
     EXPECT_EQ(st.fault.kind, FaultKind::kStackOverflow);
   }
-  EXPECT_GE(rt.stats().stack_overflows, 8u);
+  EXPECT_GE(rt.metrics_snapshot().stack_overflows, 8u);
   std::atomic<int> ok{0};
   std::vector<Thread> ts;
   for (int i = 0; i < 16; ++i)
@@ -212,7 +212,7 @@ TEST_F(FaultIsolation, EscapedExceptionBecomesFailedStatus) {
   EXPECT_EQ(st2.fault.kind, FaultKind::kException);
   EXPECT_NE(std::strstr(st2.fault.what, "non-std"), nullptr);
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_GE(s.escaped_exceptions, 2u);
   EXPECT_GE(s.ult_faults, 2u);
   EXPECT_GE(s.stacks_quarantined, 2u);

@@ -60,7 +60,7 @@ TEST(JoinHandoff, OneWorkerFibTreeKeepsOnlyItsDepthOfStacksLive) {
   long r = 0;
   rt.spawn([&] { r = fib(rt, 18); }).join();
   EXPECT_EQ(r, kFib[18]);
-  EXPECT_LE(rt.stats().stacks_cached, 36u);
+  EXPECT_LE(rt.metrics_snapshot().stacks_cached, 36u);
 }
 
 TEST(JoinHandoff, StolenSubtreesStillJoin) {
@@ -78,7 +78,7 @@ TEST(JoinHandoff, StolenSubtreesStillJoin) {
     for (long v : r) EXPECT_EQ(v, kFib[14]);
   }
   std::uint64_t steals = 0;
-  for (const auto& w : rt.stats().workers) steals += w.steals;
+  for (const auto& w : rt.metrics_snapshot().workers) steals += w.steals;
   EXPECT_GT(steals, 0u);
 }
 
@@ -125,7 +125,8 @@ TEST(JoinHandoff, ChildBoundToSuspendedKltIsNotTaken) {
       [&] { marker_ran.store(true, std::memory_order_release); });
   // queue: [parent, marker]; preempting the child appends it, bound.
   const std::int64_t deadline = now_ns() + 5'000'000'000;
-  while (rt.stats().workers[0].preempt_klt_switch == 0 && now_ns() < deadline) {
+  while (rt.metrics_snapshot().workers[0].preempt_klt_switch == 0 &&
+         now_ns() < deadline) {
     signals::send_preempt(rt.worker(0), -1);
     usleep(1000);
   }
@@ -172,11 +173,11 @@ TEST(JoinHandoff, ChildQueuedOnAnotherWorkerIsStolenNotTaken) {
   on_y.home_pool = y;
   Thread joiner = rt.spawn([&] { child.join(); }, on_y);
 
-  const std::uint64_t steals_before = rt.stats().workers[y].steals;
+  const std::uint64_t steals_before = rt.metrics_snapshot().workers[y].steals;
   release[1].store(true, std::memory_order_release);  // frees worker y
   joiner.join();
   EXPECT_EQ(child_rank.load(), y);
-  EXPECT_GT(rt.stats().workers[y].steals, steals_before)
+  EXPECT_GT(rt.metrics_snapshot().workers[y].steals, steals_before)
       << "the child reached worker y without a steal";
   release[0].store(true, std::memory_order_release);
   for (auto& t : spinners) t.join();
@@ -251,7 +252,7 @@ TEST(JoinHandoff, PriorityHighClassTreeWalksDepthFirst) {
   long r = 0;
   rt.spawn([&] { r = fib(rt, 18); }).join();
   EXPECT_EQ(r, kFib[18]);
-  EXPECT_LE(rt.stats().stacks_cached, 36u);
+  EXPECT_LE(rt.metrics_snapshot().stacks_cached, 36u);
 }
 
 // ---------------------------------------------------------------------------
@@ -440,7 +441,7 @@ TEST(JoinHandoff, TreesSurviveForcedKltReplacement) {
   victim.join();
   EXPECT_EQ(before, kFib[10]);
   EXPECT_EQ(after, kFib[10]);
-  EXPECT_GE(rt.stats().remediations_klt_replace, 1u);
+  EXPECT_GE(rt.metrics_snapshot().remediations_klt_replace, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -480,7 +481,7 @@ TEST(JoinHandoff, HandoffEmitsTheWakeEdgeAndReadyStampOfAQueuedWake) {
     Thread root = rt.spawn([&] { r = fib_acct(rt, 10, sum); });
     sum.add(root.join_status());
     EXPECT_EQ(r, kFib[10]);
-    const Runtime::Stats st = rt.stats();
+    const metrics::Snapshot st = rt.metrics_snapshot();
     ASSERT_EQ(st.trace_dropped, 0u);
     // Exact reconciliation, as for queued wakes: every dispatch (handoffs
     // included) consumed one ready stamp into the delay histogram.

@@ -1,5 +1,5 @@
 // Tier-1 tests of the always-on metrics layer (docs/observability.md):
-// snapshot coherence against stats(), queue-depth bookkeeping, preemption
+// snapshot monotonicity, queue-depth bookkeeping, preemption
 // tick-effectiveness invariants, the Prometheus/JSON writers (round-tripped
 // through tests/support/prom_parser.hpp), and the background publisher.
 #include <gtest/gtest.h>
@@ -42,7 +42,7 @@ std::string render(const Runtime& rt, metrics::Format fmt) {
   return out;
 }
 
-TEST(Metrics, SnapshotMonotonicAndAgreesWithStats) {
+TEST(Metrics, SnapshotMonotonicAndAgreesWithRuntimeTotals) {
   RuntimeOptions o;
   o.num_workers = 2;
   Runtime rt(o);
@@ -62,26 +62,8 @@ TEST(Metrics, SnapshotMonotonicAndAgreesWithStats) {
   EXPECT_EQ(after.ults_spawned, before.ults_spawned + 40);
   EXPECT_EQ(after.ults_live, 0);
 
-  // Quiesced: the snapshot and stats() must tell one story (stats() is
-  // built from the snapshot, but the test pins the contract).
-  const Runtime::Stats s = rt.stats();
-  ASSERT_EQ(s.workers.size(), after.workers.size());
-  std::uint64_t stats_scheduled = 0, stats_steals = 0, stats_sy = 0,
-                stats_ks = 0;
-  for (const auto& w : s.workers) {
-    stats_scheduled += w.scheduled;
-    stats_steals += w.steals;
-    stats_sy += w.preempt_signal_yield;
-    stats_ks += w.preempt_klt_switch;
-  }
-  EXPECT_EQ(stats_scheduled, after.dispatches);
-  EXPECT_EQ(stats_steals, after.steals);
-  EXPECT_EQ(stats_sy, after.preempt_signal_yield);
-  EXPECT_EQ(stats_ks, after.preempt_klt_switch);
+  // Quiesced: the snapshot agrees with the runtime's own total.
   EXPECT_EQ(after.preemptions, rt.total_preemptions());
-  EXPECT_EQ(s.klts_created, after.klts_created);
-  EXPECT_EQ(s.active_workers, after.active_workers);
-  EXPECT_EQ(s.stacks_cached, after.stacks_cached);
 }
 
 TEST(Metrics, QueueDepthZeroAtQuiesceForEveryScheduler) {

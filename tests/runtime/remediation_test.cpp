@@ -49,7 +49,7 @@ TEST(Cancel, CooperativeCancelAtYield) {
   const ThreadStatus st = t.join_status();
   EXPECT_TRUE(st.completed);
   EXPECT_EQ(st.fault.kind, FaultKind::kCancelled);
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_GE(s.ult_cancels, 1u);
 }
 
@@ -165,7 +165,7 @@ void expect_directed_cancel_kills_spinner(Preempt technique) {
   stop.store(true, std::memory_order_release);
   sibling.join();
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_GE(s.ult_cancels, 1u);
   const metrics::Snapshot m = rt.metrics_snapshot();
   EXPECT_GE(m.stacks_quarantined, 1u) << "cancelled stack must quarantine";
@@ -207,7 +207,7 @@ TEST(Deadline, PerSpawnDeadlineCancelsRunaway) {
   Thread ok = rt.spawn([] { busy_spin_ns(1'000'000); }, quick);
   EXPECT_EQ(ok.join_status().fault.kind, FaultKind::kNone);
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_GE(s.remediations_cancel, 1u);
   EXPECT_GE(s.ult_cancels, 1u);
 }
@@ -298,7 +298,7 @@ TEST(Remediation, ReplacesMaskedWorkerKlt) {
   wedge.join();
   victim.join();
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_GE(s.remediations_klt_replace, 1u);
   EXPECT_GE(s.klts_retired, 1u);
   const metrics::Snapshot m = rt.metrics_snapshot();
@@ -339,7 +339,7 @@ TEST(Remediation, RetickOnQuantumOverrun) {
   t.join();
 
   EXPECT_TRUE(reticked.load()) << "overrun never remediated";
-  EXPECT_GE(rt.stats().remediations_retick, 1u);
+  EXPECT_GE(rt.metrics_snapshot().remediations_retick, 1u);
 }
 
 TEST(Remediation, OffByDefaultOnlyFlags) {
@@ -379,7 +379,7 @@ TEST(Remediation, OffByDefaultOnlyFlags) {
   EXPECT_TRUE(wait_until(flagged, 10'000'000'000));
   wedge.join();
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_EQ(s.remediations_retick, 0u);
   EXPECT_EQ(s.remediations_cancel, 0u);
   EXPECT_EQ(s.remediations_klt_replace, 0u);
@@ -408,7 +408,7 @@ TEST(Remediation, HealthyWorkloadTakesNoActions) {
     for (auto& t : ts) t.join();
   }
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_EQ(s.remediations_retick, 0u);
   EXPECT_EQ(s.remediations_cancel, 0u);
   EXPECT_EQ(s.remediations_klt_replace, 0u);

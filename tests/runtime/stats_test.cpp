@@ -16,11 +16,11 @@ TEST(RuntimeStats, CountsScheduledThreads) {
   for (int i = 0; i < 20; ++i) ts.push_back(rt.spawn([] {}));
   for (auto& t : ts) t.join();
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   ASSERT_EQ(s.workers.size(), 2u);
-  std::uint64_t scheduled = 0;
-  for (const auto& w : s.workers) scheduled += w.scheduled;
-  EXPECT_GE(scheduled, 20u);  // joins may add blocked/unblocked dispatches
+  std::uint64_t dispatches = 0;
+  for (const auto& w : s.workers) dispatches += w.dispatches;
+  EXPECT_GE(dispatches, 20u);  // joins may add blocked/unblocked dispatches
   EXPECT_EQ(s.klts_created, 2u);
   EXPECT_EQ(s.klts_on_demand, 0u);
   EXPECT_EQ(s.active_workers, 2);
@@ -41,7 +41,7 @@ TEST(RuntimeStats, DistinguishesPreemptionTechniques) {
   Thread b = rt.spawn([] { busy_spin_ns(15'000'000); }, ks);
   b.join();
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   std::uint64_t total_sy = 0, total_ks = 0;
   for (const auto& w : s.workers) {
     total_sy += w.preempt_signal_yield;
@@ -63,7 +63,7 @@ TEST(RuntimeStats, ReflectsPacking) {
   Thread t = rt.spawn([] { busy_spin_ns(5'000'000); });
   t.join();
   usleep(20'000);
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_EQ(s.active_workers, 1);
   int parked = 0;
   for (const auto& w : s.workers) parked += w.parked ? 1 : 0;
@@ -82,7 +82,7 @@ TEST(RuntimeStats, StealsCountedUnderImbalance) {
     ts.push_back(rt.spawn([] { busy_spin_ns(500'000); }, attrs));
   }
   for (auto& t : ts) t.join();
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   std::uint64_t steals = 0;
   for (const auto& w : s.workers) steals += w.steals;
   EXPECT_GT(steals, 0u);

@@ -273,9 +273,10 @@ void expect_compensation_rescues_wedged_worker(Preempt technique) {
   // Wait for the region to publish before queueing the victim: from then on
   // the guard pins the wedge ULT, so only compensation can dispatch anyone.
   const std::int64_t publish_deadline = now_ns() + 2'000'000'000;
-  while (rt.stats().syscall_blocks == 0 && now_ns() < publish_deadline)
+  while (rt.metrics_snapshot().syscall_blocks == 0 &&
+         now_ns() < publish_deadline)
     usleep(1000);
-  ASSERT_GE(rt.stats().syscall_blocks, 1u) << "guard never entered";
+  ASSERT_GE(rt.metrics_snapshot().syscall_blocks, 1u) << "guard never entered";
 
   std::atomic<bool> victim_ran{false};
   Thread victim =
@@ -290,7 +291,7 @@ void expect_compensation_rescues_wedged_worker(Preempt technique) {
   wedge.join();
   victim.join();
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_GE(s.syscall_blocks, 1u);
   EXPECT_GE(s.syscall_comp_activated, 1u);
   EXPECT_GE(s.syscall_comp_reabsorbed, 1u);
@@ -339,7 +340,7 @@ TEST(SyscallComp, HealthyIoNeverActivates) {
     for (Thread& t : ts) t.join();
   }
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_GT(s.syscall_blocks, 0u);
   EXPECT_EQ(s.syscall_comp_activated, 0u) << "false compensation activation";
   EXPECT_EQ(rt.watchdog_flags(WatchdogReport::Kind::kSyscallBlocked), 0u);
@@ -363,15 +364,16 @@ TEST(SyscallComp, SaturationDegradesGracefully) {
     EXPECT_EQ(io::read(p.rd(), &c, 1), 1);
   });
   const std::int64_t deadline = now_ns() + 10'000'000'000;
-  while (rt.stats().syscall_comp_saturated == 0 && now_ns() < deadline)
+  while (rt.metrics_snapshot().syscall_comp_saturated == 0 &&
+         now_ns() < deadline)
     usleep(1000);
-  ASSERT_GE(rt.stats().syscall_comp_saturated, 1u)
+  ASSERT_GE(rt.metrics_snapshot().syscall_comp_saturated, 1u)
       << "sentinel never reported saturation";
 
   ASSERT_EQ(::write(p.wr(), "x", 1), 1);
   wedge.join();
 
-  const Runtime::Stats s = rt.stats();
+  const metrics::Snapshot s = rt.metrics_snapshot();
   EXPECT_GE(s.syscall_comp_saturated, 1u);
   EXPECT_EQ(s.syscall_comp_reabsorbed, 0u)
       << "nothing was activated, so nothing may reabsorb";
@@ -414,7 +416,7 @@ TEST(SyscallStorm, EintrEagainStormPreservesEveryByte) {
     for (Thread& t : ts) t.join();
     EXPECT_EQ(bad.load(), 0) << "storm corrupted or dropped a transfer";
 
-    const Runtime::Stats s = rt.stats();
+    const metrics::Snapshot s = rt.metrics_snapshot();
     EXPECT_GE(s.syscall_blocks, static_cast<std::uint64_t>(4 * kBytes));
     EXPECT_EQ(s.syscall_comp_activated, 0u)
         << "retry churn misread as a wedge";

@@ -1,6 +1,6 @@
 // Runtime-level tracer tests: recording from the preemption signal handler
 // under a fast timer (the signal-safety smoke test), ring-overflow drop
-// accounting surfaced through Runtime::Stats, latency-histogram plumbing,
+// accounting surfaced through metrics::Snapshot, latency-histogram plumbing,
 // and Chrome-trace export of a real run.
 #include <gtest/gtest.h>
 #include <stdlib.h>
@@ -46,23 +46,16 @@ TEST(TraceRuntime, SignalYieldSmokeUnderFastTimer) {
     ts.push_back(rt.spawn([] { busy_spin_ns(80'000'000); }, a));
   for (auto& t : ts) t.join();
 
-  const Runtime::Stats st = rt.stats();
+  const metrics::Snapshot st = rt.metrics_snapshot();
   EXPECT_TRUE(st.trace_enabled);
   EXPECT_TRUE(rt.trace_enabled());
   EXPECT_GT(rt.total_preemptions(), 0u);
   EXPECT_GT(st.trace_events, 0u);
 
   // The handler recorded delivery latencies; the next dispatch recorded
-  // reschedule latencies. Merged histograms match per-worker totals.
+  // reschedule latencies.
   EXPECT_GT(st.preempt_delivery_ns.count(), 0u);
   EXPECT_GT(st.preempt_resched_ns.count(), 0u);
-  std::uint64_t delivery = 0, resched = 0;
-  for (const auto& pw : st.workers) {
-    delivery += pw.preempt_delivery_samples;
-    resched += pw.preempt_resched_samples;
-  }
-  EXPECT_EQ(delivery, st.preempt_delivery_ns.count());
-  EXPECT_EQ(resched, st.preempt_resched_ns.count());
 
   // Latency medians are sane: positive, below a second.
   EXPECT_GT(st.preempt_delivery_ns.median_ns(), 0.0);
@@ -86,7 +79,7 @@ TEST(TraceRuntime, KltSwitchSmokeRecordsRoundTrips) {
   Thread t = rt.spawn([] { busy_spin_ns(60'000'000); }, a);
   t.join();
 
-  const Runtime::Stats st = rt.stats();
+  const metrics::Snapshot st = rt.metrics_snapshot();
   std::uint64_t klt_preempts = 0;
   for (const auto& pw : st.workers) klt_preempts += pw.preempt_klt_switch;
   EXPECT_GT(klt_preempts, 0u);
@@ -95,6 +88,59 @@ TEST(TraceRuntime, KltSwitchSmokeRecordsRoundTrips) {
   EXPECT_GT(st.klt_switch_trip_ns.count(), 0u);
   EXPECT_GT(st.klt_switch_trip_ns.median_ns(), 0.0);
   EXPECT_LT(st.klt_switch_trip_ns.median_ns(), 1e10);
+}
+
+/// The snapshot's five tracer histograms: on a quiesced traced runtime the
+/// merged scheduling histograms equal the merge of the per-pool ones and the
+/// preemption histograms saw both techniques; with tracing off, preemptions
+/// still happen but all five stay empty.
+TEST(TraceRuntime, SnapshotMergesTracerHistograms) {
+  for (const bool traced : {true, false}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    RuntimeOptions o;
+    o.num_workers = 2;
+    o.timer = TimerKind::PerWorkerAligned;
+    o.interval_us = 200;
+    o.initial_spare_klts = 1;
+    o.trace.enabled = traced;
+    o.trace.ring_capacity = 1u << 16;
+    Runtime rt(o);
+
+    std::vector<Thread> ts;
+    for (const Preempt p : {Preempt::SignalYield, Preempt::KltSwitch}) {
+      ThreadAttrs a;
+      a.preempt = p;
+      ts.push_back(rt.spawn([] { busy_spin_ns(40'000'000); }, a));
+    }
+    for (int i = 0; i < 32; ++i)
+      ts.push_back(rt.spawn([] { this_thread::yield(); }));
+    for (auto& t : ts) t.join();
+
+    const metrics::Snapshot s = rt.metrics_snapshot();
+    EXPECT_GT(s.preempt_signal_yield, 0u);
+    EXPECT_GT(s.preempt_klt_switch, 0u);
+    if (!traced) {
+      EXPECT_EQ(s.preempt_delivery_ns.count(), 0u);
+      EXPECT_EQ(s.preempt_resched_ns.count(), 0u);
+      EXPECT_EQ(s.klt_switch_trip_ns.count(), 0u);
+      EXPECT_EQ(s.sched_delay_ns.count(), 0u);
+      EXPECT_EQ(s.spawn_latency_ns.count(), 0u);
+      continue;
+    }
+    EXPECT_GT(s.preempt_delivery_ns.count(), 0u);
+    EXPECT_GT(s.preempt_resched_ns.count(), 0u);
+    EXPECT_GT(s.klt_switch_trip_ns.count(), 0u);
+    ASSERT_EQ(s.pool_sched_delay_ns.size(), 2u);
+    ASSERT_EQ(s.pool_spawn_latency_ns.size(), 2u);
+    trace::HistSnapshot delay, spawn;
+    for (const auto& h : s.pool_sched_delay_ns) delay.merge(h);
+    for (const auto& h : s.pool_spawn_latency_ns) spawn.merge(h);
+    EXPECT_EQ(s.spawn_latency_ns.count(), 34u);
+    EXPECT_EQ(s.sched_delay_ns.count(), delay.count());
+    EXPECT_EQ(s.sched_delay_ns.sum_ns, delay.sum_ns);
+    EXPECT_EQ(s.spawn_latency_ns.count(), spawn.count());
+    EXPECT_EQ(s.spawn_latency_ns.sum_ns, spawn.sum_ns);
+  }
 }
 
 TEST(TraceRuntime, RingOverflowIsCountedNotWrapped) {
@@ -111,7 +157,7 @@ TEST(TraceRuntime, RingOverflowIsCountedNotWrapped) {
     }));
   for (auto& t : ts) t.join();
 
-  const Runtime::Stats st = rt.stats();
+  const metrics::Snapshot st = rt.metrics_snapshot();
   EXPECT_GT(st.trace_events, 0u);
   EXPECT_GT(st.trace_dropped, 0u);  // drop-and-count, never wrap
 }
@@ -161,7 +207,7 @@ TEST(TraceRuntime, DisabledByDefaultAndZeroed) {
   Runtime rt(o);
   rt.spawn([] {}).join();
   EXPECT_FALSE(rt.trace_enabled());
-  const Runtime::Stats st = rt.stats();
+  const metrics::Snapshot st = rt.metrics_snapshot();
   EXPECT_FALSE(st.trace_enabled);
   EXPECT_EQ(st.trace_events, 0u);
   EXPECT_EQ(st.trace_dropped, 0u);

@@ -56,7 +56,7 @@ TEST(StackCache, ChurnNeverShedsAndIdleRuntimeTrims) {
   constexpr int kChildren = 160;  // live together, more than the cap
   ASSERT_LT(cap, static_cast<std::size_t>(kChildren));
   constexpr int kRounds = 20;
-  const std::uint64_t shed_before = rt.stats().stacks_shed;
+  const std::uint64_t shed_before = rt.metrics_snapshot().stacks_shed;
   std::uint64_t cached_at_end = 0, shed_at_end = 0;
   rt.spawn([&] {
       for (int r = 0; r < kRounds; ++r) {
@@ -77,8 +77,9 @@ TEST(StackCache, ChurnNeverShedsAndIdleRuntimeTrims) {
   EXPECT_GE(cached_at_end, static_cast<std::uint64_t>(kChildren));
 
   const std::int64_t give_up = now_ns() + 5'000'000'000LL;
-  while (rt.stats().stacks_cached > cap && now_ns() < give_up) usleep(1'000);
-  const Runtime::Stats st = rt.stats();
+  while (rt.metrics_snapshot().stacks_cached > cap && now_ns() < give_up)
+    usleep(1'000);
+  const metrics::Snapshot st = rt.metrics_snapshot();
   EXPECT_LE(st.stacks_cached, cap);
   EXPECT_GT(st.stacks_cached, 0u);
   // Everything dropped came from the trim: the kids' stacks plus the root's.

@@ -417,7 +417,7 @@ int main(int argc, char** argv) {
     // auditing them.
     usleep(200'000);
 
-    const Runtime::Stats s = rt.stats();
+    const metrics::Snapshot s = rt.metrics_snapshot();
     std::printf(
         "soak: %llu rounds in %lds: ult_cancels=%llu retick=%llu "
         "cancel=%llu klt_replace=%llu klts_retired=%llu "
