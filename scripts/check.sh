@@ -11,8 +11,9 @@
 # smoke of the continuous profiler (LPT_PROF=1 run validated and
 # metrics-cross-checked by tests/tools/prof_check.cpp), an end-to-end smoke
 # of the causal tracer (mixed trace_viz workload with LPT_TRACE_EVENTS_FILE
-# set, the event log cross-checked against the same run's metrics by
-# tests/tools/trace_check.cpp), the blocking-syscall resilience suite
+# and LPT_PROF set, the event log and the profile cross-checked against the
+# same run's metrics by tests/tools/trace_check.cpp and prof_check.cpp), the
+# blocking-syscall resilience suite
 # (normal, plus its non-context-switching guard/detect halves under TSan),
 # a short run of the self-healing soak (scripts/soak.sh), and a build and
 # one-second traced run of the benchmark in perfbench/.
@@ -159,24 +160,28 @@ LPT_PROF=1 LPT_PROF_FILE="$PROF_OUT" LPT_METRICS_FILE="$PROF_METRICS" \
 "$BUILD/tests/prof_check" "$PROF_OUT" "$PROF_METRICS"
 rm -f "$PROF_OUT" "$PROF_METRICS"
 
-echo "== [13/15] causal-trace smoke (trace_viz mixed workload + trace_check) =="
+echo "== [13/15] causal-trace smoke (trace_viz mixed workload + trace_check + prof_check) =="
 # End-to-end causal-observability path: env config -> wake-edge tracing +
 # per-ULT accounting -> JSONL event log + Prometheus histograms, with the
 # validator proving every dispatch resolves to a ready stamp, every wake edge
 # names a real waker, and the summed delays reconcile exactly with the
 # lpt_sched_delay_ns / lpt_spawn_latency_ns families. The ring is sized so
-# nothing drops (exact reconciliation requires a complete log).
-cmake --build "$BUILD" -j "$JOBS" --target trace_viz trace_check trace_critical_path
+# nothing drops (exact reconciliation requires a complete log). The profiler
+# is armed in the same run, so tracer and profiler share the wait records;
+# its profile is validated against the same metrics file.
+cmake --build "$BUILD" -j "$JOBS" --target trace_viz trace_check trace_critical_path prof_check
 TRACE_EVENTS="$(mktemp /tmp/lpt_check_trace.XXXXXX.jsonl)"
 TRACE_METRICS="$(mktemp /tmp/lpt_check_trace.XXXXXX.prom)"
 TRACE_JSON="$(mktemp /tmp/lpt_check_trace.XXXXXX.json)"
+TRACE_PROF="$(mktemp /tmp/lpt_check_trace.XXXXXX.folded)"
 LPT_TRACE_EVENTS_FILE="$TRACE_EVENTS" LPT_TRACE_RING_CAP=$((1<<18)) \
-  LPT_METRICS_FILE="$TRACE_METRICS" \
+  LPT_METRICS_FILE="$TRACE_METRICS" LPT_PROF=1 LPT_PROF_FILE="$TRACE_PROF" \
   "$BUILD/examples/trace_viz" "$TRACE_JSON" >/dev/null
 "$BUILD/tests/trace_check" "$TRACE_EVENTS" "$TRACE_METRICS"
+"$BUILD/tests/prof_check" "$TRACE_PROF" "$TRACE_METRICS"
 # The analyzer must walk the same log without complaint.
 "$BUILD/tools/trace_critical_path" "$TRACE_EVENTS" >/dev/null
-rm -f "$TRACE_EVENTS" "$TRACE_METRICS" "$TRACE_JSON"
+rm -f "$TRACE_EVENTS" "$TRACE_METRICS" "$TRACE_JSON" "$TRACE_PROF"
 
 echo "== [14/15] self-healing soak (scripts/soak.sh, short) =="
 SOAK_SECONDS=5 scripts/soak.sh "$BUILD"

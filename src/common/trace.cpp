@@ -40,8 +40,6 @@ const char* event_name(EventType t) {
     case EventType::kUltCancel: return "ult_cancel";
     case EventType::kRemediation: return "remediation";
     case EventType::kProfSample: return "prof_sample";
-    case EventType::kOffcpuWait: return "offcpu_wait";
-    case EventType::kLockContended: return "lock_contended";
     case EventType::kSyscallBlock: return "syscall_block";
     case EventType::kSyscallCompensate: return "syscall_compensate";
     case EventType::kSyscallReturn: return "syscall_return";

@@ -68,8 +68,6 @@ enum class EventType : std::uint16_t {
   kUltCancel,          ///< ULT cancelled; arg0: 0=cancellation point, 1=directed tick, 2=orphan landing
   kRemediation,        ///< watchdog remediation acted; arg0=RemediationKind, arg1=rank
   kProfSample,         ///< profiler captured an on-CPU sample; arg0=PC, arg1=frames
-  kOffcpuWait,         ///< profiler attributed an off-CPU wait; arg0=blocked ns, arg1=prof::WaitKind
-  kLockContended,      ///< profiled Mutex acquire had to park; arg0=wait ns, arg1=callsite
   kSyscallBlock,       ///< ULT entered an annotated blocking syscall; arg0=rank
   kSyscallCompensate,  ///< sentinel activated a compensating KLT; arg0=rank, arg1=epoch
   kSyscallReturn,      ///< blocking syscall returned; arg0=blocked ns, arg1=1 if reabsorbed

@@ -11,10 +11,11 @@
 //    drop-and-count on overflow, never wraps);
 //  * off-CPU wait attribution — every parking site (Mutex, CondVar, Barrier,
 //    RwLock, Semaphore, Latch, WaitGroup, join, sleep, timed waits) tags the
-//    blocking ULT with a wait kind + callsite and records the block→resume
-//    time into a fixed-capacity lock-free site table;
+//    blocking ULT with a wait kind + callsite, and the wake records the
+//    block→wake time into a fixed-capacity lock-free site table;
 //  * lock contention — per-Mutex acquire/contended counts, hold-time and
-//    wait-time log2 histograms, and a contention-chain counter (a waiter
+//    wait-time log2 histograms (an acquisition's wait is the sum of its
+//    parks' records), and a contention-chain counter (a waiter
 //    parked behind a holder that is itself off-CPU — the pathology the
 //    ULT-aware-lock literature targets).
 //
@@ -203,9 +204,9 @@ struct LockStats {
   std::atomic<std::uint64_t> acquires{0};
   std::atomic<std::uint64_t> contended{0};
   std::atomic<std::uint64_t> chains{0};
-  /// Written only under the owning Mutex's guard (every acquisition while
-  /// the lock profiler is armed, the starvation handoff and the release),
-  /// so a plain field is race-free.
+  /// Written only by the Mutex's current owner (as its acquisition call
+  /// returns, and as it unlocks); the lock word orders owners, so a plain
+  /// field is race-free.
   std::int64_t hold_start_ns = 0;
   std::atomic<std::uintptr_t> site{0};  ///< first contended-acquire callsite
   trace::LatencyHistogram hold_ns;

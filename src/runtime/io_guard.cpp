@@ -1,15 +1,16 @@
 #include "runtime/io_guard.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/cpu.hpp"
 #include "common/sys.hpp"
 #include "common/time.hpp"
 #include "common/trace.hpp"
+#include "prof/prof.hpp"
 #include "runtime/instrument.hpp"
 #include "runtime/internal.hpp"
 #include "runtime/klt_pool.hpp"
-#include "runtime/prof_glue.hpp"
 #include "runtime/worker.hpp"
 
 namespace lpt::io {
@@ -25,8 +26,7 @@ blocking_region::blocking_region(void* site) {
   // wedge sentinel is the only party allowed to take the token from us.
   lpt::detail::begin_no_preempt(self_);
   worker_ = worker_tls()->worker;
-  prof::offcpu_begin(self_, prof::WaitKind::kSyscall,
-                     site != nullptr ? site : __builtin_return_address(0));
+  site_ = site != nullptr ? site : __builtin_return_address(0);
 
   const std::uint64_t e =
       worker_->syscall_epoch.load(std::memory_order_relaxed);
@@ -88,8 +88,9 @@ blocking_region::~blocking_region() {
     }
   }
   std::int64_t blocked_ns = 0;
-  if (LPT_TRACE_ON() && enter_ns_ != 0)
-    blocked_ns = now_ns() - enter_ns_;
+  const bool offcpu = prof::offcpu_on();
+  if ((LPT_TRACE_ON() || offcpu) && enter_ns_ != 0)
+    blocked_ns = std::max<std::int64_t>(now_ns() - enter_ns_, 0);
 
   if (reabsorb) {
     // The sentinel gave this worker a fresh host while we slept in the
@@ -109,9 +110,10 @@ blocking_region::~blocking_region() {
   }
 
   LPT_TRACE_EVENT(trace::EventType::kSyscallReturn, self_->trace_id,
-                  static_cast<std::uint64_t>(blocked_ns < 0 ? 0 : blocked_ns),
-                  reabsorb ? 1 : 0);
-  prof::offcpu_end(self_);
+                  static_cast<std::uint64_t>(blocked_ns), reabsorb ? 1 : 0);
+  if (offcpu && enter_ns_ != 0)
+    prof::record_wait(prof::WaitKind::kSyscall,
+                      reinterpret_cast<std::uintptr_t>(site_), blocked_ns);
   // Last: the guard exit is a cancel point and may convert a deferred tick
   // into a yield — both must happen on the (possibly new) hosting worker,
   // after the reabsorption switch, never before it.

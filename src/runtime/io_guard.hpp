@@ -60,7 +60,10 @@ class blocking_region {
   Worker* worker_ = nullptr;
   std::uint64_t epoch_ = 0;     ///< the odd epoch this region published
   bool published_ = false;      ///< false when nested inside another region
+  /// Entry time (CLOCK_MONOTONIC) of an outermost region; 0 otherwise. The
+  /// syscall's one timing: the kSyscallReturn event and the off-CPU record.
   std::int64_t enter_ns_ = 0;
+  void* site_ = nullptr;        ///< caller PC, the off-CPU record's site
 };
 
 namespace detail {

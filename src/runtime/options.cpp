@@ -92,8 +92,7 @@ RuntimeOptions resolve_env_options(RuntimeOptions o) {
   if (o.deadlock_periods < 1) o.deadlock_periods = 1;
 
   // ----- continuous profiler (options.hpp lists every LPT_PROF* knob) -----
-  if (const char* v = std::getenv("LPT_PROF"); v != nullptr)
-    o.prof.enabled = env_flag("LPT_PROF", o.prof.enabled);
+  o.prof.enabled = env_flag("LPT_PROF", o.prof.enabled);
   if (const char* v = std::getenv("LPT_PROF_FILE"); v != nullptr && v[0] != '\0') {
     o.prof.file = v;
     o.prof.enabled = true;  // a requested output implies profiling, like LPT_TRACE_FILE
@@ -121,8 +120,7 @@ RuntimeOptions resolve_env_options(RuntimeOptions o) {
   if (ring_cap > 0) o.prof.ring_capacity = static_cast<std::uint32_t>(ring_cap);
   if (o.prof.sample_hz < 0 || o.prof.sample_hz > prof::kMaxHz)
     o.prof.sample_hz = 0;  // programmatic nonsense falls back to piggyback
-  if (o.prof.enabled && o.prof.file.empty() &&
-      std::getenv("LPT_PROF") != nullptr)
+  if (o.prof.enabled && o.prof.file.empty() && env_flag("LPT_PROF", false))
     o.prof.file = "lpt_profile.folded";  // plain LPT_PROF=1 leaves a profile
   return o;
 }

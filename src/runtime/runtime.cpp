@@ -100,6 +100,7 @@ Runtime::Runtime(RuntimeOptions opts)
   // so the hot paths never allocate. A disabled config disarms the gates,
   // making a fresh runtime immune to a previous runtime's profile state.
   prof::Collector::instance().configure(opts_.prof);
+  times_waits_ = trace_cfg_.enabled || prof::offcpu_on() || prof::locks_on();
 
   // Arm the parking registry before any worker exists so every park is
   // registered from the first dispatch; resets the detector's cycle memory.
@@ -365,8 +366,8 @@ void Runtime::klt_main(KltCtl* self) {
       self->reabsorb_enqueue = nullptr;
       note_syscall_reabsorbed();
       t->store_state(ThreadState::kReady);
-      // The wake edge labels this as a syscall return (the region's
-      // offcpu_begin tag may already have been consumed on the orphan path).
+      // The wake edge labels this as a syscall return (the region leaves no
+      // wait tag: it times its syscall itself).
       t->prof_wait_kind = prof::WaitKind::kSyscall;
       enqueue_ready(t, nullptr, EnqueueKind::kUnblock, /*waker=*/0);
     }
@@ -747,7 +748,21 @@ void ensure_external_trace_ring() {
 
 void Runtime::stamp_ready(ThreadCtl* t, EnqueueKind kind,
                           std::uint32_t waker) {
+  const bool traced = LPT_TRACE_ON();
+  if (!traced && kind != EnqueueKind::kUnblock) return;
   const std::int64_t now = trace::now_ns();
+  // Close the wait record opened by the kBlock post action. The waker
+  // exclusively owns t between waiter-list removal and enqueue (same handoff
+  // that makes store_state safe), so these are single-writer plain stores.
+  if (kind == EnqueueKind::kUnblock && t->acct.block_start_ns != 0) {
+    const std::int64_t ns =
+        std::max<std::int64_t>(now - t->acct.block_start_ns, 0);
+    t->acct.block_start_ns = 0;
+    t->acct.blocked_ns += static_cast<std::uint64_t>(ns);
+    if (prof::offcpu_on())
+      prof::record_wait(t->prof_wait_kind, t->prof_wait_site, ns);
+  }
+  if (!traced) return;
   t->acct.ready_ns = now;
   // kYield/kPreempted re-ready a thread that never left the scheduler; the
   // ready stamp still feeds the dispatch delay, but there is no causal wake
@@ -758,15 +773,6 @@ void Runtime::stamp_ready(ThreadCtl* t, EnqueueKind kind,
     t->acct.spawn_ns = now;
     wait_kind = trace::kWakeArgSpawn;
   } else {
-    // Close the blocked episode opened by the kBlock post action. The waker
-    // exclusively owns t between waiter-list removal and enqueue (same
-    // handoff that makes store_state safe), so these are single-writer
-    // plain stores.
-    if (t->acct.block_start_ns != 0) {
-      t->acct.blocked_ns +=
-          static_cast<std::uint64_t>(now - t->acct.block_start_ns);
-      t->acct.block_start_ns = 0;
-    }
     wait_kind = static_cast<std::uint64_t>(t->prof_wait_kind);
   }
   ensure_external_trace_ring();
@@ -779,7 +785,7 @@ void Runtime::stamp_ready(ThreadCtl* t, EnqueueKind kind,
 
 void Runtime::enqueue_ready(ThreadCtl* t, Worker* hint, EnqueueKind kind,
                             std::uint32_t waker) {
-  if (LPT_TRACE_ON()) stamp_ready(t, kind, waker);
+  if (times_waits_) stamp_ready(t, kind, waker);
   sched_->enqueue(t, hint, kind);
   notify_work();
 }
@@ -1241,7 +1247,7 @@ void Runtime::publish_done_and_wake(ThreadCtl* t, Worker* w) {
     // worker — readied exactly as WaitQueue::wake would, minus the queue
     // and the notify (this worker is about to dispatch it).
     joiners->store_state(ThreadState::kReady);
-    if (LPT_TRACE_ON()) stamp_ready(joiners, EnqueueKind::kUnblock, id);
+    if (times_waits_) stamp_ready(joiners, EnqueueKind::kUnblock, id);
     w->run_next = joiners;
   } else {
     WaitQueue::wake(joiners, id);

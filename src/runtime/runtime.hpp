@@ -168,14 +168,14 @@ class Runtime {
   }
 
   /// Central ready-transition choke point: stamp the ULT's lifecycle
-  /// accounting (ready_ns; closing a blocked episode on kUnblock), emit the
+  /// accounting (ready_ns; closing the wait record on kUnblock), emit the
   /// causal kUltWake trace event for kSpawn/kUnblock transitions, then
   /// scheduler-enqueue + notify_work. Every site that makes a ULT runnable
   /// (yield/preempt re-enqueue, sync wakeups, join publication, timed-wait
   /// expiry, spawn, syscall reabsorption) must route through here so that
   /// every kUltDispatch has a matching ready stamp (docs/observability.md,
   /// "Causal tracing & scheduling delay"). Never called from signal
-  /// handlers: all accounting work is gated on the tracer and may touch the
+  /// handlers: all accounting work is gated on times_waits_ and may touch the
   /// clock and (for ringless external threads) lazily acquire a trace ring.
   /// `waker` is the waking ULT's trace id for the wake edge; kWakerFromTls
   /// resolves it from the calling context (0 = external/timer thread).
@@ -296,8 +296,12 @@ class Runtime {
   /// a join took (ThreadCtl::join_taken) hands w straight back to its lone
   /// joiner through w->run_next (DESIGN.md, "Join handoff").
   void publish_done_and_wake(ThreadCtl* t, Worker* w);
-  /// enqueue_ready's accounting half (ready stamp, blocked time, wake edge),
-  /// for a thread made ready without a queue. Call only with tracing on.
+  /// enqueue_ready's accounting half, for a thread made ready without a
+  /// queue. On kUnblock it closes the wait record the kBlock post action
+  /// opened: one (kind, site, ns) that feeds acct.blocked_ns, the off-CPU
+  /// site table and, through blocked_ns, the lock wait histogram. With
+  /// tracing on it also stamps ready_ns and emits the wake edge. Call only
+  /// when times_waits_.
   void stamp_ready(ThreadCtl* t, EnqueueKind kind, std::uint32_t waker);
   /// ULTs ever spawned and live right now, summed over the per-worker and
   /// external counters. Finishes are summed before spawns, so a racing
@@ -314,6 +318,9 @@ class Runtime {
 
   RuntimeOptions opts_;
   trace::TraceConfig trace_cfg_;  ///< options.trace resolved against env
+  /// Parked waits are timed: the tracer, the off-CPU collector or the lock
+  /// profiler is armed. Fixed at construction, before any worker exists.
+  bool times_waits_ = false;
   std::int64_t start_ns_ = 0;     ///< construction time (uptime metric)
   /// Trace-id cursor: workers claim IdBlock::kSize ids at a time, external
   /// spawns one.

@@ -42,61 +42,34 @@ bool owner_running(Runtime* rt, const ThreadCtl* owner) {
   return false;
 }
 
-// ---- lock-contention profiling helpers (all called under the Mutex's
-// guard unless noted; every one is a no-op with a null `ls`) ----
+// ---- lock-contention profiling (docs/observability.md "Profiling"): the
+// acquisition path is the same armed or not; this only records ----
 
-/// Lazily attach the Mutex's LockStats slot. Caller holds the guard, so the
-/// plain member is race-free; slab exhaustion leaves the mutex unprofiled.
-prof::LockStats* lock_stats(prof::LockStats*& slot) {
-  if (slot == nullptr) slot = prof::Collector::instance().acquire_lock_stats();
-  return slot;
-}
-
-void lock_note_acquire(prof::LockStats* ls) {
-  if (ls != nullptr) ls->acquires.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// The caller (or, on a starvation handoff, the parked waiter) owns the
-/// lock from this instant. A handed-off waiter's hold time includes its
-/// wakeup latency — it *is* holding the lock while it waits to run, which
-/// is exactly what a contention profile should show.
-void lock_note_owned(prof::LockStats* ls) {
-  if (ls != nullptr) ls->hold_start_ns = trace::now_ns();
-}
-
-/// The caller is about to park behind `owner` for the first time in this
-/// acquisition. The contention chain check (the pathology ULT-aware locks
-/// target: waiting behind a holder that is itself off-CPU) asks whether the
-/// owner runs on a core.
-void lock_note_contended(prof::LockStats* ls, Runtime* rt, void* site,
-                         const ThreadCtl* owner) {
+/// Lock-profile one finished lock()/try_lock_for()/try_lock() call. A caller
+/// that got the lock attaches the Mutex's stats slot on its first armed call
+/// (the lock word orders owners, so no two attach) and opens the hold
+/// interval; a caller that did not uses the slot only once attached. A call
+/// that parked counts as contended, as a chain when its first park was
+/// behind an owner that was off-CPU (the pathology ULT-aware locks target),
+/// and records its lock wait: the sum of its own parks' wait records.
+void profile_call(std::atomic<prof::LockStats*>& slot, bool got,
+                  void* site = nullptr, bool parked = false, bool chain = false,
+                  std::uint64_t waited_ns = 0) {
+  prof::LockStats* ls = slot.load(std::memory_order_acquire);
+  if (ls == nullptr && got) {
+    ls = prof::Collector::instance().acquire_lock_stats();
+    slot.store(ls, std::memory_order_release);
+  }
   if (ls == nullptr) return;
+  ls->acquires.fetch_add(1, std::memory_order_relaxed);
+  if (got) ls->hold_start_ns = trace::now_ns();
+  if (!parked) return;
   ls->contended.fetch_add(1, std::memory_order_relaxed);
+  if (chain) ls->chains.fetch_add(1, std::memory_order_relaxed);
   std::uintptr_t none = 0;
   ls->site.compare_exchange_strong(
       none, reinterpret_cast<std::uintptr_t>(site), std::memory_order_relaxed);
-  if (owner == nullptr || rt == nullptr || owner_running(rt, owner)) return;
-  ls->chains.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// A waiter that parked acquired the lock; record its wait time since its
-/// first park. Called WITHOUT the guard — touches only atomics/histograms.
-void lock_note_waited(prof::LockStats* ls, const ThreadCtl* self,
-                      std::int64_t wait_start, void* site) {
-  if (ls == nullptr || wait_start == 0) return;
-  const std::int64_t ns = trace::now_ns() - wait_start;
-  ls->wait_ns.record(ns);
-  LPT_TRACE_EVENT(trace::EventType::kLockContended, self->trace_id,
-                  static_cast<std::uint64_t>(ns < 0 ? 0 : ns),
-                  static_cast<std::uint64_t>(
-                      reinterpret_cast<std::uintptr_t>(site)));
-}
-
-/// The owner is releasing: close its hold interval.
-void lock_note_release(prof::LockStats* ls) {
-  if (ls == nullptr || ls->hold_start_ns == 0) return;
-  ls->hold_ns.record(trace::now_ns() - ls->hold_start_ns);
-  ls->hold_start_ns = 0;
+  ls->wait_ns.record(static_cast<std::int64_t>(waited_ns));
 }
 
 }  // namespace
@@ -108,8 +81,10 @@ void lock_note_release(prof::LockStats* ls) {
 void Mutex::lock() {
   ThreadCtl* self = detail::require_ult("lpt::Mutex::lock outside ULT context");
   detail::cancel_point(self);  // before acquisition: nothing held yet
-  if (!prof::locks_on() && try_grab(self, nullptr, true)) return;
-  acquire(self, __builtin_return_address(0), 0);
+  if (!try_grab(self, true))
+    acquire(self, __builtin_return_address(0), 0);
+  else if (prof::locks_on())
+    profile_call(prof_, true);
 }
 
 bool Mutex::try_lock_for(std::chrono::nanoseconds timeout) {
@@ -117,18 +92,20 @@ bool Mutex::try_lock_for(std::chrono::nanoseconds timeout) {
       detail::require_ult("lpt::Mutex::try_lock_for outside ULT context");
   detail::cancel_point(self);
   if (timeout.count() <= 0) return try_lock();
-  if (!prof::locks_on() && try_grab(self, nullptr, true)) return true;
-  return acquire(self, __builtin_return_address(0),
-                 now_ns() + timeout.count());
+  if (!try_grab(self, true))
+    return acquire(self, __builtin_return_address(0),
+                   now_ns() + timeout.count());
+  if (prof::locks_on()) profile_call(prof_, true);
+  return true;
 }
 
-bool Mutex::try_grab(ThreadCtl* self, prof::LockStats* ls, bool defer) {
+bool Mutex::try_grab(ThreadCtl* self, bool defer) {
   std::uint32_t s = state_.load(std::memory_order_relaxed);
   while ((s & kLocked) == 0) {
     if (defer && yields_to_woken(s, self)) return false;
     if (state_.compare_exchange_weak(s, s | kLocked, std::memory_order_acquire,
                                      std::memory_order_relaxed)) {
-      take(self, ls);
+      take(self);
       return true;
     }
   }
@@ -144,30 +121,26 @@ bool Mutex::spin(ThreadCtl* self) {
     if (!owner_running(self->rt, owner_.load(std::memory_order_relaxed)))
       return false;
     cpu_pause();
-    if (try_grab(self, nullptr, false)) return true;
+    if (try_grab(self, false)) return true;
   }
   return false;
 }
 
 bool Mutex::acquire(ThreadCtl* self, void* site, std::int64_t deadline) {
-  // Every profiled acquisition runs under the guard, which keeps LockStats
-  // guard-protected; the profiler also sees no spin, so a contended
-  // acquisition is one that parks.
-  const bool profiled = prof::locks_on();
-  prof::LockStats* ls = nullptr;
-  std::int64_t parked_at = 0;  // trace clock at the first park
-  bool counted = false;
+  const std::uint64_t blocked_before = self->acct.blocked_ns;
+  std::int64_t parked_at = 0;  // clock at the first park (starvation policy)
+  bool chain = false;          // ... and its owner was off-CPU then
+  auto done = [&](bool got) {
+    if (prof::locks_on())
+      profile_call(prof_, got, site, parked_at != 0, chain,
+                   self->acct.blocked_ns - blocked_before);
+    return got;
+  };
   for (;;) {
-    if (!profiled && owner_.load(std::memory_order_relaxed) != self &&
-        spin(self))
-      return true;
+    if (owner_.load(std::memory_order_relaxed) != self && spin(self))
+      return done(true);
     detail::begin_no_preempt(self);
     q_.lock().lock();
-    if (!counted) {  // once per call, however many passes it takes
-      ls = profiled ? lock_stats(prof_) : nullptr;
-      lock_note_acquire(ls);
-      counted = true;
-    }
     // Take the word if it is free and not left to a woken waiter. Otherwise
     // announce a waiter (and, once starving on a held word, ask for handoff)
     // in a CAS that a fast-path unlock races: that unlock either sees the
@@ -191,11 +164,10 @@ bool Mutex::acquire(ThreadCtl* self, void* site, std::int64_t deadline) {
         break;
     }
     if (got) {
-      take(self, ls);
+      take(self);
       q_.lock().unlock();
       detail::end_no_preempt(self);
-      lock_note_waited(ls, self, parked_at, site);
-      return true;
+      return done(true);
     }
     ThreadCtl* const owner = owner_.load(std::memory_order_relaxed);
     if (deadline != 0 && (owner == self || now_ns() >= deadline)) {
@@ -204,7 +176,7 @@ bool Mutex::acquire(ThreadCtl* self, void* site, std::int64_t deadline) {
       // A stale kWaiters only sends the next unlock through the guard.
       q_.lock().unlock();
       detail::end_no_preempt(self);
-      return false;
+      return done(false);
     }
     if (deadline == 0 &&
         q_.self_deadlock(self, owner == self, prof::WaitKind::kMutex)) {
@@ -215,8 +187,9 @@ bool Mutex::acquire(ThreadCtl* self, void* site, std::int64_t deadline) {
     // a newcomer waits at the tail, behind any woken waiter too.
     const bool again = parked_at != 0;
     if (!again) {
-      lock_note_contended(ls, self->rt, site, owner);
       parked_at = trace::now_ns();
+      chain = prof::locks_on() && owner != nullptr &&
+              !owner_running(self->rt, owner);
     }
     const WaitResult r = q_.wait(self, prof::WaitKind::kMutex, site, deadline,
                                  park::Edge{&owner_, 1, nullptr}, nullptr,
@@ -224,46 +197,35 @@ bool Mutex::acquire(ThreadCtl* self, void* site, std::int64_t deadline) {
     if (r == WaitResult::kWoken) {
       if (owner_.load(std::memory_order_relaxed) == self) {  // handed over
         detail::end_no_preempt(self);  // cancellation point
-        lock_note_waited(ls, self, parked_at, site);
-        return true;
+        return done(true);
       }
       // Woken to compete. This thread has run, so it clears kWoken, and it
       // takes a free word in the same guarded section: threads that parked
       // behind it while the word was free rely on that.
       q_.lock().lock();
       state_.fetch_and(~kWoken, std::memory_order_relaxed);
-      const bool won = try_grab(self, ls, false);
+      const bool won = try_grab(self, false);
       q_.lock().unlock();
       detail::end_no_preempt(self);  // cancellation point
-      if (won) {
-        lock_note_waited(ls, self, parked_at, site);
-        return true;
-      }
+      if (won) return done(true);
       continue;  // the word is held: spin on its owner, or park again
     }
     detail::end_no_preempt(self);  // cancellation point
-    if (r == WaitResult::kTimedOut) return false;
+    if (r == WaitResult::kTimedOut) return done(false);
     // Broken out of the wait: compete again.
   }
 }
 
-void Mutex::take(ThreadCtl* t, prof::LockStats* ls) {
+void Mutex::take(ThreadCtl* t) {
   owner_.store(t, std::memory_order_relaxed);
   park::hold(t->parking, this);
-  lock_note_owned(ls);
 }
 
 bool Mutex::try_lock() {
   ThreadCtl* self =
       detail::require_ult("lpt::Mutex::try_lock outside ULT context");
-  if (!prof::locks_on()) return try_grab(self, nullptr, false);
-  detail::begin_no_preempt(self);
-  q_.lock().lock();
-  prof::LockStats* ls = lock_stats(prof_);
-  const bool got = try_grab(self, ls, false);
-  if (got) lock_note_acquire(ls);
-  q_.lock().unlock();
-  detail::end_no_preempt(self);
+  const bool got = try_grab(self, false);
+  if (got && prof::locks_on()) profile_call(prof_, true);
   return got;
 }
 
@@ -271,11 +233,17 @@ void Mutex::unlock() {
   // Callable from ULT context and from the scheduler (condvar-wait release),
   // so owner bookkeeping uses owner_ — not the calling context.
   ThreadCtl* const owner = owner_.load(std::memory_order_relaxed);
+  if (prof::locks_on()) {  // close the owner's hold interval
+    prof::LockStats* ls = prof_.load(std::memory_order_relaxed);
+    if (ls != nullptr && ls->hold_start_ns != 0) {
+      ls->hold_ns.record(trace::now_ns() - ls->hold_start_ns);
+      ls->hold_start_ns = 0;
+    }
+  }
   if (owner != nullptr) park::drop(owner->parking, this);
   owner_.store(nullptr, std::memory_order_relaxed);
   std::uint32_t s = kLocked;
-  if (!prof::locks_on() &&
-      state_.compare_exchange_strong(s, 0, std::memory_order_release,
+  if (state_.compare_exchange_strong(s, 0, std::memory_order_release,
                                      std::memory_order_relaxed))
     return;
   ThreadCtl* self = detail::current_ult_or_null();
@@ -288,8 +256,6 @@ void Mutex::unlock() {
 }
 
 void Mutex::release(ThreadCtl* releaser, std::uint32_t waker) {
-  prof::LockStats* ls = prof::locks_on() ? prof_ : nullptr;
-  lock_note_release(ls);
   // The word is locked and the guard is held, so nobody else writes it:
   // plain stores suffice.
   const std::uint32_t s = state_.load(std::memory_order_relaxed);
@@ -298,7 +264,7 @@ void Mutex::release(ThreadCtl* releaser, std::uint32_t waker) {
   if (next != nullptr && (s & kHandoff) != 0) {
     // Starvation handoff: ownership transfers before the wake, so edges
     // never dangle, and the word stays locked.
-    take(next, ls);
+    take(next);
     state_.store(kLocked | kept, std::memory_order_relaxed);
   } else if (next != nullptr) {
     releaser_.store(releaser, std::memory_order_relaxed);

@@ -23,8 +23,8 @@ struct LockStats;
 }
 
 /// Mutual exclusion on one atomic state word. Uncontended lock, try_lock and
-/// unlock are one CAS each; the WaitQueue guard is taken only on contention
-/// (and whenever the lock profiler is armed). A contender spins briefly
+/// unlock are one CAS each; the WaitQueue guard is taken only on contention,
+/// whether or not the lock profiler is armed. A contender spins briefly
 /// while the owner runs on a core, then parks. unlock() wakes the head
 /// waiter without giving it the lock, so the releaser or a spinner may take
 /// it first (barging); other callers park behind the woken waiter until it
@@ -54,7 +54,7 @@ class Mutex : park::Ownable {
   /// Take the lock for `self` if the word is free, whether or not threads
   /// are parked on it (one CAS); take() then records the owner. With
   /// `defer`, it leaves a free word to a woken waiter (yields_to_woken).
-  bool try_grab(ThreadCtl* self, prof::LockStats* ls, bool defer);
+  bool try_grab(ThreadCtl* self, bool defer);
   /// State `s` has a woken waiter that has not run yet (kWoken), and the
   /// caller must let it take the lock first — unless the caller is the
   /// releaser, whose relock at once is the point of barging.
@@ -67,7 +67,7 @@ class Mutex : park::Ownable {
   /// Record `t` as the owner of the held lock: owner_, plus t's held set
   /// while the parking registry is armed. `t` is the caller, or a parked
   /// waiter being handed the lock (guard held).
-  void take(ThreadCtl* t, prof::LockStats* ls);
+  void take(ThreadCtl* t);
   /// Release with waiters (guard held; releases it): free the word and wake
   /// the head waiter, or hand the lock to it when it asked (kHandoff).
   /// `releaser` (null outside a ULT) may retake the word ahead of the woken
@@ -94,12 +94,12 @@ class Mutex : park::Ownable {
   /// doubles as the deadlock detector's owner record, which the detector
   /// reads without the guard.
   std::atomic<ThreadCtl*> owner_{nullptr};
-  /// Contention-profile slot (docs/observability.md "Profiling"): lazily
-  /// attached under the guard on the first lock() while the lock profiler is
+  /// Contention-profile slot (docs/observability.md "Profiling"): attached
+  /// by the first caller that gets the lock while the lock profiler is
   /// armed; null forever otherwise. Points into the collector's never-freed
   /// slab, so the pointer stays valid even when this Mutex outlives the
   /// Runtime that profiled it.
-  prof::LockStats* prof_ = nullptr;
+  std::atomic<prof::LockStats*> prof_{nullptr};
 };
 
 /// Condition variable over lpt::Mutex.

@@ -51,19 +51,21 @@ struct FaultInfo {
 /// Per-ULT lifecycle accounting (docs/observability.md, "Causal tracing &
 /// scheduling delay"). Stamped with trace::now_ns() at state transitions;
 /// populated only while the tracer is armed (all zero otherwise, like the
-/// tracer pass-through fields of metrics::Snapshot). Every field follows the
-/// single-writer ownership-handoff discipline of last_preempt_ns: only the
-/// thread's current owner (the enqueuing waker, or the worker hosting it)
-/// touches them, with the scheduler queue's lock ordering the handoffs.
+/// tracer pass-through fields of metrics::Snapshot), except the wait record
+/// (block_start_ns, blocked_ns), which the off-CPU and lock profilers arm
+/// too. Every field follows the single-writer ownership-handoff discipline
+/// of last_preempt_ns: only the thread's current owner (the enqueuing
+/// waker, or the worker hosting it) touches them, with the scheduler
+/// queue's lock ordering the handoffs.
 struct UltAccounting {
   std::int64_t spawn_ns = 0;          ///< spawn_ctl timestamp
   std::int64_t ready_ns = 0;          ///< last enqueue stamp; 0 = consumed
   std::int64_t run_start_ns = 0;      ///< last dispatch stamp; 0 = off-CPU
-  std::int64_t block_start_ns = 0;    ///< last block stamp; 0 = not blocked
+  std::int64_t block_start_ns = 0;    ///< open wait record's stamp; 0 = none
   std::int64_t spawn_latency_ns = 0;  ///< spawn → first dispatch (one-shot)
   std::uint64_t sched_delay_ns = 0;   ///< cumulative ready → dispatch wait
   std::uint64_t run_ns = 0;           ///< cumulative on-CPU time
-  std::uint64_t blocked_ns = 0;       ///< cumulative block → wake time
+  std::uint64_t blocked_ns = 0;       ///< sum of closed wait records
   std::uint64_t dispatches = 0;       ///< times switched in (incl. resumes)
 };
 
@@ -74,7 +76,8 @@ struct ThreadStatus {
   bool completed = false;
   FaultInfo fault;
   /// Lifecycle accounting copied out just before the control block is freed.
-  /// Zero unless the runtime ran with tracing armed.
+  /// Zero unless the runtime ran with tracing armed; blocked_ns also with
+  /// the off-CPU or lock profiler armed.
   UltAccounting acct;
   /// Times the thread was implicitly preempted over its whole life.
   std::uint64_t preemptions = 0;
@@ -175,12 +178,11 @@ struct ThreadCtl {
 
   // ----- off-CPU wait attribution (docs/observability.md "Profiling") -----
 
-  /// What this thread is about to block on, tagged by WaitQueue::wait just
-  /// before suspend_block() and consumed (block→resume time recorded) right
-  /// after it returns. Owner-written only, so unsynchronized.
+  /// What this thread parks on, tagged by WaitQueue::wait just before
+  /// suspend_block(); the wake (Runtime::stamp_ready) files the wait record
+  /// under it. Written by the parking owner before the waker can see it.
   prof::WaitKind prof_wait_kind = prof::WaitKind::kNone;
   std::uintptr_t prof_wait_site = 0;   ///< caller PC of the blocking primitive
-  std::int64_t prof_wait_start_ns = 0;
 
   // ----- parking registry (park.hpp; docs/robustness.md "Deadlock") -----
 

@@ -2,7 +2,7 @@
 
 #include "runtime/internal.hpp"
 #include "runtime/park.hpp"
-#include "runtime/prof_glue.hpp"
+#include "runtime/thread.hpp"
 
 namespace lpt {
 
@@ -25,12 +25,14 @@ WaitResult WaitQueue::wait(ThreadCtl* self, prof::WaitKind kind, void* site,
                static_cast<std::uint8_t>(kind), deadline, edge);
     if (timed) self->rt->arm_timed_wait(self, deadline);
   }
-  prof::offcpu_begin(self, kind, site);
+  // Tag the wait record that the kBlock post action opens and the wake
+  // (Runtime::stamp_ready) closes; the tag also labels the kUltWake edge.
+  self->prof_wait_kind = kind;
+  self->prof_wait_site = reinterpret_cast<std::uintptr_t>(site);
   // The scheduler releases lock() (then release_after) only once our context
   // is saved, so a waker can neither miss us nor resume us half-saved.
   detail::suspend_block(self, lock_, release_after);
   park::unlink(self);
-  prof::offcpu_end(self);
   const WaitResult r = self->wait_result;
   if (r == WaitResult::kBroken) {
     detail::end_no_preempt(self);  // cancellation point: usually no return

@@ -5,7 +5,7 @@
 // ULTs threaded through ThreadCtl (wq_next, plus wq = the queue the thread
 // is on, so membership is O(1) and parking never allocates). wait() runs the
 // whole park sequence once: enqueue, the parking-registry link (park.hpp;
-// it also arms timed-wait expiry), off-CPU attribution, the suspend, and the
+// it also arms timed-wait expiry), the wait record's tag, the suspend, and the
 // unwinding of all of it at wake. Primitives keep only their own state machine: they decide
 // under lock() whether to wait, and whom to pop and wake on release.
 //

@@ -581,8 +581,10 @@ void Worker::process_post_action() {
     case PostKind::kBlock: {
       clear_current();
       metrics.blocks.inc();
-      const std::int64_t now = close_run_episode(a.thread);
-      if (now != 0) a.thread->acct.block_start_ns = now;
+      // Open the wait record that the wake closes (Runtime::stamp_ready).
+      if (rt->times_waits_)
+        a.thread->acct.block_start_ns =
+            LPT_TRACE_ON() ? close_run_episode(a.thread) : trace::now_ns();
       LPT_TRACE_EVENT(trace::EventType::kUltBlock, a.thread->trace_id);
       a.thread->store_state(ThreadState::kBlocked);
       // Only now — with the context fully saved — may others see the thread.

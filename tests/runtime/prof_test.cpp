@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/time.hpp"
+#include "prof/prof.hpp"
 #include "runtime/lpt.hpp"
 #include "runtime/sync.hpp"
 #include "support/prof_parser.hpp"
@@ -257,7 +258,9 @@ TEST(Prof, ContendedLockCountsEachAcquisitionOnce) {
   // A contended lock() may take several passes (woken without the lock, it
   // competes again and may park again); the profiler counts the call once.
   // One worker, and every holder yields inside its critical section, so
-  // the other ULTs find the lock held.
+  // the other ULTs find the lock held. Each ULT starts its loop only once
+  // all have started: a spawner descheduled between spawns would otherwise
+  // let each ULT run its whole loop alone, uncontended.
   RuntimeOptions o;
   o.num_workers = 1;
   o.prof.enabled = true;
@@ -266,9 +269,12 @@ TEST(Prof, ContendedLockCountsEachAcquisitionOnce) {
   constexpr int kUlts = 4, kLocks = 200;
   Mutex m;
   long counter = 0;  // guarded by m
+  std::atomic<int> started{0};
   std::vector<Thread> ts;
   for (int i = 0; i < kUlts; ++i)
     ts.push_back(rt.spawn([&] {
+      started.fetch_add(1);
+      while (started.load() < kUlts) this_thread::yield();
       for (int k = 0; k < kLocks; ++k) {
         m.lock();
         ++counter;
@@ -283,6 +289,96 @@ TEST(Prof, ContendedLockCountsEachAcquisitionOnce) {
   EXPECT_EQ(s.prof_lock_acquires, static_cast<std::uint64_t>(kUlts * kLocks));
   EXPECT_GE(s.prof_lock_contended, 1u);
   EXPECT_LE(s.prof_lock_contended, s.prof_lock_acquires);
+}
+
+TEST(Prof, OneWaitRecordReconciles) {
+  // Every parked wait is timed once, block to wake, and that one record
+  // feeds the per-ULT blocked time, the off-CPU site table and the lock wait
+  // histogram, so the three views agree exactly. Tracer and profiler armed;
+  // a Mutex/CondVar/Barrier/sleep/join mix on two workers, no cancels.
+  RuntimeOptions o;
+  o.num_workers = 2;
+  o.trace.enabled = true;
+  o.trace.ring_capacity = 1u << 16;
+  o.prof.enabled = true;
+  Runtime rt(o);
+
+  constexpr int kUlts = 4, kRounds = 50, kItems = 100;
+  Mutex m;
+  CondVar cv;
+  Barrier bar(kUlts);
+  long counter = 0;  // guarded by m
+  int queued = 0;    // guarded by m
+  std::atomic<int> started{0};
+  std::atomic<std::uint64_t> blocked_ns{0};
+  auto join_into_sum = [&](Thread& t) {
+    const ThreadStatus st = t.join_status();
+    EXPECT_TRUE(st.completed);
+    EXPECT_FALSE(st.failed());
+    blocked_ns.fetch_add(st.acct.blocked_ns);
+  };
+
+  std::vector<Thread> ts;
+  for (int i = 0; i < kUlts; ++i)
+    ts.push_back(rt.spawn([&] {
+      started.fetch_add(1);
+      while (started.load() < kUlts) this_thread::yield();
+      for (int k = 0; k < kRounds; ++k) {
+        m.lock();
+        ++counter;
+        this_thread::yield();  // holders yield: contenders park
+        m.unlock();
+        if (k % 10 == 0) {
+          bar.arrive_and_wait();
+          this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+      }
+    }));
+  // A parent that joins its CondVar producer and consumer from a ULT.
+  ts.push_back(rt.spawn([&] {
+    Thread consumer = rt.spawn([&] {
+      for (int got = 0; got < kItems; ++got) {
+        m.lock();
+        while (queued == 0) cv.wait(m);
+        --queued;
+        m.unlock();
+      }
+    });
+    Thread producer = rt.spawn([&] {
+      for (int k = 0; k < kItems; ++k) {
+        m.lock();
+        ++queued;
+        cv.notify_one();
+        m.unlock();
+        if (k % 8 == 0) this_thread::yield();
+      }
+    });
+    join_into_sum(consumer);
+    join_into_sum(producer);
+  }));
+  for (auto& t : ts) join_into_sum(t);
+  EXPECT_EQ(counter, kUlts * kRounds);
+
+  std::uint64_t parked_ns = 0, mutex_ns = 0, mutex_waits = 0;
+  prof::Collector& c = prof::Collector::instance();
+  for (const prof::WaitSiteProfile& s : c.offcpu_sites()) {
+    if (s.kind == prof::WaitKind::kSyscall ||
+        s.kind == prof::WaitKind::kBusyFlag)
+      continue;
+    parked_ns += s.total_ns;
+    if (s.kind != prof::WaitKind::kMutex) continue;
+    mutex_ns += s.total_ns;
+    mutex_waits += s.count;
+  }
+  std::uint64_t lock_wait_ns = 0;
+  for (const prof::LockProfile& l : c.lock_profiles())
+    lock_wait_ns += l.wait_ns.sum_ns;
+
+  EXPECT_EQ(c.totals().offcpu_dropped, 0u);
+  EXPECT_GT(parked_ns, 0u);
+  EXPECT_GT(mutex_waits, 0u);
+  EXPECT_EQ(blocked_ns.load(), parked_ns);
+  EXPECT_EQ(lock_wait_ns, mutex_ns);
 }
 
 TEST(Prof, ShutdownExportAndPublisherRefresh) {
@@ -418,6 +514,15 @@ TEST(Prof, EnvKnobsResolve) {
   setenv("LPT_PROF", "0", 1);
   o = resolve_env_options(RuntimeOptions{});
   EXPECT_FALSE(o.prof.enabled);
+
+  // An empty LPT_PROF counts as unset: profiling enabled in code keeps its
+  // (empty) file instead of picking the default one.
+  setenv("LPT_PROF", "", 1);
+  RuntimeOptions coded;
+  coded.prof.enabled = true;
+  o = resolve_env_options(coded);
+  EXPECT_TRUE(o.prof.enabled);
+  EXPECT_EQ(o.prof.file, "");
   clear();
 }
 

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/trace.hpp"
 #include "support/prom_parser.hpp"
 
 namespace {
@@ -85,19 +86,13 @@ std::string slurp(const char* path) {
   return text;
 }
 
-const std::set<std::string> kKnownTypes = {
-    "ult_dispatch",   "ult_yield",       "ult_block",
-    "ult_exit",       "ult_wake",        "preempt_signal_yield",
-    "preempt_klt_switch", "handler_enter", "handler_deferred",
-    "steal",          "worker_park",     "worker_unpark",
-    "klt_suspend",    "klt_resume",      "klt_pool_hit",
-    "klt_pool_miss",  "klt_created",     "timer_fire",
-    "klt_degraded_tick", "timer_fallback", "stack_alloc_fail",
-    "watchdog_flag",  "ult_fault",       "klt_retired",
-    "stack_near_overflow", "ult_cancel", "remediation",
-    "prof_sample",    "offcpu_wait",     "lock_contended",
-    "syscall_block",  "syscall_compensate", "syscall_return",
-};
+/// Every name the tracer can write: event_name() over the EventType range.
+const std::set<std::string> kKnownTypes = [] {
+  std::set<std::string> names;
+  for (int t = 1; t < static_cast<int>(lpt::trace::EventType::kCount); ++t)
+    names.insert(lpt::trace::event_name(static_cast<lpt::trace::EventType>(t)));
+  return names;
+}();
 
 bool is_ready_event(const std::string& t) {
   return t == "ult_wake" || t == "ult_yield" || t == "preempt_signal_yield" ||
