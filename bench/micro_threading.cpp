@@ -1,12 +1,16 @@
 // Microbenchmarks of the threading primitives (google-benchmark): the
 // "about one hundred cycles" context switch (§2.1), fork/join, yield, and
-// synchronization costs on this host's real runtime.
+// synchronization costs on this host's real runtime; plus the Cholesky tile
+// kernels the threads run, per compiled variant.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <vector>
 
+#include "apps/linalg/blas.hpp"
+#include "common/prng.hpp"
 #include "context/context.hpp"
 #include "context/stack.hpp"
 #include "runtime/lpt.hpp"
@@ -285,6 +289,69 @@ void BM_SpawnJoinTraced(benchmark::State& state) {
   state.SetLabel(traced ? "trace=on" : "trace=off");
 }
 BENCHMARK(BM_SpawnJoinTraced)->Arg(0)->Arg(1);
+
+// --- Cholesky tile kernels, one 128 x 128 tile per call -------------------
+//
+// Arg: 0 = baseline x86-64 variant, 1 = AVX2+FMA variant (skipped on a CPU
+// without them). Single-threaded, outside the runtime. TRSM and POTRF work
+// in place, so their input is restored outside the timed region.
+
+enum class TileOp { kGemm, kSyrk, kTrsm, kPotrf };
+
+void BM_TileKernel(benchmark::State& state, TileOp op) {
+  const bool avx2 = state.range(0) == 1;
+  if (avx2 && !apps::detail::avx2_supported()) {
+    state.SkipWithError("CPU lacks AVX2/FMA");
+    return;
+  }
+  const apps::detail::BlasKernels& k =
+      avx2 ? apps::detail::kAvx2Kernels : apps::detail::kBaselineKernels;
+  constexpr int b = 128;
+  std::vector<double> a(b * b), bm(b * b), c(b * b), spd(b * b), work(b * b);
+  Xoshiro256 rng(1);
+  for (auto* v : {&a, &bm, &c})
+    for (double& x : *v) x = rng.next_double() - 0.5;
+  apps::make_spd(b, spd.data(), b, 2);
+  apps::dpotrf_lower(b, spd.data(), b);  // a well-conditioned L for TRSM
+  double flops = 0;
+  for (auto _ : state) {
+    switch (op) {
+      case TileOp::kGemm:
+        k.gemm(b, b, b, a.data(), b, bm.data(), b, c.data(), b);
+        benchmark::DoNotOptimize(c.data());
+        flops = 2.0 * b * b * b;
+        break;
+      case TileOp::kSyrk:
+        k.syrk(b, b, a.data(), b, c.data(), b);
+        benchmark::DoNotOptimize(c.data());
+        flops = 1.0 * b * b * b;
+        break;
+      case TileOp::kTrsm:
+        state.PauseTiming();
+        std::copy(a.begin(), a.end(), work.begin());
+        state.ResumeTiming();
+        k.trsm(b, b, spd.data(), b, work.data(), b);
+        benchmark::DoNotOptimize(work.data());
+        flops = 1.0 * b * b * b;
+        break;
+      case TileOp::kPotrf:
+        state.PauseTiming();
+        apps::make_spd(b, work.data(), b, 3);
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(k.potrf(b, work.data(), b));
+        flops = b * b * b / 3.0;
+        break;
+    }
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOP"] = benchmark::Counter(
+      flops / 1e9 * static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+  state.SetLabel(k.name);
+}
+BENCHMARK_CAPTURE(BM_TileKernel, gemm, TileOp::kGemm)->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_TileKernel, syrk, TileOp::kSyrk)->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_TileKernel, trsm, TileOp::kTrsm)->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_TileKernel, potrf, TileOp::kPotrf)->Arg(0)->Arg(1);
 
 }  // namespace
 

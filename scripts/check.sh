@@ -34,7 +34,8 @@
 # suite also runs under ASan: SEGV-containment tests GTEST_SKIP themselves
 # (ASan owns the SIGSEGV handler; fault::available() is false in sanitizer
 # builds), while the exception firewall, join/compat plumbing, stack-pool
-# quarantine, and the fault-storm watchdog still run fully instrumented.
+# quarantine, and the fault-storm watchdog still run fully instrumented. The
+# BLAS kernel tests run under ASan too (no context switches there).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,11 +74,14 @@ cmake --build "$BUILD-tsan" -j "$JOBS" --target test_metrics_unit test_prof_unit
 # context-switch, so they run TSan-clean like the tracer's structures.
 "$BUILD-tsan/tests/test_prof_unit"
 
-echo "== [5/15] fault-injection tests under ASan =="
+echo "== [5/15] fault-injection and BLAS kernel tests under ASan =="
 configure "$BUILD-asan" -DLPT_SANITIZE=address
-cmake --build "$BUILD-asan" -j "$JOBS" --target test_sys test_fault
+cmake --build "$BUILD-asan" -j "$JOBS" --target test_sys test_fault test_apps
 "$BUILD-asan/tests/test_sys"
 "$BUILD-asan/tests/test_fault"
+# The tile kernels never switch context, so ASan follows their pointer
+# arithmetic at the ragged edges and sub-view strides of every variant.
+"$BUILD-asan/tests/test_apps" --gtest_filter='Blas.*:*BlasVariant.*'
 
 echo "== [6/15] fault-isolation tests (normal + ASan self-skip) =="
 "$BUILD/tests/test_fault_isolation"

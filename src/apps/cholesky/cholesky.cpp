@@ -126,18 +126,22 @@ struct Factorization {
     }
   }
 
-  void spawn_task(int id) {
+  /// False when the spawn failed (no stack could be had).
+  bool spawn_task(int id) {
     ThreadAttrs attrs;
     attrs.preempt = opts->preempt;
-    rt->spawn_detached([this, id] { run_task(id); }, attrs);
+    return rt->spawn_detached([this, id] { run_task(id); }, attrs);
   }
 
   void run_task(int id) {
     TileTask& t = *tasks[id];
     execute(t);
     for (int dep : t.dependents) {
-      if (tasks[dep]->deps.fetch_sub(1, std::memory_order_acq_rel) == 1)
-        spawn_task(dep);
+      // A task whose spawn fails would never count down `remaining`: run it
+      // here instead.
+      if (tasks[dep]->deps.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+          !spawn_task(dep))
+        run_task(dep);
     }
     if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) all_done.set();
   }
@@ -156,7 +160,7 @@ bool tiled_cholesky(Runtime& rt, const TiledCholeskyOptions& opts, double* a,
   f.a = a;
   f.lda = lda;
   f.build();
-  f.spawn_task(f.potrf_id[0]);
+  if (!f.spawn_task(f.potrf_id[0])) return false;
   f.all_done.wait();
   return !f.failed.load();
 }

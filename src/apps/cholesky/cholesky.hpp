@@ -27,7 +27,9 @@ struct TiledCholeskyOptions {
 /// Factor the SPD matrix `a` (n x n column-major, n = tiles*tile_n, lower
 /// triangle used) in place on the current lpt runtime. Must be called from a
 /// non-ULT (external) thread; returns when the factorization completes.
-/// Returns false if the matrix is not positive definite.
+/// Returns false if the matrix is not positive definite, or if the first
+/// task could not be spawned (the matrix is then untouched). Later tasks and
+/// team members whose spawn fails run inline in the spawning ULT.
 bool tiled_cholesky(Runtime& rt, const TiledCholeskyOptions& opts, double* a,
                     int lda);
 

@@ -1,50 +1,71 @@
 #include "apps/linalg/blas.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 
-#include "common/assert.hpp"
 #include "common/prng.hpp"
 
 namespace lpt::apps {
 
+namespace detail {
+
+namespace baseline {
+#include "apps/linalg/blas_kernels.inc"
+}  // namespace baseline
+
+#pragma GCC push_options
+#pragma GCC target("avx2,fma")
+namespace avx2 {
+#include "apps/linalg/blas_kernels.inc"
+}  // namespace avx2
+#pragma GCC pop_options
+
+const BlasKernels kBaselineKernels{"baseline", baseline::gemm, baseline::syrk,
+                                   baseline::trsm, baseline::potrf};
+const BlasKernels kAvx2Kernels{"avx2", avx2::gemm, avx2::syrk, avx2::trsm,
+                               avx2::potrf};
+
+bool avx2_supported() {
+  // Also runs from a load-time constructor, possibly before libgcc's.
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+}
+
+namespace {
+
+// Constant-initialised, so a call from another static initializer still
+// finds a working variant; upgraded once, before main.
+const BlasKernels* g_kernels = &kBaselineKernels;
+
+[[gnu::constructor]] void pick_kernels() {
+  if (avx2_supported()) g_kernels = &kAvx2Kernels;
+}
+
+}  // namespace
+
+const BlasKernels& active_kernels() { return *g_kernels; }
+
+}  // namespace detail
+
 void dgemm_nt_minus(int m, int n, int k, const double* a, int lda,
                     const double* b, int ldb, double* c, int ldc) {
-  for (int j = 0; j < n; ++j) {
-    for (int p = 0; p < k; ++p) {
-      const double bjp = b[j + p * ldb];
-      const double* ap = a + p * lda;
-      double* cj = c + j * ldc;
-      for (int i = 0; i < m; ++i) cj[i] -= ap[i] * bjp;
-    }
-  }
+  detail::g_kernels->gemm(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 void dsyrk_ln_minus(int n, int k, const double* a, int lda, double* c, int ldc) {
-  for (int j = 0; j < n; ++j) {
-    for (int p = 0; p < k; ++p) {
-      const double ajp = a[j + p * lda];
-      const double* ap = a + p * lda;
-      double* cj = c + j * ldc;
-      for (int i = j; i < n; ++i) cj[i] -= ap[i] * ajp;
-    }
-  }
+  detail::g_kernels->syrk(n, k, a, lda, c, ldc);
 }
 
 void dtrsm_rltn(int m, int n, const double* l, int ldl, double* b, int ldb) {
-  // Solve X * L^T = B for X, L lower triangular: column sweep.
-  for (int j = 0; j < n; ++j) {
-    const double diag = l[j + j * ldl];
-    double* bj = b + j * ldb;
-    for (int i = 0; i < m; ++i) bj[i] /= diag;
-    for (int jj = j + 1; jj < n; ++jj) {
-      const double ljj = l[jj + j * ldl];
-      double* bjj = b + jj * ldb;
-      for (int i = 0; i < m; ++i) bjj[i] -= bj[i] * ljj;
-    }
-  }
+  detail::g_kernels->trsm(m, n, l, ldl, b, ldb);
 }
 
 bool dpotrf_lower(int n, double* a, int lda) {
+  return detail::g_kernels->potrf(n, a, lda);
+}
+
+bool cholesky_reference(int n, double* a, int lda) {
   for (int j = 0; j < n; ++j) {
     double d = a[j + j * lda];
     for (int p = 0; p < j; ++p) d -= a[j + p * lda] * a[j + p * lda];
@@ -59,8 +80,6 @@ bool dpotrf_lower(int n, double* a, int lda) {
   }
   return true;
 }
-
-bool cholesky_reference(int n, double* a, int lda) { return dpotrf_lower(n, a, lda); }
 
 double lower_max_diff(int n, const double* a, int lda, const double* b, int ldb) {
   double mx = 0;

@@ -1,7 +1,11 @@
-// Minimal dense kernels (column-major, double) backing the Cholesky
+// Dense tile kernels (column-major, double) backing the Cholesky
 // application: the operations SLATE's kernel issues per tile — DGEMM, DSYRK,
-// DTRSM, DPOTRF (§4.1). Correctness-first reference implementations; tested
-// against naive full-matrix factorizations.
+// DTRSM, DPOTRF (§4.1). One register-blocked GEMM micro-kernel does the bulk
+// of all four (blas_kernels.inc). The kernel body is compiled twice, for
+// baseline x86-64 and for AVX2+FMA, and the public entries call the variant
+// picked from CPUID once, before main. The kernels allocate nothing and use
+// no thread-local state or locks, so a preempted ULT may resume them on
+// another KLT.
 #pragma once
 
 #include <cstddef>
@@ -19,11 +23,11 @@ void dsyrk_ln_minus(int n, int k, const double* a, int lda, double* c, int ldc);
 /// right-side, lower, transposed — the Cholesky panel solve).
 void dtrsm_rltn(int m, int n, const double* l, int ldl, double* b, int ldb);
 
-/// Unblocked Cholesky of the lower triangle of A(n x n). Returns false if
-/// the matrix is not positive definite.
+/// Blocked Cholesky of the lower triangle of A(n x n). Returns false if the
+/// matrix is not positive definite.
 bool dpotrf_lower(int n, double* a, int lda);
 
-/// Reference full-matrix lower Cholesky (for tests).
+/// Unblocked full-matrix lower Cholesky, the plain loop (for tests).
 bool cholesky_reference(int n, double* a, int lda);
 
 /// max_ij |a_ij - b_ij| over the lower triangle.
@@ -32,5 +36,30 @@ double lower_max_diff(int n, const double* a, int lda, const double* b, int ldb)
 /// Fill `a` (n x n, lda) with a deterministic symmetric positive definite
 /// matrix (random-ish entries, diagonally dominated).
 void make_spd(int n, double* a, int lda, unsigned seed);
+
+namespace detail {
+
+/// One compiled variant of the four kernels, callable directly (tests and
+/// benchmarks compare the variants).
+struct BlasKernels {
+  const char* name;
+  void (*gemm)(int m, int n, int k, const double* a, int lda, const double* b,
+               int ldb, double* c, int ldc);
+  void (*syrk)(int n, int k, const double* a, int lda, double* c, int ldc);
+  void (*trsm)(int m, int n, const double* l, int ldl, double* b, int ldb);
+  bool (*potrf)(int n, double* a, int lda);
+};
+
+extern const BlasKernels kBaselineKernels;
+/// Runs only where avx2_supported().
+extern const BlasKernels kAvx2Kernels;
+
+/// True when the CPU has AVX2 and FMA.
+bool avx2_supported();
+
+/// The variant the public entries call.
+const BlasKernels& active_kernels();
+
+}  // namespace detail
 
 }  // namespace lpt::apps

@@ -1,6 +1,6 @@
 #include "apps/linalg/team.hpp"
 
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -12,20 +12,24 @@ namespace {
 struct TeamSync {
   std::atomic<int> remaining{0};
   BusyFlag done;
-  Barrier blocking;
+  Latch blocking;
   explicit TeamSync(int width) : blocking(width) { remaining.store(width); }
 
-  void arrive_and_wait(TeamWait wait) {
-    if (wait == TeamWait::kBlocking) {
-      blocking.arrive_and_wait();
-      return;
-    }
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+  /// Count one member in without waiting.
+  void arrive(TeamWait wait) {
+    if (wait == TeamWait::kBlocking)
+      blocking.count_down();
+    else if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
       done.set();
-      return;
-    }
-    done.wait(wait == TeamWait::kSpin ? BusyFlag::WaitMode::kSpin
-                                      : BusyFlag::WaitMode::kSpinWithYield);
+  }
+
+  void arrive_and_wait(TeamWait wait) {
+    arrive(wait);
+    if (wait == TeamWait::kBlocking)
+      blocking.wait();
+    else
+      done.wait(wait == TeamWait::kSpin ? BusyFlag::WaitMode::kSpin
+                                        : BusyFlag::WaitMode::kSpinWithYield);
   }
 };
 
@@ -43,12 +47,20 @@ void team_parallel(const TeamOptions& opts,
   ThreadAttrs attrs;
   attrs.preempt = opts.preempt;
   for (int r = 1; r < opts.width; ++r) {
-    members.push_back(rt->spawn(
+    Thread m = rt->spawn(
         [&, r] {
           body(r);
           sync.arrive_and_wait(opts.wait);
         },
-        attrs));
+        attrs);
+    if (m.joinable()) {
+      members.push_back(std::move(m));
+      continue;
+    }
+    // The spawn failed: run this member's share here and arrive for it, or
+    // the others would wait for it forever.
+    body(r);
+    sync.arrive(opts.wait);
   }
   body(0);
   sync.arrive_and_wait(opts.wait);

@@ -24,8 +24,8 @@ struct TeamOptions {
 };
 
 /// Run body(rank) on `width` ULTs (the caller becomes rank 0) and join at an
-/// end-of-call barrier with the configured wait policy. Must be called from
-/// ULT context.
+/// end-of-call barrier with the configured wait policy. A member whose spawn
+/// fails runs in the caller, before rank 0. Must be called from ULT context.
 void team_parallel(const TeamOptions& opts,
                    const std::function<void(int rank)>& body);
 

@@ -9,6 +9,7 @@
 
 #include "apps/cholesky/cholesky.hpp"
 #include "apps/linalg/blas.hpp"
+#include "common/sys.hpp"
 
 namespace lpt::apps {
 namespace {
@@ -131,6 +132,25 @@ TEST(TiledCholesky, BlockingTeamBarrierAlsoWorks)
   double diff = 1;
   factor_and_diff(rt, opts, &diff);
   EXPECT_LT(diff, 1e-9);
+}
+
+TEST(TiledCholesky, FinishesWhenSpawnsFail) {
+  // Once the stack pool runs dry every spawn fails. A task or team member
+  // whose spawn fails runs inline in the spawning ULT, so the factorization
+  // still finishes, and correctly.
+  RuntimeOptions o;
+  o.num_workers = 4;
+  Runtime rt(o);
+  ASSERT_TRUE(sys::configure_faults("mmap:after=10,every=1"));
+  TiledCholeskyOptions opts;
+  opts.tiles = 6;
+  opts.tile_n = 32;
+  opts.inner_width = 4;
+  double diff = 1;
+  factor_and_diff(rt, opts, &diff);
+  EXPECT_LT(diff, 1e-9);
+  EXPECT_GT(rt.metrics_snapshot().spawn_stack_failures, 0u);
+  sys::reset_faults();
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/spinlock.hpp"
+#include "common/sys.hpp"
 #include "common/time.hpp"
 
 namespace lpt::apps {
@@ -123,6 +124,28 @@ TEST(TeamParallel, BlockingWaitVariant) {
     EXPECT_EQ(ran.load(), 4);
   });
   t.join();
+}
+
+TEST(TeamParallel, FailedMemberSpawnsRunInTheCaller) {
+  // With every new stack refused, members that cannot be spawned run in the
+  // caller, and the barrier still releases under each wait policy.
+  for (TeamWait wait : {TeamWait::kSpin, TeamWait::kSpinYield, TeamWait::kBlocking}) {
+    RuntimeOptions o;
+    o.num_workers = 2;
+    Runtime rt(o);
+    Thread t = rt.spawn([&] {
+      ASSERT_TRUE(sys::configure_faults("mmap:every=1"));
+      std::atomic<int> ran{0};
+      TeamOptions to;
+      to.width = 4;
+      to.wait = wait;
+      team_parallel(to, [&](int) { ran.fetch_add(1); });
+      EXPECT_EQ(ran.load(), 4);
+    });
+    t.join();
+    sys::reset_faults();
+    EXPECT_GT(rt.metrics_snapshot().spawn_stack_failures, 0u);
+  }
 }
 
 }  // namespace
