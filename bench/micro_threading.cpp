@@ -295,10 +295,15 @@ BENCHMARK(BM_SpawnJoinTraced)->Arg(0)->Arg(1);
 // Arg: 0 = baseline x86-64 variant, 1 = AVX2+FMA variant (skipped on a CPU
 // without them). Single-threaded, outside the runtime. TRSM and POTRF work
 // in place, so their input is restored outside the timed region.
+//
+// The plain rows time contiguous tiles (leading dimension 128). The
+// `_lda768` rows take every operand as a tile of one 768 x 768 matrix, the
+// layout apps::tiled_cholesky runs: each column step is then 6 KiB, so the
+// columns of an unpacked operand map onto a few L1 sets and conflict.
 
 enum class TileOp { kGemm, kSyrk, kTrsm, kPotrf };
 
-void BM_TileKernel(benchmark::State& state, TileOp op) {
+void BM_TileKernel(benchmark::State& state, TileOp op, int ld) {
   const bool avx2 = state.range(0) == 1;
   if (avx2 && !apps::detail::avx2_supported()) {
     state.SkipWithError("CPU lacks AVX2/FMA");
@@ -307,38 +312,49 @@ void BM_TileKernel(benchmark::State& state, TileOp op) {
   const apps::detail::BlasKernels& k =
       avx2 ? apps::detail::kAvx2Kernels : apps::detail::kBaselineKernels;
   constexpr int b = 128;
-  std::vector<double> a(b * b), bm(b * b), c(b * b), spd(b * b), work(b * b);
+  // The operands L, A, B and C: with ld == b, four contiguous b x b blocks;
+  // otherwise tiles (0,0), (1,0), (2,0) and (2,1) of one ld x ld matrix.
+  const std::size_t tile_len = static_cast<std::size_t>(ld) * b;
+  std::vector<double> mat(ld == b ? 4 * tile_len : tile_len * (ld / b));
+  auto tile = [&](int slot, int i, int j) {
+    return ld == b ? mat.data() + slot * tile_len : mat.data() + i * b + j * tile_len;
+  };
+  double* l = tile(0, 0, 0);
+  double* a = tile(1, 1, 0);
+  double* bm = tile(2, 2, 0);
+  double* c = tile(3, 2, 1);
   Xoshiro256 rng(1);
-  for (auto* v : {&a, &bm, &c})
-    for (double& x : *v) x = rng.next_double() - 0.5;
-  apps::make_spd(b, spd.data(), b, 2);
-  apps::dpotrf_lower(b, spd.data(), b);  // a well-conditioned L for TRSM
+  for (double& x : mat) x = rng.next_double() - 0.5;
+  apps::make_spd(b, l, ld, 2);
+  apps::dpotrf_lower(b, l, ld);  // a well-conditioned L for TRSM
+  std::vector<double> a0(b * b);
+  for (int j = 0; j < b; ++j) std::copy_n(a + j * ld, b, a0.data() + j * b);
   double flops = 0;
   for (auto _ : state) {
     switch (op) {
       case TileOp::kGemm:
-        k.gemm(b, b, b, a.data(), b, bm.data(), b, c.data(), b);
-        benchmark::DoNotOptimize(c.data());
+        k.gemm(b, b, b, a, ld, bm, ld, c, ld);
+        benchmark::DoNotOptimize(c);
         flops = 2.0 * b * b * b;
         break;
       case TileOp::kSyrk:
-        k.syrk(b, b, a.data(), b, c.data(), b);
-        benchmark::DoNotOptimize(c.data());
+        k.syrk(b, b, a, ld, c, ld);
+        benchmark::DoNotOptimize(c);
         flops = 1.0 * b * b * b;
         break;
       case TileOp::kTrsm:
         state.PauseTiming();
-        std::copy(a.begin(), a.end(), work.begin());
+        for (int j = 0; j < b; ++j) std::copy_n(a0.data() + j * b, b, bm + j * ld);
         state.ResumeTiming();
-        k.trsm(b, b, spd.data(), b, work.data(), b);
-        benchmark::DoNotOptimize(work.data());
+        k.trsm(b, b, l, ld, bm, ld);
+        benchmark::DoNotOptimize(bm);
         flops = 1.0 * b * b * b;
         break;
       case TileOp::kPotrf:
         state.PauseTiming();
-        apps::make_spd(b, work.data(), b, 3);
+        apps::make_spd(b, c, ld, 3);
         state.ResumeTiming();
-        benchmark::DoNotOptimize(k.potrf(b, work.data(), b));
+        benchmark::DoNotOptimize(k.potrf(b, c, ld));
         flops = b * b * b / 3.0;
         break;
     }
@@ -348,10 +364,14 @@ void BM_TileKernel(benchmark::State& state, TileOp op) {
       flops / 1e9 * static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
   state.SetLabel(k.name);
 }
-BENCHMARK_CAPTURE(BM_TileKernel, gemm, TileOp::kGemm)->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_TileKernel, syrk, TileOp::kSyrk)->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_TileKernel, trsm, TileOp::kTrsm)->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_TileKernel, potrf, TileOp::kPotrf)->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_TileKernel, gemm, TileOp::kGemm, 128)->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_TileKernel, syrk, TileOp::kSyrk, 128)->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_TileKernel, trsm, TileOp::kTrsm, 128)->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_TileKernel, potrf, TileOp::kPotrf, 128)->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_TileKernel, gemm_lda768, TileOp::kGemm, 768)->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_TileKernel, syrk_lda768, TileOp::kSyrk, 768)->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_TileKernel, trsm_lda768, TileOp::kTrsm, 768)->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_TileKernel, potrf_lda768, TileOp::kPotrf, 768)->Arg(0)->Arg(1);
 
 }  // namespace
 

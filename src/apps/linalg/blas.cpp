@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 
 #include "common/prng.hpp"
 
@@ -10,13 +11,20 @@ namespace lpt::apps {
 
 namespace detail {
 
+// Each variant sizes the micro-kernel to its register file. Baseline x86-64
+// has 16 xmm registers of two doubles: an 8 x 4 tile is 16 of them. AVX2 has
+// 16 ymm registers of four: an 8 x 6 tile is 12, leaving room for two of A
+// and a broadcast of B. A vector wider than the target's own would be split
+// into halves and passed in memory (-Wpsabi), so the width comes from here.
 namespace baseline {
+constexpr int kLanes = 2, kNR = 4;
 #include "apps/linalg/blas_kernels.inc"
 }  // namespace baseline
 
 #pragma GCC push_options
 #pragma GCC target("avx2,fma")
 namespace avx2 {
+constexpr int kLanes = 4, kNR = 6;
 #include "apps/linalg/blas_kernels.inc"
 }  // namespace avx2
 #pragma GCC pop_options

@@ -1,16 +1,27 @@
 // Dense tile kernels (column-major, double) backing the Cholesky
 // application: the operations SLATE's kernel issues per tile — DGEMM, DSYRK,
-// DTRSM, DPOTRF (§4.1). One register-blocked GEMM micro-kernel does the bulk
-// of all four (blas_kernels.inc). The kernel body is compiled twice, for
-// baseline x86-64 and for AVX2+FMA, and the public entries call the variant
-// picked from CPUID once, before main. The kernels allocate nothing and use
-// no thread-local state or locks, so a preempted ULT may resume them on
-// another KLT.
+// DTRSM, DPOTRF (§4.1). One packed GEMM path does the bulk of all four
+// (blas_kernels.inc): like MKL's, it copies its operands into contiguous
+// micro-panels before one register-blocked micro-kernel runs on them, so a
+// tile inside a large matrix runs as fast as a contiguous one. The kernel
+// body is compiled twice, for baseline x86-64 and for AVX2+FMA, and the
+// public entries call the variant picked from CPUID once, before main.
+//
+// The packing buffers live on the calling thread's stack: a call needs at
+// most 40 KiB of it (kStackBudget), a sixth of the default 256 KiB ULT
+// stack. The kernels use no heap, no thread-local state and no locks, so a
+// preempted ULT may resume them on another KLT. lpt_apps is built with
+// -fstack-clash-protection, so a ULT whose stack is too small for the
+// buffers ends in a contained stack overflow rather than writing past its
+// guard page.
 #pragma once
 
 #include <cstddef>
 
 namespace lpt::apps {
+
+/// Stack, in bytes, that one call of any kernel below may use.
+inline constexpr std::size_t kStackBudget = 40 * 1024;
 
 /// C(m x n) -= A(m x k) * B(n x k)^T   (the trailing update of Cholesky)
 void dgemm_nt_minus(int m, int n, int k, const double* a, int lda,

@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "common/prng.hpp"
+#include "runtime/fault.hpp"
+#include "runtime/lpt.hpp"
 
 namespace lpt::apps {
 
@@ -102,10 +104,13 @@ TEST(Blas, MakeSpdIsSymmetricAndFactorizable) {
 
 // --- every compiled kernel variant against naive loops ---------------------
 //
-// The sizes reach full 8 x 4 micro-tiles, ragged edges in both dimensions,
-// several 16-column TRSM/POTRF blocks, and leading dimensions larger than
-// the rows used (sub-views, like the team's row split of a GEMM tile).
-// POTRF's naive loop is the library's unblocked cholesky_reference.
+// The sizes reach full micro-tiles (8 x 6 for AVX2, 8 x 4 baseline), ragged
+// edges in both dimensions, several packed blocks in depth (k = 300) and in
+// rows (m = 77, with a ragged last block), every column count modulo both
+// micro-tile widths, several TRSM halving levels and 16-column POTRF blocks,
+// and leading dimensions larger than the rows used (sub-views, like the
+// team's row split of a GEMM tile). POTRF's naive loop is the library's
+// unblocked cholesky_reference.
 
 double at(const std::vector<double>& v, int i, int j, int ld) {
   return v[i + static_cast<std::size_t>(j) * ld];
@@ -162,8 +167,12 @@ INSTANTIATE_TEST_SUITE_P(Variants, BlasVariant,
 
 TEST_P(BlasVariant, GemmMatchesNaiveOnRaggedSubViews) {
   struct Shape { int m, n, k, pad; };
-  for (const Shape sh : {Shape{37, 29, 23, 3}, Shape{8, 4, 1, 0}, Shape{64, 32, 40, 0},
-                         Shape{7, 3, 5, 1}, Shape{9, 5, 3, 2}, Shape{128, 128, 128, 11}}) {
+  std::vector<Shape> shapes = {Shape{37, 29, 23, 3}, Shape{8, 4, 1, 0}, Shape{64, 32, 40, 0},
+                               Shape{7, 3, 5, 1},   Shape{9, 5, 3, 2}, Shape{128, 128, 128, 11},
+                               Shape{77, 13, 300, 0}};
+  // n = 24..35 leaves every remainder modulo 4 and 6.
+  for (int n = 24; n < 36; ++n) shapes.push_back(Shape{77, n, 70, 2});
+  for (const Shape sh : shapes) {
     const int ld = sh.m + sh.pad;
     std::vector<double> a = random_matrix(sh.m, sh.k, ld, 1);
     std::vector<double> b = random_matrix(sh.n, sh.k, ld, 2);
@@ -196,8 +205,10 @@ TEST_P(BlasVariant, GemmRowSplitMatchesWholeTile) {
 }
 
 TEST_P(BlasVariant, SyrkMatchesNaiveAndKeepsUpperTriangle) {
-  for (const int n : {37, 64, 128, 5}) {
-    const int k = n == 128 ? 128 : 23, ld = n + 2;
+  // n off a multiple of 8 puts micro-tiles across the diagonal; 77 spans
+  // two packed row blocks, the second ragged, and k = 300 five depth blocks.
+  for (const int n : {37, 64, 128, 5, 77, 13}) {
+    const int k = n == 128 ? 128 : n == 77 ? 300 : 23, ld = n + 2;
     const std::vector<double> a = random_matrix(n, k, ld, 7);
     std::vector<double> c = random_matrix(ld, n, ld, 8), ref = c;
     kernels().syrk(n, k, a.data(), ld, c.data(), ld);
@@ -213,7 +224,8 @@ TEST_P(BlasVariant, SyrkMatchesNaiveAndKeepsUpperTriangle) {
 
 TEST_P(BlasVariant, TrsmMatchesNaive) {
   struct Shape { int m, n, pad; };
-  for (const Shape sh : {Shape{37, 29, 3}, Shape{128, 128, 0}, Shape{5, 16, 1}, Shape{32, 45, 7}}) {
+  for (const Shape sh : {Shape{37, 29, 3}, Shape{128, 128, 0}, Shape{5, 16, 1}, Shape{32, 45, 7},
+                         Shape{77, 17, 2}, Shape{128, 45, 0}}) {
     const int ld = std::max(sh.m, sh.n) + sh.pad;
     std::vector<double> l = random_matrix(sh.n, sh.n, ld, 9);
     for (int j = 0; j < sh.n; ++j) l[j + static_cast<std::size_t>(j) * ld] = 2.0 + j % 3;
@@ -253,6 +265,86 @@ TEST_P(BlasVariant, BlockedPotrfRejectsMatrixIndefiniteInALaterBlock) {
     EXPECT_FALSE(cholesky_reference(n, ref.data(), n));
     EXPECT_FALSE(kernels().potrf(n, a.data(), n)) << "n " << n;
   }
+}
+
+// --- the kernels on ULT stacks ----------------------------------------------
+//
+// The packing buffers sit on the caller's stack (blas.hpp, kStackBudget).
+// isolate_faults contains a stray access beyond the guard page as kSegv, so
+// an overflow that skipped the guard shows as a wrong fault kind, not as a
+// corrupted neighbour.
+
+RuntimeOptions blas_ult_opts() {
+  RuntimeOptions o;
+  o.num_workers = 1;
+  o.timer = TimerKind::None;
+  o.isolate_faults = true;
+  return o;
+}
+
+TEST(BlasOnUlt, AllKernelsRunOn64KiBStack) {
+  static_assert(kStackBudget + 16 * 1024 <= 64 * 1024, "budget leaves the ULT no room");
+  constexpr int b = 128, ld = 131;
+  const std::vector<double> a = random_matrix(b, b, ld, 13), bt = random_matrix(b, b, ld, 14);
+  const std::vector<double> c0 = random_matrix(b, b, ld, 15);
+  std::vector<double> l = random_matrix(b, b, ld, 16);
+  for (int j = 0; j < b; ++j) l[j + static_cast<std::size_t>(j) * ld] = 2.0 + j % 3;
+  std::vector<double> spd(static_cast<std::size_t>(ld) * b, 0.0);
+  make_spd(b, spd.data(), ld, 17);
+
+  std::vector<double> gemm_ref = c0, syrk_ref = c0, trsm_ref = a, potrf_ref = spd;
+  naive_gemm(b, b, b, a.data(), ld, bt.data(), ld, gemm_ref.data(), ld);
+  naive_gemm(b, b, b, a.data(), ld, a.data(), ld, syrk_ref.data(), ld);
+  for (int j = 1; j < b; ++j)  // SYRK leaves the upper triangle as it was
+    for (int i = 0; i < j; ++i) syrk_ref[i + static_cast<std::size_t>(j) * ld] = at(c0, i, j, ld);
+  naive_trsm(b, b, l.data(), ld, trsm_ref.data(), ld);
+  ASSERT_TRUE(cholesky_reference(b, potrf_ref.data(), ld));
+
+  Runtime rt(blas_ult_opts());
+  ThreadAttrs attrs;
+  attrs.stack_size = 64 * 1024;
+  std::vector<const detail::BlasKernels*> variants = {&detail::kBaselineKernels};
+  if (detail::avx2_supported()) variants.push_back(&detail::kAvx2Kernels);
+  for (const detail::BlasKernels* k : variants) {
+    std::vector<double> gemm_c = c0, syrk_c = c0, trsm_x = a, potrf_a = spd;
+    bool factored = false;
+    const ThreadStatus st = rt.spawn([&] {
+                               k->gemm(b, b, b, a.data(), ld, bt.data(), ld, gemm_c.data(), ld);
+                               k->syrk(b, b, a.data(), ld, syrk_c.data(), ld);
+                               k->trsm(b, b, l.data(), ld, trsm_x.data(), ld);
+                               factored = k->potrf(b, potrf_a.data(), ld);
+                             },
+                             attrs)
+                                .join_status();
+    ASSERT_TRUE(st.completed);
+    ASSERT_FALSE(st.failed()) << k->name;
+    EXPECT_LT(max_diff(b, b, gemm_c, gemm_ref, ld), 1e-12) << k->name;
+    EXPECT_LT(max_diff(b, b, syrk_c, syrk_ref, ld), 1e-12) << k->name;
+    EXPECT_LT(max_diff(b, b, trsm_x, trsm_ref, ld), 1e-12) << k->name;
+    ASSERT_TRUE(factored) << k->name;
+    EXPECT_LT(lower_max_diff(b, potrf_a.data(), ld, potrf_ref.data(), ld), 1e-12) << k->name;
+  }
+}
+
+TEST(BlasOnUlt, GemmOnMinimumStackIsAContainedOverflow) {
+  Runtime rt(blas_ult_opts());
+  if (!fault::available()) GTEST_SKIP() << "containment off in this build";
+  constexpr int b = 128;
+  const std::vector<double> a = random_matrix(b, b, b, 18), bt = random_matrix(b, b, b, 19);
+  std::vector<double> c = random_matrix(b, b, b, 20);
+  ThreadAttrs attrs;
+  attrs.stack_size = kMinStackSize;
+  const ThreadStatus st = rt.spawn([&] {
+                             dgemm_nt_minus(b, b, b, a.data(), b, bt.data(), b, c.data(), b);
+                           },
+                           attrs)
+                              .join_status();
+  ASSERT_TRUE(st.completed);
+  EXPECT_EQ(st.fault.kind, FaultKind::kStackOverflow);
+  // The runtime goes on running ULTs.
+  bool ran = false;
+  rt.spawn([&] { ran = true; }).join();
+  EXPECT_TRUE(ran);
 }
 
 TEST(Blas, ActiveVariantIsTheWidestTheCpuRuns) {
