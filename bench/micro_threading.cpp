@@ -292,9 +292,10 @@ BENCHMARK(BM_SpawnJoinTraced)->Arg(0)->Arg(1);
 
 // --- Cholesky tile kernels, one 128 x 128 tile per call -------------------
 //
-// Arg: 0 = baseline x86-64 variant, 1 = AVX2+FMA variant (skipped on a CPU
-// without them). Single-threaded, outside the runtime. TRSM and POTRF work
-// in place, so their input is restored outside the timed region.
+// Arg: 0 = baseline x86-64 variant, 1 = AVX2+FMA variant, 2 = AVX-512F
+// variant (1 and 2 skip with an error on a CPU without their features).
+// Single-threaded, outside the runtime. TRSM and POTRF work in place, so
+// their input is restored outside the timed region.
 //
 // The plain rows time contiguous tiles (leading dimension 128). The
 // `_lda768` rows take every operand as a tile of one 768 x 768 matrix, the
@@ -304,13 +305,18 @@ BENCHMARK(BM_SpawnJoinTraced)->Arg(0)->Arg(1);
 enum class TileOp { kGemm, kSyrk, kTrsm, kPotrf };
 
 void BM_TileKernel(benchmark::State& state, TileOp op, int ld) {
-  const bool avx2 = state.range(0) == 1;
-  if (avx2 && !apps::detail::avx2_supported()) {
+  const int variant = static_cast<int>(state.range(0));
+  if (variant == 1 && !apps::detail::avx2_supported()) {
     state.SkipWithError("CPU lacks AVX2/FMA");
     return;
   }
-  const apps::detail::BlasKernels& k =
-      avx2 ? apps::detail::kAvx2Kernels : apps::detail::kBaselineKernels;
+  if (variant == 2 && !apps::detail::avx512_supported()) {
+    state.SkipWithError("CPU lacks AVX-512F/AVX2/FMA");
+    return;
+  }
+  const apps::detail::BlasKernels& k = variant == 2   ? apps::detail::kAvx512Kernels
+                                       : variant == 1 ? apps::detail::kAvx2Kernels
+                                                      : apps::detail::kBaselineKernels;
   constexpr int b = 128;
   // The operands L, A, B and C: with ld == b, four contiguous b x b blocks;
   // otherwise tiles (0,0), (1,0), (2,0) and (2,1) of one ld x ld matrix.
@@ -364,14 +370,14 @@ void BM_TileKernel(benchmark::State& state, TileOp op, int ld) {
       flops / 1e9 * static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
   state.SetLabel(k.name);
 }
-BENCHMARK_CAPTURE(BM_TileKernel, gemm, TileOp::kGemm, 128)->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_TileKernel, syrk, TileOp::kSyrk, 128)->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_TileKernel, trsm, TileOp::kTrsm, 128)->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_TileKernel, potrf, TileOp::kPotrf, 128)->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_TileKernel, gemm_lda768, TileOp::kGemm, 768)->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_TileKernel, syrk_lda768, TileOp::kSyrk, 768)->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_TileKernel, trsm_lda768, TileOp::kTrsm, 768)->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_TileKernel, potrf_lda768, TileOp::kPotrf, 768)->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_TileKernel, gemm, TileOp::kGemm, 128)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK_CAPTURE(BM_TileKernel, syrk, TileOp::kSyrk, 128)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK_CAPTURE(BM_TileKernel, trsm, TileOp::kTrsm, 128)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK_CAPTURE(BM_TileKernel, potrf, TileOp::kPotrf, 128)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK_CAPTURE(BM_TileKernel, gemm_lda768, TileOp::kGemm, 768)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK_CAPTURE(BM_TileKernel, syrk_lda768, TileOp::kSyrk, 768)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK_CAPTURE(BM_TileKernel, trsm_lda768, TileOp::kTrsm, 768)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK_CAPTURE(BM_TileKernel, potrf_lda768, TileOp::kPotrf, 768)->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace
 

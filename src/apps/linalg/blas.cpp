@@ -11,33 +11,49 @@ namespace lpt::apps {
 
 namespace detail {
 
-// Each variant sizes the micro-kernel to its register file. Baseline x86-64
-// has 16 xmm registers of two doubles: an 8 x 4 tile is 16 of them. AVX2 has
-// 16 ymm registers of four: an 8 x 6 tile is 12, leaving room for two of A
-// and a broadcast of B. A vector wider than the target's own would be split
-// into halves and passed in memory (-Wpsabi), so the width comes from here.
+// Each variant sizes the micro-kernel to its register file: kLanes doubles
+// per vector, a kMR x kNR micro-tile. Baseline x86-64 has 16 xmm registers
+// of two doubles: an 8 x 4 tile is 16 of them. AVX2 has 16 ymm registers of
+// four: an 8 x 6 tile is 12, leaving room for two of A and a broadcast of B.
+// AVX-512 has 32 zmm registers of eight: a 16 x 8 tile is 16, two vectors
+// per column. A vector wider than the target's own would be split into
+// halves and passed in memory (-Wpsabi), so the width comes from here.
 namespace baseline {
-constexpr int kLanes = 2, kNR = 4;
+constexpr int kLanes = 2, kMR = 8, kNR = 4;
 #include "apps/linalg/blas_kernels.inc"
 }  // namespace baseline
 
 #pragma GCC push_options
 #pragma GCC target("avx2,fma")
 namespace avx2 {
-constexpr int kLanes = 4, kNR = 6;
+constexpr int kLanes = 4, kMR = 8, kNR = 6;
 #include "apps/linalg/blas_kernels.inc"
 }  // namespace avx2
+#pragma GCC pop_options
+
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx2,fma")
+namespace avx512 {
+constexpr int kLanes = 8, kMR = 16, kNR = 8;
+#include "apps/linalg/blas_kernels.inc"
+}  // namespace avx512
 #pragma GCC pop_options
 
 const BlasKernels kBaselineKernels{"baseline", baseline::gemm, baseline::syrk,
                                    baseline::trsm, baseline::potrf};
 const BlasKernels kAvx2Kernels{"avx2", avx2::gemm, avx2::syrk, avx2::trsm,
                                avx2::potrf};
+const BlasKernels kAvx512Kernels{"avx512", avx512::gemm, avx512::syrk,
+                                 avx512::trsm, avx512::potrf};
 
 bool avx2_supported() {
   // Also runs from a load-time constructor, possibly before libgcc's.
   __builtin_cpu_init();
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+}
+
+bool avx512_supported() {
+  return avx2_supported() && __builtin_cpu_supports("avx512f");
 }
 
 namespace {
@@ -47,7 +63,10 @@ namespace {
 const BlasKernels* g_kernels = &kBaselineKernels;
 
 [[gnu::constructor]] void pick_kernels() {
-  if (avx2_supported()) g_kernels = &kAvx2Kernels;
+  if (avx512_supported())
+    g_kernels = &kAvx512Kernels;
+  else if (avx2_supported())
+    g_kernels = &kAvx2Kernels;
 }
 
 }  // namespace

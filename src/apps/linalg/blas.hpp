@@ -4,12 +4,15 @@
 // (blas_kernels.inc): like MKL's, it copies its operands into contiguous
 // micro-panels before one register-blocked micro-kernel runs on them, so a
 // tile inside a large matrix runs as fast as a contiguous one. The kernel
-// body is compiled twice, for baseline x86-64 and for AVX2+FMA, and the
-// public entries call the variant picked from CPUID once, before main.
+// body is compiled three times, for baseline x86-64, for AVX2+FMA and for
+// AVX-512F (with AVX2+FMA), and the public entries call the widest variant
+// the CPU runs, picked from CPUID once, before main.
 //
 // The packing buffers live on the calling thread's stack: a call needs at
-// most 40 KiB of it (kStackBudget), a sixth of the default 256 KiB ULT
-// stack. The kernels use no heap, no thread-local state and no locks, so a
+// most 44 KiB of it (kStackBudget), about a sixth of the default 256 KiB
+// ULT stack. The AVX-512 variant's 16-row micro-panels set that figure: its
+// gemm_packed frame is 37,200 B by -fstack-usage, the widest of the three.
+// The kernels use no heap, no thread-local state and no locks, so a
 // preempted ULT may resume them on another KLT. lpt_apps is built with
 // -fstack-clash-protection, so a ULT whose stack is too small for the
 // buffers ends in a contained stack overflow rather than writing past its
@@ -21,7 +24,7 @@
 namespace lpt::apps {
 
 /// Stack, in bytes, that one call of any kernel below may use.
-inline constexpr std::size_t kStackBudget = 40 * 1024;
+inline constexpr std::size_t kStackBudget = 44 * 1024;
 
 /// C(m x n) -= A(m x k) * B(n x k)^T   (the trailing update of Cholesky)
 void dgemm_nt_minus(int m, int n, int k, const double* a, int lda,
@@ -65,8 +68,15 @@ extern const BlasKernels kBaselineKernels;
 /// Runs only where avx2_supported().
 extern const BlasKernels kAvx2Kernels;
 
+/// Runs only where avx512_supported().
+extern const BlasKernels kAvx512Kernels;
+
 /// True when the CPU has AVX2 and FMA.
 bool avx2_supported();
+
+/// True when the CPU has AVX-512F, AVX2 and FMA (all that kAvx512Kernels is
+/// compiled for).
+bool avx512_supported();
 
 /// The variant the public entries call.
 const BlasKernels& active_kernels();

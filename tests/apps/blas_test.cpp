@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -104,13 +105,15 @@ TEST(Blas, MakeSpdIsSymmetricAndFactorizable) {
 
 // --- every compiled kernel variant against naive loops ---------------------
 //
-// The sizes reach full micro-tiles (8 x 6 for AVX2, 8 x 4 baseline), ragged
-// edges in both dimensions, several packed blocks in depth (k = 300) and in
-// rows (m = 77, with a ragged last block), every column count modulo both
-// micro-tile widths, several TRSM halving levels and 16-column POTRF blocks,
-// and leading dimensions larger than the rows used (sub-views, like the
-// team's row split of a GEMM tile). POTRF's naive loop is the library's
-// unblocked cholesky_reference.
+// The sizes reach full micro-tiles (16 x 8 for AVX-512, 8 x 6 for AVX2,
+// 8 x 4 baseline), ragged edges in both dimensions (m = 9..47 leave a ragged
+// 16-row panel, TRSM rows off a multiple of 8 a scalar tail), several packed
+// blocks in depth (k = 300) and in rows (m = 77, with a ragged last block),
+// every column count modulo every micro-tile width, several TRSM and POTRF
+// halving levels, and leading dimensions larger than the rows used
+// (sub-views, like the team's row split of a GEMM tile). The naive loops
+// form one more BlasKernels; POTRF's is the library's unblocked
+// cholesky_reference.
 
 double at(const std::vector<double>& v, int i, int j, int ld) {
   return v[i + static_cast<std::size_t>(j) * ld];
@@ -134,6 +137,15 @@ void naive_gemm(int m, int n, int k, const double* a, int lda, const double* b,
     }
 }
 
+void naive_syrk(int n, int k, const double* a, int lda, double* c, int ldc) {
+  for (int j = 0; j < n; ++j)
+    for (int i = j; i < n; ++i) {
+      double s = 0;
+      for (int p = 0; p < k; ++p) s += a[i + p * lda] * a[j + p * lda];
+      c[i + j * ldc] -= s;
+    }
+}
+
 void naive_trsm(int m, int n, const double* l, int ldl, double* b, int ldb) {
   for (int i = 0; i < m; ++i)
     for (int j = 0; j < n; ++j) {
@@ -142,6 +154,9 @@ void naive_trsm(int m, int n, const double* l, int ldl, double* b, int ldb) {
       b[i + j * ldb] = s / l[j + j * ldl];
     }
 }
+
+const detail::BlasKernels kNaive{"naive", naive_gemm, naive_syrk, naive_trsm,
+                                 cholesky_reference};
 
 /// max |x - y| over the whole ld-strided rows x cols view.
 double max_diff(int rows, int cols, const std::vector<double>& x,
@@ -152,35 +167,98 @@ double max_diff(int rows, int cols, const std::vector<double>& x,
   return mx;
 }
 
+bool bitwise_equal(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() && std::memcmp(x.data(), y.data(), sizeof(double) * x.size()) == 0;
+}
+
+// One case per shape: the kernel runs on fixed inputs and the case returns
+// the whole ld-strided output, padding rows included (they must stay
+// untouched).
+
+struct GemmShape { int m, n, k, pad; };
+
+std::vector<GemmShape> gemm_shapes() {
+  std::vector<GemmShape> shapes = {{37, 29, 23, 3},  {8, 4, 1, 0},    {64, 32, 40, 0},
+                                   {7, 3, 5, 1},     {9, 5, 3, 2},    {128, 128, 128, 11},
+                                   {77, 13, 300, 0}, {15, 8, 33, 0},  {17, 16, 64, 2},
+                                   {33, 24, 65, 3},  {47, 11, 129, 0}};
+  // n = 24..35 leaves every remainder modulo 4, 6 and 8.
+  for (int n = 24; n < 36; ++n) shapes.push_back(GemmShape{77, n, 70, 2});
+  return shapes;
+}
+
+std::vector<double> gemm_case(const detail::BlasKernels& k, GemmShape sh) {
+  const int ld = sh.m + sh.pad;
+  const std::vector<double> a = random_matrix(sh.m, sh.k, ld, 1);
+  const std::vector<double> b = random_matrix(sh.n, sh.k, ld, 2);
+  std::vector<double> c = random_matrix(ld, sh.n, ld, 3);
+  k.gemm(sh.m, sh.n, sh.k, a.data(), ld, b.data(), ld, c.data(), ld);
+  return c;
+}
+
+// n off a multiple of 8 or 16 puts micro-tiles across the diagonal; 77
+// spans two packed row blocks, the second ragged, and k = 300 five depth
+// blocks.
+constexpr int kSyrkSizes[] = {37, 64, 128, 5, 77, 13, 17, 33, 47};
+
+std::vector<double> syrk_case(const detail::BlasKernels& k, int n) {
+  const int kk = n == 128 ? 128 : n == 77 ? 300 : 23, ld = n + 2;
+  const std::vector<double> a = random_matrix(n, kk, ld, 7);
+  std::vector<double> c = random_matrix(ld, n, ld, 8);
+  k.syrk(n, kk, a.data(), ld, c.data(), ld);
+  return c;
+}
+
+struct TrsmShape { int m, n, pad; };
+
+constexpr TrsmShape kTrsmShapes[] = {{37, 29, 3}, {128, 128, 0}, {5, 16, 1},  {32, 45, 7},
+                                     {77, 17, 2}, {128, 45, 0},  {9, 20, 1},  {15, 33, 0},
+                                     {23, 7, 0},  {47, 16, 2},   {100, 64, 5}};
+
+int trsm_ld(TrsmShape sh) { return std::max(sh.m, sh.n) + sh.pad; }
+
+std::vector<double> trsm_case(const detail::BlasKernels& k, TrsmShape sh) {
+  const int ld = trsm_ld(sh);
+  std::vector<double> l = random_matrix(sh.n, sh.n, ld, 9);
+  for (int j = 0; j < sh.n; ++j) l[j + static_cast<std::size_t>(j) * ld] = 2.0 + j % 3;
+  std::vector<double> x = random_matrix(sh.m, sh.n, ld, 10);
+  k.trsm(sh.m, sh.n, l.data(), ld, x.data(), ld);
+  return x;
+}
+
+constexpr int kPotrfSizes[] = {45, 128, 16, 3, 17, 33, 47};
+
+std::vector<double> potrf_case(const detail::BlasKernels& k, int n) {
+  const int ld = n + 5;
+  std::vector<double> a(static_cast<std::size_t>(ld) * n, 0.0);
+  make_spd(n, a.data(), ld, 11);
+  EXPECT_TRUE(k.potrf(n, a.data(), ld)) << k.name << " n " << n;
+  return a;
+}
+
+bool variant_supported(const detail::BlasKernels* k) {
+  if (k == &detail::kAvx512Kernels) return detail::avx512_supported();
+  if (k == &detail::kAvx2Kernels) return detail::avx2_supported();
+  return true;
+}
+
 class BlasVariant : public ::testing::TestWithParam<const detail::BlasKernels*> {
  protected:
   void SetUp() override {
-    if (GetParam() == &detail::kAvx2Kernels && !detail::avx2_supported())
-      GTEST_SKIP() << "CPU lacks AVX2/FMA";
+    if (!variant_supported(GetParam())) GTEST_SKIP() << "CPU lacks " << GetParam()->name;
   }
   const detail::BlasKernels& kernels() const { return *GetParam(); }
 };
 
 INSTANTIATE_TEST_SUITE_P(Variants, BlasVariant,
-                         ::testing::Values(&detail::kBaselineKernels, &detail::kAvx2Kernels),
+                         ::testing::Values(&detail::kBaselineKernels, &detail::kAvx2Kernels,
+                                           &detail::kAvx512Kernels),
                          [](const auto& info) { return std::string(info.param->name); });
 
 TEST_P(BlasVariant, GemmMatchesNaiveOnRaggedSubViews) {
-  struct Shape { int m, n, k, pad; };
-  std::vector<Shape> shapes = {Shape{37, 29, 23, 3}, Shape{8, 4, 1, 0}, Shape{64, 32, 40, 0},
-                               Shape{7, 3, 5, 1},   Shape{9, 5, 3, 2}, Shape{128, 128, 128, 11},
-                               Shape{77, 13, 300, 0}};
-  // n = 24..35 leaves every remainder modulo 4 and 6.
-  for (int n = 24; n < 36; ++n) shapes.push_back(Shape{77, n, 70, 2});
-  for (const Shape sh : shapes) {
+  for (const GemmShape sh : gemm_shapes()) {
     const int ld = sh.m + sh.pad;
-    std::vector<double> a = random_matrix(sh.m, sh.k, ld, 1);
-    std::vector<double> b = random_matrix(sh.n, sh.k, ld, 2);
-    std::vector<double> c = random_matrix(ld, sh.n, ld, 3), ref = c;
-    kernels().gemm(sh.m, sh.n, sh.k, a.data(), ld, b.data(), ld, c.data(), ld);
-    naive_gemm(sh.m, sh.n, sh.k, a.data(), ld, b.data(), ld, ref.data(), ld);
-    // The padding rows below m must be untouched too.
-    EXPECT_LT(max_diff(ld, sh.n, c, ref, ld), 1e-12)
+    EXPECT_LT(max_diff(ld, sh.n, gemm_case(kernels(), sh), gemm_case(kNaive, sh), ld), 1e-12)
         << sh.m << "x" << sh.n << "x" << sh.k << " ld " << ld;
   }
 }
@@ -205,46 +283,28 @@ TEST_P(BlasVariant, GemmRowSplitMatchesWholeTile) {
 }
 
 TEST_P(BlasVariant, SyrkMatchesNaiveAndKeepsUpperTriangle) {
-  // n off a multiple of 8 puts micro-tiles across the diagonal; 77 spans
-  // two packed row blocks, the second ragged, and k = 300 five depth blocks.
-  for (const int n : {37, 64, 128, 5, 77, 13}) {
-    const int k = n == 128 ? 128 : n == 77 ? 300 : 23, ld = n + 2;
-    const std::vector<double> a = random_matrix(n, k, ld, 7);
-    std::vector<double> c = random_matrix(ld, n, ld, 8), ref = c;
-    kernels().syrk(n, k, a.data(), ld, c.data(), ld);
-    for (int j = 0; j < n; ++j)
-      for (int i = j; i < n; ++i) {
-        double s = 0;
-        for (int p = 0; p < k; ++p) s += at(a, i, p, ld) * at(a, j, p, ld);
-        ref[i + static_cast<std::size_t>(j) * ld] -= s;
-      }
-    EXPECT_LT(max_diff(ld, n, c, ref, ld), 1e-12) << "n " << n;
+  for (const int n : kSyrkSizes) {
+    const int ld = n + 2;
+    EXPECT_LT(max_diff(ld, n, syrk_case(kernels(), n), syrk_case(kNaive, n), ld), 1e-12)
+        << "n " << n;
   }
 }
 
 TEST_P(BlasVariant, TrsmMatchesNaive) {
-  struct Shape { int m, n, pad; };
-  for (const Shape sh : {Shape{37, 29, 3}, Shape{128, 128, 0}, Shape{5, 16, 1}, Shape{32, 45, 7},
-                         Shape{77, 17, 2}, Shape{128, 45, 0}}) {
-    const int ld = std::max(sh.m, sh.n) + sh.pad;
-    std::vector<double> l = random_matrix(sh.n, sh.n, ld, 9);
-    for (int j = 0; j < sh.n; ++j) l[j + static_cast<std::size_t>(j) * ld] = 2.0 + j % 3;
-    std::vector<double> x = random_matrix(sh.m, sh.n, ld, 10), ref = x;
-    kernels().trsm(sh.m, sh.n, l.data(), ld, x.data(), ld);
-    naive_trsm(sh.m, sh.n, l.data(), ld, ref.data(), ld);
-    EXPECT_LT(max_diff(ld, sh.n, x, ref, ld), 1e-12) << sh.m << "x" << sh.n;
-  }
+  for (const TrsmShape sh : kTrsmShapes)
+    EXPECT_LT(max_diff(trsm_ld(sh), sh.n, trsm_case(kernels(), sh), trsm_case(kNaive, sh),
+                       trsm_ld(sh)),
+              1e-12)
+        << sh.m << "x" << sh.n;
 }
 
 TEST_P(BlasVariant, BlockedPotrfMatchesNaive) {
-  for (const int n : {45, 128, 16, 3}) {
+  for (const int n : kPotrfSizes) {
     const int ld = n + 5;
-    std::vector<double> a(static_cast<std::size_t>(ld) * n, 0.0);
-    make_spd(n, a.data(), ld, 11);
-    std::vector<double> ref = a;
-    ASSERT_TRUE(kernels().potrf(n, a.data(), ld)) << "n " << n;
-    ASSERT_TRUE(cholesky_reference(n, ref.data(), ld));
-    EXPECT_LT(lower_max_diff(n, a.data(), ld, ref.data(), ld), 1e-12) << "n " << n;
+    EXPECT_LT(lower_max_diff(n, potrf_case(kernels(), n).data(), ld,
+                             potrf_case(kNaive, n).data(), ld),
+              1e-12)
+        << "n " << n;
   }
 }
 
@@ -265,6 +325,24 @@ TEST_P(BlasVariant, BlockedPotrfRejectsMatrixIndefiniteInALaterBlock) {
     EXPECT_FALSE(cholesky_reference(n, ref.data(), n));
     EXPECT_FALSE(kernels().potrf(n, a.data(), n)) << "n " << n;
   }
+}
+
+TEST(Blas, Avx512ResultsEqualAvx2Bitwise) {
+  // Both variants fuse each multiply-subtract (FMA) and take the products in
+  // the same k order, so a wider vector changes no rounding.
+  if (!detail::avx512_supported()) GTEST_SKIP() << "CPU lacks AVX-512F";
+  const detail::BlasKernels& wide = detail::kAvx512Kernels;
+  const detail::BlasKernels& narrow = detail::kAvx2Kernels;
+  for (const GemmShape sh : gemm_shapes())
+    EXPECT_TRUE(bitwise_equal(gemm_case(wide, sh), gemm_case(narrow, sh)))
+        << "gemm " << sh.m << "x" << sh.n << "x" << sh.k;
+  for (const int n : kSyrkSizes)
+    EXPECT_TRUE(bitwise_equal(syrk_case(wide, n), syrk_case(narrow, n))) << "syrk n " << n;
+  for (const TrsmShape sh : kTrsmShapes)
+    EXPECT_TRUE(bitwise_equal(trsm_case(wide, sh), trsm_case(narrow, sh)))
+        << "trsm " << sh.m << "x" << sh.n;
+  for (const int n : kPotrfSizes)
+    EXPECT_TRUE(bitwise_equal(potrf_case(wide, n), potrf_case(narrow, n))) << "potrf n " << n;
 }
 
 // --- the kernels on ULT stacks ----------------------------------------------
@@ -294,18 +372,16 @@ TEST(BlasOnUlt, AllKernelsRunOn64KiBStack) {
 
   std::vector<double> gemm_ref = c0, syrk_ref = c0, trsm_ref = a, potrf_ref = spd;
   naive_gemm(b, b, b, a.data(), ld, bt.data(), ld, gemm_ref.data(), ld);
-  naive_gemm(b, b, b, a.data(), ld, a.data(), ld, syrk_ref.data(), ld);
-  for (int j = 1; j < b; ++j)  // SYRK leaves the upper triangle as it was
-    for (int i = 0; i < j; ++i) syrk_ref[i + static_cast<std::size_t>(j) * ld] = at(c0, i, j, ld);
+  naive_syrk(b, b, a.data(), ld, syrk_ref.data(), ld);
   naive_trsm(b, b, l.data(), ld, trsm_ref.data(), ld);
   ASSERT_TRUE(cholesky_reference(b, potrf_ref.data(), ld));
 
   Runtime rt(blas_ult_opts());
   ThreadAttrs attrs;
   attrs.stack_size = 64 * 1024;
-  std::vector<const detail::BlasKernels*> variants = {&detail::kBaselineKernels};
-  if (detail::avx2_supported()) variants.push_back(&detail::kAvx2Kernels);
-  for (const detail::BlasKernels* k : variants) {
+  for (const detail::BlasKernels* k :
+       {&detail::kBaselineKernels, &detail::kAvx2Kernels, &detail::kAvx512Kernels}) {
+    if (!variant_supported(k)) continue;
     std::vector<double> gemm_c = c0, syrk_c = c0, trsm_x = a, potrf_a = spd;
     bool factored = false;
     const ThreadStatus st = rt.spawn([&] {
@@ -348,8 +424,9 @@ TEST(BlasOnUlt, GemmOnMinimumStackIsAContainedOverflow) {
 }
 
 TEST(Blas, ActiveVariantIsTheWidestTheCpuRuns) {
-  EXPECT_EQ(&detail::active_kernels(),
-            detail::avx2_supported() ? &detail::kAvx2Kernels : &detail::kBaselineKernels);
+  EXPECT_EQ(&detail::active_kernels(), detail::avx512_supported() ? &detail::kAvx512Kernels
+                                        : detail::avx2_supported() ? &detail::kAvx2Kernels
+                                                                   : &detail::kBaselineKernels);
 }
 
 }  // namespace
