@@ -34,8 +34,10 @@
 # suite also runs under ASan: SEGV-containment tests GTEST_SKIP themselves
 # (ASan owns the SIGSEGV handler; fault::available() is false in sanitizer
 # builds), while the exception firewall, join/compat plumbing, stack-pool
-# quarantine, and the fault-storm watchdog still run fully instrumented. The
-# BLAS kernel tests run under ASan too (no context switches there).
+# quarantine, and the fault-storm watchdog still run fully instrumented. So
+# does the inline-join suite (its exception test skips itself, as the
+# firewall tests do). The BLAS kernel tests run under ASan too (no context
+# switches there).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -83,10 +85,13 @@ cmake --build "$BUILD-asan" -j "$JOBS" --target test_sys test_fault test_apps
 # arithmetic at the ragged edges and sub-view strides of every variant.
 "$BUILD-asan/tests/test_apps" --gtest_filter='Blas.*:*BlasVariant.*'
 
-echo "== [6/15] fault-isolation tests (normal + ASan self-skip) =="
+echo "== [6/15] fault-isolation and inline-join tests (normal + ASan) =="
 "$BUILD/tests/test_fault_isolation"
-cmake --build "$BUILD-asan" -j "$JOBS" --target test_fault_isolation
+cmake --build "$BUILD-asan" -j "$JOBS" --target test_fault_isolation test_inline_join
 "$BUILD-asan/tests/test_fault_isolation"
+# A child run inline shares its joiner's stack, and a cancel cuts its frames
+# off without unwinding them: ASan watches that stack across both.
+"$BUILD-asan/tests/test_inline_join"
 
 echo "== [7/15] stack pool: unsealed fallback + TSan shard stress =="
 # Where the kernel refuses mseal(2), each stack keeps an ordinary PROT_NONE

@@ -46,6 +46,7 @@ const char* event_name(EventType t) {
     case EventType::kUltWake: return "ult_wake";
     case EventType::kDeadlock: return "deadlock";
     case EventType::kAbandonedLock: return "abandoned_lock";
+    case EventType::kUltInline: return "ult_inline";
     case EventType::kCount: break;
   }
   return "unknown";
@@ -370,9 +371,11 @@ bool Collector::write_chrome_json(const std::string& path) const {
       s.sched_delay_ns = fe.arg0;
       continue;
     }
+    // The ULT check keeps the end of a child run inline (DESIGN.md, "Inline
+    // join") from closing its joiner's span.
     if (closes_run_span(fe.type) && fe.worker >= 0 &&
         fe.worker < static_cast<int>(open.size()) &&
-        open[fe.worker].open) {
+        open[fe.worker].open && open[fe.worker].ult == fe.ult) {
       OpenSpan& s = open[fe.worker];
       s.open = false;
       std::fprintf(f,

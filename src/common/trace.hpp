@@ -74,6 +74,7 @@ enum class EventType : std::uint16_t {
   kUltWake,            ///< ULT made runnable; ult=woken id, arg0=waker ULT id (0 = external/timer), arg1=prof::WaitKind it was parked under (kWakeArgSpawn for spawn)
   kDeadlock,           ///< deadlock cycle member; ult=member id, arg0=cycle id, arg1=prof::WaitKind awaited | kDeadlockVictimFlag if this member was cancelled
   kAbandonedLock,      ///< lock owner ended while holding; ult=owner id, arg0=prof::WaitKind of the lock, arg1=1 if force-released
+  kUltInline,          ///< a joiner runs its never-dispatched child on its own stack; ult=child id, arg0=joiner id
   kCount,
 };
 

@@ -4,6 +4,10 @@
 
 #include "common/assert.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace lpt {
 
 extern "C" void lpt_ctx_boot();  // defined in context_x8664.S
@@ -17,6 +21,12 @@ Context make_context(void* stack_base, std::size_t stack_size, ContextEntry entr
                      void* arg) {
   LPT_CHECK(stack_base != nullptr);
   LPT_CHECK_MSG(stack_size >= 1024, "stack too small for a context");
+#if defined(__SANITIZE_ADDRESS__)
+  // A recycled stack can still carry the shadow of frames that were
+  // abandoned on it (a cancelled or faulted ULT never returns through
+  // them); a fresh context starts without it.
+  ASAN_UNPOISON_MEMORY_REGION(stack_base, stack_size);
+#endif
 
   // Align the usable top down to 16 bytes, then carve the 64-byte save area
   // (see context_x8664.S) so that rsp % 16 == 0 when lpt_ctx_boot starts.

@@ -32,6 +32,11 @@ void lpt_ctx_switch(void** from_sp, void* to_sp);
 /// Switch to to_sp and discard the current context (no save). Used when a
 /// thread terminates: its stack may be recycled by the target context.
 [[noreturn]] void lpt_ctx_jump(void* to_sp);
+
+/// Save the current context into *site_sp, as lpt_ctx_switch would, then
+/// call fn(arg) on the current stack below it. Returns when fn returns, or
+/// when lpt_ctx_jump(*site_sp) abandons fn's frames.
+void lpt_ctx_call(void** site_sp, void (*fn)(void*), void* arg);
 }
 
 /// Entry function signature for a fresh context.
@@ -48,5 +53,11 @@ inline void context_switch(Context& from, const Context& to) {
 }
 
 [[noreturn]] inline void context_jump(const Context& to) { lpt_ctx_jump(to.sp); }
+
+/// Call entry(arg) as a plain call that context_jump(site) can cut short:
+/// both ways, control comes back here.
+inline void context_call(Context& site, ContextEntry entry, void* arg) {
+  lpt_ctx_call(&site.sp, entry, arg);
+}
 
 }  // namespace lpt

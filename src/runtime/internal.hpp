@@ -69,8 +69,10 @@ void suspend_block(ThreadCtl* self, Spinlock* sl, Mutex* m);
 [[noreturn]] void suspend_cancel(ThreadCtl* self);
 
 /// Cancellation point: returns normally unless `self` has a pending cancel
-/// request, in which case it does not return (suspend_cancel). Safe to call
-/// with nullptr (external thread / scheduler context).
+/// request, in which case it does not return (suspend_cancel), or a child
+/// it runs inline has one, in which case it cuts back to that child's join
+/// site (DESIGN.md, "Inline join"). Safe to call with nullptr (external
+/// thread / scheduler context).
 void cancel_point(ThreadCtl* self);
 
 // --- preemption-handler bodies (called from the signal handler) ------------

@@ -45,28 +45,45 @@ void scheduler_trampoline(void* arg) {
   LPT_CHECK_MSG(false, "scheduler_loop returned");
 }
 
-/// Entry of every ULT context. The try block is the exception firewall
-/// (docs/robustness.md): an exception escaping the thread function would
-/// std::terminate the whole process from a context no handler owns, so it is
-/// converted into a Failed thread status instead, symmetrical with fault
-/// containment. Unlike a SEGV, the stack unwinds normally here — destructors
-/// of the ULT's frames do run.
-void thread_trampoline(void* arg) {
-  auto* t = static_cast<ThreadCtl*>(arg);
-  detail::mark_in_ult();
+/// Run t's function behind the exception firewall (docs/robustness.md): an
+/// exception escaping it would std::terminate the whole process from a
+/// context no handler owns, so it is recorded as t's failure instead,
+/// symmetrical with fault containment. Unlike a SEGV, the stack unwinds
+/// normally here — destructors of the ULT's frames do run. Returns false
+/// when an exception escaped.
+bool run_firewalled(ThreadCtl* t) {
   try {
     t->fn();
+    return true;
   } catch (const std::exception& e) {
     t->fault.kind = FaultKind::kException;
     std::strncpy(t->fault.what, e.what(), sizeof(t->fault.what) - 1);
-    detail::suspend_fail(t);
   } catch (...) {
     t->fault.kind = FaultKind::kException;
     std::strncpy(t->fault.what, "non-std exception",
                  sizeof(t->fault.what) - 1);
-    detail::suspend_fail(t);
   }
+  return false;
+}
+
+/// Entry of every ULT context.
+void thread_trampoline(void* arg) {
+  auto* t = static_cast<ThreadCtl*>(arg);
+  detail::mark_in_ult();
+  if (!run_firewalled(t)) detail::suspend_fail(t);
   detail::suspend_exit(t);
+}
+
+/// Body of an inline join (Runtime::run_inline); a failure stays in
+/// t->fault.
+void inline_body(void* arg) { run_firewalled(static_cast<ThreadCtl*>(arg)); }
+
+/// On-CPU time of a running thread up to `now` (tracing armed).
+std::uint64_t on_cpu_ns(const ThreadCtl* t, std::int64_t now) {
+  return t->acct.run_ns +
+         (t->acct.run_start_ns != 0
+              ? static_cast<std::uint64_t>(now - t->acct.run_start_ns)
+              : 0);
 }
 
 }  // namespace
@@ -872,8 +889,7 @@ void Runtime::expire_timers(std::int64_t now) {
       // reach its wakeup cancellation point, not serve out the timeout.
       const bool due =
           wake_ns != 0 &&
-          (wake_ns <= now ||
-           t->cancel_requested.load(std::memory_order_relaxed));
+          (wake_ns <= now || t->cancel_pending());
       if (due && park::settle(t, WaitResult::kTimedOut)) {
         t->wq_next = timed_out;
         timed_out = t;
@@ -1164,22 +1180,25 @@ void Runtime::finalize_thread(ThreadCtl* t, Worker* w) {
   else
     ext_finished_.add(1);
 
-  // Recycle default-sized stacks through the pool (sizes are page-rounded,
-  // so compare against the rounded pool size). Others are unmapped here, in
-  // scheduler context, not by the joiner: unmapping a sealed stack takes the
-  // parked-guard lock, which a preemptible ULT must not hold.
+  release_stack(t, w);
+  publish_done_and_wake(t, w);
+}
+
+void Runtime::release_stack(ThreadCtl* t, Worker* w) {
+  // Sizes are page-rounded, so compare against the rounded pool size.
   if (t->stack.size() == pooled_stack_size(stack_pool_)) {
     stack_pool_.release(std::move(t->stack),
                         w != nullptr ? w->rank : StackPool::kShared);
   } else {
     t->stack = Stack();
   }
-
-  publish_done_and_wake(t, w);
 }
 
 void Runtime::finalize_failed_thread(ThreadCtl* t, Worker* w) {
   LPT_CHECK(t->load_state() == ThreadState::kFailed);
+  // Children running inline on t's stack died with its frames.
+  if (t->inline_top != nullptr)
+    finalize_inline_chain(t, nullptr, t->fault.kind, w);
   disarm_deadline(t);
   note_owner_finished(t);  // abandoned-lock scan, before joiners can run
   t->fn = nullptr;
@@ -1219,6 +1238,88 @@ void Runtime::finalize_failed_thread(ThreadCtl* t, Worker* w) {
   }
 
   publish_done_and_wake(t, w);
+}
+
+void Runtime::run_inline(ThreadCtl* self, ThreadCtl* t, Worker* w,
+                         std::uint64_t epoch) {
+  t->store_state(ThreadState::kRunning);
+  if (self->inline_top == nullptr) self->inline_epoch = epoch;
+  t->inline_outer = self->inline_top;
+  self->inline_top = t;
+  // t never runs on its own stack: give it back now, so the next spawn
+  // (likely t's own first child) reuses it.
+  release_stack(t, w);
+  detail::return_worker(w);
+
+  // With the tracer armed the child's acct gets its inline run time, and
+  // its joiner's loses it, so per-ULT run times still add up to the time
+  // the workers ran ULTs.
+  const bool traced = LPT_TRACE_ON();
+  std::uint64_t host_before = 0;
+  if (traced) {
+    host_before = on_cpu_ns(self, trace::now_ns());
+    t->acct.ready_ns = 0;  // consumed by this run, not by a dispatch
+    trace::emit(trace::EventType::kUltInline, t->trace_id, self->trace_id);
+  }
+
+  // A plain call whose site t->ctx keeps, so that a cut-back
+  // (detail::cancel_point) returns here too, at depth 0. The child runs
+  // preemptibly, as on its own stack.
+  self->no_preempt_depth = self->no_preempt_depth - 1;
+  context_call(t->ctx, &inline_body, t);
+  self->no_preempt_depth = self->no_preempt_depth + 1;
+
+  w = detail::borrow_worker(self);
+  // A cut-back to t abandoned every child inlined inside it.
+  finalize_inline_chain(self, t, t->fault.kind, w);
+  self->inline_top = t->inline_outer;
+  t->inline_outer = nullptr;
+  if (traced) {
+    const std::int64_t now = trace::now_ns();
+    t->acct.run_ns += on_cpu_ns(self, now) - host_before;
+    self->acct.run_ns = host_before;
+    self->acct.run_start_ns = now;
+  }
+  finalize_inlined(t, t->fault.kind, w);
+  detail::return_worker(w);
+}
+
+void Runtime::finalize_inline_chain(ThreadCtl* self, ThreadCtl* stop,
+                                    FaultKind kind, Worker* w) {
+  while (self->inline_top != stop) {
+    ThreadCtl* c = self->inline_top;
+    self->inline_top = c->inline_outer;
+    c->inline_outer = nullptr;
+    finalize_inlined(c, kind, w);
+  }
+}
+
+void Runtime::finalize_inlined(ThreadCtl* t, FaultKind kind, Worker* w) {
+  t->fault.kind = kind;
+  if (kind == FaultKind::kNone) {
+    t->store_state(ThreadState::kFinished);
+  } else {
+    t->store_state(ThreadState::kFailed);
+    // Fault counters are atomic, so any worker's will do without one.
+    metrics::WorkerMetrics& m = (w != nullptr ? w : workers_.front().get())->metrics;
+    m.ult_faults.add(1);
+    if (kind == FaultKind::kCancelled || kind == FaultKind::kDeadlock) {
+      m.ult_cancels.add(1);
+      LPT_TRACE_EVENT(trace::EventType::kUltCancel, t->trace_id);
+    } else {
+      if (kind == FaultKind::kException) m.escaped_exceptions.add(1);
+      LPT_TRACE_EVENT(trace::EventType::kUltFault, t->trace_id,
+                      static_cast<std::uint64_t>(kind));
+    }
+  }
+  if (w != nullptr) {
+    w->metrics.exits.inc();
+    w->ults_finished.inc();
+  } else {
+    ext_finished_.add(1);
+  }
+  // Nobody waits on t: its one handle's join is the one that ran it.
+  t->done.store(ThreadCtl::kDone, std::memory_order_release);
 }
 
 void Runtime::publish_done_and_wake(ThreadCtl* t, Worker* w) {
@@ -1290,13 +1391,13 @@ std::uint64_t Thread::preemptions() const {
   return ctl_->preemptions.load(std::memory_order_relaxed);
 }
 
-void Thread::join() { (void)join_status(); }
-
 bool Thread::request_cancel() {
   if (ctl_ == nullptr) return false;
   ThreadCtl* t = ctl_;
   if (t->finished()) return false;
   t->cancel_requested.store(true, std::memory_order_release);
+  // A joiner running t inline sees the flag at its next cancellation point.
+  if (t->rt != nullptr) t->rt->note_cancel_request();
   // If the target is running right now under a preemptive technique, a
   // directed tick unwinds it promptly even if it never reaches a cancellation
   // point. Under Preempt::None the request stays cooperative by design.
@@ -1317,38 +1418,75 @@ bool Thread::request_cancel() {
 
 namespace {
 
+/// Current stack pointer of the calling frame.
+inline std::uintptr_t stack_pointer() {
+  std::uintptr_t sp;
+  asm volatile("mov %%rsp, %0" : "=r"(sp));
+  return sp;
+}
+
+/// Inline join's eligibility (DESIGN.md, "Inline join"), checked once self
+/// owns t: the child never ran, shares the joiner's preemption technique,
+/// has no deadline and no cancel request, faults are not isolated, and at
+/// least half of the joiner's stack, and of the child's own, is free below
+/// `sp`.
+bool inline_eligible(const ThreadCtl* self, const ThreadCtl* t,
+                     std::uintptr_t sp) {
+  const auto base = reinterpret_cast<std::uintptr_t>(self->stack.base());
+  const std::uintptr_t free = sp > base ? sp - base : 0;
+  return !t->dispatched && t->preempt == self->preempt &&
+         t->deadline_ns == 0 &&
+         !t->cancel_requested.load(std::memory_order_acquire) &&
+         !self->rt->options().isolate_faults &&
+         free >= self->stack.size() / 2 && free >= t->stack.size() / 2;
+}
+
 /// Join handoff, join side (DESIGN.md, "Join handoff"): when t is ready, not
 /// bound to a parked KLT, and the newest thread in the queue of self's
-/// worker, move it to the worker's run_next slot, so it runs as soon as self
-/// parks.
+/// worker, take it out. With `may_inline` and t eligible, run it right here
+/// (Runtime::run_inline) and return true: t has finished. Otherwise move it
+/// to the worker's run_next slot, so it runs as soon as self parks.
 /// Called under self's no-preempt guard; borrowing the worker keeps a forced
 /// KLT replacement out while the slot is written.
-void take_child_for_join(ThreadCtl* self, ThreadCtl* t) {
-  if (t->load_state() != ThreadState::kReady) return;
+bool take_child_for_join(ThreadCtl* self, ThreadCtl* t, bool may_inline) {
+  if (t->load_state() != ThreadState::kReady) return false;
   Worker* w = detail::borrow_worker(self);
-  if (w == nullptr) return;
-  if (w->run_next == nullptr && w->rt->scheduler().take_for_join(*w, t)) {
+  if (w == nullptr) return false;
+  Runtime* rt = w->rt;
+  if (w->run_next == nullptr && rt->scheduler().take_for_join(*w, t)) {
+    if (may_inline) {
+      // Read before t's cancel flag: see Runtime::inline_cancel_epoch.
+      const std::uint64_t epoch = rt->inline_cancel_epoch();
+      if (inline_eligible(self, t, stack_pointer())) {
+        rt->run_inline(self, t, w, epoch);
+        return true;
+      }
+    }
     t->join_taken = true;
     w->run_next = t;
   }
   detail::return_worker(w);
+  return false;
 }
 
 /// One ULT join round: park `self` on t's joiners unless t is already done.
 /// `deadline` as for WaitQueue::wait (0 = untimed); the join edge points at
-/// t, so join cycles are visible to the deadlock detector.
+/// t, so join cycles are visible to the deadlock detector. An untimed join
+/// outside any NoPreemptGuard may run t inline instead.
 WaitResult wait_joined(ThreadCtl* self, ThreadCtl* t, void* site,
                        std::int64_t deadline) {
   LPT_CHECK_MSG(self != t, "thread cannot join itself");
   WaitResult r = WaitResult::kWoken;
+  const bool may_inline = deadline == 0 && self->no_preempt_depth == 0;
   detail::begin_no_preempt(self);
-  take_child_for_join(self, t);
-  t->joiners.lock().lock();
-  if (!t->finished())
-    r = t->joiners.wait(self, prof::WaitKind::kJoin, site, deadline,
-                        park::Edge{nullptr, 0, t}, nullptr);
-  else
-    t->joiners.lock().unlock();
+  if (!take_child_for_join(self, t, may_inline)) {
+    t->joiners.lock().lock();
+    if (!t->finished())
+      r = t->joiners.wait(self, prof::WaitKind::kJoin, site, deadline,
+                          park::Edge{nullptr, 0, t}, nullptr);
+    else
+      t->joiners.lock().unlock();
+  }
   detail::end_no_preempt(self);  // cancellation point
   return r;
 }
@@ -1366,6 +1504,17 @@ void external_join_wait(ThreadCtl* t, std::int64_t timeout_ns) {
     futex_wait_timeout(&t->done, ThreadCtl::kJoinerAsleep, timeout_ns);
   else
     futex_wait(&t->done, ThreadCtl::kJoinerAsleep);
+}
+
+/// Wait until t has finished: a joining ULT (`self`) parks on t's joiners or
+/// runs t inline, an external thread sleeps on t's done word.
+void wait_finished(ThreadCtl* self, ThreadCtl* t, void* site) {
+  while (!t->finished()) {
+    if (self != nullptr)
+      wait_joined(self, t, site, 0);
+    else
+      external_join_wait(t, 0);
+  }
 }
 
 /// Free a joined control block. The finisher publishes kDone inside the
@@ -1418,14 +1567,8 @@ ThreadStatus Thread::join_status() {
   // fault-handling code paths may join defensively.
   if (ctl_ == nullptr) return ThreadStatus{};
   ThreadCtl* t = ctl_;
-
   ThreadCtl* self = detail::current_ult_or_null();
-  while (!t->finished()) {
-    if (self != nullptr)
-      wait_joined(self, t, wait_site, 0);
-    else
-      external_join_wait(t, 0);
-  }
+  wait_finished(self, t, wait_site);
 
   // The done store published t->fault (release/acquire pair above) and the
   // final lifecycle accounting; copy both out before the control block goes
@@ -1438,6 +1581,18 @@ ThreadStatus Thread::join_status() {
   ctl_ = nullptr;
   free_joined(self, t);
   return st;
+}
+
+// join_status() minus the status: a join that runs its child inline keeps
+// its frame live under the child's, so it stays small.
+void Thread::join() {
+  void* const wait_site = __builtin_return_address(0);
+  if (ctl_ == nullptr) return;
+  ThreadCtl* t = ctl_;
+  ThreadCtl* self = detail::current_ult_or_null();
+  wait_finished(self, t, wait_site);
+  ctl_ = nullptr;
+  free_joined(self, t);
 }
 
 // ---------------------------------------------------------------------------

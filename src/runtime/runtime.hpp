@@ -201,6 +201,29 @@ class Runtime {
   /// wake joiners like finalize_thread. Called from the kFault post action.
   void finalize_failed_thread(ThreadCtl* t, Worker* w);
 
+  /// Inline join (DESIGN.md, "Inline join"): run t, a never-dispatched
+  /// child that joiner `self` just took out of w's queue, on self's stack
+  /// as a plain call, then finalize it. Called inside self's no-preempt
+  /// guard (taken at depth 0) with w borrowed; returns w before t runs and
+  /// keeps the guard. `epoch` is inline_cancel_epoch() read before t's
+  /// cancel flag was checked.
+  void run_inline(ThreadCtl* self, ThreadCtl* t, Worker* w,
+                  std::uint64_t epoch);
+  /// End the children of self's inline chain from the innermost out to,
+  /// not including, `stop` (nullptr = all) as `kind`: their frames on
+  /// self's stack were abandoned by a cancel, a fault or a cut-back.
+  void finalize_inline_chain(ThreadCtl* self, ThreadCtl* stop, FaultKind kind,
+                             Worker* w);
+  /// Bumped after every Thread::request_cancel, so a joiner running an
+  /// inline chain checks the chain's cancel flags only when one may have
+  /// changed (detail::cancel_point).
+  std::uint64_t inline_cancel_epoch() const {
+    return inline_cancel_epoch_.load(std::memory_order_acquire);
+  }
+  void note_cancel_request() {
+    inline_cancel_epoch_.fetch_add(1, std::memory_order_acq_rel);
+  }
+
   /// Count a poisoned KLT retired by the fault handler. Async-signal-safe
   /// (called from the SIGSEGV handler before the KLT exits).
   void note_klt_retired() { n_klts_retired_.add(1); }
@@ -216,8 +239,7 @@ class Runtime {
     // t's entry became visible, the canceller's kick_timers may have fired
     // against a list without it. The list lock orders the two, so one side
     // is guaranteed to see the other's write.
-    if (t->cancel_requested.load(std::memory_order_acquire))
-      lower_next_due(0);
+    if (t->cancel_pending()) lower_next_due(0);
   }
 
   /// Expire due timed waits and deadlines: settle timed-out waiters on the
@@ -296,6 +318,13 @@ class Runtime {
   /// a join took (ThreadCtl::join_taken) hands w straight back to its lone
   /// joiner through w->run_next (DESIGN.md, "Join handoff").
   void publish_done_and_wake(ThreadCtl* t, Worker* w);
+  /// Finalize an inlined child as `kind` (kNone = finished): count it and
+  /// publish done. `w` may be nullptr.
+  void finalize_inlined(ThreadCtl* t, FaultKind kind, Worker* w);
+  /// Give t's stack back: default-sized ones to w's pool shard (the shared
+  /// one without w), others unmapped. Never from a preemptible ULT:
+  /// unmapping a sealed stack takes the parked-guard lock.
+  void release_stack(ThreadCtl* t, Worker* w);
   /// enqueue_ready's accounting half, for a thread made ready without a
   /// queue. On kUnblock it closes the wait record the kBlock post action
   /// opened: one (kind, site, ns) that feeds acct.blocked_ns, the off-CPU
@@ -329,6 +358,7 @@ class Runtime {
   /// orphaned KLTs. The per-worker halves live in Worker.
   metrics::AtomicCounter ext_spawned_;
   metrics::AtomicCounter ext_finished_;
+  std::atomic<std::uint64_t> inline_cancel_epoch_{0};
   std::vector<std::unique_ptr<Worker>> workers_;
   std::unique_ptr<Scheduler> sched_;
   std::unique_ptr<PreemptionTimer> timer_;

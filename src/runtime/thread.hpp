@@ -97,6 +97,12 @@ struct ThreadCtl {
   int home_pool = 0;
 
   std::atomic<std::uint32_t> state{static_cast<std::uint32_t>(ThreadState::kReady)};
+  /// Set at the first dispatch (Worker::run), beside the state word that
+  /// every dispatch writes. A thread never dispatched has no frames of its
+  /// own yet, so its joiner may run it inline (DESIGN.md, "Inline join").
+  /// Written by the dispatching worker before any later enqueue; read by a
+  /// joiner that took the thread out of a queue.
+  bool dispatched = false;
 
   /// Completion word, doubling as the futex word of an external joiner:
   /// kRunning, kJoinerAsleep (still running, and an external joiner sleeps
@@ -163,6 +169,18 @@ struct ThreadCtl {
   /// itself after wake).
   FaultKind cancel_fault = FaultKind::kCancelled;
 
+  // ----- inline join (DESIGN.md, "Inline join") -----
+  // Beside cancel_requested: cancellation points read both.
+
+  /// On a joiner: the innermost child running inline on its stack (nullptr
+  /// = none). On an inlined child: the next one out in the same chain
+  /// (nullptr = the joiner's own frames). Written only by the joiner.
+  ThreadCtl* inline_top = nullptr;
+  ThreadCtl* inline_outer = nullptr;
+  /// On a joiner: Runtime::inline_cancel_epoch() when its chain was last
+  /// checked for cancel requests (detail::cancel_point).
+  std::uint64_t inline_epoch = 0;
+
   // ----- wait queue membership (wait_queue.hpp) -----
 
   /// The queue this thread is parked on (nullptr = none) and its successor
@@ -190,6 +208,21 @@ struct ThreadCtl {
   /// tracked locks it holds (park::Entry documents who writes what). Last:
   /// touched only on the park path and by lock bookkeeping.
   park::Entry parking;
+
+  /// The outermost child of this joiner's inline chain with a cancel
+  /// request, or nullptr. Read by the joiner itself, or by the expiry scan
+  /// while the joiner is parked.
+  ThreadCtl* cancelled_inline_child() const {
+    ThreadCtl* found = nullptr;
+    for (ThreadCtl* c = inline_top; c != nullptr; c = c->inline_outer)
+      if (c->cancel_requested.load(std::memory_order_acquire)) found = c;
+    return found;
+  }
+  /// A cancel request for this thread or for a child it runs inline.
+  bool cancel_pending() const {
+    return cancel_requested.load(std::memory_order_acquire) ||
+           cancelled_inline_child() != nullptr;
+  }
 
   ThreadState load_state() const {
     return static_cast<ThreadState>(state.load(std::memory_order_acquire));

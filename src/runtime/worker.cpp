@@ -12,6 +12,10 @@
 #include "runtime/internal.hpp"
 #include "runtime/signals.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace lpt {
 
 namespace {
@@ -272,9 +276,28 @@ __attribute__((noinline)) void suspend_cancel(ThreadCtl* self) {
 
 void cancel_point(ThreadCtl* self) {
   if (self == nullptr) return;
-  if (!self->cancel_requested.load(std::memory_order_relaxed)) return;
+  const bool own = self->cancel_requested.load(std::memory_order_relaxed);
+  // A joiner running an inline chain looks at the chain's flags only when
+  // a cancel was requested somewhere since it last looked.
+  if (!own && (self->inline_top == nullptr ||
+               self->rt->inline_cancel_epoch() == self->inline_epoch))
+    return;
   if (self->no_preempt_depth > 0) return;  // guard exit will re-check
-  suspend_cancel(self);
+  if (own) suspend_cancel(self);
+  self->inline_epoch = self->rt->inline_cancel_epoch();
+  ThreadCtl* c = self->cancelled_inline_child();
+  if (c == nullptr) return;
+  // Cut back to c's join site (Runtime::run_inline), which ends c and every
+  // child inlined inside it. Like any cancel, the abandoned frames'
+  // destructors do not run.
+  c->fault.kind = c->cancel_fault;
+#if defined(__SANITIZE_ADDRESS__)
+  // The cut-off frames never return: clear their shadow, which ASan's own
+  // no-return hook does not do on a fiber stack.
+  char here;
+  ASAN_UNPOISON_MEMORY_REGION(&here, static_cast<char*>(c->ctx.sp) - &here);
+#endif
+  context_jump(c->ctx);
 }
 
 __attribute__((noinline)) void handler_signal_yield(Worker* w, ThreadCtl* t) {
@@ -430,6 +453,7 @@ void Worker::scheduler_loop() {
 void Worker::run(ThreadCtl* t) {
   metrics.dispatches.inc();
   trace_dispatch(t);
+  t->dispatched = true;
   t->store_state(ThreadState::kRunning);
   current_ult.store(t, std::memory_order_release);
   current_preempt.store(static_cast<std::uint8_t>(t->preempt),

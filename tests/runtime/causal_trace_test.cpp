@@ -96,8 +96,12 @@ TEST(CausalTrace, CondVarSemaphoreAndJoinEmitWakeEdges) {
     Thread sem_waiter = rt.spawn([&] { sem.acquire(); });
     Thread joiner = rt.spawn([&] {
       // The child has not run yet (single worker), so join() really parks,
-      // and the child's exit is the waker of the join edge.
-      Thread child = rt.spawn([] {});
+      // and the child's exit is the waker of the join edge. Another
+      // technique than the joiner's keeps it from being run inline
+      // (DESIGN.md, "Inline join"); with no timer it is never preempted.
+      ThreadAttrs sy;
+      sy.preempt = Preempt::SignalYield;
+      Thread child = rt.spawn([] {}, sy);
       child.join();
     });
     Thread waker = rt.spawn([&] {

@@ -301,11 +301,15 @@ TEST(JoinHandoff, ParkingWorkerHandsItsSlotOn) {
   std::atomic<int> joiner_rank{-1}, child_rank{-1};
   ThreadAttrs a;
   a.home_pool = 1;
+  // Another technique than the joiner's keeps the child from being run
+  // inline (DESIGN.md, "Inline join"); with no timer it is never preempted.
+  ThreadAttrs sy;
+  sy.preempt = Preempt::SignalYield;
   Thread joiner = rt.spawn(
       [&] {
         joiner_rank.store(this_thread::worker_rank());
-        Thread child =
-            rt.spawn([&] { child_rank.store(this_thread::worker_rank()); });
+        Thread child = rt.spawn(
+            [&] { child_rank.store(this_thread::worker_rank()); }, sy);
         ready.store(true, std::memory_order_release);
         while (!go.load(std::memory_order_acquire)) busy_spin_ns(10'000);
         child.join();  // takes the child, then parks on a deactivated worker
@@ -459,11 +463,22 @@ struct AcctSum {
   }
 };
 
-long fib_acct(Runtime& rt, int n, AcctSum& sum) {
+/// Each child runs under the other technique than its parent's, which keeps
+/// it from being run inline (DESIGN.md, "Inline join"), so every join takes
+/// the handoff. With no timer, no thread is ever preempted.
+long fib_acct(Runtime& rt, int n, AcctSum& sum,
+              Preempt mine = Preempt::None) {
   if (n < 2) return n;
   long a = 0;
-  Thread t = rt.spawn([&rt, &a, &sum, n] { a = fib_acct(rt, n - 1, sum); });
-  const long b = fib_acct(rt, n - 2, sum);
+  ThreadAttrs other;
+  other.preempt =
+      mine == Preempt::None ? Preempt::SignalYield : Preempt::None;
+  Thread t = rt.spawn(
+      [&rt, &a, &sum, n, p = other.preempt] {
+        a = fib_acct(rt, n - 1, sum, p);
+      },
+      other);
+  const long b = fib_acct(rt, n - 2, sum, mine);
   sum.add(t.join_status());
   return a + b;
 }

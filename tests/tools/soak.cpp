@@ -1,8 +1,8 @@
 // Self-healing soak driver (scripts/soak.sh): a sustained mixed workload —
 // cooperative cancels, directed-tick cancels under both preemption
 // techniques, per-spawn deadlines, timed waits, a KLT-switching fork/join
-// tree with a subtree cancelled mid-run (join handoffs meeting ticks, bound
-// KLTs and cancellation), and blocking-pipe readers
+// tree with a subtree cancelled mid-run (inline joins and join handoffs
+// meeting ticks, bound KLTs and cancellation), and blocking-pipe readers
 // that wedge their worker past the syscall grace (driving the wedge
 // sentinel's compensate/reabsorb cycle every batch) — with the remediation
 // ladder on, followed by leak checks no unit test can make: after Runtime
@@ -106,24 +106,16 @@ constexpr long kMapsReportSeconds = 30;
 /// Runtimes built and destroyed after the soak.
 constexpr int kFreshRuntimes = 20;
 
-/// Shared state of one batch's fork/join tree. `live` counts the ULTs
-/// ks_fib spawned, from spawn to the end of their function. The cancelled
-/// root is left out: a cancel can land after its last statement, so its
-/// status cannot tell whether it ran one.
-struct TreeState {
-  std::atomic<int> live{0};
-  std::atomic<bool> doomed_started{false};
-};
-
-/// fib(n) as a fork/join tree of KLT-switching ULTs: each join takes its
-/// unstarted child and the child's exit hands the worker back (DESIGN.md,
-/// "Join handoff"), while ticks preempt nodes onto bound KLTs. A child writes
-/// its result to the heap, never to its parent's frame: a cancelled parent's
-/// stack is abandoned and recycled while its children still run. Every
+/// fib(n) as a fork/join tree of KLT-switching ULTs: each join runs its
+/// unstarted child inline, or takes it and gets the worker back at its
+/// exit (DESIGN.md, "Inline join" and "Join handoff"), while ticks preempt
+/// nodes onto bound KLTs. A child writes its result to the heap, never to
+/// its parent's frame: a cancelled parent's stack is abandoned and recycled
+/// while its stolen children still run. Every
 /// malloc and free of a node that may be cancelled runs under a
 /// NoPreemptGuard: a directed-tick cancel inside one would abandon the
 /// malloc arena lock (docs/robustness.md, "Cancellation").
-long ks_fib(Runtime& rt, int n, const std::shared_ptr<TreeState>& st) {
+long ks_fib(Runtime& rt, int n) {
   busy_spin_ns(50'000);  // long enough for ticks to land mid-tree
   if (n < 2) return n;
   ThreadAttrs ks;
@@ -131,18 +123,12 @@ long ks_fib(Runtime& rt, int n, const std::shared_ptr<TreeState>& st) {
   std::shared_ptr<long> a;
   Thread t;
   {
-    // Allocated, counted and spawned as one step.
+    // Allocated and spawned as one step.
     NoPreemptGuard g;
     a = std::make_shared<long>(0);
-    st->live.fetch_add(1);
-    t = rt.spawn(
-        [&rt, a, st, n] {
-          *a = ks_fib(rt, n - 1, st);
-          st->live.fetch_sub(1);
-        },
-        ks);
+    t = rt.spawn([&rt, a, n] { *a = ks_fib(rt, n - 1); }, ks);
   }
-  const long b = ks_fib(rt, n - 2, st);
+  const long b = ks_fib(rt, n - 2);
   t.join();
   NoPreemptGuard g;
   const long r = *a + b;
@@ -152,34 +138,31 @@ long ks_fib(Runtime& rt, int n, const std::shared_ptr<TreeState>& st) {
 
 /// The batch's tree: a fib(7) subtree cancelled soon after it starts,
 /// beside fib(6) joined in full. The cancelled node's outstanding children
-/// finish unjoined (their handles died with its stack, like any cancelled
-/// ULT's locals); the tree waits for them so no ULT outlives the batch.
+/// end unjoined (their handles died with its stack, like any cancelled
+/// ULT's locals): those it ran inline end cancelled with it, the others run
+/// to completion. run_batch's tail waits for all of them.
 /// Returns nullptr on success, else the broken contract.
 const char* cancelled_tree(Runtime& rt) {
-  auto st = std::make_shared<TreeState>();
+  auto started = std::make_shared<std::atomic<bool>>(false);
   ThreadAttrs ks;
   ks.preempt = Preempt::KltSwitch;
   Thread doomed = rt.spawn(
-      [&rt, st] {
-        st->doomed_started.store(true, std::memory_order_release);
-        (void)ks_fib(rt, 7, st);
+      [&rt, started] {
+        started->store(true, std::memory_order_release);
+        (void)ks_fib(rt, 7);
       },
       ks);
   const std::int64_t deadline = now_ns() + 30'000'000'000LL;
-  while (!st->doomed_started.load(std::memory_order_acquire) &&
-         now_ns() < deadline)
+  while (!started->load(std::memory_order_acquire) && now_ns() < deadline)
     this_thread::yield();
   busy_spin_ns(300'000);
   doomed.request_cancel();
-  const long v = ks_fib(rt, 6, st);
+  const long v = ks_fib(rt, 6);
   const ThreadStatus ds = doomed.join_status();
-  while (st->live.load() != 0 && now_ns() < deadline) this_thread::yield();
   if (v != 8) return "fork/join tree computed a wrong fib(6)";
   if (ds.fault.kind != FaultKind::kCancelled &&
       ds.fault.kind != FaultKind::kNone)
     return "cancelled subtree failed with an unexpected fault";
-  if (st->live.load() != 0)
-    return "a cancelled subtree's children did not finish within 30 s";
   return nullptr;
 }
 
@@ -359,6 +342,15 @@ void run_batch(Runtime& rt, std::uint64_t round) {
     batch_fail(round, "blocking pipe reader lost its byte");
   if (!timed_ok.load(std::memory_order_acquire))
     batch_fail(round, "deadline-bounded read did not time out");
+
+  // Every handle is joined; what may still be live are the cancelled
+  // subtree's unjoined children. Each must end: run to completion, or end
+  // with the joiner whose stack it ran inline on.
+  const std::int64_t deadline = now_ns() + 30'000'000'000LL;
+  while (rt.metrics_snapshot().ults_live != 0 && now_ns() < deadline)
+    usleep(1000);
+  if (rt.metrics_snapshot().ults_live != 0)
+    batch_fail(round, "a cancelled subtree's children did not finish within 30 s");
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 //   2. Ready/dispatch pairing: every ult_dispatch is preceded — since that
 //      ULT's previous dispatch — by an event that made it runnable
 //      (ult_wake, ult_yield, preempt_signal_yield, preempt_klt_switch), and
-//      its arg0 (scheduling delay) is plausible against the event gap.
+//      its arg0 (scheduling delay) is plausible against the event gap. An
+//      ult_inline (a joiner running its child on its own stack) consumes
+//      the child's ready event the same way, is no dispatch, and names a
+//      joiner that appeared in the log before it.
 //   3. Wake-edge referential integrity: every ult_wake names a real woken
 //      ULT, and a nonzero waker (arg0) is a ULT that itself appears in the
 //      log no later than the edge.
@@ -169,7 +172,7 @@ int main(int argc, char** argv) {
   std::map<std::uint64_t, std::int64_t> ready_ts;
   std::set<std::uint64_t> dispatched;     // ULTs with >= 1 dispatch
   std::set<std::uint64_t> seen_ults;      // any event naming this ULT so far
-  std::uint64_t dispatches = 0, summed_delay = 0, wake_edges = 0;
+  std::uint64_t dispatches = 0, summed_delay = 0, wake_edges = 0, inlines = 0;
   for (std::size_t i = 0; i < evs.size(); ++i) {
     const Event& e = evs[i];
     if (e.ult != 0) seen_ults.insert(e.ult);
@@ -209,6 +212,14 @@ int main(int argc, char** argv) {
              "gap %" PRIu64 " ns by more than a second", i, e.arg0, gap);
       summed_delay += e.arg0;
       ready_ts.erase(it);
+    } else if (e.type == "ult_inline") {
+      ++inlines;
+      if (ready_ts.erase(e.ult) == 0)
+        fail("event %zu: inline run of ULT %" PRIu64 " with no prior ready "
+             "event", i, e.ult);
+      if (e.arg0 == 0 || e.arg0 == e.ult || !seen_ults.count(e.arg0))
+        fail("event %zu: inline run of ULT %" PRIu64 " names joiner %" PRIu64
+             ", not a ULT seen before", i, e.ult, e.arg0);
     }
   }
 
@@ -252,7 +263,9 @@ int main(int argc, char** argv) {
 
   if (g_rc == 0)
     std::printf("trace_check: %s ok (%zu events, %" PRIu64 " dispatches, %"
-                PRIu64 " wake edges, %" PRIu64 " ns total delay)\n",
-                argv[1], evs.size(), dispatches, wake_edges, summed_delay);
+                PRIu64 " inline runs, %" PRIu64 " wake edges, %" PRIu64
+                " ns total delay)\n",
+                argv[1], evs.size(), dispatches, inlines, wake_edges,
+                summed_delay);
   return g_rc;
 }
