@@ -21,8 +21,8 @@ namespace {
 volatile std::uint64_t g_sink;
 
 /// fib(n) as a fork/join tree spawned and joined from ULTs: each join runs
-/// its unstarted child next, and the child's exit hands the worker back to
-/// the joiner (DESIGN.md, "Join handoff").
+/// its unstarted child inline, or parks until the child's exit wakes it
+/// (DESIGN.md, "Inline join").
 long fib_tree(Runtime& rt, int n) {
   if (n < 2) return n;
   long a = 0;
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
     }));
 
     // Nested fork/join: every join in the tree comes from a ULT, so the
-    // trace carries join handoffs in both directions.
+    // trace carries inline runs and, for stolen children, join wakes.
     long fib12 = 0;
     Thread tree = rt.spawn([&] { fib12 = fib_tree(rt, 12); });
 

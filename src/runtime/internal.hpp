@@ -32,11 +32,11 @@ void begin_no_preempt(ThreadCtl* self);
 void end_no_preempt(ThreadCtl* self);
 
 /// Borrow the calling ULT's worker for its spawn caches (Worker, "spawn
-/// caches"): claims the worker's host token from this KLT, which keeps a
-/// forced KLT replacement (the only other way onto the worker while the ULT
-/// runs) out until return_worker. Call inside a no-preempt guard. nullptr
-/// for external threads and for a ULT whose KLT was orphaned; callers then
-/// take the shared paths.
+/// caches") or an inline join's take: claims the worker's host token from
+/// this KLT, which keeps a forced KLT replacement (the only other way onto
+/// the worker while the ULT runs) out until return_worker. Call inside a
+/// no-preempt guard. nullptr for external threads and for a ULT whose KLT
+/// was orphaned; callers then take the shared paths.
 Worker* borrow_worker(ThreadCtl* self);
 /// Hand back a worker from borrow_worker (no-op for nullptr).
 void return_worker(Worker* w);

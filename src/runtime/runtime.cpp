@@ -1181,7 +1181,7 @@ void Runtime::finalize_thread(ThreadCtl* t, Worker* w) {
     ext_finished_.add(1);
 
   release_stack(t, w);
-  publish_done_and_wake(t, w);
+  publish_done_and_wake(t);
 }
 
 void Runtime::release_stack(ThreadCtl* t, Worker* w) {
@@ -1237,7 +1237,7 @@ void Runtime::finalize_failed_thread(ThreadCtl* t, Worker* w) {
     }
   }
 
-  publish_done_and_wake(t, w);
+  publish_done_and_wake(t);
 }
 
 void Runtime::run_inline(ThreadCtl* self, ThreadCtl* t, Worker* w,
@@ -1322,12 +1322,11 @@ void Runtime::finalize_inlined(ThreadCtl* t, FaultKind kind, Worker* w) {
   t->done.store(ThreadCtl::kDone, std::memory_order_release);
 }
 
-void Runtime::publish_done_and_wake(ThreadCtl* t, Worker* w) {
+void Runtime::publish_done_and_wake(ThreadCtl* t) {
   // Nothing may dereference t after the joiners lock that publishes kDone
   // is released: the handle owner frees the control block once it has read
   // kDone and passed through that lock (free_joined).
   const bool detached = t->detached;
-  const bool taken = t->join_taken;
   const std::uint32_t id = t->trace_id;
   ThreadCtl* joiners;
   std::uint32_t prev;
@@ -1342,17 +1341,7 @@ void Runtime::publish_done_and_wake(ThreadCtl* t, Worker* w) {
   if (prev == ThreadCtl::kJoinerAsleep) futex_wake(&t->done, INT_MAX);
   // The join wake edge names the finished thread as the waker explicitly:
   // this runs in scheduler context (post-exit), where no ULT is current.
-  if (w != nullptr && taken && joiners != nullptr &&
-      joiners->wq_next == nullptr && w->run_next == nullptr) {
-    // Join handoff, exit side: the joiner that took t runs next on this
-    // worker — readied exactly as WaitQueue::wake would, minus the queue
-    // and the notify (this worker is about to dispatch it).
-    joiners->store_state(ThreadState::kReady);
-    if (times_waits_) stamp_ready(joiners, EnqueueKind::kUnblock, id);
-    w->run_next = joiners;
-  } else {
-    WaitQueue::wake(joiners, id);
-  }
+  WaitQueue::wake(joiners, id);
   if (detached) delete t;
 }
 
@@ -1425,45 +1414,38 @@ inline std::uintptr_t stack_pointer() {
   return sp;
 }
 
-/// Inline join's eligibility (DESIGN.md, "Inline join"), checked once self
-/// owns t: the child never ran, shares the joiner's preemption technique,
-/// has no deadline and no cancel request, faults are not isolated, and at
-/// least half of the joiner's stack, and of the child's own, is free below
-/// `sp`.
+/// Inline join's eligibility (DESIGN.md, "Inline join"), checked before the
+/// take: t shares the joiner's preemption technique, has no deadline and no
+/// cancel request, faults are not isolated, and at least half of the
+/// joiner's stack, and of t's own, is free below `sp`. All but the cancel
+/// flag are fixed at spawn. t may be running elsewhere while they are read;
+/// the take then refuses it (it was dispatched), so the answer goes unused.
 bool inline_eligible(const ThreadCtl* self, const ThreadCtl* t,
                      std::uintptr_t sp) {
   const auto base = reinterpret_cast<std::uintptr_t>(self->stack.base());
   const std::uintptr_t free = sp > base ? sp - base : 0;
-  return !t->dispatched && t->preempt == self->preempt &&
-         t->deadline_ns == 0 &&
+  return t->preempt == self->preempt && t->deadline_ns == 0 &&
          !t->cancel_requested.load(std::memory_order_acquire) &&
          !self->rt->options().isolate_faults &&
          free >= self->stack.size() / 2 && free >= t->stack.size() / 2;
 }
 
-/// Join handoff, join side (DESIGN.md, "Join handoff"): when t is ready, not
-/// bound to a parked KLT, and the newest thread in the queue of self's
-/// worker, take it out. With `may_inline` and t eligible, run it right here
-/// (Runtime::run_inline) and return true: t has finished. Otherwise move it
-/// to the worker's run_next slot, so it runs as soon as self parks.
-/// Called under self's no-preempt guard; borrowing the worker keeps a forced
-/// KLT replacement out while the slot is written.
-bool take_child_for_join(ThreadCtl* self, ThreadCtl* t, bool may_inline) {
+/// Inline join: when t is ready, eligible, and the newest thread in the
+/// queue of self's worker, take it out and run it right here
+/// (Runtime::run_inline); true means t has finished. Called under self's
+/// no-preempt guard; borrowing the worker keeps a forced KLT replacement out
+/// of the take.
+bool join_inline(ThreadCtl* self, ThreadCtl* t) {
   if (t->load_state() != ThreadState::kReady) return false;
   Worker* w = detail::borrow_worker(self);
   if (w == nullptr) return false;
   Runtime* rt = w->rt;
-  if (w->run_next == nullptr && rt->scheduler().take_for_join(*w, t)) {
-    if (may_inline) {
-      // Read before t's cancel flag: see Runtime::inline_cancel_epoch.
-      const std::uint64_t epoch = rt->inline_cancel_epoch();
-      if (inline_eligible(self, t, stack_pointer())) {
-        rt->run_inline(self, t, w, epoch);
-        return true;
-      }
-    }
-    t->join_taken = true;
-    w->run_next = t;
+  // Read before t's cancel flag: see Runtime::inline_cancel_epoch.
+  const std::uint64_t epoch = rt->inline_cancel_epoch();
+  if (inline_eligible(self, t, stack_pointer()) &&
+      rt->scheduler().take_for_join(*w, t)) {
+    rt->run_inline(self, t, w, epoch);
+    return true;
   }
   detail::return_worker(w);
   return false;
@@ -1479,7 +1461,7 @@ WaitResult wait_joined(ThreadCtl* self, ThreadCtl* t, void* site,
   WaitResult r = WaitResult::kWoken;
   const bool may_inline = deadline == 0 && self->no_preempt_depth == 0;
   detail::begin_no_preempt(self);
-  if (!take_child_for_join(self, t, may_inline)) {
+  if (!may_inline || !join_inline(self, t)) {
     t->joiners.lock().lock();
     if (!t->finished())
       r = t->joiners.wait(self, prof::WaitKind::kJoin, site, deadline,

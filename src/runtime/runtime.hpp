@@ -192,8 +192,8 @@ class Runtime {
 
   /// Finalize a terminated thread: recycle its stack, wake joiners, free the
   /// control block if detached. Called by the scheduler after the exit switch
-  /// with its worker `w` (whose spawn caches and handoff slot it then
-  /// writes), or with nullptr from an orphaned KLT.
+  /// with its worker `w` (whose spawn caches it then writes), or with
+  /// nullptr from an orphaned KLT.
   void finalize_thread(ThreadCtl* t, Worker* w);
 
   /// Finalize a kFailed thread (fault isolation): sample the stack watermark
@@ -314,10 +314,8 @@ class Runtime {
   void klt_main(KltCtl* self);
   ThreadCtl* spawn_ctl(std::function<void()> fn, ThreadAttrs attrs, bool detached);
   /// Shared tail of finalize_thread/finalize_failed_thread: publish done,
-  /// wake joiners, free detached control blocks. With a worker `w`, a thread
-  /// a join took (ThreadCtl::join_taken) hands w straight back to its lone
-  /// joiner through w->run_next (DESIGN.md, "Join handoff").
-  void publish_done_and_wake(ThreadCtl* t, Worker* w);
+  /// wake joiners, free detached control blocks.
+  void publish_done_and_wake(ThreadCtl* t);
   /// Finalize an inlined child as `kind` (kNone = finished): count it and
   /// publish done. `w` may be nullptr.
   void finalize_inlined(ThreadCtl* t, FaultKind kind, Worker* w);
@@ -325,12 +323,11 @@ class Runtime {
   /// one without w), others unmapped. Never from a preemptible ULT:
   /// unmapping a sealed stack takes the parked-guard lock.
   void release_stack(ThreadCtl* t, Worker* w);
-  /// enqueue_ready's accounting half, for a thread made ready without a
-  /// queue. On kUnblock it closes the wait record the kBlock post action
-  /// opened: one (kind, site, ns) that feeds acct.blocked_ns, the off-CPU
-  /// site table and, through blocked_ns, the lock wait histogram. With
-  /// tracing on it also stamps ready_ns and emits the wake edge. Call only
-  /// when times_waits_.
+  /// enqueue_ready's accounting half. On kUnblock it closes the wait record
+  /// the kBlock post action opened: one (kind, site, ns) that feeds
+  /// acct.blocked_ns, the off-CPU site table and, through blocked_ns, the
+  /// lock wait histogram. With tracing on it also stamps ready_ns and emits
+  /// the wake edge. Call only when times_waits_.
   void stamp_ready(ThreadCtl* t, EnqueueKind kind, std::uint32_t waker);
   /// ULTs ever spawned and live right now, summed over the per-worker and
   /// external counters. Finishes are summed before spawns, so a racing

@@ -63,11 +63,11 @@ void PriorityScheduler::enqueue(ThreadCtl* t, Worker* hint, EnqueueKind kind) {
 }
 
 bool PriorityScheduler::take_for_join(Worker& w, ThreadCtl* t) {
-  // High class only. A taken child hands the worker back to its joiner on
-  // exit, so a take with a low-class joiner or child would run low-class
-  // work ahead of queued high-class work. The low class needs no take: its
-  // LIFO pick already runs the newest child next, and the woken joiner after
-  // it, once no high-class work exists anywhere.
+  // High class only. A taken child runs inline in its joiner's place, so a
+  // take with a low-class joiner or child would run low-class work ahead of
+  // queued high-class work. The low class needs no take: its LIFO pick
+  // already runs the newest child next, and the woken joiner after it, once
+  // no high-class work exists anywhere.
   const ThreadCtl* joiner = w.current_ult.load(std::memory_order_relaxed);
   if (joiner == nullptr || joiner->priority > 0 || t->priority > 0)
     return false;

@@ -49,13 +49,13 @@ class Scheduler {
     (void)rank;
     return 0;
   }
-  /// Join handoff (DESIGN.md, "Join handoff"): remove `t` when it is the
-  /// newest thread of `w`'s own queue and not bound to a parked KLT, so the
-  /// ULT running on `w`, which is about to park in a join on `t`, can run it
-  /// next. Called from that ULT under a no-preempt guard with `w` borrowed.
-  /// True means `t` is out of every queue and the caller owns it. The
-  /// default never takes, which keeps custom schedulers and thread packing
-  /// on the plain queued join.
+  /// Inline join (DESIGN.md, "Inline join"): remove `t` when it is the
+  /// newest thread of `w`'s own queue and was never dispatched, so the ULT
+  /// running on `w`, which joins `t`, can run it on its own stack. Called
+  /// from that ULT under a no-preempt guard with `w` borrowed. True means
+  /// `t` is out of every queue and the caller owns it. The default never
+  /// takes, which keeps custom schedulers and thread packing on the plain
+  /// queued join.
   virtual bool take_for_join(Worker& w, ThreadCtl* t) {
     (void)w;
     (void)t;
@@ -101,12 +101,13 @@ class ThreadQueue {
                  std::memory_order_relaxed);
     return t;
   }
-  /// pop_back() only when `t` is the back and is not bound to a parked KLT
-  /// (a KLT-switch-preempted thread must resume there): false leaves the
-  /// queue as it was. bound_klt does not change while t sits in a queue.
+  /// pop_back() only when `t` is the back and was never dispatched (a
+  /// thread that ran has frames on its own stack; one bound to a parked KLT
+  /// must resume there): false leaves the queue as it was. The dispatching
+  /// worker set `dispatched` before any enqueue, so the queue lock orders it.
   bool pop_back_if(ThreadCtl* t) {
     SpinlockGuard g(lock_);
-    if (q_.empty() || q_.back() != t || t->bound_klt != nullptr) return false;
+    if (q_.empty() || q_.back() != t || t->dispatched) return false;
     q_.pop_back();
     depth_.store(static_cast<std::int32_t>(q_.size()),
                  std::memory_order_relaxed);
@@ -186,8 +187,8 @@ class PackingScheduler final : public Scheduler {
 /// e.g. simulation) in per-worker FIFOs scheduled before low-priority
 /// threads (priority 1, e.g. in situ analysis) kept in per-worker LIFOs "in
 /// order not to hurt data locality during preemption". A join takes its
-/// child only when joiner and child are both high class, so a handoff never
-/// runs low-class work ahead of queued high-class work.
+/// child only when joiner and child are both high class: an inlined child
+/// runs in its joiner's place, ahead of queued high-class work.
 class PriorityScheduler final : public Scheduler {
  public:
   void init(Runtime& rt) override;

@@ -100,8 +100,8 @@ struct ThreadCtl {
   /// Set at the first dispatch (Worker::run), beside the state word that
   /// every dispatch writes. A thread never dispatched has no frames of its
   /// own yet, so its joiner may run it inline (DESIGN.md, "Inline join").
-  /// Written by the dispatching worker before any later enqueue; read by a
-  /// joiner that took the thread out of a queue.
+  /// Written by the dispatching worker before any later enqueue; read under
+  /// the queue lock by a join's take (ThreadQueue::pop_back_if).
   bool dispatched = false;
 
   /// Completion word, doubling as the futex word of an external joiner:
@@ -115,11 +115,6 @@ struct ThreadCtl {
   bool finished() const { return done.load(std::memory_order_acquire) == kDone; }
   WaitQueue joiners;  ///< ULTs blocked in join(); its lock orders `done`
   bool detached = false;
-  /// Join handoff (DESIGN.md, "Join handoff"): a joiner took this thread
-  /// out of its worker's queue to run it next. Written by that joiner while
-  /// it owns the thread (out of every queue); read by the finisher, which
-  /// then hands its worker straight back to a lone joiner. Never cleared.
-  bool join_taken = false;
 
   /// KLT-switching: while this thread is suspended inside the preemption
   /// signal handler, the kernel thread it ran on is parked here and must be

@@ -409,24 +409,12 @@ void Worker::scheduler_loop() {
   for (;;) {
     process_post_action();
     maybe_rearm_posix_timer();
-    if (rt->shutting_down() && run_next == nullptr &&
-        !rt->scheduler().has_work())
-      break;
+    if (rt->shutting_down() && !rt->scheduler().has_work()) break;
     if (rank >= rt->active_workers() && !rt->shutting_down()) {
-      if (run_next != nullptr) {
-        // Already stamped ready: hand it to an active worker as it stands.
-        rt->scheduler().enqueue(run_next, this, EnqueueKind::kUnblock);
-        run_next = nullptr;
-        rt->notify_work();
-      }
       park_for_packing();
       continue;
     }
-    ThreadCtl* t = run_next;
-    if (t != nullptr)
-      run_next = nullptr;
-    else
-      t = rt->scheduler().pick(*this);
+    ThreadCtl* t = rt->scheduler().pick(*this);
     if (t == nullptr) {
       idle_backoff(idle_failures);
       continue;

@@ -172,11 +172,10 @@ struct alignas(kCacheLineSize) Worker {
   trace::LatencyHistogram hist_sched_delay;    ///< ready → dispatch
   trace::LatencyHistogram hist_spawn_latency;  ///< spawn → first dispatch
 
-  // -- spawn caches (DESIGN.md, "Spawn path") and the join handoff slot.
-  // Written only by this worker's scheduler context or by a ULT that
-  // borrowed the worker (detail::borrow_worker), one at a time:
-  // single-writer, no locked RMW. Other threads only read the counters. On
-  // a line of their own. --
+  // -- spawn caches (DESIGN.md, "Spawn path"). Written only by this
+  // worker's scheduler context or by a ULT that borrowed the worker
+  // (detail::borrow_worker), one at a time: single-writer, no locked RMW.
+  // Other threads only read the counters. On a line of their own. --
   /// ULTs spawned from / finalized on this worker (summed with the external
   /// counters by Runtime::ult_counts).
   alignas(kCacheLineSize) metrics::Counter ults_spawned;
@@ -184,12 +183,6 @@ struct alignas(kCacheLineSize) Worker {
   IdBlock trace_ids;
   /// Round-robin home pool of this worker's spawns (starts at its rank).
   std::uint32_t spawn_rr = 0;
-  /// Join handoff slot (DESIGN.md, "Join handoff"): a ready ULT that this
-  /// worker dispatches before asking the scheduler — a child a join took out
-  /// of the queue, or the joiner its finished child handed the worker back
-  /// to. Same writers as the caches above; worker state, so it survives a
-  /// KLT remap. A worker that parks for packing re-enqueues it.
-  ThreadCtl* run_next = nullptr;
 
   /// ULTs that parked while running on this worker (park.hpp). Last, on its
   /// own cache line: waiters that resume elsewhere unlink from here.

@@ -1,7 +1,7 @@
 // Self-healing soak driver (scripts/soak.sh): a sustained mixed workload —
 // cooperative cancels, directed-tick cancels under both preemption
 // techniques, per-spawn deadlines, timed waits, a KLT-switching fork/join
-// tree with a subtree cancelled mid-run (inline joins and join handoffs
+// tree with a subtree cancelled mid-run (inline joins and queued join wakes
 // meeting ticks, bound KLTs and cancellation), and blocking-pipe readers
 // that wedge their worker past the syscall grace (driving the wedge
 // sentinel's compensate/reabsorb cycle every batch) — with the remediation
@@ -107,9 +107,8 @@ constexpr long kMapsReportSeconds = 30;
 constexpr int kFreshRuntimes = 20;
 
 /// fib(n) as a fork/join tree of KLT-switching ULTs: each join runs its
-/// unstarted child inline, or takes it and gets the worker back at its
-/// exit (DESIGN.md, "Inline join" and "Join handoff"), while ticks preempt
-/// nodes onto bound KLTs. A child writes its result to the heap, never to
+/// unstarted child inline (DESIGN.md, "Inline join") or parks until the
+/// child's exit wakes it, while ticks preempt nodes onto bound KLTs. A child writes its result to the heap, never to
 /// its parent's frame: a cancelled parent's stack is abandoned and recycled
 /// while its stolen children still run. Every
 /// malloc and free of a node that may be cancelled runs under a
