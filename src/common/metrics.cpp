@@ -1,10 +1,8 @@
 #include "common/metrics.hpp"
 
+#include <algorithm>
 #include <cinttypes>
-#include <cstdlib>
 #include <cstring>
-
-#include "common/env.hpp"
 
 namespace lpt::metrics {
 
@@ -18,193 +16,77 @@ const char* worker_state_name(WorkerState s) {
   return "?";
 }
 
-WorkerSample WorkerMetrics::sample() const {
-  WorkerSample s;
-  s.dispatches = dispatches.value();
-  s.yields = yields.value();
-  s.blocks = blocks.value();
-  s.exits = exits.value();
-  s.steals = steals.value();
-  s.preempt_signal_yield = preempt_signal_yield.value();
-  s.preempt_klt_switch = preempt_klt_switch.value();
-  s.ticks_sent = ticks_sent.value();
-  s.handler_entries = handler_entries.value();
-  s.handler_deferred = handler_deferred.value();
-  s.klt_degraded_ticks = klt_degraded_ticks.value();
-  s.ult_faults = ult_faults.value();
-  s.stack_overflows = stack_overflows.value();
-  s.escaped_exceptions = escaped_exceptions.value();
-  s.ult_cancels = ult_cancels.value();
-  s.syscall_blocks = syscall_blocks.value();
-  for (int i = 0; i < kWorkerStateCount; ++i)
-    s.time_in_state_ns[i] = time_in_state_ns[i].value();
-  s.state = state.load(std::memory_order_relaxed);
-  return s;
-}
-
-void Snapshot::finalize() {
-  dispatches = yields = blocks = exits = steals = 0;
-  preempt_signal_yield = preempt_klt_switch = preemptions = 0;
-  ticks_sent = handler_entries = handler_deferred = klt_degraded_ticks = 0;
-  ult_faults = stack_overflows = escaped_exceptions = ult_cancels = 0;
-  syscall_blocks = 0;
-  run_queue_depth = 0;
-  for (const WorkerSample& w : workers) {
-    dispatches += w.dispatches;
-    yields += w.yields;
-    blocks += w.blocks;
-    exits += w.exits;
-    steals += w.steals;
-    preempt_signal_yield += w.preempt_signal_yield;
-    preempt_klt_switch += w.preempt_klt_switch;
-    ticks_sent += w.ticks_sent;
-    handler_entries += w.handler_entries;
-    handler_deferred += w.handler_deferred;
-    klt_degraded_ticks += w.klt_degraded_ticks;
-    ult_faults += w.ult_faults;
-    stack_overflows += w.stack_overflows;
-    escaped_exceptions += w.escaped_exceptions;
-    ult_cancels += w.ult_cancels;
-    syscall_blocks += w.syscall_blocks;
-    run_queue_depth += w.queue_depth;
-  }
-  preemptions = preempt_signal_yield + preempt_klt_switch;
-}
-
 namespace {
+
+constexpr const char* kCounter = "counter";
+constexpr const char* kGauge = "gauge";
+
+template <auto F>
+Value read(const Snapshot& s) {
+  return Value(s.*F);
+}
+
+template <auto W>
+Value read_worker(const WorkerSample& w) {
+  return Value(w.*W);
+}
+
+/// Snapshot::*T = the sum of WorkerSample::*W over the workers.
+template <auto W, auto T>
+void sum(Snapshot& s) {
+  s.*T = 0;
+  for (const WorkerSample& w : s.workers) s.*T += w.*W;
+}
+
+template <auto W, auto M>
+void take(WorkerSample& w, const WorkerMetrics& m) {
+  w.*W = (m.*M).value();
+}
+
+/// Reads of a counter every worker keeps: live in WorkerMetrics::*M,
+/// sampled into WorkerSample::*W, summed into Snapshot::*T.
+template <auto M, auto W, auto T>
+constexpr Metric per_worker(Metric m) {
+  m.total = read<T>;
+  m.worker = read_worker<W>;
+  m.sum = sum<W, T>;
+  m.take = take<W, M>;
+  return m;
+}
 
 void prom_family(std::FILE* out, const char* name, const char* type,
                  const char* help) {
   std::fprintf(out, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, type);
 }
 
-void prom_u64(std::FILE* out, const char* name, std::uint64_t v) {
-  std::fprintf(out, "%s %" PRIu64 "\n", name, v);
+/// One series: `name[{worker="r"[,label]}] value`; rank < 0 = no worker.
+void prom_series(std::FILE* out, const Metric& m, int rank, Value v) {
+  std::fputs(m.prom, out);
+  if (rank >= 0)
+    std::fprintf(out, "{worker=\"%d\"%s%s}", rank, m.label ? "," : "",
+                 m.label ? m.label : "");
+  else if (m.label != nullptr)
+    std::fprintf(out, "{%s}", m.label);
+  if (m.seconds > 0)
+    std::fprintf(out, " %.*f\n", m.seconds, v.number() / 1e9);
+  else if (v.kind == Value::Kind::kSigned)
+    std::fprintf(out, " %" PRId64 "\n", v.i);
+  else
+    std::fprintf(out, " %" PRIu64 "\n", v.u);
 }
 
-void prom_i64(std::FILE* out, const char* name, std::int64_t v) {
-  std::fprintf(out, "%s %" PRId64 "\n", name, v);
-}
-
-/// One per-worker series: `name{worker="r"} v`.
-void prom_worker_u64(std::FILE* out, const char* name, int rank,
-                     std::uint64_t v) {
-  std::fprintf(out, "%s{worker=\"%d\"} %" PRIu64 "\n", name, rank, v);
-}
-
-/// One pool's log2 latency histogram as a native Prometheus histogram:
-/// cumulative `_bucket{pool="r",le="..."}` series (one per log2 bucket up to
-/// the highest non-empty one, then `+Inf`), plus exact `_sum` (seconds, from
-/// HistSnapshot::sum_ns) and `_count`. Exact by construction — every bucket
-/// is an exported integer and sum_ns is accumulated, not reconstructed — so
-/// tests/tools/trace_check can reconcile these against per-ULT accounting.
-void prom_histogram_pool(std::FILE* out, const char* name, int pool,
-                         const trace::HistSnapshot& h) {
-  std::uint64_t cum = 0;
-  int top = -1;
-  for (int b = 0; b < trace::HistSnapshot::kBuckets; ++b)
-    if (h.buckets[b] != 0) top = b;
-  for (int b = 0; b <= top; ++b) {
-    cum += h.buckets[b];
-    // Bucket 1 is a structural hole (values 0 and 1 both land in bucket 0,
-    // which already spans [0, 2)): emitting it would duplicate le="2".
-    if (b + 1 <= top && trace::HistSnapshot::bucket_ceil_ns(b + 1) ==
-                            trace::HistSnapshot::bucket_ceil_ns(b))
-      continue;
-    std::fprintf(out, "%s_bucket{pool=\"%d\",le=\"%" PRId64 "\"} %" PRIu64 "\n",
-                 name, pool, trace::HistSnapshot::bucket_ceil_ns(b), cum);
+void json_pair(std::FILE* out, const char* sep, const char* key, Value v) {
+  std::fprintf(out, "%s\"%s\": ", sep, key);
+  switch (v.kind) {
+    case Value::Kind::kUnsigned: std::fprintf(out, "%" PRIu64, v.u); break;
+    case Value::Kind::kSigned: std::fprintf(out, "%" PRId64, v.i); break;
+    case Value::Kind::kBool: std::fputs(v.u ? "true" : "false", out); break;
+    case Value::Kind::kRatio: std::fprintf(out, "%.6f", v.d); break;
   }
-  std::fprintf(out, "%s_bucket{pool=\"%d\",le=\"+Inf\"} %" PRIu64 "\n", name,
-               pool, cum);
-  // The family's unit is ns (the _ns suffix), so _sum is integral ns, not
-  // Prometheus-conventional seconds — keeping every series an exact integer.
-  std::fprintf(out, "%s_sum{pool=\"%d\"} %" PRIu64 "\n", name, pool, h.sum_ns);
-  std::fprintf(out, "%s_count{pool=\"%d\"} %" PRIu64 "\n", name, pool, cum);
 }
 
-}  // namespace
-
-void write_prometheus(std::FILE* out, const Snapshot& s) {
-  prom_family(out, "lpt_uptime_seconds", "gauge",
-              "Seconds since Runtime construction.");
-  std::fprintf(out, "lpt_uptime_seconds %.3f\n",
-               static_cast<double>(s.uptime_ns) / 1e9);
-
-  prom_family(out, "lpt_workers", "gauge", "Configured worker count.");
-  prom_i64(out, "lpt_workers", s.num_workers);
-  prom_family(out, "lpt_active_workers", "gauge",
-              "Workers not parked by thread packing.");
-  prom_i64(out, "lpt_active_workers", s.active_workers);
-
-  struct PerWorkerFamily {
-    const char* name;
-    const char* help;
-    std::uint64_t WorkerSample::*field;
-  };
-  static const PerWorkerFamily kFamilies[] = {
-      {"lpt_dispatches_total", "ULTs switched into by this worker.",
-       &WorkerSample::dispatches},
-      {"lpt_yields_total", "Voluntary yields processed.",
-       &WorkerSample::yields},
-      {"lpt_blocks_total", "ULT suspensions on sync primitives.",
-       &WorkerSample::blocks},
-      {"lpt_exits_total", "ULT completions processed.", &WorkerSample::exits},
-      {"lpt_steals_total", "ULTs stolen from a remote run queue.",
-       &WorkerSample::steals},
-      {"lpt_preempt_ticks_sent_total",
-       "Preemption signals sent toward this worker.",
-       &WorkerSample::ticks_sent},
-      {"lpt_preempt_handler_entries_total",
-       "Preemption handler entries that found a preemptible ULT.",
-       &WorkerSample::handler_entries},
-      {"lpt_preempt_handler_deferred_total",
-       "Handler entries deferred by a NoPreemptGuard.",
-       &WorkerSample::handler_deferred},
-      {"lpt_klt_degraded_ticks_total",
-       "KLT-switch ticks degraded to deferred handling (pool exhausted).",
-       &WorkerSample::klt_degraded_ticks},
-      {"lpt_ult_faults_total",
-       "ULTs terminated by fault isolation (overflow/segv/bus/exception).",
-       &WorkerSample::ult_faults},
-      {"lpt_stack_overflows_total",
-       "Guard-page stack overflows contained by fault isolation.",
-       &WorkerSample::stack_overflows},
-      {"lpt_escaped_exceptions_total",
-       "ULTs terminated by the exception firewall.",
-       &WorkerSample::escaped_exceptions},
-      {"lpt_ult_cancels_total",
-       "ULTs terminated by request_cancel() or deadline expiry.",
-       &WorkerSample::ult_cancels},
-      {"lpt_syscall_blocks_total",
-       "Annotated blocking-syscall regions entered (lpt::io).",
-       &WorkerSample::syscall_blocks},
-  };
-  for (const PerWorkerFamily& f : kFamilies) {
-    prom_family(out, f.name, "counter", f.help);
-    for (const WorkerSample& w : s.workers)
-      prom_worker_u64(out, f.name, w.rank, w.*(f.field));
-  }
-
-  prom_family(out, "lpt_preemptions_total",
-              "counter", "Completed preemptions by mechanism.");
-  for (const WorkerSample& w : s.workers) {
-    std::fprintf(out,
-                 "lpt_preemptions_total{worker=\"%d\",kind=\"signal_yield\"} "
-                 "%" PRIu64 "\n",
-                 w.rank, w.preempt_signal_yield);
-    std::fprintf(out,
-                 "lpt_preemptions_total{worker=\"%d\",kind=\"klt_switch\"} "
-                 "%" PRIu64 "\n",
-                 w.rank, w.preempt_klt_switch);
-  }
-
-  prom_family(out, "lpt_run_queue_depth", "gauge",
-              "Runnable ULTs queued per worker at scrape time.");
-  for (const WorkerSample& w : s.workers)
-    std::fprintf(out, "lpt_run_queue_depth{worker=\"%d\"} %" PRId64 "\n",
-                 w.rank, w.queue_depth);
-
-  prom_family(out, "lpt_worker_time_in_state_seconds_total", "counter",
+void prom_time_in_state(std::FILE* out, const Snapshot& s) {
+  prom_family(out, "lpt_worker_time_in_state_seconds_total", kCounter,
               "Sampled wall time per worker state (watchdog-tick resolution).");
   for (const WorkerSample& w : s.workers)
     for (int i = 0; i < kWorkerStateCount; ++i)
@@ -214,290 +96,426 @@ void write_prometheus(std::FILE* out, const Snapshot& s) {
           "%.3f\n",
           w.rank, worker_state_name(static_cast<WorkerState>(i)),
           static_cast<double>(w.time_in_state_ns[i]) / 1e9);
+}
 
-  prom_family(out, "lpt_ults_spawned_total", "counter", "ULTs ever spawned.");
-  prom_u64(out, "lpt_ults_spawned_total", s.ults_spawned);
-  prom_family(out, "lpt_ults_live", "gauge",
-              "ULTs spawned but not yet finished.");
-  prom_i64(out, "lpt_ults_live", s.ults_live);
-
-  prom_family(out, "lpt_klts_created_total", "counter",
-              "Kernel-level threads ever created.");
-  prom_u64(out, "lpt_klts_created_total", s.klts_created);
-  prom_family(out, "lpt_klts_on_demand_total", "counter",
-              "KLTs created on demand (pool miss).");
-  prom_u64(out, "lpt_klts_on_demand_total", s.klts_on_demand);
-  prom_family(out, "lpt_klt_create_failures_total", "counter",
-              "KLT creation attempts that failed.");
-  prom_u64(out, "lpt_klt_create_failures_total", s.klt_create_failures);
-  prom_family(out, "lpt_klt_pool_idle", "gauge",
-              "Parked spare KLTs available for KLT-switching.");
-  prom_i64(out, "lpt_klt_pool_idle", s.klt_pool_idle);
-
-  prom_family(out, "lpt_stack_pool_cached", "gauge",
-              "ULT stacks cached in the stack pool.");
-  prom_u64(out, "lpt_stack_pool_cached", s.stacks_cached);
-  prom_family(out, "lpt_stacks_shed_total", "counter",
-              "Cached stacks shed under memory pressure.");
-  prom_u64(out, "lpt_stacks_shed_total", s.stacks_shed);
-  prom_family(out, "lpt_spawn_stack_failures_total", "counter",
-              "spawn() refusals after stack allocation failed.");
-  prom_u64(out, "lpt_spawn_stack_failures_total", s.spawn_stack_failures);
-  prom_family(out, "lpt_klts_retired_total", "counter",
-              "Poisoned KLTs retired after a contained fault.");
-  prom_u64(out, "lpt_klts_retired_total", s.klts_retired);
-  prom_family(out, "lpt_stacks_quarantined_total", "counter",
-              "Faulted ULT stacks scrubbed and re-guarded.");
-  prom_u64(out, "lpt_stacks_quarantined_total", s.stacks_quarantined);
-  prom_family(out, "lpt_stack_near_overflows_total", "counter",
-              "Stack releases with a watermark within a page of the guard.");
-  prom_u64(out, "lpt_stack_near_overflows_total", s.stack_near_overflows);
-  prom_family(out, "lpt_stack_watermark_max_bytes", "gauge",
-              "Deepest sampled ULT stack use since startup.");
-  prom_u64(out, "lpt_stack_watermark_max_bytes", s.stack_watermark_max);
-  prom_family(out, "lpt_stack_size_bytes", "gauge",
-              "Effective default ULT stack size (after LPT_STACK_SIZE).");
-  prom_u64(out, "lpt_stack_size_bytes", s.stack_size_bytes);
-
-  prom_family(out, "lpt_posix_timer_fallbacks_total", "counter",
-              "Per-worker POSIX timers degraded to monitor delivery.");
-  prom_u64(out, "lpt_posix_timer_fallbacks_total", s.posix_timer_fallbacks);
-  prom_family(out, "lpt_faults_injected_total", "counter",
-              "Faults injected by the LPT_FAULT harness.");
-  prom_u64(out, "lpt_faults_injected_total", s.faults_injected);
-
-  prom_family(out, "lpt_watchdog_checks_total", "counter",
-              "Watchdog poll passes completed.");
-  prom_u64(out, "lpt_watchdog_checks_total", s.watchdog_checks);
-  prom_family(out, "lpt_watchdog_flags_total", "counter",
-              "Watchdog flag episodes by kind.");
-  std::fprintf(out,
-               "lpt_watchdog_flags_total{kind=\"runnable_starvation\"} %" PRIu64
-               "\n",
-               s.watchdog_runnable_starvation);
-  std::fprintf(out,
-               "lpt_watchdog_flags_total{kind=\"worker_stall\"} %" PRIu64 "\n",
-               s.watchdog_worker_stall);
-  std::fprintf(out,
-               "lpt_watchdog_flags_total{kind=\"quantum_overrun\"} %" PRIu64
-               "\n",
-               s.watchdog_quantum_overrun);
-  std::fprintf(out,
-               "lpt_watchdog_flags_total{kind=\"fault_storm\"} %" PRIu64 "\n",
-               s.watchdog_fault_storm);
-  std::fprintf(out,
-               "lpt_watchdog_flags_total{kind=\"syscall_blocked\"} %" PRIu64
-               "\n",
-               s.watchdog_syscall_blocked);
-  std::fprintf(out,
-               "lpt_watchdog_flags_total{kind=\"deadlock\"} %" PRIu64 "\n",
-               s.watchdog_deadlock);
-  std::fprintf(out,
-               "lpt_watchdog_flags_total{kind=\"abandoned_lock\"} %" PRIu64
-               "\n",
-               s.watchdog_abandoned_lock);
-  prom_family(out, "lpt_remediations_total", "counter",
-              "Self-healing remediation actions taken, by kind.");
-  std::fprintf(out, "lpt_remediations_total{kind=\"retick\"} %" PRIu64 "\n",
-               s.remediations_retick);
-  std::fprintf(out, "lpt_remediations_total{kind=\"cancel\"} %" PRIu64 "\n",
-               s.remediations_cancel);
-  std::fprintf(out,
-               "lpt_remediations_total{kind=\"klt_replace\"} %" PRIu64 "\n",
-               s.remediations_klt_replace);
-  std::fprintf(out,
-               "lpt_remediations_total{kind=\"deadlock_break\"} %" PRIu64 "\n",
-               s.remediations_deadlock_break);
-  prom_family(out, "lpt_deadlock_cycles_total", "counter",
-              "Deadlock cycles confirmed by the detector "
-              "(== deadlock_break remediations + self deadlocks "
-              "when remediation is on).");
-  prom_u64(out, "lpt_deadlock_cycles_total", s.deadlock_cycles);
-  prom_family(out, "lpt_self_deadlocks_total", "counter",
-              "Self-deadlocks caught synchronously at lock().");
-  prom_u64(out, "lpt_self_deadlocks_total", s.self_deadlocks);
-  prom_family(out, "lpt_abandoned_locks_total", "counter",
-              "ULTs that ended while still holding a tracked lock.");
-  prom_u64(out, "lpt_abandoned_locks_total", s.abandoned_locks);
-  prom_family(out, "lpt_abandoned_released_total", "counter",
-              "Abandoned locks force-released (LPT_ABANDON_RELEASE).");
-  prom_u64(out, "lpt_abandoned_released_total", s.abandoned_released);
-  prom_family(out, "lpt_parked_waiters", "gauge",
-              "ULTs registered in the parking registry at scrape time.");
-  prom_i64(out, "lpt_parked_waiters", s.parked_waiters);
-  prom_family(out, "lpt_syscall_compensations_total", "counter",
-              "Wedge-sentinel compensation outcomes "
-              "(activated == reabsorbed + saturated after quiescing).");
-  std::fprintf(out,
-               "lpt_syscall_compensations_total{outcome=\"activated\"} %" PRIu64
-               "\n",
-               s.syscall_comp_activated);
-  std::fprintf(
-      out,
-      "lpt_syscall_compensations_total{outcome=\"reabsorbed\"} %" PRIu64 "\n",
-      s.syscall_comp_reabsorbed);
-  std::fprintf(
-      out,
-      "lpt_syscall_compensations_total{outcome=\"saturated\"} %" PRIu64 "\n",
-      s.syscall_comp_saturated);
-
-  prom_family(out, "lpt_trace_events_total", "counter",
-              "Events recorded by the tracer (0 when tracing is off).");
-  prom_u64(out, "lpt_trace_events_total", s.trace_events);
-  prom_family(out, "lpt_trace_dropped_total", "counter",
-              "Events dropped by full trace rings.");
-  prom_u64(out, "lpt_trace_dropped_total", s.trace_dropped);
-
-  // Causal scheduling-delay histograms (tracer pass-through; absent when
-  // tracing is off so scrapes stay small on untraced runs).
-  if (!s.pool_sched_delay_ns.empty()) {
-    prom_family(out, "lpt_sched_delay_ns", "histogram",
-                "Ready to dispatch scheduling delay per pool, ns (log2 "
-                "buckets; tracing only).");
-    for (std::size_t r = 0; r < s.pool_sched_delay_ns.size(); ++r)
-      prom_histogram_pool(out, "lpt_sched_delay_ns", static_cast<int>(r),
-                          s.pool_sched_delay_ns[r]);
+/// One family of per-pool log2 latency histograms as native Prometheus
+/// histograms: cumulative `_bucket{pool="r",le="..."}` series (one per log2
+/// bucket up to the highest non-empty one, then `+Inf`), plus exact `_sum`
+/// and `_count`. Exact by construction — every bucket is an exported integer
+/// and sum_ns is accumulated, not reconstructed — so tests/tools/trace_check
+/// can reconcile these against per-ULT accounting. Absent when tracing is
+/// off (empty `pools`), so scrapes stay small on untraced runs.
+void prom_pool_histograms(std::FILE* out, const char* name, const char* help,
+                          const std::vector<trace::HistSnapshot>& pools) {
+  if (pools.empty()) return;
+  prom_family(out, name, "histogram", help);
+  for (std::size_t pool = 0; pool < pools.size(); ++pool) {
+    const trace::HistSnapshot& h = pools[pool];
+    std::uint64_t cum = 0;
+    int top = -1;
+    for (int b = 0; b < trace::HistSnapshot::kBuckets; ++b)
+      if (h.buckets[b] != 0) top = b;
+    for (int b = 0; b <= top; ++b) {
+      cum += h.buckets[b];
+      // Bucket 1 is a structural hole (values 0 and 1 both land in bucket 0,
+      // which already spans [0, 2)): emitting it would duplicate le="2".
+      if (b + 1 <= top && trace::HistSnapshot::bucket_ceil_ns(b + 1) ==
+                              trace::HistSnapshot::bucket_ceil_ns(b))
+        continue;
+      std::fprintf(out,
+                   "%s_bucket{pool=\"%zu\",le=\"%" PRId64 "\"} %" PRIu64 "\n",
+                   name, pool, trace::HistSnapshot::bucket_ceil_ns(b), cum);
+    }
+    std::fprintf(out, "%s_bucket{pool=\"%zu\",le=\"+Inf\"} %" PRIu64 "\n",
+                 name, pool, cum);
+    // The family's unit is ns (the _ns suffix), so _sum is integral ns, not
+    // Prometheus-conventional seconds — keeping every series an exact integer.
+    std::fprintf(out, "%s_sum{pool=\"%zu\"} %" PRIu64 "\n", name, pool,
+                 h.sum_ns);
+    std::fprintf(out, "%s_count{pool=\"%zu\"} %" PRIu64 "\n", name, pool, cum);
   }
-  if (!s.pool_spawn_latency_ns.empty()) {
-    prom_family(out, "lpt_spawn_latency_ns", "histogram",
-                "Spawn to first dispatch latency per pool, ns (log2 buckets; "
-                "tracing only).");
-    for (std::size_t r = 0; r < s.pool_spawn_latency_ns.size(); ++r)
-      prom_histogram_pool(out, "lpt_spawn_latency_ns", static_cast<int>(r),
-                          s.pool_spawn_latency_ns[r]);
-  }
+}
 
-  prom_family(out, "lpt_prof_enabled", "gauge",
-              "1 when the continuous profiler is armed.");
-  prom_i64(out, "lpt_prof_enabled", s.prof_enabled ? 1 : 0);
-  prom_family(out, "lpt_prof_sample_invocations_total", "counter",
-              "On-CPU sampling hook firings (0 when profiling is off).");
-  prom_u64(out, "lpt_prof_sample_invocations_total",
-           s.prof_sample_invocations);
-  prom_family(out, "lpt_prof_samples_recorded_total", "counter",
-              "On-CPU samples committed to the sample rings.");
-  prom_u64(out, "lpt_prof_samples_recorded_total", s.prof_samples_recorded);
-  prom_family(out, "lpt_prof_samples_dropped_total", "counter",
-              "On-CPU samples dropped (ring full or no ring).");
-  prom_u64(out, "lpt_prof_samples_dropped_total", s.prof_samples_dropped);
-  prom_family(out, "lpt_prof_offcpu_waits_total", "counter",
-              "Off-CPU wait intervals attributed to a wait site.");
-  prom_u64(out, "lpt_prof_offcpu_waits_total", s.prof_offcpu_waits);
-  prom_family(out, "lpt_prof_offcpu_seconds_total", "counter",
-              "Total attributed off-CPU blocked time.");
-  std::fprintf(out, "lpt_prof_offcpu_seconds_total %.6f\n",
-               static_cast<double>(s.prof_offcpu_ns) / 1e9);
-  prom_family(out, "lpt_prof_lock_acquires_total", "counter",
-              "Acquire attempts on profiled mutexes.");
-  prom_u64(out, "lpt_prof_lock_acquires_total", s.prof_lock_acquires);
-  prom_family(out, "lpt_prof_lock_contended_total", "counter",
-              "Profiled mutex acquires that had to park.");
-  prom_u64(out, "lpt_prof_lock_contended_total", s.prof_lock_contended);
-  prom_family(out, "lpt_prof_contention_chains_total", "counter",
-              "Waiters parked behind a holder that was itself off-CPU.");
-  prom_u64(out, "lpt_prof_contention_chains_total",
-           s.prof_contention_chains);
+void prom_histograms(std::FILE* out, const Snapshot& s) {
+  prom_pool_histograms(out, "lpt_sched_delay_ns",
+                       "Ready to dispatch scheduling delay per pool, ns (log2 "
+                       "buckets; tracing only).",
+                       s.pool_sched_delay_ns);
+  prom_pool_histograms(out, "lpt_spawn_latency_ns",
+                       "Spawn to first dispatch latency per pool, ns (log2 "
+                       "buckets; tracing only).",
+                       s.pool_spawn_latency_ns);
+}
+
+using S = Snapshot;
+using W = WorkerSample;
+using M = WorkerMetrics;
+
+constexpr Metric kMetrics[] = {
+    {.key = "taken_ns", .total = read<&S::taken_ns>},
+    {.prom = "lpt_uptime_seconds", .type = kGauge,
+     .help = "Seconds since Runtime construction.", .seconds = 3,
+     .key = "uptime_ns", .total = read<&S::uptime_ns>},
+    {.prom = "lpt_workers", .type = kGauge, .help = "Configured worker count.",
+     .key = "num_workers", .total = read<&S::num_workers>},
+    {.prom = "lpt_active_workers", .type = kGauge,
+     .help = "Workers not parked by thread packing.", .key = "active_workers",
+     .total = read<&S::active_workers>},
+
+    // -- per-worker counters; JSON totals are the sums --
+    per_worker<&M::dispatches, &W::dispatches, &S::dispatches>(
+        {.prom = "lpt_dispatches_total", .type = kCounter,
+         .help = "ULTs switched into by this worker.", .group = "totals",
+         .key = "dispatches", .worker_key = "dispatches"}),
+    per_worker<&M::yields, &W::yields, &S::yields>(
+        {.prom = "lpt_yields_total", .type = kCounter,
+         .help = "Voluntary yields processed.", .group = "totals",
+         .key = "yields", .worker_key = "yields"}),
+    per_worker<&M::blocks, &W::blocks, &S::blocks>(
+        {.prom = "lpt_blocks_total", .type = kCounter,
+         .help = "ULT suspensions on sync primitives.", .group = "totals",
+         .key = "blocks", .worker_key = "blocks"}),
+    per_worker<&M::exits, &W::exits, &S::exits>(
+        {.prom = "lpt_exits_total", .type = kCounter,
+         .help = "ULT completions processed.", .group = "totals",
+         .key = "exits", .worker_key = "exits"}),
+    per_worker<&M::steals, &W::steals, &S::steals>(
+        {.prom = "lpt_steals_total", .type = kCounter,
+         .help = "ULTs stolen from a remote run queue.", .group = "totals",
+         .key = "steals", .worker_key = "steals"}),
+    per_worker<&M::ticks_sent, &W::ticks_sent, &S::ticks_sent>(
+        {.prom = "lpt_preempt_ticks_sent_total", .type = kCounter,
+         .help = "Preemption signals sent toward this worker.",
+         .group = "totals", .key = "ticks_sent", .worker_key = "ticks_sent"}),
+    per_worker<&M::handler_entries, &W::handler_entries, &S::handler_entries>(
+        {.prom = "lpt_preempt_handler_entries_total", .type = kCounter,
+         .help = "Preemption handler entries that found a preemptible ULT.",
+         .group = "totals", .key = "handler_entries",
+         .worker_key = "handler_entries"}),
+    per_worker<&M::handler_deferred, &W::handler_deferred,
+               &S::handler_deferred>(
+        {.prom = "lpt_preempt_handler_deferred_total", .type = kCounter,
+         .help = "Handler entries deferred by a NoPreemptGuard.",
+         .group = "totals", .key = "handler_deferred",
+         .worker_key = "handler_deferred"}),
+    per_worker<&M::klt_degraded_ticks, &W::klt_degraded_ticks,
+               &S::klt_degraded_ticks>(
+        {.prom = "lpt_klt_degraded_ticks_total", .type = kCounter,
+         .help = "KLT-switch ticks degraded to deferred handling (pool "
+                 "exhausted).",
+         .group = "totals", .key = "klt_degraded_ticks",
+         .worker_key = "klt_degraded_ticks", .summary = "klt degraded ticks",
+         .summary_pos = 1}),
+    per_worker<&M::ult_faults, &W::ult_faults, &S::ult_faults>(
+        {.prom = "lpt_ult_faults_total", .type = kCounter,
+         .help = "ULTs terminated by fault isolation "
+                 "(overflow/segv/bus/exception).",
+         .group = "totals", .key = "ult_faults",
+         .summary = "ult faults contained", .summary_pos = 7}),
+    per_worker<&M::stack_overflows, &W::stack_overflows, &S::stack_overflows>(
+        {.prom = "lpt_stack_overflows_total", .type = kCounter,
+         .help = "Guard-page stack overflows contained by fault isolation.",
+         .group = "totals", .key = "stack_overflows",
+         .summary = "stack overflows", .summary_pos = 8}),
+    per_worker<&M::escaped_exceptions, &W::escaped_exceptions,
+               &S::escaped_exceptions>(
+        {.prom = "lpt_escaped_exceptions_total", .type = kCounter,
+         .help = "ULTs terminated by the exception firewall.",
+         .group = "totals", .key = "escaped_exceptions",
+         .summary = "escaped exceptions", .summary_pos = 9}),
+    per_worker<&M::ult_cancels, &W::ult_cancels, &S::ult_cancels>(
+        {.prom = "lpt_ult_cancels_total", .type = kCounter,
+         .help = "ULTs terminated by request_cancel() or deadline expiry.",
+         .group = "totals", .key = "ult_cancels", .summary = "ult cancels",
+         .summary_pos = 12}),
+    per_worker<&M::syscall_blocks, &W::syscall_blocks, &S::syscall_blocks>(
+        {.prom = "lpt_syscall_blocks_total", .type = kCounter,
+         .help = "Annotated blocking-syscall regions entered (lpt::io).",
+         .group = "totals", .key = "syscall_blocks"}),
+    per_worker<&M::preempt_signal_yield, &W::preempt_signal_yield,
+               &S::preempt_signal_yield>(
+        {.prom = "lpt_preemptions_total", .type = kCounter,
+         .help = "Completed preemptions by mechanism.",
+         .label = "kind=\"signal_yield\"", .group = "totals",
+         .key = "preempt_signal_yield", .worker_key = "preempt_signal_yield"}),
+    per_worker<&M::preempt_klt_switch, &W::preempt_klt_switch,
+               &S::preempt_klt_switch>(
+        {.prom = "lpt_preemptions_total", .label = "kind=\"klt_switch\"",
+         .group = "totals", .key = "preempt_klt_switch",
+         .worker_key = "preempt_klt_switch"}),
+    {.group = "totals", .key = "preemptions", .total = read<&S::preemptions>,
+     .sum = [](Snapshot& s) {
+       s.preemptions = s.preempt_signal_yield + s.preempt_klt_switch;
+     }},
+    {.prom = "lpt_run_queue_depth", .type = kGauge,
+     .help = "Runnable ULTs queued per worker at scrape time.",
+     .group = "totals", .key = "run_queue_depth", .worker_key = "queue_depth",
+     .total = read<&S::run_queue_depth>,
+     .worker = read_worker<&W::queue_depth>,
+     .sum = sum<&W::queue_depth, &S::run_queue_depth>},
+    {.worker_key = "parked", .worker = read_worker<&W::parked>},
+    {.worker_key = "posix_timer_fallback",
+     .worker = read_worker<&W::posix_timer_fallback>},
+    {.group = "totals", .key = "tick_effectiveness",
+     .total = [](const Snapshot& s) { return Value(s.tick_effectiveness()); }},
+    {.group = "totals", .key = "switch_rate",
+     .total = [](const Snapshot& s) { return Value(s.switch_rate()); }},
+    {.series = prom_time_in_state},
+
+    // -- runtime-global --
+    {.prom = "lpt_ults_spawned_total", .type = kCounter,
+     .help = "ULTs ever spawned.", .group = "ults", .key = "spawned",
+     .total = read<&S::ults_spawned>},
+    {.prom = "lpt_ults_live", .type = kGauge,
+     .help = "ULTs spawned but not yet finished.", .group = "ults",
+     .key = "live", .total = read<&S::ults_live>},
+    {.prom = "lpt_klts_created_total", .type = kCounter,
+     .help = "Kernel-level threads ever created.", .group = "klts",
+     .key = "created", .total = read<&S::klts_created>},
+    {.prom = "lpt_klts_on_demand_total", .type = kCounter,
+     .help = "KLTs created on demand (pool miss).", .group = "klts",
+     .key = "on_demand", .total = read<&S::klts_on_demand>},
+    {.prom = "lpt_klt_create_failures_total", .type = kCounter,
+     .help = "KLT creation attempts that failed.", .group = "klts",
+     .key = "create_failures", .summary = "klt create failures",
+     .summary_pos = 2, .total = read<&S::klt_create_failures>},
+    {.prom = "lpt_klt_pool_idle", .type = kGauge,
+     .help = "Parked spare KLTs available for KLT-switching.", .group = "klts",
+     .key = "pool_idle", .total = read<&S::klt_pool_idle>},
+    {.prom = "lpt_stack_pool_cached", .type = kGauge,
+     .help = "ULT stacks cached in the stack pool.", .group = "stacks",
+     .key = "cached", .total = read<&S::stacks_cached>},
+    {.prom = "lpt_stacks_shed_total", .type = kCounter,
+     .help = "Cached stacks shed under memory pressure.", .group = "stacks",
+     .key = "shed", .summary = "stacks shed", .summary_pos = 5,
+     .total = read<&S::stacks_shed>},
+    {.prom = "lpt_spawn_stack_failures_total", .type = kCounter,
+     .help = "spawn() refusals after stack allocation failed.",
+     .group = "stacks", .key = "spawn_failures",
+     .summary = "spawn stack failures", .summary_pos = 4,
+     .total = read<&S::spawn_stack_failures>},
+    {.prom = "lpt_klts_retired_total", .type = kCounter,
+     .help = "Poisoned KLTs retired after a contained fault.",
+     .group = "faults", .key = "klts_retired", .summary = "klts retired",
+     .summary_pos = 10, .total = read<&S::klts_retired>},
+    {.prom = "lpt_stacks_quarantined_total", .type = kCounter,
+     .help = "Faulted ULT stacks scrubbed and re-guarded.", .group = "stacks",
+     .key = "quarantined", .summary = "stacks quarantined",
+     .summary_pos = 11, .total = read<&S::stacks_quarantined>},
+    {.prom = "lpt_stack_near_overflows_total", .type = kCounter,
+     .help = "Stack releases with a watermark within a page of the guard.",
+     .group = "stacks", .key = "near_overflows",
+     .total = read<&S::stack_near_overflows>},
+    {.prom = "lpt_stack_watermark_max_bytes", .type = kGauge,
+     .help = "Deepest sampled ULT stack use since startup.", .group = "stacks",
+     .key = "watermark_max", .total = read<&S::stack_watermark_max>},
+    {.prom = "lpt_stack_size_bytes", .type = kGauge,
+     .help = "Effective default ULT stack size (after LPT_STACK_SIZE).",
+     .group = "stacks", .key = "stack_size",
+     .total = read<&S::stack_size_bytes>},
+    {.prom = "lpt_posix_timer_fallbacks_total", .type = kCounter,
+     .help = "Per-worker POSIX timers degraded to monitor delivery.",
+     .group = "degradation", .key = "posix_timer_fallbacks",
+     .summary = "posix timer fallbacks", .summary_pos = 3,
+     .total = read<&S::posix_timer_fallbacks>},
+    {.prom = "lpt_faults_injected_total", .type = kCounter,
+     .help = "Faults injected by the LPT_FAULT harness.",
+     .group = "degradation", .key = "faults_injected",
+     .summary = "faults injected", .summary_pos = 6,
+     .total = read<&S::faults_injected>},
+    {.prom = "lpt_watchdog_checks_total", .type = kCounter,
+     .help = "Watchdog poll passes completed.", .group = "watchdog",
+     .key = "checks", .total = read<&S::watchdog_checks>},
+    {.prom = "lpt_watchdog_flags_total", .type = kCounter,
+     .help = "Watchdog flag episodes by kind.",
+     .label = "kind=\"runnable_starvation\"", .group = "watchdog",
+     .key = "runnable_starvation",
+     .total = read<&S::watchdog_runnable_starvation>},
+    {.prom = "lpt_watchdog_flags_total", .label = "kind=\"worker_stall\"",
+     .group = "watchdog", .key = "worker_stall",
+     .total = read<&S::watchdog_worker_stall>},
+    {.prom = "lpt_watchdog_flags_total", .label = "kind=\"quantum_overrun\"",
+     .group = "watchdog", .key = "quantum_overrun",
+     .total = read<&S::watchdog_quantum_overrun>},
+    {.prom = "lpt_watchdog_flags_total", .label = "kind=\"fault_storm\"",
+     .group = "watchdog", .key = "fault_storm",
+     .total = read<&S::watchdog_fault_storm>},
+    {.prom = "lpt_watchdog_flags_total", .label = "kind=\"syscall_blocked\"",
+     .group = "watchdog", .key = "syscall_blocked",
+     .total = read<&S::watchdog_syscall_blocked>},
+    {.prom = "lpt_watchdog_flags_total", .label = "kind=\"deadlock\"",
+     .group = "watchdog", .key = "deadlock",
+     .total = read<&S::watchdog_deadlock>},
+    {.prom = "lpt_watchdog_flags_total", .label = "kind=\"abandoned_lock\"",
+     .group = "watchdog", .key = "abandoned_lock",
+     .total = read<&S::watchdog_abandoned_lock>},
+    {.prom = "lpt_remediations_total", .type = kCounter,
+     .help = "Self-healing remediation actions taken, by kind.",
+     .label = "kind=\"retick\"", .group = "remediations", .key = "retick",
+     .summary = "remediations: retick", .summary_pos = 13,
+     .total = read<&S::remediations_retick>},
+    {.prom = "lpt_remediations_total", .label = "kind=\"cancel\"",
+     .group = "remediations", .key = "cancel",
+     .summary = "remediations: cancel", .summary_pos = 14,
+     .total = read<&S::remediations_cancel>},
+    {.prom = "lpt_remediations_total", .label = "kind=\"klt_replace\"",
+     .group = "remediations", .key = "klt_replace",
+     .summary = "remediations: klt replace", .summary_pos = 15,
+     .total = read<&S::remediations_klt_replace>},
+    {.prom = "lpt_remediations_total", .label = "kind=\"deadlock_break\"",
+     .group = "remediations", .key = "deadlock_break",
+     .summary = "remediations: deadlock break", .summary_pos = 16,
+     .total = read<&S::remediations_deadlock_break>},
+    {.prom = "lpt_deadlock_cycles_total", .type = kCounter,
+     .help = "Deadlock cycles confirmed by the detector (== deadlock_break "
+             "remediations + self deadlocks when remediation is on).",
+     .group = "deadlock", .key = "cycles", .summary = "deadlock cycles",
+     .summary_pos = 17, .total = read<&S::deadlock_cycles>},
+    {.prom = "lpt_self_deadlocks_total", .type = kCounter,
+     .help = "Self-deadlocks caught synchronously at lock().",
+     .group = "deadlock", .key = "self_deadlocks",
+     .total = read<&S::self_deadlocks>},
+    {.prom = "lpt_abandoned_locks_total", .type = kCounter,
+     .help = "ULTs that ended while still holding a tracked lock.",
+     .group = "deadlock", .key = "abandoned_locks",
+     .summary = "abandoned locks", .summary_pos = 18,
+     .total = read<&S::abandoned_locks>},
+    {.prom = "lpt_abandoned_released_total", .type = kCounter,
+     .help = "Abandoned locks force-released (LPT_ABANDON_RELEASE).",
+     .group = "deadlock", .key = "abandoned_released",
+     .total = read<&S::abandoned_released>},
+    {.prom = "lpt_parked_waiters", .type = kGauge,
+     .help = "ULTs registered in the parking registry at scrape time.",
+     .group = "deadlock", .key = "parked_waiters",
+     .total = read<&S::parked_waiters>},
+    {.group = "syscall", .key = "blocks", .total = read<&S::syscall_blocks>},
+    {.prom = "lpt_syscall_compensations_total", .type = kCounter,
+     .help = "Wedge-sentinel compensation outcomes (activated == reabsorbed "
+             "+ saturated after quiescing).",
+     .label = "outcome=\"activated\"", .group = "syscall",
+     .key = "comp_activated", .summary = "syscall comp: activated",
+     .summary_pos = 19, .total = read<&S::syscall_comp_activated>},
+    {.prom = "lpt_syscall_compensations_total",
+     .label = "outcome=\"reabsorbed\"", .group = "syscall",
+     .key = "comp_reabsorbed", .summary = "syscall comp: reabsorbed",
+     .summary_pos = 20, .total = read<&S::syscall_comp_reabsorbed>},
+    {.prom = "lpt_syscall_compensations_total",
+     .label = "outcome=\"saturated\"", .group = "syscall",
+     .key = "comp_saturated", .summary = "syscall comp: saturated",
+     .summary_pos = 21, .total = read<&S::syscall_comp_saturated>},
+    {.group = "trace", .key = "enabled", .total = read<&S::trace_enabled>},
+    {.prom = "lpt_trace_events_total", .type = kCounter,
+     .help = "Events recorded by the tracer (0 when tracing is off).",
+     .group = "trace", .key = "events", .total = read<&S::trace_events>},
+    {.prom = "lpt_trace_dropped_total", .type = kCounter,
+     .help = "Events dropped by full trace rings.", .group = "trace",
+     .key = "dropped", .total = read<&S::trace_dropped>},
+    {.series = prom_histograms},
+    {.prom = "lpt_prof_enabled", .type = kGauge,
+     .help = "1 when the continuous profiler is armed.", .group = "prof",
+     .key = "enabled", .total = read<&S::prof_enabled>},
+    {.prom = "lpt_prof_sample_invocations_total", .type = kCounter,
+     .help = "On-CPU sampling hook firings (0 when profiling is off).",
+     .group = "prof", .key = "sample_invocations",
+     .total = read<&S::prof_sample_invocations>},
+    {.prom = "lpt_prof_samples_recorded_total", .type = kCounter,
+     .help = "On-CPU samples committed to the sample rings.", .group = "prof",
+     .key = "samples_recorded", .total = read<&S::prof_samples_recorded>},
+    {.prom = "lpt_prof_samples_dropped_total", .type = kCounter,
+     .help = "On-CPU samples dropped (ring full or no ring).", .group = "prof",
+     .key = "samples_dropped", .total = read<&S::prof_samples_dropped>},
+    {.prom = "lpt_prof_offcpu_waits_total", .type = kCounter,
+     .help = "Off-CPU wait intervals attributed to a wait site.",
+     .group = "prof", .key = "offcpu_waits",
+     .total = read<&S::prof_offcpu_waits>},
+    {.prom = "lpt_prof_offcpu_seconds_total", .type = kCounter,
+     .help = "Total attributed off-CPU blocked time.", .seconds = 6,
+     .group = "prof", .key = "offcpu_ns", .total = read<&S::prof_offcpu_ns>},
+    {.prom = "lpt_prof_lock_acquires_total", .type = kCounter,
+     .help = "Acquire attempts on profiled mutexes.", .group = "prof",
+     .key = "lock_acquires", .total = read<&S::prof_lock_acquires>},
+    {.prom = "lpt_prof_lock_contended_total", .type = kCounter,
+     .help = "Profiled mutex acquires that had to park.", .group = "prof",
+     .key = "lock_contended", .total = read<&S::prof_lock_contended>},
+    {.prom = "lpt_prof_contention_chains_total", .type = kCounter,
+     .help = "Waiters parked behind a holder that was itself off-CPU.",
+     .group = "prof", .key = "contention_chains",
+     .total = read<&S::prof_contention_chains>},
+};
+
+bool same(const char* a, const char* b) {
+  return a != nullptr && b != nullptr && std::strcmp(a, b) == 0;
+}
+
+}  // namespace
+
+std::span<const Metric> metric_table() { return kMetrics; }
+
+WorkerSample WorkerMetrics::sample() const {
+  WorkerSample s;
+  for (const Metric& m : kMetrics)
+    if (m.take != nullptr) m.take(s, *this);
+  for (int i = 0; i < kWorkerStateCount; ++i)
+    s.time_in_state_ns[i] = time_in_state_ns[i].value();
+  s.state = state.load(std::memory_order_relaxed);
+  return s;
+}
+
+void Snapshot::finalize() {
+  for (const Metric& m : kMetrics)
+    if (m.sum != nullptr) m.sum(*this);
+}
+
+void write_prometheus(std::FILE* out, const Snapshot& s) {
+  const std::span<const Metric> rows = kMetrics;
+  for (std::size_t i = 0; i < rows.size();) {
+    const Metric& m = rows[i];
+    if (m.series != nullptr) m.series(out, s);
+    if (m.prom == nullptr) {
+      ++i;
+      continue;
+    }
+    // A family: the run of rows sharing m's name, one series per row (per
+    // worker, worker-major, for per-worker rows).
+    std::size_t end = i + 1;
+    while (end < rows.size() && same(rows[end].prom, m.prom)) ++end;
+    prom_family(out, m.prom, m.type, m.help);
+    if (m.worker != nullptr) {
+      for (const WorkerSample& w : s.workers)
+        for (std::size_t k = i; k < end; ++k)
+          prom_series(out, rows[k], w.rank, rows[k].worker(w));
+    } else {
+      for (std::size_t k = i; k < end; ++k)
+        prom_series(out, rows[k], -1, rows[k].total(s));
+    }
+    i = end;
+  }
 }
 
 void write_json(std::FILE* out, const Snapshot& s) {
+  const std::span<const Metric> rows = kMetrics;
   std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"taken_ns\": %" PRId64 ",\n", s.taken_ns);
-  std::fprintf(out, "  \"uptime_ns\": %" PRId64 ",\n", s.uptime_ns);
-  std::fprintf(out, "  \"num_workers\": %d,\n", s.num_workers);
-  std::fprintf(out, "  \"active_workers\": %d,\n", s.active_workers);
-  std::fprintf(out, "  \"totals\": {\n");
-  std::fprintf(out, "    \"dispatches\": %" PRIu64 ",\n", s.dispatches);
-  std::fprintf(out, "    \"yields\": %" PRIu64 ",\n", s.yields);
-  std::fprintf(out, "    \"blocks\": %" PRIu64 ",\n", s.blocks);
-  std::fprintf(out, "    \"exits\": %" PRIu64 ",\n", s.exits);
-  std::fprintf(out, "    \"steals\": %" PRIu64 ",\n", s.steals);
-  std::fprintf(out, "    \"preempt_signal_yield\": %" PRIu64 ",\n",
-               s.preempt_signal_yield);
-  std::fprintf(out, "    \"preempt_klt_switch\": %" PRIu64 ",\n",
-               s.preempt_klt_switch);
-  std::fprintf(out, "    \"preemptions\": %" PRIu64 ",\n", s.preemptions);
-  std::fprintf(out, "    \"ticks_sent\": %" PRIu64 ",\n", s.ticks_sent);
-  std::fprintf(out, "    \"handler_entries\": %" PRIu64 ",\n",
-               s.handler_entries);
-  std::fprintf(out, "    \"handler_deferred\": %" PRIu64 ",\n",
-               s.handler_deferred);
-  std::fprintf(out, "    \"klt_degraded_ticks\": %" PRIu64 ",\n",
-               s.klt_degraded_ticks);
-  std::fprintf(out, "    \"ult_faults\": %" PRIu64 ",\n", s.ult_faults);
-  std::fprintf(out, "    \"stack_overflows\": %" PRIu64 ",\n",
-               s.stack_overflows);
-  std::fprintf(out, "    \"escaped_exceptions\": %" PRIu64 ",\n",
-               s.escaped_exceptions);
-  std::fprintf(out, "    \"ult_cancels\": %" PRIu64 ",\n", s.ult_cancels);
-  std::fprintf(out, "    \"syscall_blocks\": %" PRIu64 ",\n",
-               s.syscall_blocks);
-  std::fprintf(out, "    \"tick_effectiveness\": %.6f,\n",
-               s.tick_effectiveness());
-  std::fprintf(out, "    \"switch_rate\": %.6f,\n", s.switch_rate());
-  std::fprintf(out, "    \"run_queue_depth\": %" PRId64 "\n",
-               s.run_queue_depth);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"ults\": {\"spawned\": %" PRIu64
-                    ", \"live\": %" PRId64 "},\n",
-               s.ults_spawned, s.ults_live);
-  std::fprintf(out,
-               "  \"klts\": {\"created\": %" PRIu64 ", \"on_demand\": %" PRIu64
-               ", \"create_failures\": %" PRIu64 ", \"pool_idle\": %" PRId64
-               "},\n",
-               s.klts_created, s.klts_on_demand, s.klt_create_failures,
-               s.klt_pool_idle);
-  std::fprintf(out,
-               "  \"stacks\": {\"cached\": %" PRIu64 ", \"shed\": %" PRIu64
-               ", \"spawn_failures\": %" PRIu64 ", \"quarantined\": %" PRIu64
-               ", \"near_overflows\": %" PRIu64 ", \"watermark_max\": %" PRIu64
-               ", \"stack_size\": %" PRIu64 "},\n",
-               s.stacks_cached, s.stacks_shed, s.spawn_stack_failures,
-               s.stacks_quarantined, s.stack_near_overflows,
-               s.stack_watermark_max, s.stack_size_bytes);
-  std::fprintf(out, "  \"faults\": {\"klts_retired\": %" PRIu64 "},\n",
-               s.klts_retired);
-  std::fprintf(out,
-               "  \"degradation\": {\"posix_timer_fallbacks\": %" PRIu64
-               ", \"faults_injected\": %" PRIu64 "},\n",
-               s.posix_timer_fallbacks, s.faults_injected);
-  std::fprintf(out,
-               "  \"watchdog\": {\"checks\": %" PRIu64
-               ", \"runnable_starvation\": %" PRIu64
-               ", \"worker_stall\": %" PRIu64 ", \"quantum_overrun\": %" PRIu64
-               ", \"fault_storm\": %" PRIu64
-               ", \"syscall_blocked\": %" PRIu64
-               ", \"deadlock\": %" PRIu64
-               ", \"abandoned_lock\": %" PRIu64 "},\n",
-               s.watchdog_checks, s.watchdog_runnable_starvation,
-               s.watchdog_worker_stall, s.watchdog_quantum_overrun,
-               s.watchdog_fault_storm, s.watchdog_syscall_blocked,
-               s.watchdog_deadlock, s.watchdog_abandoned_lock);
-  std::fprintf(out,
-               "  \"remediations\": {\"retick\": %" PRIu64
-               ", \"cancel\": %" PRIu64 ", \"klt_replace\": %" PRIu64
-               ", \"deadlock_break\": %" PRIu64 "},\n",
-               s.remediations_retick, s.remediations_cancel,
-               s.remediations_klt_replace, s.remediations_deadlock_break);
-  std::fprintf(out,
-               "  \"deadlock\": {\"cycles\": %" PRIu64
-               ", \"self_deadlocks\": %" PRIu64
-               ", \"abandoned_locks\": %" PRIu64
-               ", \"abandoned_released\": %" PRIu64
-               ", \"parked_waiters\": %" PRId64 "},\n",
-               s.deadlock_cycles, s.self_deadlocks, s.abandoned_locks,
-               s.abandoned_released, s.parked_waiters);
-  std::fprintf(out,
-               "  \"syscall\": {\"blocks\": %" PRIu64
-               ", \"comp_activated\": %" PRIu64
-               ", \"comp_reabsorbed\": %" PRIu64
-               ", \"comp_saturated\": %" PRIu64 "},\n",
-               s.syscall_blocks, s.syscall_comp_activated,
-               s.syscall_comp_reabsorbed, s.syscall_comp_saturated);
-  std::fprintf(out,
-               "  \"trace\": {\"enabled\": %s, \"events\": %" PRIu64
-               ", \"dropped\": %" PRIu64 "},\n",
-               s.trace_enabled ? "true" : "false", s.trace_events,
-               s.trace_dropped);
+  for (const Metric& m : rows) {
+    if (m.key == nullptr || m.group != nullptr) continue;
+    json_pair(out, "  ", m.key, m.total(s));
+    std::fprintf(out, ",\n");
+  }
+  // One object per group, at the group's first row.
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const char* group = rows[i].group;
+    if (group == nullptr ||
+        std::any_of(rows.begin(), rows.begin() + i,
+                    [&](const Metric& m) { return same(m.group, group); }))
+      continue;
+    std::fprintf(out, "  \"%s\": {", group);
+    const char* sep = "";
+    for (std::size_t k = i; k < rows.size(); ++k) {
+      if (!same(rows[k].group, group)) continue;
+      json_pair(out, sep, rows[k].key, rows[k].total(s));
+      sep = ", ";
+    }
+    std::fprintf(out, "},\n");
+  }
   auto json_pool_hists = [&](const char* key,
                              const std::vector<trace::HistSnapshot>& pools) {
     std::fprintf(out, "  \"%s\": [", key);
@@ -515,54 +533,39 @@ void write_json(std::FILE* out, const Snapshot& s) {
   };
   json_pool_hists("sched_delay_ns", s.pool_sched_delay_ns);
   json_pool_hists("spawn_latency_ns", s.pool_spawn_latency_ns);
-  std::fprintf(out,
-               "  \"prof\": {\"enabled\": %s, \"sample_invocations\": %" PRIu64
-               ", \"samples_recorded\": %" PRIu64
-               ", \"samples_dropped\": %" PRIu64
-               ", \"offcpu_waits\": %" PRIu64 ", \"offcpu_ns\": %" PRIu64
-               ", \"lock_acquires\": %" PRIu64
-               ", \"lock_contended\": %" PRIu64
-               ", \"contention_chains\": %" PRIu64 "},\n",
-               s.prof_enabled ? "true" : "false", s.prof_sample_invocations,
-               s.prof_samples_recorded, s.prof_samples_dropped,
-               s.prof_offcpu_waits, s.prof_offcpu_ns, s.prof_lock_acquires,
-               s.prof_lock_contended, s.prof_contention_chains);
   std::fprintf(out, "  \"workers\": [\n");
   for (std::size_t i = 0; i < s.workers.size(); ++i) {
     const WorkerSample& w = s.workers[i];
-    std::fprintf(
-        out,
-        "    {\"rank\": %d, \"state\": \"%s\", \"parked\": %s, "
-        "\"queue_depth\": %" PRId64 ", \"dispatches\": %" PRIu64
-        ", \"yields\": %" PRIu64 ", \"blocks\": %" PRIu64
-        ", \"exits\": %" PRIu64 ", \"steals\": %" PRIu64
-        ", \"preempt_signal_yield\": %" PRIu64
-        ", \"preempt_klt_switch\": %" PRIu64 ", \"ticks_sent\": %" PRIu64
-        ", \"handler_entries\": %" PRIu64 ", \"handler_deferred\": %" PRIu64
-        ", \"klt_degraded_ticks\": %" PRIu64
-        ", \"posix_timer_fallback\": %s, \"time_in_state_ns\": "
-        "{\"scheduling\": %" PRIu64 ", \"running\": %" PRIu64
-        ", \"idle\": %" PRIu64 ", \"parked\": %" PRIu64 "}}%s\n",
-        w.rank, worker_state_name(static_cast<WorkerState>(w.state)),
-        w.parked ? "true" : "false", w.queue_depth, w.dispatches, w.yields,
-        w.blocks, w.exits, w.steals, w.preempt_signal_yield,
-        w.preempt_klt_switch, w.ticks_sent, w.handler_entries,
-        w.handler_deferred, w.klt_degraded_ticks,
-        w.posix_timer_fallback ? "true" : "false", w.time_in_state_ns[0],
-        w.time_in_state_ns[1], w.time_in_state_ns[2], w.time_in_state_ns[3],
-        i + 1 < s.workers.size() ? "," : "");
+    std::fprintf(out, "    {\"rank\": %d, \"state\": \"%s\"", w.rank,
+                 worker_state_name(static_cast<WorkerState>(w.state)));
+    for (const Metric& m : rows)
+      if (m.worker_key != nullptr)
+        json_pair(out, ", ", m.worker_key, m.worker(w));
+    std::fprintf(out,
+                 ", \"time_in_state_ns\": {\"scheduling\": %" PRIu64
+                 ", \"running\": %" PRIu64 ", \"idle\": %" PRIu64
+                 ", \"parked\": %" PRIu64 "}}%s\n",
+                 w.time_in_state_ns[0], w.time_in_state_ns[1],
+                 w.time_in_state_ns[2], w.time_in_state_ns[3],
+                 i + 1 < s.workers.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
 }
 
-PublishConfig resolve_publish_config(PublishConfig base) {
-  if (const char* f = std::getenv("LPT_METRICS_FILE"); f != nullptr)
-    base.file = f;
-  long long ms = base.period_ms;
-  env_count("LPT_METRICS_PERIOD_MS", kMaxPeriodMs, &ms);
-  base.period_ms = ms;
-  if (base.period_ms <= 0) base.period_ms = 1000;
-  return base;
+void write_degradation(std::FILE* out, const Snapshot& s) {
+  bool header = false;
+  for (int pos = 1;; ++pos) {
+    const Metric* m = std::find_if(
+        std::begin(kMetrics), std::end(kMetrics),
+        [pos](const Metric& r) { return r.summary_pos == pos; });
+    if (m == std::end(kMetrics)) return;
+    const Value v = m->total(s);
+    if (v.u == 0) continue;
+    if (!header) std::fprintf(out, "degradation:\n");
+    header = true;
+    std::fprintf(out, "  %-28s %llu\n", m->summary,
+                 static_cast<unsigned long long>(v.u));
+  }
 }
 
 Format format_for_path(const std::string& path) {

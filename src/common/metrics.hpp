@@ -28,6 +28,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -307,22 +308,66 @@ struct Snapshot {
 
 enum class Format : std::uint8_t { kPrometheus, kJson };
 
+/// One scalar read out of a Snapshot or WorkerSample, tagged with how the
+/// exporters print it.
+struct Value {
+  enum class Kind : std::uint8_t { kUnsigned, kSigned, kBool, kRatio };
+  Value(std::uint64_t v) : kind(Kind::kUnsigned), u(v) {}
+  Value(std::int64_t v) : kind(Kind::kSigned), i(v) {}
+  Value(int v) : kind(Kind::kSigned), i(v) {}
+  Value(bool v) : kind(Kind::kBool), u(v ? 1 : 0) {}
+  Value(double v) : kind(Kind::kRatio), d(v) {}
+  double number() const {
+    return kind == Kind::kSigned  ? static_cast<double>(i)
+           : kind == Kind::kRatio ? d
+                                  : static_cast<double>(u);
+  }
+
+  Kind kind;
+  std::uint64_t u = 0;  ///< kUnsigned; kBool as 0/1
+  std::int64_t i = 0;   ///< kSigned
+  double d = 0;         ///< kRatio
+};
+
+/// One exported metric: a row of the table that drives write_prometheus,
+/// write_json, write_degradation, WorkerMetrics::sample() and
+/// Snapshot::finalize(). A metric is added by adding its row
+/// (docs/observability.md, "Reading the metrics").
+struct Metric {
+  // -- Prometheus; rows in a run sharing `prom` form one labelled family --
+  const char* prom = nullptr;   ///< family name; null = not exported there
+  const char* type = nullptr;   ///< "counter" or "gauge"
+  const char* help = nullptr;   ///< HELP text
+  const char* label = nullptr;  ///< extra label, e.g. `kind="retick"`
+  int seconds = 0;  ///< > 0: an ns value shown as seconds, this many decimals
+  // -- JSON --
+  const char* group = nullptr;       ///< enclosing object; null = top level
+  const char* key = nullptr;         ///< key in it; null = not exported there
+  const char* worker_key = nullptr;  ///< key in each "workers" object
+  // -- degradation summary (Runtime::print_trace_summary) --
+  const char* summary = nullptr;  ///< label; null = not shown
+  int summary_pos = 0;            ///< 1-based line order
+  // -- how to read it --
+  Value (*total)(const Snapshot&) = nullptr;       ///< runtime-wide value
+  Value (*worker)(const WorkerSample&) = nullptr;  ///< per worker; null = global
+  void (*sum)(Snapshot&) = nullptr;  ///< finalize(): the total from `workers`
+  void (*take)(WorkerSample&, const WorkerMetrics&) = nullptr;  ///< sample()
+  /// Hand-written Prometheus families (histograms, time in state) written
+  /// at this row's place; such a row has nothing else.
+  void (*series)(std::FILE*, const Snapshot&) = nullptr;
+};
+
+/// Every exported metric, in Prometheus order.
+std::span<const Metric> metric_table();
+
 /// Prometheus text exposition format (one HELP/TYPE block per family,
 /// per-worker series labelled {worker="r"}).
 void write_prometheus(std::FILE* out, const Snapshot& s);
 /// One JSON object: {"uptime_ns":..., "totals":{...}, "workers":[...], ...}.
 void write_json(std::FILE* out, const Snapshot& s);
-
-/// Background-publisher configuration (RuntimeOptions::metrics_file /
-/// metrics_period_ms overridden by LPT_METRICS_FILE / LPT_METRICS_PERIOD_MS).
-/// The publisher is enabled iff `file` is non-empty.
-struct PublishConfig {
-  std::string file;
-  std::int64_t period_ms = 1000;
-};
-/// Largest accepted LPT_METRICS_PERIOD_MS (one day).
-inline constexpr long long kMaxPeriodMs = 86'400'000;
-PublishConfig resolve_publish_config(PublishConfig base);
+/// The degradation counters that are nonzero, under a "degradation:" header
+/// (nothing at all when none is): all zero on a healthy run.
+void write_degradation(std::FILE* out, const Snapshot& s);
 
 /// Paths ending in ".json" publish JSON; everything else Prometheus text.
 Format format_for_path(const std::string& path);

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdlib>
-
-#include "common/env.hpp"
 
 namespace lpt::trace {
 
@@ -509,26 +506,6 @@ void Collector::write_summary(std::FILE* out) const {
                    slow[i].ult, static_cast<int>(slow[i].worker),
                    static_cast<double>(slow[i].arg0) / 1000.0);
   }
-}
-
-TraceConfig resolve_config(TraceConfig base) {
-  const bool on = env_flag("LPT_TRACE", false);
-  base.enabled = env_flag("LPT_TRACE", base.enabled);
-  if (const char* file = std::getenv("LPT_TRACE_FILE"); file != nullptr && file[0] != '\0') {
-    base.file = file;
-    base.enabled = true;
-  }
-  long long cap = base.ring_capacity;
-  env_count("LPT_TRACE_RING_CAP", kMaxRingCapacity, &cap);
-  base.ring_capacity = static_cast<std::uint32_t>(cap);
-  if (const char* ev = std::getenv("LPT_TRACE_EVENTS_FILE");
-      ev != nullptr && ev[0] != '\0') {
-    base.events_file = ev;
-    base.enabled = true;
-  }
-  if (on && base.file.empty())
-    base.file = "lpt_trace.json";  // plain LPT_TRACE=1 still leaves a trace
-  return base;
 }
 
 }  // namespace lpt::trace

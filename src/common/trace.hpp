@@ -337,13 +337,4 @@ class Collector {
 extern std::atomic<bool> g_enabled;
 inline bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
-/// Resolve the effective config: `base` (RuntimeOptions) overridden by the
-/// LPT_TRACE / LPT_TRACE_FILE / LPT_TRACE_RING_CAP / LPT_TRACE_EVENTS_FILE
-/// environment variables. LPT_TRACE is read by env_flag (common/env.hpp), so
-/// "0", "off", "false" and "no" disable and an empty value counts as unset.
-/// LPT_TRACE set to an on value with no file configured defaults the file to
-/// "lpt_trace.json" so a plain `LPT_TRACE=1 ./bench` always leaves a trace;
-/// LPT_TRACE_EVENTS_FILE (raw JSONL event log) implies enabled.
-TraceConfig resolve_config(TraceConfig base);
-
 }  // namespace lpt::trace

@@ -122,6 +122,29 @@ RuntimeOptions resolve_env_options(RuntimeOptions o) {
     o.prof.sample_hz = 0;  // programmatic nonsense falls back to piggyback
   if (o.prof.enabled && o.prof.file.empty() && env_flag("LPT_PROF", false))
     o.prof.file = "lpt_profile.folded";  // plain LPT_PROF=1 leaves a profile
+
+  // ----- tracer (common/trace.hpp) -----
+  const bool trace_on = env_flag("LPT_TRACE", false);
+  o.trace.enabled = env_flag("LPT_TRACE", o.trace.enabled);
+  if (const char* v = std::getenv("LPT_TRACE_FILE"); v != nullptr && v[0] != '\0') {
+    o.trace.file = v;
+    o.trace.enabled = true;
+  }
+  long long trace_cap = o.trace.ring_capacity;
+  env_count("LPT_TRACE_RING_CAP", trace::kMaxRingCapacity, &trace_cap);
+  o.trace.ring_capacity = static_cast<std::uint32_t>(trace_cap);
+  if (const char* v = std::getenv("LPT_TRACE_EVENTS_FILE"); v != nullptr && v[0] != '\0') {
+    o.trace.events_file = v;
+    o.trace.enabled = true;
+  }
+  if (trace_on && o.trace.file.empty())
+    o.trace.file = "lpt_trace.json";  // plain LPT_TRACE=1 still leaves a trace
+
+  // ----- metrics publisher (runtime/watchdog.hpp) -----
+  if (const char* v = std::getenv("LPT_METRICS_FILE"); v != nullptr) o.metrics_file = v;
+  long long period_ms = o.metrics_period_ms;
+  env_count("LPT_METRICS_PERIOD_MS", kMaxMetricsPeriodMs, &period_ms);
+  o.metrics_period_ms = period_ms > 0 ? period_ms : 1000;
   return o;
 }
 

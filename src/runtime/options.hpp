@@ -246,7 +246,22 @@ struct RuntimeOptions {
 ///  * LPT_PROF_DEPTH=<frames> bounds the stack walk (clamped to
 ///    [1, prof::kMaxFrames]);
 ///  * LPT_PROF_RING_CAP=<samples> sizes the per-OS-thread sample rings.
+///
+/// Tracer knobs (`trace`): LPT_TRACE is read by env_flag (common/env.hpp),
+/// so "0", "off", "false" and "no" disable and an empty value counts as
+/// unset; LPT_TRACE_FILE (Chrome trace) and LPT_TRACE_EVENTS_FILE (raw JSONL
+/// event log) imply enabled; LPT_TRACE set to an on value with no file
+/// defaults the file to "lpt_trace.json", so a plain `LPT_TRACE=1 ./bench`
+/// always leaves a trace; LPT_TRACE_RING_CAP sizes the rings (at most
+/// trace::kMaxRingCapacity).
+///
+/// Metrics publisher: LPT_METRICS_FILE sets `metrics_file` (the publisher
+/// runs iff it is non-empty); LPT_METRICS_PERIOD_MS sets the period, at most
+/// kMaxMetricsPeriodMs; a period that is not positive becomes 1000.
 RuntimeOptions resolve_env_options(RuntimeOptions o);
+
+/// Largest accepted LPT_METRICS_PERIOD_MS (one day).
+inline constexpr long long kMaxMetricsPeriodMs = 86'400'000;
 
 /// Smallest stack resolve_env_options will accept (LPT_STACK_SIZE below this
 /// is raised to it): enough for the trampoline + a couple of frames.

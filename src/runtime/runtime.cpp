@@ -109,15 +109,14 @@ Runtime::Runtime(RuntimeOptions opts)
 
   // Arm the tracer before any runtime thread exists so every thread can
   // acquire its ring at startup (recording itself never allocates).
-  trace_cfg_ = trace::resolve_config(opts_.trace);
-  if (trace_cfg_.enabled) trace::Collector::instance().configure(trace_cfg_);
+  if (opts_.trace.enabled) trace::Collector::instance().configure(opts_.trace);
 
   // Arm the profiler the same way: configure() (re)allocates every collector
   // structure and re-arms the recording gates before any worker KLT exists,
   // so the hot paths never allocate. A disabled config disarms the gates,
   // making a fresh runtime immune to a previous runtime's profile state.
   prof::Collector::instance().configure(opts_.prof);
-  times_waits_ = trace_cfg_.enabled || prof::offcpu_on() || prof::locks_on();
+  times_waits_ = opts_.trace.enabled || prof::offcpu_on() || prof::locks_on();
 
   // Arm the parking registry before any worker exists so every park is
   // registered from the first dispatch; resets the detector's cycle memory.
@@ -194,9 +193,7 @@ Runtime::Runtime(RuntimeOptions opts)
       timer_ != nullptr && opts_.timer != TimerKind::PosixPerWorker;
   if (opts_.watchdog) watchdog_.start(*this, /*own_thread=*/!monitor_driven);
 
-  const metrics::PublishConfig pub = metrics::resolve_publish_config(
-      {opts_.metrics_file, opts_.metrics_period_ms});
-  if (!pub.file.empty()) publisher_.start(*this, pub);
+  if (!opts_.metrics_file.empty()) publisher_.start(*this);
 
   if (opts_.prof.enabled && opts_.prof.sample_hz > 0)
     prof_ticker_.start(*this, opts_.prof.sample_hz);
@@ -250,11 +247,11 @@ Runtime::~Runtime() {
 
   // All rings are quiescent now; flush the configured trace file and stop
   // recording (the collector keeps the data for late explicit exports).
-  if (trace_cfg_.enabled) {
-    if (!trace_cfg_.file.empty())
-      trace::Collector::instance().write_chrome_json(trace_cfg_.file);
-    if (!trace_cfg_.events_file.empty())
-      trace::Collector::instance().write_events_jsonl(trace_cfg_.events_file);
+  if (opts_.trace.enabled) {
+    if (!opts_.trace.file.empty())
+      trace::Collector::instance().write_chrome_json(opts_.trace.file);
+    if (!opts_.trace.events_file.empty())
+      trace::Collector::instance().write_events_jsonl(opts_.trace.events_file);
     trace::Collector::instance().disable();
   }
 
@@ -583,8 +580,8 @@ metrics::Snapshot Runtime::metrics_snapshot() const {
   s.syscall_comp_reabsorbed = n_syscall_comp_[1].value();
   s.syscall_comp_saturated = n_syscall_comp_[2].value();
 
-  s.trace_enabled = trace_cfg_.enabled;
-  if (trace_cfg_.enabled) {
+  s.trace_enabled = opts_.trace.enabled;
+  if (opts_.trace.enabled) {
     s.trace_events = trace::Collector::instance().total_events();
     s.trace_dropped = trace::Collector::instance().total_dropped();
     for (const auto& w : workers_) {
@@ -629,12 +626,12 @@ bool Runtime::write_profile(const std::string& path) const {
 }
 
 bool Runtime::write_chrome_trace(const std::string& path) const {
-  if (!trace_cfg_.enabled) return false;
+  if (!opts_.trace.enabled) return false;
   return trace::Collector::instance().write_chrome_json(path);
 }
 
 void Runtime::print_trace_summary(std::FILE* out) const {
-  if (!trace_cfg_.enabled) {
+  if (!opts_.trace.enabled) {
     std::fprintf(out, "trace summary: tracing disabled\n");
     return;
   }
@@ -666,39 +663,9 @@ void Runtime::print_trace_summary(std::FILE* out) const {
                  h.percentile_ns(99.9));
   }
 
-  // Degradation counters (docs/robustness.md): all zero on a healthy run;
-  // nonzero values mean the latencies above were taken on a degraded
-  // runtime. The header comes with the first nonzero line, so nothing is
-  // printed when nothing degraded.
-  bool header = false;
-  auto count_line = [&](const char* name, std::uint64_t v) {
-    if (v == 0) return;
-    if (!header) std::fprintf(out, "degradation:\n");
-    header = true;
-    std::fprintf(out, "  %-28s %llu\n", name,
-                 static_cast<unsigned long long>(v));
-  };
-  count_line("klt degraded ticks", s.klt_degraded_ticks);
-  count_line("klt create failures", s.klt_create_failures);
-  count_line("posix timer fallbacks", s.posix_timer_fallbacks);
-  count_line("spawn stack failures", s.spawn_stack_failures);
-  count_line("stacks shed", s.stacks_shed);
-  count_line("faults injected", s.faults_injected);
-  count_line("ult faults contained", s.ult_faults);
-  count_line("stack overflows", s.stack_overflows);
-  count_line("escaped exceptions", s.escaped_exceptions);
-  count_line("klts retired", s.klts_retired);
-  count_line("stacks quarantined", s.stacks_quarantined);
-  count_line("ult cancels", s.ult_cancels);
-  count_line("remediations: retick", s.remediations_retick);
-  count_line("remediations: cancel", s.remediations_cancel);
-  count_line("remediations: klt replace", s.remediations_klt_replace);
-  count_line("remediations: deadlock break", s.remediations_deadlock_break);
-  count_line("deadlock cycles", s.deadlock_cycles);
-  count_line("abandoned locks", s.abandoned_locks);
-  count_line("syscall comp: activated", s.syscall_comp_activated);
-  count_line("syscall comp: reabsorbed", s.syscall_comp_reabsorbed);
-  count_line("syscall comp: saturated", s.syscall_comp_saturated);
+  // Degradation counters (docs/robustness.md): nonzero values mean the
+  // latencies above were taken on a degraded runtime.
+  metrics::write_degradation(out, s);
 }
 
 void Runtime::enable_posix_timer_fallback() {
@@ -1416,17 +1383,19 @@ inline std::uintptr_t stack_pointer() {
 
 /// Inline join's eligibility (DESIGN.md, "Inline join"), checked before the
 /// take: t shares the joiner's preemption technique, has no deadline and no
-/// cancel request, faults are not isolated, and at least half of the
-/// joiner's stack, and of t's own, is free below `sp`. All but the cancel
-/// flag are fixed at spawn. t may be running elsewhere while they are read;
-/// the take then refuses it (it was dispatched), so the answer goes unused.
+/// cancel request, faults are not isolated, the joiner holds no tracked lock
+/// (an inlined child's waits count as its joiner's, so a child waiting on a
+/// lock its joiner holds would make the joiner the deadlock victim), and at
+/// least half of the joiner's stack, and of t's own, is free below `sp`. All but the cancel flag are fixed at spawn. t may be running
+/// elsewhere while they are read; the take then refuses it (it was
+/// dispatched), so the answer goes unused.
 bool inline_eligible(const ThreadCtl* self, const ThreadCtl* t,
                      std::uintptr_t sp) {
   const auto base = reinterpret_cast<std::uintptr_t>(self->stack.base());
   const std::uintptr_t free = sp > base ? sp - base : 0;
   return t->preempt == self->preempt && t->deadline_ns == 0 &&
          !t->cancel_requested.load(std::memory_order_acquire) &&
-         !self->rt->options().isolate_faults &&
+         !self->rt->options().isolate_faults && self->parking.n_held == 0 &&
          free >= self->stack.size() / 2 && free >= t->stack.size() / 2;
 }
 

@@ -108,9 +108,9 @@ class Runtime {
 
   /// True when this runtime was constructed with tracing armed (options or
   /// LPT_TRACE environment).
-  bool trace_enabled() const { return trace_cfg_.enabled; }
+  bool trace_enabled() const { return opts_.trace.enabled; }
   /// Effective export path after env overrides ("" = no file at shutdown).
-  const std::string& trace_file() const { return trace_cfg_.file; }
+  const std::string& trace_file() const { return opts_.trace.file; }
   /// Export everything recorded so far as Chrome trace_event JSON (loadable
   /// in Perfetto / chrome://tracing). Callable any time; for a coherent
   /// picture, quiesce the workers first. False when disabled or empty.
@@ -342,8 +342,7 @@ class Runtime {
   /// Fold a new wake/deadline instant into next_due_ (CAS-min).
   void lower_next_due(std::int64_t when);
 
-  RuntimeOptions opts_;
-  trace::TraceConfig trace_cfg_;  ///< options.trace resolved against env
+  RuntimeOptions opts_;  ///< resolved against the environment
   /// Parked waits are timed: the tracer, the off-CPU collector or the lock
   /// profiler is armed. Fixed at construction, before any worker exists.
   bool times_waits_ = false;

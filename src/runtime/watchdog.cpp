@@ -444,10 +444,9 @@ void Watchdog::thread_loop() {
 // MetricsPublisher
 // ---------------------------------------------------------------------------
 
-void MetricsPublisher::start(Runtime& rt, metrics::PublishConfig cfg) {
+void MetricsPublisher::start(Runtime& rt) {
   rt_ = &rt;
-  cfg_ = std::move(cfg);
-  format_ = metrics::format_for_path(cfg_.file);
+  format_ = metrics::format_for_path(rt.options().metrics_file);
   stop_.store(false, std::memory_order_release);
   thread_ = std::thread([this] { thread_loop(); });
 }
@@ -465,12 +464,13 @@ void MetricsPublisher::stop() {
 void MetricsPublisher::publish_once() {
   // Atomic replacement: scrapers (and the check.sh smoke) must never read a
   // torn file, so write a sibling tmp file and rename over the target.
-  const std::string tmp = cfg_.file + ".tmp";
+  const std::string& file = rt_->options().metrics_file;
+  const std::string tmp = file + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (f == nullptr) return;
   rt_->write_metrics(f, format_);
   std::fclose(f);
-  std::rename(tmp.c_str(), cfg_.file.c_str());
+  std::rename(tmp.c_str(), file.c_str());
 
   // Continuous profiling: when the profiler is armed with an output file,
   // refresh it on the same cadence (write_profile is atomic the same way),
@@ -481,7 +481,7 @@ void MetricsPublisher::publish_once() {
 
 void MetricsPublisher::thread_loop() {
   signals::block_runtime_signals();
-  const std::int64_t period_ns = cfg_.period_ms * 1'000'000;
+  const std::int64_t period_ns = rt_->options().metrics_period_ms * 1'000'000;
   publish_once();  // a scrape target exists as soon as the runtime does
   for (;;) {
     gate_.wait_for(period_ns);

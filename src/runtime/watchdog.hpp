@@ -231,7 +231,8 @@ class MetricsPublisher {
  public:
   ~MetricsPublisher() { stop(); }
 
-  void start(Runtime& rt, metrics::PublishConfig cfg);
+  /// Publish options().metrics_file every options().metrics_period_ms.
+  void start(Runtime& rt);
   void stop();
   bool running() const { return thread_.joinable(); }
 
@@ -240,7 +241,6 @@ class MetricsPublisher {
   void thread_loop();
 
   Runtime* rt_ = nullptr;
-  metrics::PublishConfig cfg_;
   metrics::Format format_ = metrics::Format::kPrometheus;
   std::atomic<bool> stop_{false};
   FutexGate gate_;

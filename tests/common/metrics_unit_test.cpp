@@ -3,22 +3,26 @@
 // the ThreadSanitizer stage of scripts/check.sh — the same policy as
 // test_trace_unit.
 #include <gtest/gtest.h>
-#include <stdlib.h>
 
 #include <cstdio>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/metrics.hpp"
+#include "support/prof_parser.hpp"
 #include "support/prom_parser.hpp"
 
 namespace lpt {
 namespace {
 
-std::string render_prom(const metrics::Snapshot& s) {
+/// What `write` prints for `s`.
+std::string render(void (*write)(std::FILE*, const metrics::Snapshot&),
+                   const metrics::Snapshot& s) {
   std::FILE* f = std::tmpfile();
-  metrics::write_prometheus(f, s);
+  write(f, s);
   std::fflush(f);
   std::fseek(f, 0, SEEK_SET);
   std::string out;
@@ -29,17 +33,12 @@ std::string render_prom(const metrics::Snapshot& s) {
   return out;
 }
 
+std::string render_prom(const metrics::Snapshot& s) {
+  return render(metrics::write_prometheus, s);
+}
+
 std::string render_json(const metrics::Snapshot& s) {
-  std::FILE* f = std::tmpfile();
-  metrics::write_json(f, s);
-  std::fflush(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::string out;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
+  return render(metrics::write_json, s);
 }
 
 /// A synthetic two-worker snapshot with every field distinct, so a writer
@@ -220,49 +219,189 @@ TEST(MetricsExposition, JsonIsBalancedAndCarriesTotals) {
   EXPECT_NE(text.find("\"tick_effectiveness\""), std::string::npos);
 }
 
-TEST(MetricsConfig, EnvOverridesPublishConfig) {
-  unsetenv("LPT_METRICS_FILE");
-  unsetenv("LPT_METRICS_PERIOD_MS");
-  metrics::PublishConfig base;
-  base.file = "from_options.prom";
-  base.period_ms = 250;
-  metrics::PublishConfig r = metrics::resolve_publish_config(base);
-  EXPECT_EQ(r.file, "from_options.prom");
-  EXPECT_EQ(r.period_ms, 250);
-
-  setenv("LPT_METRICS_FILE", "/tmp/env.json", 1);
-  setenv("LPT_METRICS_PERIOD_MS", "75", 1);
-  r = metrics::resolve_publish_config(base);
-  EXPECT_EQ(r.file, "/tmp/env.json");
-  EXPECT_EQ(r.period_ms, 75);
-
-  // Garbage or non-positive periods fall back to a sane default.
-  setenv("LPT_METRICS_PERIOD_MS", "banana", 1);
-  r = metrics::resolve_publish_config(base);
-  EXPECT_EQ(r.period_ms, 250);
-  setenv("LPT_METRICS_PERIOD_MS", "-5", 1);
-  base.period_ms = 0;
-  r = metrics::resolve_publish_config(base);
-  EXPECT_EQ(r.period_ms, 1000);
-
-  unsetenv("LPT_METRICS_FILE");
-  unsetenv("LPT_METRICS_PERIOD_MS");
+/// Three workers and every field of Snapshot and WorkerSample set to a value
+/// no other field has (signed fields negative, both flags of each kind).
+metrics::Snapshot distinct_snapshot() {
+  metrics::Snapshot s;
+  std::uint64_t n = 1000;
+  auto next = [&n] { return n += 7; };
+  auto neg = [&next] { return -static_cast<std::int64_t>(next()); };
+  s.taken_ns = static_cast<std::int64_t>(next());
+  s.uptime_ns = 2'345'678'901;
+  s.num_workers = 3;
+  s.active_workers = 2;
+  for (int r = 0; r < 3; ++r) {
+    metrics::WorkerSample w;
+    w.rank = r;
+    w.dispatches = next();
+    w.yields = next();
+    w.blocks = next();
+    w.exits = next();
+    w.steals = next();
+    w.preempt_signal_yield = next();
+    w.preempt_klt_switch = next();
+    w.ticks_sent = next();
+    w.handler_entries = next();
+    w.handler_deferred = next();
+    w.klt_degraded_ticks = next();
+    w.ult_faults = next();
+    w.stack_overflows = next();
+    w.escaped_exceptions = next();
+    w.ult_cancels = next();
+    w.syscall_blocks = next();
+    w.queue_depth = neg();
+    for (std::uint64_t& t : w.time_in_state_ns) t = next() * 1'000'003;
+    w.state = static_cast<std::uint8_t>(r);
+    w.parked = r == 1;
+    w.posix_timer_fallback = r != 1;
+    s.workers.push_back(w);
+  }
+  s.finalize();
+  s.ults_spawned = next();
+  s.ults_live = neg();
+  s.klts_created = next();
+  s.klts_on_demand = next();
+  s.klt_create_failures = next();
+  s.klt_pool_idle = neg();
+  s.stacks_cached = next();
+  s.stacks_shed = next();
+  s.spawn_stack_failures = next();
+  s.posix_timer_fallbacks = next();
+  s.faults_injected = next();
+  s.klts_retired = next();
+  s.stacks_quarantined = next();
+  s.stack_near_overflows = next();
+  s.stack_watermark_max = next();
+  s.stack_size_bytes = next();
+  s.watchdog_checks = next();
+  s.watchdog_runnable_starvation = next();
+  s.watchdog_worker_stall = next();
+  s.watchdog_quantum_overrun = next();
+  s.watchdog_fault_storm = next();
+  s.watchdog_syscall_blocked = next();
+  s.watchdog_deadlock = next();
+  s.watchdog_abandoned_lock = next();
+  s.remediations_retick = next();
+  s.remediations_cancel = next();
+  s.remediations_klt_replace = next();
+  s.remediations_deadlock_break = next();
+  s.deadlock_cycles = next();
+  s.self_deadlocks = next();
+  s.abandoned_locks = next();
+  s.abandoned_released = next();
+  s.parked_waiters = neg();
+  s.syscall_comp_activated = next();
+  s.syscall_comp_reabsorbed = next();
+  s.syscall_comp_saturated = next();
+  s.trace_enabled = true;
+  s.trace_events = next();
+  s.trace_dropped = next();
+  s.prof_enabled = false;
+  s.prof_sample_invocations = next();
+  s.prof_samples_recorded = next();
+  s.prof_samples_dropped = next();
+  s.prof_offcpu_waits = next();
+  s.prof_offcpu_ns = next() * 12'345;
+  s.prof_lock_acquires = next();
+  s.prof_lock_contended = next();
+  s.prof_contention_chains = next();
+  return s;
 }
 
-TEST(MetricsConfig, PeriodRejectsJunkAndOutOfRange) {
-  metrics::PublishConfig base;
-  base.period_ms = 250;
-  for (const char* bad :
-       {"75junk", "99999999999999999999", "86400001", "0", "-5"}) {
-    setenv("LPT_METRICS_PERIOD_MS", bad, 1);
-    testing::internal::CaptureStderr();
-    EXPECT_EQ(metrics::resolve_publish_config(base).period_ms, 250) << bad;
-    EXPECT_NE(testing::internal::GetCapturedStderr().find(
-                  "lpt: ignoring malformed LPT_METRICS_PERIOD_MS"),
-              std::string::npos)
-        << bad;
+/// `kind="retick"` -> {kind: retick}, plus the worker label when rank >= 0.
+std::map<std::string, std::string> prom_labels(const metrics::Metric& m,
+                                               int rank) {
+  std::map<std::string, std::string> labels;
+  if (rank >= 0) labels["worker"] = std::to_string(rank);
+  if (m.label != nullptr) {
+    const std::string l = m.label;
+    const std::size_t eq = l.find('=');
+    labels[l.substr(0, eq)] = l.substr(eq + 2, l.size() - eq - 3);
   }
-  unsetenv("LPT_METRICS_PERIOD_MS");
+  return labels;
+}
+
+void expect_json(const proftest::Json* j, const metrics::Value& v) {
+  ASSERT_NE(j, nullptr);
+  if (v.kind == metrics::Value::Kind::kBool) {
+    ASSERT_EQ(j->kind, proftest::Json::kBool);
+    EXPECT_EQ(j->boolean, v.u != 0);
+  } else {
+    ASSERT_EQ(j->kind, proftest::Json::kNumber);
+    EXPECT_NEAR(j->number, v.number(), 1e-6);
+  }
+}
+
+TEST(MetricsExposition, EveryRowShowsItsValueInEveryFormat) {
+  const metrics::Snapshot s = distinct_snapshot();
+  const promtest::Parsed prom = promtest::parse(render_prom(s));
+  for (const std::string& e : prom.errors) ADD_FAILURE() << e;
+  std::vector<std::string> json_errors;
+  const std::string json_text = render_json(s);
+  proftest::detail::JsonParser jp{json_text, 0, json_errors};
+  const proftest::Json json = jp.parse_value();
+  for (const std::string& e : json_errors) ADD_FAILURE() << e;
+  const proftest::Json* workers = json.get("workers");
+  ASSERT_NE(workers, nullptr);
+  ASSERT_EQ(workers->array.size(), s.workers.size());
+  std::map<std::string, std::uint64_t> summary;
+  const std::string summary_text = render(metrics::write_degradation, s);
+  for (std::size_t at = summary_text.find('\n') + 1; at < summary_text.size();) {
+    const std::size_t eol = summary_text.find('\n', at);
+    const std::string line = summary_text.substr(at, eol - at);
+    const std::size_t sp = line.find_last_of(' ');
+    const std::size_t end = line.find_last_not_of(' ', sp);
+    summary[line.substr(2, end - 1)] = std::stoull(line.substr(sp + 1));
+    at = eol + 1;
+  }
+
+  // Every Prometheus sample a row accounts for; the rest must be the
+  // hand-written families.
+  std::set<const promtest::Sample*> shown;
+  auto expect_prom = [&](const metrics::Metric& m, int rank,
+                         const metrics::Value& v) {
+    const promtest::Sample* p = prom.find(m.prom, prom_labels(m, rank));
+    ASSERT_NE(p, nullptr) << "rank " << rank;
+    shown.insert(p);
+    if (m.seconds > 0)
+      EXPECT_NEAR(p->value, v.number() / 1e9, 1.0 / 1e3);
+    else
+      EXPECT_EQ(p->value, v.number());
+  };
+  std::size_t summarized = 0;
+  for (const metrics::Metric& m : metrics::metric_table()) {
+    if (m.series != nullptr) continue;
+    SCOPED_TRACE(m.prom ? m.prom : m.key ? m.key : m.worker_key);
+    if (m.worker != nullptr) {
+      for (std::size_t i = 0; i < s.workers.size(); ++i) {
+        const metrics::Value v = m.worker(s.workers[i]);
+        if (m.prom != nullptr) expect_prom(m, s.workers[i].rank, v);
+        if (m.worker_key != nullptr)
+          expect_json(workers->array[i].get(m.worker_key), v);
+      }
+    }
+    if (m.total == nullptr) continue;
+    const metrics::Value v = m.total(s);
+    if (m.prom != nullptr && m.worker == nullptr) expect_prom(m, -1, v);
+    if (m.key != nullptr) {
+      const proftest::Json* in = m.group ? json.get(m.group) : &json;
+      ASSERT_NE(in, nullptr) << m.group;
+      expect_json(in->get(m.key), v);
+    }
+    if (m.summary != nullptr) {
+      ++summarized;
+      EXPECT_EQ(summary[m.summary], v.u);
+    }
+  }
+  EXPECT_EQ(summary.size(), summarized);
+  for (const promtest::Sample& p : prom.samples) {
+    if (shown.count(&p) != 0) continue;
+    EXPECT_TRUE(p.name.rfind("lpt_worker_time_in_state_seconds_total", 0) ==
+                    0 ||
+                p.name.rfind("lpt_sched_delay_ns_", 0) == 0 ||
+                p.name.rfind("lpt_spawn_latency_ns_", 0) == 0)
+        << p.name << " has no table row";
+  }
 }
 
 TEST(MetricsConfig, FormatFollowsPathSuffix) {

@@ -1,11 +1,10 @@
 // Unit tests for the signal-safe tracer's data structures: ring overflow
-// accounting, log2 histogram bucket math, env-var config resolution, and the
-// Chrome-trace exporter (write + minimal structural parse-back). These tests
-// never context-switch, so they also run under TSan (scripts/check.sh).
+// accounting, log2 histogram bucket math, and the Chrome-trace exporter
+// (write + minimal structural parse-back). These tests never context-switch,
+// so they also run under TSan (scripts/check.sh).
 #include "common/trace.hpp"
 
 #include <gtest/gtest.h>
-#include <stdlib.h>
 
 #include <cstdio>
 #include <fstream>
@@ -375,98 +374,6 @@ TEST_F(TraceCollectorTest, UncommittedSlotsAreSkippedByExport) {
     ++n;
   EXPECT_EQ(n, 1u);
   EXPECT_EQ(json.find("\"none\""), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Env-var config resolution
-// ---------------------------------------------------------------------------
-
-class TraceEnvTest : public ::testing::Test {
- protected:
-  void SetUp() override { clear(); }
-  void TearDown() override { clear(); }
-  static void clear() {
-    unsetenv("LPT_TRACE");
-    unsetenv("LPT_TRACE_FILE");
-    unsetenv("LPT_TRACE_RING_CAP");
-    unsetenv("LPT_TRACE_EVENTS_FILE");
-  }
-};
-
-TEST_F(TraceEnvTest, NoEnvPassesBaseThrough) {
-  TraceConfig base;
-  base.enabled = true;
-  base.file = "x.json";
-  base.ring_capacity = 42;
-  const TraceConfig r = resolve_config(base);
-  EXPECT_TRUE(r.enabled);
-  EXPECT_EQ(r.file, "x.json");
-  EXPECT_EQ(r.ring_capacity, 42u);
-}
-
-TEST_F(TraceEnvTest, Lpt_TraceEnablesAndDefaultsFile) {
-  setenv("LPT_TRACE", "1", 1);
-  const TraceConfig r = resolve_config({});
-  EXPECT_TRUE(r.enabled);
-  EXPECT_EQ(r.file, "lpt_trace.json");
-}
-
-TEST_F(TraceEnvTest, Lpt_TraceZeroOverridesProgrammaticEnable) {
-  setenv("LPT_TRACE", "0", 1);
-  TraceConfig base;
-  base.enabled = true;
-  EXPECT_FALSE(resolve_config(base).enabled);
-}
-
-TEST_F(TraceEnvTest, Lpt_TraceOffWordsDisableAndEmptyIsUnset) {
-  TraceConfig base;
-  base.enabled = true;
-  for (const char* off : {"0", "off", "false", "no"}) {
-    setenv("LPT_TRACE", off, 1);
-    const TraceConfig r = resolve_config(base);
-    EXPECT_FALSE(r.enabled) << off;
-    EXPECT_EQ(r.file, "") << off;
-  }
-  // Empty means unset: the programmatic setting stands and, as LPT_TRACE is
-  // not an on value, no default file is chosen.
-  setenv("LPT_TRACE", "", 1);
-  const TraceConfig r = resolve_config(base);
-  EXPECT_TRUE(r.enabled);
-  EXPECT_EQ(r.file, "");
-}
-
-TEST_F(TraceEnvTest, Lpt_TraceFileImpliesEnabled) {
-  setenv("LPT_TRACE_FILE", "/tmp/t.json", 1);
-  const TraceConfig r = resolve_config({});
-  EXPECT_TRUE(r.enabled);
-  EXPECT_EQ(r.file, "/tmp/t.json");
-}
-
-TEST_F(TraceEnvTest, Lpt_TraceEventsFileImpliesEnabled) {
-  setenv("LPT_TRACE_EVENTS_FILE", "/tmp/ev.jsonl", 1);
-  const TraceConfig r = resolve_config({});
-  EXPECT_TRUE(r.enabled);
-  EXPECT_EQ(r.events_file, "/tmp/ev.jsonl");
-}
-
-TEST_F(TraceEnvTest, RingCapOverride) {
-  setenv("LPT_TRACE", "1", 1);
-  setenv("LPT_TRACE_RING_CAP", "512", 1);
-  EXPECT_EQ(resolve_config({}).ring_capacity, 512u);
-}
-
-TEST_F(TraceEnvTest, RingCapRejectsJunkAndOutOfRange) {
-  TraceConfig base;
-  base.ring_capacity = 1024;
-  for (const char* bad : {"4096junk", "4294967296", "0", "-8", "banana"}) {
-    setenv("LPT_TRACE_RING_CAP", bad, 1);
-    testing::internal::CaptureStderr();
-    EXPECT_EQ(resolve_config(base).ring_capacity, 1024u) << bad;
-    EXPECT_NE(testing::internal::GetCapturedStderr().find(
-                  "lpt: ignoring malformed LPT_TRACE_RING_CAP"),
-              std::string::npos)
-        << bad;
-  }
 }
 
 }  // namespace

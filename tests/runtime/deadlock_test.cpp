@@ -532,38 +532,5 @@ TEST(DeadlockCapacity, CycleFoundBehindThousandsOfParkedWaiters) {
   EXPECT_EQ(rt.metrics_snapshot().parked_waiters, 0);
 }
 
-// ---------------------------------------------------------------------------
-// Env knobs: LPT_DEADLOCK / LPT_ABANDON_RELEASE / LPT_DEADLOCK_PERIODS are
-// validated reject-and-warn like every other option (malformed values are
-// reported to stderr and ignored, never aborting startup).
-// ---------------------------------------------------------------------------
-
-TEST(DeadlockOptions, EnvKnobsValidatedRejectAndWarn) {
-  ::setenv("LPT_DEADLOCK", "0", 1);
-  ::setenv("LPT_ABANDON_RELEASE", "1", 1);
-  ::setenv("LPT_DEADLOCK_PERIODS", "5", 1);
-  RuntimeOptions o = resolve_env_options(RuntimeOptions{});
-  EXPECT_FALSE(o.deadlock_detection);
-  EXPECT_TRUE(o.abandon_release);
-  EXPECT_EQ(o.deadlock_periods, 5);
-
-  ::setenv("LPT_DEADLOCK", "on", 1);
-  ::setenv("LPT_ABANDON_RELEASE", "off", 1);
-  o = resolve_env_options(RuntimeOptions{});
-  EXPECT_TRUE(o.deadlock_detection);
-  EXPECT_FALSE(o.abandon_release);
-
-  // Malformed cadence values: warned about and ignored, default kept.
-  for (const char* bad : {"banana", "0", "-3", "5x"}) {
-    ::setenv("LPT_DEADLOCK_PERIODS", bad, 1);
-    o = resolve_env_options(RuntimeOptions{});
-    EXPECT_EQ(o.deadlock_periods, 1) << "LPT_DEADLOCK_PERIODS='" << bad << "'";
-  }
-
-  ::unsetenv("LPT_DEADLOCK");
-  ::unsetenv("LPT_ABANDON_RELEASE");
-  ::unsetenv("LPT_DEADLOCK_PERIODS");
-}
-
 }  // namespace
 }  // namespace lpt

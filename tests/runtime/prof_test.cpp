@@ -4,7 +4,7 @@
 // handler_entries in piggyback mode), off-CPU wait attribution, the
 // lock-contention profiler with chain detection, the folded/JSON exports
 // (round-tripped through tests/support/prof_parser.hpp), shutdown export +
-// publisher refresh, env-knob resolution, and the off-by-default guarantee.
+// publisher refresh, and the off-by-default guarantee.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -460,70 +460,6 @@ TEST(Prof, FreshRuntimeResetsCollector) {
   EXPECT_EQ(s.prof_sample_invocations, 0u);
   EXPECT_EQ(s.prof_offcpu_waits, 0u);
   EXPECT_EQ(s.prof_lock_acquires, 0u);
-}
-
-TEST(Prof, EnvKnobsResolve) {
-  auto clear = [] {
-    for (const char* k : {"LPT_PROF", "LPT_PROF_HZ", "LPT_PROF_OFFCPU",
-                          "LPT_PROF_LOCKS", "LPT_PROF_FILE", "LPT_PROF_DEPTH",
-                          "LPT_PROF_RING_CAP"})
-      unsetenv(k);
-  };
-  clear();
-
-  // Plain LPT_PROF=1: everything armed, piggyback mode, default file.
-  setenv("LPT_PROF", "1", 1);
-  RuntimeOptions o = resolve_env_options(RuntimeOptions{});
-  EXPECT_TRUE(o.prof.enabled);
-  EXPECT_TRUE(o.prof.offcpu);
-  EXPECT_TRUE(o.prof.locks);
-  EXPECT_EQ(o.prof.sample_hz, 0);
-  EXPECT_EQ(o.prof.file, "lpt_profile.folded");
-
-  // A file request implies profiling even without LPT_PROF.
-  clear();
-  setenv("LPT_PROF_FILE", "/tmp/p.json", 1);
-  o = resolve_env_options(RuntimeOptions{});
-  EXPECT_TRUE(o.prof.enabled);
-  EXPECT_EQ(o.prof.file, "/tmp/p.json");
-
-  // Valid HZ arms the independent sampler; nonsense is rejected, not clamped.
-  setenv("LPT_PROF_HZ", "250", 1);
-  o = resolve_env_options(RuntimeOptions{});
-  EXPECT_EQ(o.prof.sample_hz, 250);
-  setenv("LPT_PROF_HZ", "99999999", 1);
-  o = resolve_env_options(RuntimeOptions{});
-  EXPECT_EQ(o.prof.sample_hz, 0);
-  setenv("LPT_PROF_HZ", "bogus", 1);
-  o = resolve_env_options(RuntimeOptions{});
-  EXPECT_EQ(o.prof.sample_hz, 0);
-
-  // Collector opt-outs and the depth clamp.
-  setenv("LPT_PROF", "1", 1);
-  setenv("LPT_PROF_OFFCPU", "0", 1);
-  setenv("LPT_PROF_LOCKS", "0", 1);
-  setenv("LPT_PROF_DEPTH", "1000", 1);
-  o = resolve_env_options(RuntimeOptions{});
-  EXPECT_TRUE(o.prof.enabled);
-  EXPECT_FALSE(o.prof.offcpu);
-  EXPECT_FALSE(o.prof.locks);
-  EXPECT_EQ(o.prof.max_stack_depth, prof::kMaxFrames);
-
-  // LPT_PROF=0 force-disables.
-  clear();
-  setenv("LPT_PROF", "0", 1);
-  o = resolve_env_options(RuntimeOptions{});
-  EXPECT_FALSE(o.prof.enabled);
-
-  // An empty LPT_PROF counts as unset: profiling enabled in code keeps its
-  // (empty) file instead of picking the default one.
-  setenv("LPT_PROF", "", 1);
-  RuntimeOptions coded;
-  coded.prof.enabled = true;
-  o = resolve_env_options(coded);
-  EXPECT_TRUE(o.prof.enabled);
-  EXPECT_EQ(o.prof.file, "");
-  clear();
 }
 
 }  // namespace
