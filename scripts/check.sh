@@ -16,7 +16,8 @@
 # blocking-syscall resilience suite
 # (normal, plus its non-context-switching guard/detect halves under TSan),
 # a short run of the self-healing soak (scripts/soak.sh), and a build and
-# one-second traced run of the benchmark in perfbench/.
+# one-second runs of the benchmark in perfbench/ (traced sync_mix, untraced
+# cholesky_yield).
 #
 #   scripts/check.sh [build-dir]        (default: build)
 #
@@ -195,13 +196,19 @@ rm -f "$TRACE_EVENTS" "$TRACE_METRICS" "$TRACE_JSON" "$TRACE_PROF"
 echo "== [14/15] self-healing soak (scripts/soak.sh, short) =="
 SOAK_SECONDS=5 scripts/soak.sh "$BUILD"
 
-echo "== [15/15] benchmark smoke (perfbench/run.py, traced sync_mix) =="
+echo "== [15/15] benchmark smoke (perfbench/run.py: traced sync_mix, cholesky_yield) =="
 # perfbench/ builds the runtime from src/ itself and uses the runtime API on
 # its own (the cost ladder's lone_spinner, the harness's snapshots), so an
-# API change can break it while every stage above passes. The last line of
-# output must be the result object with its output checks passed.
-BENCH_OUT="$(python3 perfbench/run.py --workload sync_mix --seed 1 --seconds 1 --trace 1)"
-printf '%s\n' "$BENCH_OUT" | tail -n 1 | python3 -c \
-  'import json, sys; r = json.loads(sys.stdin.read()); sys.exit(0 if r.get("correct") is True else 1)'
+# API change can break it while every stage above passes. cholesky_yield
+# runs the Release build of the tile kernels through its residual check. The
+# last line of each run's output must be the result object with its output
+# checks passed.
+bench_smoke() {
+  BENCH_OUT="$(python3 perfbench/run.py --workload "$1" --seed 1 --seconds 1 --trace "$2")"
+  printf '%s\n' "$BENCH_OUT" | tail -n 1 | python3 -c \
+    'import json, sys; r = json.loads(sys.stdin.read()); sys.exit(0 if r.get("correct") is True else 1)'
+}
+bench_smoke sync_mix 1
+bench_smoke cholesky_yield 0
 
 echo "== all checks passed =="

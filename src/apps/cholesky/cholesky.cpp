@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <memory>
+#include <utility>
 
 #include "apps/linalg/blas.hpp"
 #include "common/assert.hpp"
@@ -133,17 +134,41 @@ struct Factorization {
     return rt->spawn_detached([this, id] { run_task(id); }, attrs);
   }
 
-  void run_task(int id) {
-    TileTask& t = *tasks[id];
-    execute(t);
-    for (int dep : t.dependents) {
-      // A task whose spawn fails would never count down `remaining`: run it
-      // here instead.
-      if (tasks[dep]->deps.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-          !spawn_task(dep))
-        run_task(dep);
+  /// Rank on the critical path, 0 the most urgent. Step k's serial chain is
+  /// POTRF(k) -> TRSM(k+1,k) -> SYRK(k+1,k) -> POTRF(k+1), and the GEMMs
+  /// into column k+1 feed step k+1's TRSMs; every other task ranks last.
+  static int urgency(const TileTask& t) {
+    switch (t.op) {
+      case Op::kPotrf: return 0;
+      case Op::kTrsm: return t.m == t.k + 1 ? 1 : 4;
+      case Op::kSyrk: return t.m == t.k + 1 ? 2 : 4;
+      case Op::kGemm: return t.n == t.k + 1 ? 3 : 4;
     }
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) all_done.set();
+    return 4;
+  }
+
+  /// Runs task `id`, then, in the same ULT, the most urgent of the
+  /// dependents it made ready, and so on: a chain task starts as soon as
+  /// its predecessor ends instead of queueing behind the spawned GEMMs.
+  /// Every other newly ready dependent is spawned.
+  void run_task(int id) {
+    while (id >= 0) {
+      TileTask& t = *tasks[id];
+      execute(t);
+      int next = -1;
+      for (int dep : t.dependents) {
+        if (tasks[dep]->deps.fetch_sub(1, std::memory_order_acq_rel) != 1) continue;
+        if (next < 0 || urgency(*tasks[dep]) < urgency(*tasks[next])) std::swap(next, dep);
+        // A task whose spawn fails would never count down `remaining`: run
+        // it here instead.
+        if (dep >= 0 && !spawn_task(dep)) run_task(dep);
+      }
+      // A held `next` is still counted in `remaining`, so this reaches zero
+      // only when there is none: nothing touches `this` after the set, and
+      // the caller may free it at once.
+      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) all_done.set();
+      id = next;
+    }
   }
 };
 

@@ -1,7 +1,8 @@
 // Tiled Cholesky factorization on the lpt runtime — the real-computation
 // counterpart of the paper's §4.1 evaluation. The matrix is partitioned into
 // square tiles; POTRF/TRSM/SYRK/GEMM tile tasks are spawned as their data
-// dependences resolve, and each tile kernel optionally runs an inner
+// dependences resolve (the most urgent of those a task releases runs next in
+// the releasing task's ULT), and each tile kernel optionally runs an inner
 // MKL-like team whose end-of-call barrier busy-waits (see apps/linalg/team).
 //
 // On a nonpreemptive runtime with TeamWait::kSpin this can wedge exactly the

@@ -119,15 +119,21 @@ double lower_max_diff(int n, const double* a, int lda, const double* b, int ldb)
 }
 
 void make_spd(int n, double* a, int lda, unsigned seed) {
+  const auto at = [lda](int i, int j) { return i + static_cast<std::ptrdiff_t>(j) * lda; };
   Xoshiro256 rng(seed);
   for (int j = 0; j < n; ++j)
-    for (int i = j; i < n; ++i) {
-      const double v = rng.next_double() - 0.5;
-      a[i + j * lda] = v;
-      a[j + i * lda] = v;
-    }
+    for (int i = j; i < n; ++i) a[at(i, j)] = rng.next_double() - 0.5;
+  // Mirror the lower triangle into the upper in 32 x 32 blocks: a strided
+  // store per element across the whole matrix would touch a new cache line
+  // (and, at large lda, a new page) every time.
+  constexpr int kB = 32;
+  for (int j0 = 0; j0 < n; j0 += kB)
+    for (int i0 = j0; i0 < n; i0 += kB)
+      for (int j = j0; j < std::min(n, j0 + kB); ++j)
+        for (int i = std::max(i0, j + 1); i < std::min(n, i0 + kB); ++i)
+          a[at(j, i)] = a[at(i, j)];
   // Diagonal dominance makes it positive definite.
-  for (int j = 0; j < n; ++j) a[j + j * lda] += n;
+  for (int j = 0; j < n; ++j) a[at(j, j)] += n;
 }
 
 }  // namespace lpt::apps

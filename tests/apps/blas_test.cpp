@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <ostream>
@@ -101,6 +102,32 @@ TEST(Blas, MakeSpdIsSymmetricAndFactorizable) {
   for (int j = 0; j < n; ++j)
     for (int i = 0; i < n; ++i) EXPECT_EQ(a[i + j * n], a[j + i * n]);
   EXPECT_TRUE(dpotrf_lower(n, a.data(), n));
+}
+
+TEST(Blas, MakeSpdMatchesTheUnblockedMirrorBytewise) {
+  // The reference is the plain loop make_spd replaced: each lower-triangle
+  // value is stored to both its places as it is drawn.
+  const auto unblocked = [](int n, double* a, int lda, unsigned seed) {
+    Xoshiro256 rng(seed);
+    for (int j = 0; j < n; ++j)
+      for (int i = j; i < n; ++i) {
+        const double v = rng.next_double() - 0.5;
+        a[i + j * lda] = v;
+        a[j + i * lda] = v;
+      }
+    for (int j = 0; j < n; ++j) a[j + j * lda] += n;
+  };
+  for (const int n : {1, 5, 31, 32, 33, 64, 100, 130})
+    for (const int pad : {0, 3, 29})
+      for (const unsigned seed : {1u, 42u, 0xdeadbeefu}) {
+        const int lda = n + pad;
+        // The padding rows must stay as they were.
+        std::vector<double> got(static_cast<std::size_t>(lda) * n, -7.0), want = got;
+        make_spd(n, got.data(), lda, seed);
+        unblocked(n, want.data(), lda, seed);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(double) * got.size()), 0)
+            << "n " << n << " lda " << lda << " seed " << seed;
+      }
 }
 
 // --- every compiled kernel variant against naive loops ---------------------
@@ -236,6 +263,57 @@ std::vector<double> potrf_case(const detail::BlasKernels& k, int n) {
   return a;
 }
 
+// The solves multiply by reciprocals of the diagonal where the naive loops
+// divide by it. These cases spread the diagonal of L over 1e-3 .. 1e3, where
+// the two differ most: L = D L_S, with L_S the Cholesky factor of a
+// make_spd matrix and D a diagonal that sets L's diagonal to 10^e,
+// e = -3 .. 3 permuted along it. Row i of L is row i of L_S scaled by d_i,
+// and column j of the TRSM solution X = B L^-T is scaled by 1 / d_j, so each
+// error is taken relative to the largest magnitude in its own row or column.
+
+double scaled_exponent(int j) { return -3.0 + 6.0 * ((j * 37) % 64) / 63.0; }
+
+/// The diagonal scaling d_j that gives L = D L_S the diagonal 10^e_j.
+std::vector<double> scaling_for(int n, const std::vector<double>& ls, int ld) {
+  std::vector<double> d(n);
+  for (int j = 0; j < n; ++j) d[j] = std::pow(10.0, scaled_exponent(j)) / at(ls, j, j, ld);
+  return d;
+}
+
+std::vector<double> spd_factor(int n, int ld, unsigned seed) {
+  std::vector<double> ls(static_cast<std::size_t>(ld) * n, 0.0);
+  make_spd(n, ls.data(), ld, seed);
+  EXPECT_TRUE(cholesky_reference(n, ls.data(), ld));
+  return ls;
+}
+
+std::vector<double> scaled_trsm_case(const detail::BlasKernels& k, TrsmShape sh) {
+  const int ld = trsm_ld(sh);
+  std::vector<double> l = spd_factor(sh.n, ld, 13);
+  const std::vector<double> d = scaling_for(sh.n, l, ld);
+  for (int j = 0; j < sh.n; ++j)
+    for (int i = j; i < sh.n; ++i) l[i + static_cast<std::size_t>(j) * ld] *= d[i];
+  std::vector<double> x = random_matrix(sh.m, sh.n, ld, 14);
+  k.trsm(sh.m, sh.n, l.data(), ld, x.data(), ld);
+  return x;
+}
+
+std::vector<double> scaled_potrf_case(const detail::BlasKernels& k, int n) {
+  const int ld = n + 5;
+  const std::vector<double> ls = spd_factor(n, ld, 15);
+  const std::vector<double> d = scaling_for(n, ls, ld);
+  // A = D S D, with S = L_S L_S^T rebuilt so that A's factor is D L_S.
+  std::vector<double> a(static_cast<std::size_t>(ld) * n, 0.0);
+  for (int j = 0; j < n; ++j)
+    for (int i = j; i < n; ++i) {
+      double s = 0;
+      for (int p = 0; p <= j; ++p) s += at(ls, i, p, ld) * at(ls, j, p, ld);
+      a[i + static_cast<std::size_t>(j) * ld] = d[i] * s * d[j];
+    }
+  EXPECT_TRUE(k.potrf(n, a.data(), ld)) << k.name << " n " << n;
+  return a;
+}
+
 bool variant_supported(const detail::BlasKernels* k) {
   if (k == &detail::kAvx512Kernels) return detail::avx512_supported();
   if (k == &detail::kAvx2Kernels) return detail::avx2_supported();
@@ -305,6 +383,38 @@ TEST_P(BlasVariant, BlockedPotrfMatchesNaive) {
                              potrf_case(kNaive, n).data(), ld),
               1e-12)
         << "n " << n;
+  }
+}
+
+TEST_P(BlasVariant, TrsmWithWidelyScaledDiagonalMatchesNaive) {
+  for (const TrsmShape sh : kTrsmShapes) {
+    const int ld = trsm_ld(sh);
+    const std::vector<double> x = scaled_trsm_case(kernels(), sh);
+    const std::vector<double> ref = scaled_trsm_case(kNaive, sh);
+    for (int j = 0; j < sh.n; ++j) {
+      double err = 0, mag = 0;
+      for (int i = 0; i < sh.m; ++i) {
+        err = std::max(err, std::fabs(at(x, i, j, ld) - at(ref, i, j, ld)));
+        mag = std::max(mag, std::fabs(at(ref, i, j, ld)));
+      }
+      EXPECT_LE(err, 1e-12 * mag) << sh.m << "x" << sh.n << " column " << j;
+    }
+  }
+}
+
+TEST_P(BlasVariant, PotrfWithWidelyScaledDiagonalMatchesNaive) {
+  for (const int n : kPotrfSizes) {
+    const int ld = n + 5;
+    const std::vector<double> l = scaled_potrf_case(kernels(), n);
+    const std::vector<double> ref = scaled_potrf_case(kNaive, n);
+    for (int i = 0; i < n; ++i) {
+      double err = 0, mag = 0;
+      for (int j = 0; j <= i; ++j) {
+        err = std::max(err, std::fabs(at(l, i, j, ld) - at(ref, i, j, ld)));
+        mag = std::max(mag, std::fabs(at(ref, i, j, ld)));
+      }
+      EXPECT_LE(err, 1e-12 * mag) << "n " << n << " row " << i;
+    }
   }
 }
 

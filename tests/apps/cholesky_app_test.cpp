@@ -5,6 +5,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "apps/cholesky/cholesky.hpp"
@@ -130,6 +131,33 @@ TEST(TiledCholesky, BlockingTeamBarrierAlsoWorks)
   opts.inner_width = 2;
   opts.inner_wait = TeamWait::kBlocking;
   double diff = 1;
+  factor_and_diff(rt, opts, &diff);
+  EXPECT_LT(diff, 1e-9);
+}
+
+TEST(TiledCholesky, ChainTasksRunAsContinuations) {
+  // A finished task runs its most urgent newly ready dependent in its own
+  // ULT rather than spawning it, so the 56 tasks of a 6 x 6 tiling take
+  // fewer spawns. One worker keeps the count deterministic.
+  TiledCholeskyOptions opts;
+  opts.tiles = 6;
+  opts.tile_n = 16;
+  opts.inner_width = 1;
+  double diff = 1;
+  {
+    RuntimeOptions o;
+    o.num_workers = 1;
+    Runtime rt(o);
+    const std::uint64_t before = rt.metrics_snapshot().ults_spawned;
+    factor_and_diff(rt, opts, &diff);
+    EXPECT_LT(diff, 1e-9);
+    EXPECT_LT(rt.metrics_snapshot().ults_spawned - before, 56u);
+  }
+  // Wider: continuations beside spawned tasks and inner teams on 4 workers.
+  RuntimeOptions o;
+  o.num_workers = 4;
+  Runtime rt(o);
+  opts.inner_width = 4;
   factor_and_diff(rt, opts, &diff);
   EXPECT_LT(diff, 1e-9);
 }
