@@ -13,7 +13,7 @@
 // continuous profiler (docs/observability.md, "Profiling") is demonstrated
 // on: run with LPT_PROF=1 (+ LPT_PROF_FILE/LPT_METRICS_FILE) and the
 // shutdown profile reconciles with the dispatch metrics, which the check.sh
-// prof smoke gates through tests/tools/prof_check.cpp.
+// prof smoke gates through tools/telemetry_check.
 #include <cstdio>
 
 #include <vector>
@@ -152,10 +152,10 @@ int main(int argc, char** argv) {
     const metrics::Snapshot ms = rt.metrics_snapshot();
     json.set("real.dispatches", ms.dispatches);
     if (rt.prof_enabled()) {
-      // The reconciliation the profiler guarantees (and prof_check enforces
-      // on the exported file): every sampler invocation is recorded or a
-      // counted drop, and piggyback invocations ride exactly the preemption
-      // handler entries the dispatch metrics already count.
+      // The reconciliation the profiler guarantees (and telemetry_check
+      // enforces on the exported file): every sampler invocation is recorded
+      // or a counted drop, and piggyback invocations ride exactly the
+      // preemption handler entries the dispatch metrics already count.
       const bool reconciles =
           ms.prof_sample_invocations ==
               ms.prof_samples_recorded + ms.prof_samples_dropped &&

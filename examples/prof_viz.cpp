@@ -134,7 +134,8 @@ int main(int argc, char** argv) {
   }  // ~Runtime writes the profile
 
   std::printf("\nProfile written to %s", o.prof.file.c_str());
-  std::printf("\n  validate:   build/tests/prof_check %s", o.prof.file.c_str());
+  std::printf("\n  validate:   build/tools/telemetry_check --profile %s",
+              o.prof.file.c_str());
   std::printf("\n  flamegraph: grep -v '^#' %s | flamegraph.pl > prof.svg\n",
               o.prof.file.c_str());
   std::printf("(every view above is also exported by LPT_PROF=1 + "

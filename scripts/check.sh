@@ -5,14 +5,13 @@
 # spawn and stack-cache suites with every guard seal refused (the unsealed
 # fallback, LPT_FAULT=mseal:every=1) and the stack pool's shard stress test
 # under TSan, the self-healing remediation suite via its env knobs (LPT_REMEDIATE) and under
-# LPT_FAULT-degraded KLT creation, an end-to-end smoke of the metrics
-# publisher (bench run with LPT_METRICS_FILE set, output validated by the
-# strict Prometheus parser in tests/tools/prom_check.cpp), an end-to-end
-# smoke of the continuous profiler (LPT_PROF=1 run validated and
-# metrics-cross-checked by tests/tools/prof_check.cpp), an end-to-end smoke
-# of the causal tracer (mixed trace_viz workload with LPT_TRACE_EVENTS_FILE
-# and LPT_PROF set, the event log and the profile cross-checked against the
-# same run's metrics by tests/tools/trace_check.cpp and prof_check.cpp), the
+# LPT_FAULT-degraded KLT creation, end-to-end smokes of the telemetry
+# exports, each validated by tools/telemetry_check (the one reader of every
+# export format, tools/telemetry.hpp): the metrics publisher (bench run with
+# LPT_METRICS_FILE set), the continuous profiler (LPT_PROF=1 run, its profile
+# cross-checked against the same run's metrics), and the causal tracer (mixed
+# trace_viz workload with LPT_TRACE_EVENTS_FILE and LPT_PROF set, the event
+# log, profile and Chrome trace checked against the same run's metrics), the
 # blocking-syscall resilience suite
 # (normal, plus its non-context-switching guard/detect halves under TSan),
 # a short run of the self-healing soak (scripts/soak.sh), and a build and
@@ -150,36 +149,36 @@ cmake --build "$BUILD-tsan" -j "$JOBS" --target test_park test_common
 "$BUILD-tsan/tests/test_park"
 "$BUILD-tsan/tests/test_common" --gtest_filter='EventCount.*'
 
-echo "== [11/15] metrics-publisher smoke (bench + prom_check) =="
-cmake --build "$BUILD" -j "$JOBS" --target table1_preemption prom_check
+echo "== [11/15] metrics-publisher smoke (bench + telemetry_check) =="
+cmake --build "$BUILD" -j "$JOBS" --target table1_preemption telemetry_check
 METRICS_OUT="$(mktemp /tmp/lpt_check_metrics.XXXXXX.prom)"
 LPT_METRICS_FILE="$METRICS_OUT" LPT_METRICS_PERIOD_MS=200 \
   "$BUILD/bench/table1_preemption" >/dev/null
-"$BUILD/tests/prom_check" "$METRICS_OUT"
+"$BUILD/tools/telemetry_check" --metrics "$METRICS_OUT"
 rm -f "$METRICS_OUT"
 
-echo "== [12/15] continuous-profiling smoke (fig7 real section + prof_check) =="
+echo "== [12/15] continuous-profiling smoke (fig7 real section + telemetry_check) =="
 # End-to-end LPT_PROF path: env config -> piggyback sampler + off-CPU/lock
-# collectors -> shutdown export, validated by the strict folded parser and
+# collectors -> shutdown export, validated by the strict folded reader and
 # cross-checked against the same run's published metrics counters.
-cmake --build "$BUILD" -j "$JOBS" --target fig7_cholesky prof_check
+cmake --build "$BUILD" -j "$JOBS" --target fig7_cholesky telemetry_check
 PROF_OUT="$(mktemp /tmp/lpt_check_prof.XXXXXX.folded)"
 PROF_METRICS="$(mktemp /tmp/lpt_check_prof.XXXXXX.prom)"
 LPT_PROF=1 LPT_PROF_FILE="$PROF_OUT" LPT_METRICS_FILE="$PROF_METRICS" \
   "$BUILD/bench/fig7_cholesky" >/dev/null
-"$BUILD/tests/prof_check" "$PROF_OUT" "$PROF_METRICS"
+"$BUILD/tools/telemetry_check" --profile "$PROF_OUT" --metrics "$PROF_METRICS"
 rm -f "$PROF_OUT" "$PROF_METRICS"
 
-echo "== [13/15] causal-trace smoke (trace_viz mixed workload + trace_check + prof_check) =="
+echo "== [13/15] causal-trace smoke (trace_viz mixed workload + telemetry_check) =="
 # End-to-end causal-observability path: env config -> wake-edge tracing +
 # per-ULT accounting -> JSONL event log + Prometheus histograms, with the
-# validator proving every dispatch resolves to a ready stamp, every wake edge
+# checker proving every dispatch resolves to a ready stamp, every wake edge
 # names a real waker, and the summed delays reconcile exactly with the
 # lpt_sched_delay_ns / lpt_spawn_latency_ns families. The ring is sized so
 # nothing drops (exact reconciliation requires a complete log). The profiler
 # is armed in the same run, so tracer and profiler share the wait records;
-# its profile is validated against the same metrics file.
-cmake --build "$BUILD" -j "$JOBS" --target trace_viz trace_check trace_critical_path prof_check
+# its profile and the Chrome trace are checked in the same call.
+cmake --build "$BUILD" -j "$JOBS" --target trace_viz telemetry_check trace_critical_path
 TRACE_EVENTS="$(mktemp /tmp/lpt_check_trace.XXXXXX.jsonl)"
 TRACE_METRICS="$(mktemp /tmp/lpt_check_trace.XXXXXX.prom)"
 TRACE_JSON="$(mktemp /tmp/lpt_check_trace.XXXXXX.json)"
@@ -187,8 +186,8 @@ TRACE_PROF="$(mktemp /tmp/lpt_check_trace.XXXXXX.folded)"
 LPT_TRACE_EVENTS_FILE="$TRACE_EVENTS" LPT_TRACE_RING_CAP=$((1<<18)) \
   LPT_METRICS_FILE="$TRACE_METRICS" LPT_PROF=1 LPT_PROF_FILE="$TRACE_PROF" \
   "$BUILD/examples/trace_viz" "$TRACE_JSON" >/dev/null
-"$BUILD/tests/trace_check" "$TRACE_EVENTS" "$TRACE_METRICS"
-"$BUILD/tests/prof_check" "$TRACE_PROF" "$TRACE_METRICS"
+"$BUILD/tools/telemetry_check" --events "$TRACE_EVENTS" \
+  --metrics "$TRACE_METRICS" --profile "$TRACE_PROF" --chrome "$TRACE_JSON"
 # The analyzer must walk the same log without complaint.
 "$BUILD/tools/trace_critical_path" "$TRACE_EVENTS" >/dev/null
 rm -f "$TRACE_EVENTS" "$TRACE_METRICS" "$TRACE_JSON" "$TRACE_PROF"

@@ -12,8 +12,7 @@
 #include <vector>
 
 #include "common/metrics.hpp"
-#include "support/prof_parser.hpp"
-#include "support/prom_parser.hpp"
+#include "telemetry.hpp"
 
 namespace lpt {
 namespace {
@@ -174,7 +173,7 @@ TEST(MetricsSnapshot, RatiosDefinedWithoutTicks) {
 TEST(MetricsExposition, PrometheusRoundTripsThroughParser) {
   const metrics::Snapshot s = sample_snapshot();
   const std::string text = render_prom(s);
-  const promtest::Parsed p = promtest::parse(text);
+  const telemetry::Metrics p = telemetry::parse_prometheus(text);
   for (const std::string& e : p.errors) ADD_FAILURE() << e;
   ASSERT_TRUE(p.ok());
 
@@ -200,23 +199,20 @@ TEST(MetricsExposition, PrometheusRoundTripsThroughParser) {
 }
 
 TEST(MetricsExposition, JsonIsBalancedAndCarriesTotals) {
-  const metrics::Snapshot s = sample_snapshot();
-  const std::string text = render_json(s);
-  ASSERT_FALSE(text.empty());
-  EXPECT_EQ(text.front(), '{');
-  int depth = 0, brackets = 0;
-  for (char c : text) {
-    if (c == '{') ++depth;
-    if (c == '}') --depth;
-    if (c == '[') ++brackets;
-    if (c == ']') --brackets;
-    ASSERT_GE(depth, 0);
-  }
-  EXPECT_EQ(depth, 0);
-  EXPECT_EQ(brackets, 0);
-  EXPECT_NE(text.find("\"dispatches\": 201"), std::string::npos) << text;
-  EXPECT_NE(text.find("\"workers\""), std::string::npos);
-  EXPECT_NE(text.find("\"tick_effectiveness\""), std::string::npos);
+  const std::string text = render_json(sample_snapshot());
+  telemetry::Json j;
+  std::string err;
+  ASSERT_TRUE(telemetry::parse_json(text, &j, &err)) << err << "\n" << text;
+  ASSERT_EQ(j.kind, telemetry::Json::kObject);
+  const telemetry::Json* totals = j.get("totals");
+  ASSERT_NE(totals, nullptr);
+  std::uint64_t dispatches = 0;
+  EXPECT_TRUE(totals->int_at("dispatches", &dispatches));
+  EXPECT_EQ(dispatches, 201u);
+  ASSERT_NE(totals->get("tick_effectiveness"), nullptr);
+  EXPECT_EQ(totals->get("tick_effectiveness")->kind, telemetry::Json::kNumber);
+  ASSERT_NE(j.get("workers"), nullptr);
+  EXPECT_EQ(j.get("workers")->kind, telemetry::Json::kArray);
 }
 
 /// Three workers and every field of Snapshot and WorkerSample set to a value
@@ -321,27 +317,26 @@ std::map<std::string, std::string> prom_labels(const metrics::Metric& m,
   return labels;
 }
 
-void expect_json(const proftest::Json* j, const metrics::Value& v) {
+void expect_json(const telemetry::Json* j, const metrics::Value& v) {
   ASSERT_NE(j, nullptr);
   if (v.kind == metrics::Value::Kind::kBool) {
-    ASSERT_EQ(j->kind, proftest::Json::kBool);
+    ASSERT_EQ(j->kind, telemetry::Json::kBool);
     EXPECT_EQ(j->boolean, v.u != 0);
   } else {
-    ASSERT_EQ(j->kind, proftest::Json::kNumber);
+    ASSERT_EQ(j->kind, telemetry::Json::kNumber);
     EXPECT_NEAR(j->number, v.number(), 1e-6);
   }
 }
 
 TEST(MetricsExposition, EveryRowShowsItsValueInEveryFormat) {
   const metrics::Snapshot s = distinct_snapshot();
-  const promtest::Parsed prom = promtest::parse(render_prom(s));
+  const telemetry::Metrics prom = telemetry::parse_prometheus(render_prom(s));
   for (const std::string& e : prom.errors) ADD_FAILURE() << e;
-  std::vector<std::string> json_errors;
-  const std::string json_text = render_json(s);
-  proftest::detail::JsonParser jp{json_text, 0, json_errors};
-  const proftest::Json json = jp.parse_value();
-  for (const std::string& e : json_errors) ADD_FAILURE() << e;
-  const proftest::Json* workers = json.get("workers");
+  telemetry::Json json;
+  std::string json_error;
+  EXPECT_TRUE(telemetry::parse_json(render_json(s), &json, &json_error))
+      << json_error;
+  const telemetry::Json* workers = json.get("workers");
   ASSERT_NE(workers, nullptr);
   ASSERT_EQ(workers->array.size(), s.workers.size());
   std::map<std::string, std::uint64_t> summary;
@@ -357,10 +352,10 @@ TEST(MetricsExposition, EveryRowShowsItsValueInEveryFormat) {
 
   // Every Prometheus sample a row accounts for; the rest must be the
   // hand-written families.
-  std::set<const promtest::Sample*> shown;
+  std::set<const telemetry::Sample*> shown;
   auto expect_prom = [&](const metrics::Metric& m, int rank,
                          const metrics::Value& v) {
-    const promtest::Sample* p = prom.find(m.prom, prom_labels(m, rank));
+    const telemetry::Sample* p = prom.find(m.prom, prom_labels(m, rank));
     ASSERT_NE(p, nullptr) << "rank " << rank;
     shown.insert(p);
     if (m.seconds > 0)
@@ -384,7 +379,7 @@ TEST(MetricsExposition, EveryRowShowsItsValueInEveryFormat) {
     const metrics::Value v = m.total(s);
     if (m.prom != nullptr && m.worker == nullptr) expect_prom(m, -1, v);
     if (m.key != nullptr) {
-      const proftest::Json* in = m.group ? json.get(m.group) : &json;
+      const telemetry::Json* in = m.group ? json.get(m.group) : &json;
       ASSERT_NE(in, nullptr) << m.group;
       expect_json(in->get(m.key), v);
     }
@@ -394,7 +389,7 @@ TEST(MetricsExposition, EveryRowShowsItsValueInEveryFormat) {
     }
   }
   EXPECT_EQ(summary.size(), summarized);
-  for (const promtest::Sample& p : prom.samples) {
+  for (const telemetry::Sample& p : prom.samples) {
     if (shown.count(&p) != 0) continue;
     EXPECT_TRUE(p.name.rfind("lpt_worker_time_in_state_seconds_total", 0) ==
                     0 ||
@@ -411,24 +406,6 @@ TEST(MetricsConfig, FormatFollowsPathSuffix) {
   EXPECT_EQ(metrics::format_for_path("x.json.bak"),
             metrics::Format::kPrometheus);
   EXPECT_EQ(metrics::format_for_path(""), metrics::Format::kPrometheus);
-}
-
-TEST(PromParser, RejectsMalformedExpositions) {
-  // No TYPE before the sample.
-  EXPECT_FALSE(promtest::parse("orphan_total 1\n").ok());
-  // Counter not ending in _total.
-  EXPECT_FALSE(promtest::parse("# TYPE bad counter\nbad 1\n").ok());
-  // Duplicate series.
-  EXPECT_FALSE(promtest::parse("# TYPE a_total counter\n"
-                               "a_total{w=\"0\"} 1\na_total{w=\"0\"} 2\n")
-                   .ok());
-  // Unterminated label set / bad value.
-  EXPECT_FALSE(promtest::parse("# TYPE a gauge\na{w=\"0\" 1\n").ok());
-  EXPECT_FALSE(promtest::parse("# TYPE a gauge\na twelve\n").ok());
-  // A well-formed minimal exposition passes.
-  EXPECT_TRUE(promtest::parse("# HELP a_total says a\n"
-                              "# TYPE a_total counter\na_total 12\n")
-                  .ok());
 }
 
 }  // namespace

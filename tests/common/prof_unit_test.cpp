@@ -3,7 +3,7 @@
 // scripts/check.sh can run them): the SampleRing reserve/commit protocol
 // under concurrent writers, the CAS-keyed wait-site table, the LockStats
 // slab, and the folded/JSON writers over synthetic data (round-tripped
-// through tests/support/prof_parser.hpp).
+// through tools/telemetry.hpp).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "prof/prof.hpp"
-#include "support/prof_parser.hpp"
+#include "telemetry.hpp"
 
 namespace lpt::prof {
 namespace {
@@ -22,16 +22,7 @@ std::string tmp_path(const char* tag) {
   return "/tmp/lpt_prof_unit_" + std::to_string(::getpid()) + "_" + tag;
 }
 
-std::string slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return {};
-  std::string out;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
-}
+using telemetry::slurp;
 
 ProfConfig armed(std::uint32_t ring_cap = 1u << 12) {
   ProfConfig cfg;
@@ -77,13 +68,13 @@ TEST(ProfUnit, RingReconcilesUnderConcurrentWriters) {
   // Every committed sample is visible to the writer, once.
   const std::string path = tmp_path("ring.folded");
   ASSERT_TRUE(Collector::instance().write_file(path));
-  const proftest::FoldedParsed p = proftest::parse_folded(slurp(path));
+  const telemetry::Profile p = telemetry::read_profile(slurp(path));
   std::remove(path.c_str());
   for (const std::string& e : p.errors) ADD_FAILURE() << e;
   ASSERT_TRUE(p.ok());
-  EXPECT_EQ(p.folded_sum(), t.recorded);
+  EXPECT_EQ(p.samples(), t.recorded);
   for (int u = 0; u < kThreads; ++u)
-    EXPECT_LE(p.ult_samples(static_cast<std::uint32_t>(u)), 128u);
+    EXPECT_LE(p.samples(u), 128u);
   Collector::instance().disable();
 }
 
@@ -168,14 +159,14 @@ TEST(ProfUnit, JsonWriterValidOverSyntheticData) {
 
   const std::string path = tmp_path("synthetic.json");
   ASSERT_TRUE(Collector::instance().write_file(path));
-  const proftest::JsonParsed j = proftest::parse_json(slurp(path));
+  const telemetry::Profile j = telemetry::read_profile(slurp(path));
   std::remove(path.c_str());
   for (const std::string& e : j.errors) ADD_FAILURE() << e;
   ASSERT_TRUE(j.ok());
-  EXPECT_EQ(j.root.get("oncpu")->num_or("recorded", -1), 10.0);
-  EXPECT_EQ(j.root.get("offcpu")->num_or("waits", -1), 2.0);
-  EXPECT_EQ(j.root.get("locks")->num_or("acquires", -1), 10.0);
-  EXPECT_EQ(j.root.get("locks")->num_or("contended", -1), 3.0);
+  EXPECT_EQ(j.recorded, 10u);
+  EXPECT_EQ(j.offcpu_waits, 2u);
+  EXPECT_EQ(j.lock_acquires, 10u);
+  EXPECT_EQ(j.lock_contended, 3u);
   Collector::instance().disable();
 }
 

@@ -7,12 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "telemetry.hpp"
 
 namespace lpt::trace {
 namespace {
@@ -144,7 +144,7 @@ TEST(TraceHistogram, MergeAddsCounts) {
 
 TEST(TraceHistogram, SumIsExactAndMerges) {
   // sum_ns is accumulated exactly (not reconstructed from log2 buckets): the
-  // reconciliation contract of the causal-delay exporter and trace_check.
+  // reconciliation contract of the causal-delay exporter and telemetry_check.
   LatencyHistogram a, b;
   a.record(3);
   a.record(5);
@@ -183,18 +183,7 @@ TEST(TraceHistogram, ConcurrentRecordKeepsExactTotals) {
 // Collector + exporter
 // ---------------------------------------------------------------------------
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-std::size_t count_char(const std::string& s, char c) {
-  std::size_t n = 0;
-  for (char x : s) n += (x == c);
-  return n;
-}
+using telemetry::slurp;
 
 class TraceCollectorTest : public ::testing::Test {
  protected:
@@ -245,10 +234,14 @@ TEST_F(TraceCollectorTest, ChromeJsonExportIsStructurallyValid) {
   const std::string json = slurp(path);
   std::remove(path.c_str());
 
-  ASSERT_FALSE(json.empty());
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"displayTimeUnit\":\"ns\""), std::string::npos);
+  telemetry::Json root;
+  std::string err;
+  ASSERT_TRUE(telemetry::parse_json(json, &root, &err)) << err;
+  const telemetry::Json* events = root.get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  EXPECT_EQ(events->kind, telemetry::Json::kArray);
+  ASSERT_NE(root.get("displayTimeUnit"), nullptr);
+  EXPECT_EQ(root.get("displayTimeUnit")->str, "ns");
   EXPECT_NE(json.find("process_name"), std::string::npos);
   EXPECT_NE(json.find("thread_name"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);   // paired run span
@@ -257,12 +250,6 @@ TEST_F(TraceCollectorTest, ChromeJsonExportIsStructurallyValid) {
   EXPECT_NE(json.find("timer_fire"), std::string::npos);
   EXPECT_NE(json.find("steal"), std::string::npos);
   EXPECT_NE(json.find("\"sched_delay_ns\":123"), std::string::npos);
-
-  // Structural sanity: balanced brackets, no trailing-comma array endings.
-  EXPECT_EQ(count_char(json, '{'), count_char(json, '}'));
-  EXPECT_EQ(count_char(json, '['), count_char(json, ']'));
-  EXPECT_EQ(json.find(",]"), std::string::npos);
-  EXPECT_EQ(json.find(",\n]"), std::string::npos);
 }
 
 TEST_F(TraceCollectorTest, WakeEventsBecomeFlowEdges) {
@@ -329,17 +316,18 @@ TEST_F(TraceCollectorTest, EventsJsonlExportRoundTrips) {
 
   const std::string path = ::testing::TempDir() + "lpt_trace_events.jsonl";
   ASSERT_TRUE(Collector::instance().write_events_jsonl(path));
-  const std::string text = slurp(path);
+  const telemetry::Events log = telemetry::read_events(slurp(path));
   std::remove(path.c_str());
 
   // One JSON object per line, every field machine-recoverable.
-  EXPECT_EQ(count_char(text, '\n'), 2u);
-  EXPECT_NE(text.find("\"type\":\"ult_wake\""), std::string::npos);
-  EXPECT_NE(text.find("\"type\":\"ult_dispatch\""), std::string::npos);
-  EXPECT_NE(text.find("\"ts\":1000"), std::string::npos);
-  EXPECT_NE(text.find("\"arg0\":7"), std::string::npos);
-  EXPECT_NE(text.find("\"arg1\":8"), std::string::npos);
-  EXPECT_NE(text.find("\"ult\":9"), std::string::npos);
+  for (const std::string& e : log.errors) ADD_FAILURE() << e;
+  ASSERT_EQ(log.events.size(), 2u);
+  EXPECT_EQ(log.events[0].type, EventType::kUltWake);
+  EXPECT_EQ(log.events[1].type, EventType::kUltDispatch);
+  EXPECT_EQ(log.events[0].ts, 1000);
+  EXPECT_EQ(log.events[0].arg0, 7u);
+  EXPECT_EQ(log.events[0].arg1, 8u);
+  EXPECT_EQ(log.events[0].ult, 9u);
 }
 
 TEST_F(TraceCollectorTest, ExportWithNoEventsReturnsFalse) {

@@ -1,7 +1,7 @@
 // Tier-1 tests of the always-on metrics layer (docs/observability.md):
 // snapshot monotonicity, queue-depth bookkeeping, preemption
 // tick-effectiveness invariants, the Prometheus/JSON writers (round-tripped
-// through tests/support/prom_parser.hpp), and the background publisher.
+// through tools/telemetry.hpp), and the background publisher.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -11,7 +11,7 @@
 
 #include "common/time.hpp"
 #include "runtime/lpt.hpp"
-#include "support/prom_parser.hpp"
+#include "telemetry.hpp"
 
 namespace lpt {
 namespace {
@@ -20,16 +20,7 @@ std::string tmp_path(const char* tag) {
   return "/tmp/lpt_metrics_" + std::to_string(::getpid()) + "_" + tag;
 }
 
-std::string slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return {};
-  std::string out;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
-}
+using telemetry::slurp;
 
 std::string render(const Runtime& rt, metrics::Format fmt) {
   const std::string path = tmp_path("render");
@@ -146,7 +137,7 @@ TEST(Metrics, PrometheusRoundTrip) {
   const metrics::Snapshot snap = rt.metrics_snapshot();
   const std::string text = render(rt, metrics::Format::kPrometheus);
   ASSERT_FALSE(text.empty());
-  const promtest::Parsed p = promtest::parse(text);
+  const telemetry::Metrics p = telemetry::parse_prometheus(text);
   for (const std::string& e : p.errors) ADD_FAILURE() << e;
   ASSERT_TRUE(p.ok());
 
@@ -185,19 +176,15 @@ TEST(Metrics, JsonWriterEmitsBalancedObject) {
   Runtime rt(o);
   rt.spawn([] {}).join();
   const std::string text = render(rt, metrics::Format::kJson);
-  ASSERT_FALSE(text.empty());
-  EXPECT_EQ(text.front(), '{');
-  int depth = 0;
-  for (char c : text) {
-    if (c == '{') ++depth;
-    if (c == '}') --depth;
-    EXPECT_GE(depth, 0);
-  }
-  EXPECT_EQ(depth, 0);
-  EXPECT_NE(text.find("\"totals\""), std::string::npos);
-  EXPECT_NE(text.find("\"tick_effectiveness\""), std::string::npos);
-  EXPECT_NE(text.find("\"workers\""), std::string::npos);
-  EXPECT_NE(text.find("\"watchdog\""), std::string::npos);
+  telemetry::Json j;
+  std::string err;
+  ASSERT_TRUE(telemetry::parse_json(text, &j, &err)) << err << "\n" << text;
+  ASSERT_EQ(j.kind, telemetry::Json::kObject);
+  const telemetry::Json* totals = j.get("totals");
+  ASSERT_NE(totals, nullptr);
+  EXPECT_NE(totals->get("tick_effectiveness"), nullptr);
+  EXPECT_NE(j.get("workers"), nullptr);
+  EXPECT_NE(j.get("watchdog"), nullptr);
 }
 
 TEST(Metrics, PublisherAtomicallyRewritesFile) {
@@ -214,12 +201,12 @@ TEST(Metrics, PublisherAtomicallyRewritesFile) {
       ts.push_back(rt.spawn([] { busy_spin_ns(2'000'000); }));
     for (auto& t : ts) t.join();
     usleep(120'000);  // at least one periodic publish
-    const promtest::Parsed mid = promtest::parse(slurp(path));
+    const telemetry::Metrics mid = telemetry::parse_prometheus(slurp(path));
     EXPECT_TRUE(mid.ok());
     EXPECT_TRUE(mid.has_family("lpt_dispatches_total"));
   }
   // The destructor's final publish reflects the quiesced totals.
-  const promtest::Parsed fin = promtest::parse(slurp(path));
+  const telemetry::Metrics fin = telemetry::parse_prometheus(slurp(path));
   EXPECT_TRUE(fin.ok());
   EXPECT_GE(fin.sum("lpt_dispatches_total"), 10.0);
   EXPECT_EQ(fin.sum("lpt_run_queue_depth"), 0.0);
@@ -235,10 +222,10 @@ TEST(Metrics, PublisherWritesJsonForJsonPath) {
     Runtime rt(o);
     rt.spawn([] {}).join();
   }
-  const std::string text = slurp(path);
-  ASSERT_FALSE(text.empty());
-  EXPECT_EQ(text.front(), '{');
-  EXPECT_NE(text.find("\"totals\""), std::string::npos);
+  telemetry::Json j;
+  std::string err;
+  EXPECT_TRUE(telemetry::parse_json(slurp(path), &j, &err)) << err;
+  EXPECT_NE(j.get("totals"), nullptr);
   std::remove(path.c_str());
 }
 

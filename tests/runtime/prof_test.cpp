@@ -3,7 +3,7 @@
 // the reconciliation contract (invocations == recorded + dropped, and ==
 // handler_entries in piggyback mode), off-CPU wait attribution, the
 // lock-contention profiler with chain detection, the folded/JSON exports
-// (round-tripped through tests/support/prof_parser.hpp), shutdown export +
+// (round-tripped through tools/telemetry.hpp), shutdown export +
 // publisher refresh, and the off-by-default guarantee.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -19,8 +19,7 @@
 #include "prof/prof.hpp"
 #include "runtime/lpt.hpp"
 #include "runtime/sync.hpp"
-#include "support/prof_parser.hpp"
-#include "support/prom_parser.hpp"
+#include "telemetry.hpp"
 
 namespace lpt {
 namespace {
@@ -29,22 +28,13 @@ std::string tmp_path(const char* tag) {
   return "/tmp/lpt_prof_" + std::to_string(::getpid()) + "_" + tag;
 }
 
-std::string slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return {};
-  std::string out;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
-}
+using telemetry::slurp;
 
 /// Export + parse the folded profile of a still-live runtime.
-proftest::FoldedParsed export_folded(const Runtime& rt) {
+telemetry::Profile export_folded(const Runtime& rt) {
   const std::string path = tmp_path("export.folded");
   EXPECT_TRUE(rt.write_profile(path));
-  proftest::FoldedParsed p = proftest::parse_folded(slurp(path));
+  telemetry::Profile p = telemetry::read_profile(slurp(path));
   std::remove(path.c_str());
   return p;
 }
@@ -107,14 +97,14 @@ TEST(Prof, PiggybackReconcilesWithHandlerEntries) {
             s.prof_samples_recorded + s.prof_samples_dropped);
   EXPECT_EQ(s.prof_sample_invocations, s.handler_entries);
 
-  const proftest::FoldedParsed p = export_folded(rt);
+  const telemetry::Profile p = export_folded(rt);
   for (const std::string& e : p.errors) ADD_FAILURE() << e;
   ASSERT_TRUE(p.ok());
-  EXPECT_EQ(p.mode(), "piggyback");
+  EXPECT_EQ(p.mode, "piggyback");
   ASSERT_FALSE(p.stacks.empty());
   // Quiesced: every reserved slot is committed, so the folded counts account
   // for every recorded sample exactly.
-  EXPECT_EQ(p.folded_sum(), s.prof_samples_recorded);
+  EXPECT_EQ(p.samples(), s.prof_samples_recorded);
 }
 
 TEST(Prof, KltSwitchPreemptionAlsoSampled) {
@@ -134,9 +124,9 @@ TEST(Prof, KltSwitchPreemptionAlsoSampled) {
   EXPECT_EQ(s.prof_sample_invocations,
             s.prof_samples_recorded + s.prof_samples_dropped);
 
-  const proftest::FoldedParsed p = export_folded(rt);
+  const telemetry::Profile p = export_folded(rt);
   ASSERT_TRUE(p.ok());
-  EXPECT_EQ(p.folded_sum(), s.prof_samples_recorded);
+  EXPECT_EQ(p.samples(), s.prof_samples_recorded);
 }
 
 TEST(Prof, HzModeSamplesWithoutPreemptionTimer) {
@@ -155,10 +145,10 @@ TEST(Prof, HzModeSamplesWithoutPreemptionTimer) {
   EXPECT_EQ(s.prof_sample_invocations,
             s.prof_samples_recorded + s.prof_samples_dropped);
 
-  const proftest::FoldedParsed p = export_folded(rt);
+  const telemetry::Profile p = export_folded(rt);
   ASSERT_TRUE(p.ok());
-  EXPECT_EQ(p.mode(), "hz");
-  EXPECT_EQ(p.header_u64("sample_hz"), 500u);
+  EXPECT_EQ(p.mode, "hz");
+  EXPECT_EQ(p.sample_hz, 500u);
 }
 
 TEST(Prof, OffCpuWaitsAttributedByKind) {
@@ -187,16 +177,16 @@ TEST(Prof, OffCpuWaitsAttributedByKind) {
 
   const std::string path = tmp_path("offcpu.json");
   ASSERT_TRUE(rt.write_profile(path));
-  const proftest::JsonParsed j = proftest::parse_json(slurp(path));
+  const telemetry::Profile j = telemetry::read_profile(slurp(path));
   std::remove(path.c_str());
   for (const std::string& e : j.errors) ADD_FAILURE() << e;
   ASSERT_TRUE(j.ok());
 
-  const proftest::Json* sites = j.root.get("offcpu")->get("sites");
+  const telemetry::Json* sites = j.json.get("offcpu")->get("sites");
   ASSERT_NE(sites, nullptr);
   bool saw_sleep = false, saw_mutex = false;
-  for (const proftest::Json& site : sites->array) {
-    const proftest::Json* kind = site.get("kind");
+  for (const telemetry::Json& site : sites->array) {
+    const telemetry::Json* kind = site.get("kind");
     ASSERT_NE(kind, nullptr);
     if (kind->str == "sleep") saw_sleep = true;
     if (kind->str == "mutex") saw_mutex = true;
@@ -240,15 +230,15 @@ TEST(Prof, LockContentionAndChainDetection) {
 
   const std::string path = tmp_path("locks.json");
   ASSERT_TRUE(rt.write_profile(path));
-  const proftest::JsonParsed j = proftest::parse_json(slurp(path));
+  const telemetry::Profile j = telemetry::read_profile(slurp(path));
   std::remove(path.c_str());
   ASSERT_TRUE(j.ok());
-  const proftest::Json* table = j.root.get("locks")->get("table");
+  const telemetry::Json* table = j.json.get("locks")->get("table");
   ASSERT_NE(table, nullptr);
   ASSERT_FALSE(table->array.empty());
   // Our mutex is in the table with contention and a nonzero hold percentile.
   bool found = false;
-  for (const proftest::Json& row : table->array)
+  for (const telemetry::Json& row : table->array)
     if (row.num_or("contended", 0) >= 1 && row.num_or("acquires", 0) >= 5)
       found = true;
   EXPECT_TRUE(found);
@@ -401,29 +391,29 @@ TEST(Prof, ShutdownExportAndPublisherRefresh) {
       ts.push_back(rt.spawn([] { busy_spin_ns(10'000'000); }, sy));
     for (auto& t : ts) t.join();
     usleep(120'000);  // at least one periodic publish refreshes the profile
-    const proftest::FoldedParsed mid = proftest::parse_folded(slurp(prof_path));
+    const telemetry::Profile mid = telemetry::read_profile(slurp(prof_path));
     for (const std::string& e : mid.errors) ADD_FAILURE() << "mid-run: " << e;
     EXPECT_TRUE(mid.ok());
   }
   // Final export at shutdown: quiesced totals, cross-checkable against the
-  // final metrics publish (exactly what tools/prof_check.cpp gates in CI).
-  const proftest::FoldedParsed fin = proftest::parse_folded(slurp(prof_path));
+  // final metrics publish (exactly what tools/telemetry_check gates in CI).
+  const telemetry::Profile fin = telemetry::read_profile(slurp(prof_path));
   for (const std::string& e : fin.errors) ADD_FAILURE() << e;
   ASSERT_TRUE(fin.ok());
-  EXPECT_GT(fin.header_u64("invocations"), 0u);
-  EXPECT_EQ(fin.folded_sum(), fin.header_u64("recorded"));
+  EXPECT_GT(fin.invocations, 0u);
+  EXPECT_EQ(fin.samples(), fin.recorded);
 
-  const promtest::Parsed prom = promtest::parse(slurp(prom_path));
+  const telemetry::Metrics prom = telemetry::parse_prometheus(slurp(prom_path));
   ASSERT_TRUE(prom.ok());
   EXPECT_EQ(prom.sum("lpt_prof_enabled"), 1.0);
   EXPECT_EQ(prom.sum("lpt_prof_sample_invocations_total"),
-            static_cast<double>(fin.header_u64("invocations")));
+            static_cast<double>(fin.invocations));
   EXPECT_EQ(prom.sum("lpt_prof_samples_recorded_total"),
-            static_cast<double>(fin.header_u64("recorded")));
+            static_cast<double>(fin.recorded));
   EXPECT_EQ(prom.sum("lpt_prof_offcpu_waits_total"),
-            static_cast<double>(fin.header_u64("offcpu_waits")));
+            static_cast<double>(fin.offcpu_waits));
   EXPECT_EQ(prom.sum("lpt_prof_lock_acquires_total"),
-            static_cast<double>(fin.header_u64("lock_acquires")));
+            static_cast<double>(fin.lock_acquires));
   std::remove(prof_path.c_str());
   std::remove(prom_path.c_str());
 }

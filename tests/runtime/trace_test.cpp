@@ -7,13 +7,12 @@
 
 #include <atomic>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/time.hpp"
 #include "runtime/lpt.hpp"
+#include "telemetry.hpp"
 
 namespace {
 
@@ -21,12 +20,7 @@ using namespace lpt;
 
 volatile std::uint64_t g_sink;
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
+using telemetry::slurp;
 
 /// 100 us timer hammering the handler while it records trace events — the
 /// signal-safety smoke test: no deadlock, no crash, consistent accounting.
@@ -185,20 +179,14 @@ TEST(TraceRuntime, ChromeExportParsesBack) {
   const std::string json = slurp(path);
   std::remove(path.c_str());
 
-  ASSERT_FALSE(json.empty());
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+  telemetry::Json root;
+  std::string err;
+  ASSERT_TRUE(telemetry::parse_json(json, &root, &err)) << err;
+  const telemetry::Json* events = root.get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  EXPECT_EQ(events->kind, telemetry::Json::kArray);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);  // run spans
   EXPECT_NE(json.find("worker 0"), std::string::npos);      // track names
-  std::size_t braces = 0, closes = 0, brackets = 0, rbrackets = 0;
-  for (char c : json) {
-    braces += (c == '{');
-    closes += (c == '}');
-    brackets += (c == '[');
-    rbrackets += (c == ']');
-  }
-  EXPECT_EQ(braces, closes);
-  EXPECT_EQ(brackets, rbrackets);
 }
 
 TEST(TraceRuntime, DisabledByDefaultAndZeroed) {

@@ -29,67 +29,36 @@
 #include <string>
 #include <vector>
 
+#include "common/trace.hpp"
+#include "prof/prof.hpp"
+#include "telemetry.hpp"
+
 namespace {
 
-struct Event {
-  std::int64_t ts = 0;
-  std::uint64_t ult = 0;
-  std::uint64_t arg0 = 0;
-  std::uint64_t arg1 = 0;
-  // Only the lifecycle subset the walk needs.
-  enum Kind { kOther, kDispatch, kYield, kPreempt, kBlock, kWake, kExit } kind = kOther;
-};
+using lpt::telemetry::Event;
+using lpt::trace::EventType;
 
-/// prof::WaitKind numbering (src/prof/prof.hpp) + the spawn sentinel the
-/// wake edge uses for freshly spawned ULTs (trace::kWakeArgSpawn).
-const char* wait_kind_name(std::uint64_t k) {
-  switch (k) {
-    case 0: return "none";
-    case 1: return "mutex";
-    case 2: return "condvar";
-    case 3: return "barrier";
-    case 4: return "rwlock";
-    case 5: return "semaphore";
-    case 6: return "latch";
-    case 7: return "waitgroup";
-    case 8: return "join";
-    case 9: return "sleep";
-    case 10: return "busyflag";
-    case 11: return "syscall";
-    case 100: return "spawn";
-    default: return "unknown";
-  }
+const char* wait_kind_name(std::uint64_t kind) {
+  return lpt::prof::wait_kind_name(static_cast<lpt::prof::WaitKind>(kind));
 }
 
-bool json_field(const std::string& line, const char* key, std::string* out) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  std::size_t i = at + needle.size();
-  if (i < line.size() && line[i] == '"') {
-    const std::size_t end = line.find('"', i + 1);
-    if (end == std::string::npos) return false;
-    *out = line.substr(i + 1, end - i - 1);
-    return true;
+/// The lifecycle subset of the log the walk needs. A cancelled ULT
+/// (deadline, directed cancel, deadlock break) never emits ult_exit; its
+/// cancellation ends its timeline all the same.
+bool is_lifecycle(EventType t) {
+  switch (t) {
+    case EventType::kUltDispatch:
+    case EventType::kUltYield:
+    case EventType::kPreemptSignalYield:
+    case EventType::kPreemptKltSwitch:
+    case EventType::kUltBlock:
+    case EventType::kUltWake:
+    case EventType::kUltExit:
+    case EventType::kUltCancel:
+      return true;
+    default:
+      return false;
   }
-  std::size_t end = i;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  *out = line.substr(i, end - i);
-  return true;
-}
-
-Event::Kind classify(const std::string& type) {
-  if (type == "ult_dispatch") return Event::kDispatch;
-  if (type == "ult_yield") return Event::kYield;
-  if (type == "preempt_signal_yield" || type == "preempt_klt_switch")
-    return Event::kPreempt;
-  if (type == "ult_block") return Event::kBlock;
-  if (type == "ult_wake") return Event::kWake;
-  if (type == "ult_exit") return Event::kExit;
-  // A cancelled ULT (deadline, directed cancel, deadlock break) never emits
-  // ult_exit; its cancellation is the end of its timeline all the same.
-  if (type == "ult_cancel") return Event::kExit;
-  return Event::kOther;
 }
 
 /// One step of the reconstructed chain, in cause order.
@@ -105,15 +74,12 @@ struct Timelines {
   std::map<std::uint64_t, std::vector<Event>> per_ult;
 };
 
-/// One member of a detector-flagged deadlock cycle ("deadlock" events:
-/// ult=member, arg0=cycle id, arg1=awaited WaitKind | 0x100 when this member
-/// was cancelled to break the cycle).
+/// One member of a detector-flagged deadlock cycle (a kDeadlock event).
 struct CycleMember {
   std::uint64_t ult = 0;
   std::uint64_t wait_kind = 0;
   bool victim = false;
 };
-constexpr std::uint64_t kDeadlockVictimFlag = 0x100;
 
 /// Walk one ULT backward from `upto`, prepending segments to `path` (which
 /// is built cause-first by reversing at the end). Returns the waker to hop
@@ -130,8 +96,8 @@ std::uint64_t walk_back(const Timelines& tl, std::uint64_t ult,
   std::int64_t seg_end = upto;
   while (i > 0) {
     const Event& e = evs[--i];
-    switch (e.kind) {
-      case Event::kDispatch:
+    switch (e.type) {
+      case EventType::kUltDispatch:
         // dispatch -> seg_end was on-CPU; before it, the recorded
         // scheduling delay (arg0) was spent runnable in a pool.
         path->push_back({ult, e.ts, seg_end, "run"});
@@ -144,15 +110,16 @@ std::uint64_t walk_back(const Timelines& tl, std::uint64_t ult,
           seg_end = e.ts;
         }
         break;
-      case Event::kYield:
-      case Event::kPreempt:
+      case EventType::kUltYield:
+      case EventType::kPreemptSignalYield:
+      case EventType::kPreemptKltSwitch:
         // Re-ready on the same ULT: the gap up to the next dispatch is the
         // runnable-wait the dispatch's arg0 already covered; just move on.
         seg_end = e.ts;
         break;
-      case Event::kWake: {
+      case EventType::kUltWake: {
         const std::uint64_t kind = e.arg1;
-        if (kind == 100) {  // spawn edge: birth of this ULT
+        if (kind == lpt::trace::kWakeArgSpawn) {  // birth of this ULT
           if (e.arg0 != 0) {
             *hop_ts = e.ts;
             return e.arg0;  // continue into the spawning ULT
@@ -162,17 +129,17 @@ std::uint64_t walk_back(const Timelines& tl, std::uint64_t ult,
         // The blocked episode [ult_block, wake]; find the matching block.
         std::int64_t block_ts = e.ts;
         for (std::size_t j = i; j > 0; --j) {
-          if (evs[j - 1].kind == Event::kBlock) {
+          if (evs[j - 1].type == EventType::kUltBlock) {
             block_ts = evs[j - 1].ts;
             break;
           }
-          if (evs[j - 1].kind == Event::kDispatch) break;  // malformed
+          if (evs[j - 1].type == EventType::kUltDispatch) break;  // malformed
         }
-        const char* base = kind == 11 ? "in-syscall" : nullptr;
-        path->push_back({ult, block_ts, e.ts,
-                         base != nullptr
-                             ? std::string(base)
-                             : "blocked-on-" + std::string(wait_kind_name(kind))});
+        path->push_back(
+            {ult, block_ts, e.ts,
+             kind == static_cast<std::uint64_t>(lpt::prof::WaitKind::kSyscall)
+                 ? std::string("in-syscall")
+                 : "blocked-on-" + std::string(wait_kind_name(kind))});
         if (e.arg0 != 0) {
           *hop_ts = e.ts;
           return e.arg0;  // hop to the waker: it is the cause from here back
@@ -180,9 +147,7 @@ std::uint64_t walk_back(const Timelines& tl, std::uint64_t ult,
         seg_end = block_ts;
         break;
       }
-      case Event::kBlock:
-      case Event::kExit:
-      case Event::kOther:
+      default:
         break;
     }
   }
@@ -209,51 +174,35 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  std::FILE* f = std::fopen(file, "r");
-  if (f == nullptr) {
-    std::fprintf(stderr, "trace_critical_path: cannot open %s\n", file);
+  const std::string text = lpt::telemetry::slurp(file);
+  if (text.empty()) {
+    std::fprintf(stderr, "trace_critical_path: cannot read %s\n", file);
     return 2;
   }
-  std::string text;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
+  const lpt::telemetry::Events log = lpt::telemetry::read_events(text);
+  for (const std::string& err : log.errors)
+    std::fprintf(stderr, "trace_critical_path: %s: %s\n", file, err.c_str());
+  if (!log.ok()) return 1;
 
   Timelines tl;
   std::map<std::uint64_t, std::int64_t> exits;            // ult -> exit ts
   std::map<std::uint64_t, std::vector<CycleMember>> cycles;  // cycle id -> members
   std::map<std::uint64_t, std::uint64_t> victim_cycle;    // victim ult -> cycle id
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    std::string v;
-    Event e;
-    if (!json_field(line, "ts", &v)) continue;
-    e.ts = std::strtoll(v.c_str(), nullptr, 10);
-    if (!json_field(line, "type", &v)) continue;
-    e.kind = classify(v);
-    const bool is_deadlock = v == "deadlock";
-    if (e.kind == Event::kOther && !is_deadlock) continue;
-    if (json_field(line, "ult", &v)) e.ult = std::strtoull(v.c_str(), nullptr, 10);
-    if (json_field(line, "arg0", &v)) e.arg0 = std::strtoull(v.c_str(), nullptr, 10);
-    if (json_field(line, "arg1", &v)) e.arg1 = std::strtoull(v.c_str(), nullptr, 10);
+  for (const Event& e : log.events) {
     if (e.ult == 0) continue;
-    if (is_deadlock) {
+    if (e.type == EventType::kDeadlock) {
       CycleMember m;
       m.ult = e.ult;
-      m.wait_kind = e.arg1 & ~kDeadlockVictimFlag;
-      m.victim = (e.arg1 & kDeadlockVictimFlag) != 0;
+      m.wait_kind = e.arg1 & ~lpt::trace::kDeadlockVictimFlag;
+      m.victim = (e.arg1 & lpt::trace::kDeadlockVictimFlag) != 0;
       cycles[e.arg0].push_back(m);
       if (m.victim) victim_cycle[m.ult] = e.arg0;
       continue;
     }
+    if (!is_lifecycle(e.type)) continue;
     tl.per_ult[e.ult].push_back(e);
-    if (e.kind == Event::kExit) exits[e.ult] = e.ts;
+    if (e.type == EventType::kUltExit || e.type == EventType::kUltCancel)
+      exits[e.ult] = e.ts;
   }
   if (tl.per_ult.empty()) {
     std::fprintf(stderr, "trace_critical_path: no lifecycle events in %s\n", file);
