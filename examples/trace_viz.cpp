@@ -5,7 +5,7 @@
 //
 // Open the JSON in https://ui.perfetto.dev (or chrome://tracing): one track
 // per worker showing ULT run spans, instant markers for preemptions and
-// steals, plus tracks for the monitor timer, the KLT creator, and every KLT
+// steals, plus tracks for the service thread, the KLT creator, and every KLT
 // that parked under KLT-switching. See docs/observability.md.
 #include <cstdio>
 

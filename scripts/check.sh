@@ -8,8 +8,9 @@
 # LPT_FAULT-degraded KLT creation, end-to-end smokes of the telemetry
 # exports, each validated by tools/telemetry_check (the one reader of every
 # export format, tools/telemetry.hpp): the metrics publisher (bench run with
-# LPT_METRICS_FILE set), the continuous profiler (LPT_PROF=1 run, its profile
-# cross-checked against the same run's metrics), and the causal tracer (mixed
+# LPT_METRICS_FILE set), the continuous profiler (LPT_PROF=1 runs, piggyback
+# and LPT_PROF_HZ=1000, each profile cross-checked against the same run's
+# metrics), and the causal tracer (mixed
 # trace_viz workload with LPT_TRACE_EVENTS_FILE and LPT_PROF set, the event
 # log, profile and Chrome trace checked against the same run's metrics), the
 # blocking-syscall resilience suite
@@ -166,6 +167,12 @@ PROF_OUT="$(mktemp /tmp/lpt_check_prof.XXXXXX.folded)"
 PROF_METRICS="$(mktemp /tmp/lpt_check_prof.XXXXXX.prom)"
 LPT_PROF=1 LPT_PROF_FILE="$PROF_OUT" LPT_METRICS_FILE="$PROF_METRICS" \
   "$BUILD/bench/fig7_cholesky" >/dev/null
+"$BUILD/tools/telemetry_check" --profile "$PROF_OUT" --metrics "$PROF_METRICS"
+# Again at LPT_PROF_HZ, where the runtime's service thread paces a sampling
+# signal of its own: the profile must say so, and reconcile the same way.
+LPT_PROF=1 LPT_PROF_HZ=1000 LPT_PROF_FILE="$PROF_OUT" \
+  LPT_METRICS_FILE="$PROF_METRICS" "$BUILD/bench/fig7_cholesky" >/dev/null
+grep -qx '# mode: hz' "$PROF_OUT" && grep -qx '# sample_hz: 1000' "$PROF_OUT"
 "$BUILD/tools/telemetry_check" --profile "$PROF_OUT" --metrics "$PROF_METRICS"
 rm -f "$PROF_OUT" "$PROF_METRICS"
 

@@ -102,7 +102,7 @@ void prom_time_in_state(std::FILE* out, const Snapshot& s) {
 /// histograms: cumulative `_bucket{pool="r",le="..."}` series (one per log2
 /// bucket up to the highest non-empty one, then `+Inf`), plus exact `_sum`
 /// and `_count`. Exact by construction — every bucket is an exported integer
-/// and sum_ns is accumulated, not reconstructed — so tests/tools/trace_check
+/// and sum_ns is accumulated, not reconstructed — so tools/telemetry_check
 /// can reconcile these against per-ULT accounting. Absent when tracing is
 /// off (empty `pools`), so scrapes stay small on untraced runs.
 void prom_pool_histograms(std::FILE* out, const char* name, const char* help,
@@ -314,7 +314,7 @@ constexpr Metric kMetrics[] = {
      .group = "stacks", .key = "stack_size",
      .total = read<&S::stack_size_bytes>},
     {.prom = "lpt_posix_timer_fallbacks_total", .type = kCounter,
-     .help = "Per-worker POSIX timers degraded to monitor delivery.",
+     .help = "Per-worker POSIX timers degraded to service-thread delivery.",
      .group = "degradation", .key = "posix_timer_fallbacks",
      .summary = "posix timer fallbacks", .summary_pos = 3,
      .total = read<&S::posix_timer_fallbacks>},

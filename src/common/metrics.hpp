@@ -268,7 +268,7 @@ struct Snapshot {
   // exported by write_prometheus as native histograms with `le` buckets
   // (lpt_sched_delay_ns / lpt_spawn_latency_ns). sum_ns is exact, so after
   // quiescing the merged totals reconcile with summed per-ULT
-  // UltAccounting (tests/tools/trace_check relies on this).
+  // UltAccounting (tools/telemetry_check relies on this).
   std::vector<trace::HistSnapshot> pool_sched_delay_ns;    ///< ready → dispatch
   std::vector<trace::HistSnapshot> pool_spawn_latency_ns;  ///< spawn → 1st disp.
 

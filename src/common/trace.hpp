@@ -5,7 +5,7 @@
 //    signal handler (PreemptSignalYield / PreemptKltSwitch), so the record
 //    path may not allocate, lock, or call anything non-reentrant;
 //  * wait-freedom — one fixed-capacity ring per OS thread (worker-host KLTs,
-//    pool KLTs, the monitor timer, the KLT creator). A thread only writes its
+//    pool KLTs, the service thread, the KLT creator). A thread only writes its
 //    own ring, so the only concurrent writer is the thread's *own* signal
 //    handler; slot reservation is a single relaxed fetch_add, which is atomic
 //    with respect to a handler running on the same CPU;
@@ -57,9 +57,9 @@ enum class EventType : std::uint16_t {
   kKltPoolHit,         ///< handler found a spare KLT in the pool
   kKltPoolMiss,        ///< pool empty; creation requested, preemption skipped
   kKltCreated,         ///< KLT creator built a spare
-  kTimerFire,          ///< monitor timer issued a tick; arg0=target rank
+  kTimerFire,          ///< service thread issued a tick; arg0=target rank
   kKltDegradedTick,    ///< pool empty + creator saturated or KLT cap hit; tick deferred
-  kTimerFallback,      ///< POSIX per-worker timer degraded to monitor delivery; arg0=rank
+  kTimerFallback,      ///< POSIX per-worker timer degraded to service-thread delivery; arg0=rank
   kStackAllocFail,     ///< spawn failed recoverably: stack mmap refused after shed+retry
   kWatchdogFlag,       ///< starvation watchdog flagged; arg0=WatchdogReport::Kind, arg1=rank
   kUltFault,           ///< fault isolation terminated a ULT; arg0=FaultKind, arg1=fault addr
@@ -265,7 +265,7 @@ struct TraceConfig {
   std::string file;  ///< Chrome-trace JSON written at runtime shutdown; "" = none
   /// Raw event log (one JSON object per line, sorted by timestamp) written at
   /// runtime shutdown; "" = none. The machine-readable input of
-  /// tools/trace_critical_path and tests/tools/trace_check.
+  /// tools/trace_critical_path and tools/telemetry_check.
   std::string events_file;
 };
 

@@ -2,7 +2,7 @@
 // tracer and the always-on metrics): answers *where time goes*.
 //
 // Three coordinated collectors, all off by default:
-//  * on-CPU sampling — piggybacks on the preemption/monitor ticks that are
+//  * on-CPU sampling — piggybacks on the preemption ticks that are
 //    already delivered to every worker (zero extra signals at the default
 //    rate; LPT_PROF_HZ arms an independent sampling signal instead). Each
 //    sample captures the interrupted ULT's PC plus a bounded frame-pointer
@@ -50,7 +50,7 @@ struct ProfConfig {
   bool enabled = false;   ///< master switch (arms the on-CPU sampler)
   bool offcpu = true;     ///< collect off-CPU wait attribution (when enabled)
   bool locks = true;      ///< collect per-Mutex contention profiles (when enabled)
-  /// 0 = piggyback on preemption/monitor ticks (no extra signals); N>0 = an
+  /// 0 = piggyback on preemption ticks (no extra signals); N>0 = an
   /// independent sampling signal at N Hz per worker (works even with
   /// TimerKind::None). Validated to [kMinHz, kMaxHz].
   int sample_hz = 0;
@@ -90,8 +90,8 @@ Format pick_format(const std::string& path);
 // ---------------------------------------------------------------------------
 
 /// Aggregate totals; the reconciliation contract is
-/// `invocations == recorded + dropped` and it is what prof_check verifies
-/// against the folded/JSON headers and the metrics counters.
+/// `invocations == recorded + dropped` and it is what tools/telemetry_check
+/// verifies against the folded/JSON headers and the metrics counters.
 struct Totals {
   bool enabled = false;
   bool offcpu = false;

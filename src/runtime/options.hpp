@@ -113,9 +113,9 @@ struct RuntimeOptions {
   std::int64_t metrics_period_ms = 1000;
 
   /// Starvation watchdog (runtime/watchdog.hpp). On by default: it rides the
-  /// monitor timer thread when one exists and otherwise wakes its own thread
-  /// once per watchdog_period_ms — cost is a handful of relaxed loads per
-  /// worker per period, nothing on scheduling hot paths.
+  /// runtime's service thread, which wakes at least once per
+  /// watchdog_period_ms — cost is a handful of relaxed loads per worker per
+  /// period, nothing on scheduling hot paths.
   bool watchdog = true;
   /// Poll period; detection latency is at most ~2 periods past a threshold.
   std::int64_t watchdog_period_ms = 100;

@@ -29,8 +29,8 @@ std::atomic<std::uint32_t> g_cycle_seq{0};
 std::atomic<bool> g_abandon_release{false};
 
 // Detector cycle memory. Single-threaded by construction: deadlock_poll runs
-// only inside Watchdog::poll, which is serialized by the watchdog's busy_
-// try-lock. Reset on arm() so sequential runtimes start clean.
+// only inside Watchdog::poll, which runs only on the runtime's service
+// thread. Reset on arm() so sequential runtimes start clean.
 std::unordered_set<std::uint64_t> g_pending;   ///< seen once, validated
 std::unordered_set<std::uint64_t> g_reported;  ///< flagged (and maybe broken)
 

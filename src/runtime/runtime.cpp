@@ -20,7 +20,6 @@
 #include "runtime/internal.hpp"
 #include "runtime/park.hpp"
 #include "runtime/signals.hpp"
-#include "runtime/timer.hpp"
 
 namespace lpt {
 
@@ -183,40 +182,21 @@ Runtime::Runtime(RuntimeOptions opts)
   for (int i = 0; i < opts_.initial_spare_klts; ++i)
     create_klt(/*starts_parked=*/true);
 
-  timer_ = PreemptionTimer::make(opts_.timer);
-  if (timer_) timer_->start(*this);
-
-  // Monitor-thread timers drive the watchdog for free from their loop; the
-  // other modes (no timer, kernel-delivered POSIX timers) get a dedicated
-  // low-frequency poll thread.
-  const bool monitor_driven =
-      timer_ != nullptr && opts_.timer != TimerKind::PosixPerWorker;
-  if (opts_.watchdog) watchdog_.start(*this, /*own_thread=*/!monitor_driven);
-
+  if (opts_.watchdog) watchdog_.start(*this);
   if (!opts_.metrics_file.empty()) publisher_.start(*this);
-
-  if (opts_.prof.enabled && opts_.prof.sample_hz > 0)
-    prof_ticker_.start(*this, opts_.prof.sample_hz);
+  service_.start(*this);
 }
 
 Runtime::~Runtime() {
-  prof_ticker_.stop();
-  if (timer_) timer_->stop();
+  // The service thread reads worker metrics and scheduler queues; stop it
+  // while both still exist.
+  service_.stop();
   // Disarm the parking registry: all ULTs are joined by contract, so no slot
   // is occupied; primitives outliving this runtime just stop registering.
   park::disarm();
-  // The watchdog reads worker metrics and scheduler queues; stop it while
-  // both still exist and before the fallback timer (a late driver) goes.
-  watchdog_.stop();
   klt_creator_.stop();
 
   shutdown_.store(true, std::memory_order_release);
-  // With shutdown_ visible, no new fallback timer can start; stop any
-  // running one under the same lock that guards its creation.
-  {
-    SpinlockGuard g(fallback_lock_);
-    if (fallback_timer_) fallback_timer_->stop();
-  }
   set_active_workers(num_workers());  // unpark packing-suspended workers
   idle_.notify_all();
 
@@ -668,49 +648,17 @@ void Runtime::print_trace_summary(std::FILE* out) const {
   metrics::write_degradation(out, s);
 }
 
-void Runtime::enable_posix_timer_fallback() {
-  SpinlockGuard g(fallback_lock_);
+void Runtime::enable_posix_timer_fallback(Worker& w) {
+  w.posix_timer_degraded.store(true, std::memory_order_release);
   if (shutting_down()) return;
   n_timer_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  if (fallback_timer_ == nullptr) {
-    fallback_timer_ = PreemptionTimer::make_fallback();
-    fallback_timer_->start(*this);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// LPT_PROF_HZ sampling pacer (docs/observability.md "Profiling")
-// ---------------------------------------------------------------------------
-
-void Runtime::ProfTicker::start(Runtime& rt, int hz) {
-  rt_ = &rt;
-  period_ns_ = 1'000'000'000 / std::max(hz, 1);
-  stop_.store(false, std::memory_order_release);
-  thread_ = std::thread([this] { thread_loop(); });
-}
-
-void Runtime::ProfTicker::stop() {
-  if (!thread_.joinable()) return;
-  stop_.store(true, std::memory_order_release);
-  gate_.post();
-  thread_.join();
-}
-
-void Runtime::ProfTicker::thread_loop() {
-  // Like every helper thread: never take a runtime signal on this stack.
-  signals::block_runtime_signals();
-  while (!stop_.load(std::memory_order_acquire)) {
-    gate_.wait_for(period_ns_);
-    if (stop_.load(std::memory_order_acquire)) return;
-    for (int r = 0; r < rt_->num_workers(); ++r)
-      signals::send_prof_tick(rt_->worker(r));
-  }
+  service_.post();  // start ticking w on the aligned schedule
 }
 
 namespace {
 
 /// Give a ringless OS thread (an application thread calling spawn(), the
-/// watchdog/monitor driving timed-wait expiry) a trace ring the first time it
+/// service thread driving timed-wait expiry) a trace ring the first time it
 /// makes a ULT runnable, so its kUltWake edges are recorded rather than
 /// silently dropped. Scheduler/ULT contexts already hold a ring from
 /// klt_main. Never reached from signal handlers (enqueue_ready's contract),
@@ -826,9 +774,15 @@ void Runtime::idle_wait(Worker& w) {
 
 void Runtime::lower_next_due(std::int64_t when) {
   std::int64_t cur = next_due_.load(std::memory_order_relaxed);
-  while (when < cur && !next_due_.compare_exchange_weak(
-                           cur, when, std::memory_order_acq_rel))
-    ;
+  while (when < cur) {
+    if (!next_due_.compare_exchange_weak(cur, when, std::memory_order_seq_cst))
+      continue;
+    // The service thread publishes its wake time before it reads
+    // next_due_ (runtime/timer.hpp), so either it sees `when` or this load
+    // sees a wake time that `when` must undercut.
+    if (when < service_.wake_ns()) service_.post();
+    return;
+  }
 }
 
 void Runtime::expire_timers(std::int64_t now) {
@@ -836,7 +790,7 @@ void Runtime::expire_timers(std::int64_t now) {
   // Start over from "nothing due" and only lower from here on: a wait
   // linked, or a deadline armed, behind the scan lowers next_due_ itself
   // (arm_timed_wait, arm_deadline), and that must not be overwritten.
-  next_due_.store(kNoDeadline, std::memory_order_release);
+  next_due_.store(ServiceThread::kNever, std::memory_order_release);
 
   // Due waits are settled in place under their list's lock: a linked waiter
   // cannot return from wait() while we hold it, so its queue stays alive,
@@ -845,7 +799,7 @@ void Runtime::expire_timers(std::int64_t now) {
   // Whoever removes the waiter from its queue owns its requeue; if a
   // notify/handoff got there first, settle() changes nothing.
   ThreadCtl* timed_out = nullptr;  // chain through wq_next, woken below
-  std::int64_t next = kNoDeadline;
+  std::int64_t next = ServiceThread::kNever;
   for (auto& w : workers_) {
     park::List& list = w->park_list;
     SpinlockGuard g(list.lock);
@@ -862,8 +816,9 @@ void Runtime::expire_timers(std::int64_t now) {
         timed_out = t;
       } else if (wake_ns != 0) {
         // Due but not settled: its queue was busy, or a normal waker won
-        // and the waiter has yet to unlink — either way, look again soon.
-        next = std::min(next, due ? now : wake_ns);
+        // and the waiter has yet to unlink — either way, look again in a
+        // millisecond (a waiter that is not dispatched yet stays linked).
+        next = std::min(next, due ? now + 1'000'000 : wake_ns);
       }
       t = after;
     }
@@ -909,7 +864,7 @@ void Runtime::expire_timers(std::int64_t now) {
   }
   if (!expired.empty()) {
     // A victim blocked in a timed wait was not due in this scan's collection
-    // pass; re-arm so the next tick wakes it into its cancellation point.
+    // pass; re-arm so the next scan wakes it into its cancellation point.
     lower_next_due(0);
     SpinlockGuard g(timed_lock_);
     for (ThreadCtl* t : expired) {
@@ -922,13 +877,6 @@ void Runtime::expire_timers(std::int64_t now) {
       }
     }
   }
-}
-
-void Runtime::maybe_expire_timers() {
-  const std::int64_t due = next_due_.load(std::memory_order_relaxed);
-  if (due == kNoDeadline) return;
-  const std::int64_t now = now_ns();
-  if (now >= due) expire_timers(now);
 }
 
 void Runtime::arm_deadline(ThreadCtl* t, std::int64_t deadline_abs_ns) {

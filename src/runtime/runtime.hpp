@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -27,12 +26,11 @@
 #include "runtime/options.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/thread.hpp"
+#include "runtime/timer.hpp"
 #include "runtime/watchdog.hpp"
 #include "runtime/worker.hpp"
 
 namespace lpt {
-
-class PreemptionTimer;
 
 class Runtime {
  public:
@@ -153,15 +151,14 @@ class Runtime {
            n_klts_.load(std::memory_order_acquire) >= static_cast<unsigned>(cap);
   }
 
-  /// Put the calling worker's preemption delivery on the monitor-thread
-  /// fallback path after its POSIX per-worker timer failed repeatedly.
-  /// Starts the fallback timer lazily; callable from scheduler context only.
-  void enable_posix_timer_fallback();
+  /// Put worker w's preemption ticks on the service thread after its POSIX
+  /// per-worker timer failed repeatedly (sticky; runtime/timer.hpp).
+  void enable_posix_timer_fallback(Worker& w);
 
-  /// Drive the watchdog from a timer/monitor thread (runtime/watchdog.hpp).
-  /// No-op when the watchdog is disabled; safe from concurrent drivers. Also
-  /// the timed-wait/deadline expiry driver: expirations happen before the
-  /// watchdog poll so a deadline-expired cancel is visible the same period.
+  /// The service thread's work at each wake (runtime/timer.hpp): expire due
+  /// timed waits and deadlines, then drive the watchdog (a no-op when it is
+  /// off). Expirations come first so a deadline-expired cancel is visible to
+  /// the same poll.
   void watchdog_tick(std::int64_t now) {
     expire_timers(now);
     watchdog_.tick(now);
@@ -247,14 +244,10 @@ class Runtime {
   /// deadlines into cancel requests plus a directed preemption tick. Cheap
   /// when nothing is due.
   void expire_timers(std::int64_t now);
-  /// Fast-path wrapper for idle workers: one relaxed load when no timed wait
-  /// or deadline is armed, so timed waits keep ~1 ms granularity even with
-  /// TimerKind::None.
-  void maybe_expire_timers();
-  /// Make the registry due now: the next expiry scan (idle worker, monitor
-  /// tick, or watchdog poll) wakes any timed wait whose thread has a pending
-  /// cancel request, regardless of its nominal wake time. Called after
-  /// setting ThreadCtl::cancel_requested on a possibly-blocked thread.
+  /// Make the registry due now: the service thread's next expiry scan wakes
+  /// any timed wait whose thread has a pending cancel request, regardless of
+  /// its nominal wake time. Called after setting
+  /// ThreadCtl::cancel_requested on a possibly-blocked thread.
   void kick_timers() { lower_next_due(0); }
 
   /// Watchdog remediation (options().remediation): replace worker w's wedged
@@ -295,8 +288,8 @@ class Runtime {
   /// graph, DFS for cycles, confirm each over two consecutive passes, and —
   /// when `remediate_budget` is non-null with budget remaining — break each
   /// confirmed cycle by cancelling its youngest member. Called from
-  /// Watchdog::poll every options().deadlock_periods polls; serialized by
-  /// the watchdog's try-lock.
+  /// Watchdog::poll every options().deadlock_periods polls, so only on the
+  /// service thread.
   void deadlock_poll(Watchdog* wd, int* remediate_budget);
   /// Account a self-deadlock caught synchronously at the lock fast path
   /// (a 1-cycle: counter, trace event, watchdog report). The caller already
@@ -310,6 +303,7 @@ class Runtime {
 
  private:
   friend struct Worker;
+  friend class ServiceThread;
   static void* klt_entry(void* arg);
   void klt_main(KltCtl* self);
   ThreadCtl* spawn_ctl(std::function<void()> fn, ThreadAttrs attrs, bool detached);
@@ -339,7 +333,8 @@ class Runtime {
   /// finalize paths, before the control block may be deleted.
   void arm_deadline(ThreadCtl* t, std::int64_t deadline_abs_ns);
   void disarm_deadline(ThreadCtl* t);
-  /// Fold a new wake/deadline instant into next_due_ (CAS-min).
+  /// Fold a new wake/deadline instant into next_due_ (CAS-min), and wake
+  /// the service thread when it sleeps toward a later instant.
   void lower_next_due(std::int64_t when);
 
   RuntimeOptions opts_;  ///< resolved against the environment
@@ -357,11 +352,6 @@ class Runtime {
   std::atomic<std::uint64_t> inline_cancel_epoch_{0};
   std::vector<std::unique_ptr<Worker>> workers_;
   std::unique_ptr<Scheduler> sched_;
-  std::unique_ptr<PreemptionTimer> timer_;
-  /// Monitor-thread timer started lazily when a worker's POSIX timer
-  /// degrades (signals only degraded workers); guarded by fallback_lock_.
-  Spinlock fallback_lock_;
-  std::unique_ptr<PreemptionTimer> fallback_timer_;
 
   KltPool klt_pool_;
   KltCreator klt_creator_;
@@ -382,8 +372,6 @@ class Runtime {
   std::atomic<std::uint64_t> stack_watermark_max_{0};  ///< CAS-max on release
 
   // -- self-healing: timed waits, deadlines, remediation --
-  static constexpr std::int64_t kNoDeadline =
-      std::numeric_limits<std::int64_t>::max();
   Spinlock timed_lock_;  ///< guards the two deadline lists
   /// Threads with an armed deadline. Entries pin liveness: removed in
   /// finalize_* (disarm_deadline) before the control block can be deleted.
@@ -392,8 +380,9 @@ class Runtime {
   /// pin liveness the same way (disarm_deadline spins until the scan drops
   /// its entry, so the control block cannot die under the scan's hands).
   std::vector<ThreadCtl*> deadline_busy_;
-  /// Earliest pending timed wait or deadline; kNoDeadline when none is.
-  std::atomic<std::int64_t> next_due_{kNoDeadline};
+  /// Earliest pending timed wait or deadline; ServiceThread::kNever when
+  /// none is.
+  std::atomic<std::int64_t> next_due_{ServiceThread::kNever};
   metrics::AtomicCounter n_remediations_[4];  ///< indexed RemediationKind - 1
   /// Blocking-syscall compensation outcomes: [0] activated (sentinel
   /// committed), [1] reabsorbed (losing host parked back), [2] saturated
@@ -409,32 +398,13 @@ class Runtime {
   metrics::AtomicCounter n_abandoned_released_;
 
   /// Watchdog + metrics publisher (runtime/watchdog.hpp). Declared after
-  /// workers_/sched_ and stopped before them in the destructor.
+  /// workers_/sched_; the service thread drives the watchdog.
   Watchdog watchdog_;
   MetricsPublisher publisher_;
 
-  /// LPT_PROF_HZ sampling pacer: a dedicated thread that delivers one
-  /// profiler signal per worker at the configured rate, decoupling sampling
-  /// density from the preemption interval. Not started in piggyback mode
-  /// (sample_hz == 0, the default) — there the preemption ticks themselves
-  /// drive the sampler for free. Stopped first in the destructor, alongside
-  /// the preemption timer.
-  class ProfTicker {
-   public:
-    ~ProfTicker() { stop(); }
-    void start(Runtime& rt, int hz);
-    void stop();
-
-   private:
-    void thread_loop();
-
-    Runtime* rt_ = nullptr;
-    std::int64_t period_ns_ = 0;
-    std::atomic<bool> stop_{false};
-    FutexGate gate_;
-    std::thread thread_;
-  };
-  ProfTicker prof_ticker_;
+  /// Preemption ticks, the watchdog, timed-wait expiry and the profiler
+  /// pacer (runtime/timer.hpp). Started last, stopped first.
+  ServiceThread service_;
 
   std::atomic<int> n_active_{0};
   std::atomic<bool> shutdown_{false};

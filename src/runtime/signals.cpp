@@ -122,7 +122,7 @@ void preempt_handler(int /*signo*/, siginfo_t* si, void* uctx) {
   // yields exactly one sample — before the guard-defer and cancel branches,
   // so deferred/cancelled entries still report where the ULT was running.
   // In piggyback mode the sampler's invocation count therefore reconciles
-  // with handler_entries (prof_check and prof_test assert it).
+  // with handler_entries (tools/telemetry_check and prof_test assert it).
   if (prof::piggyback_on()) prof_sample_interrupted(tls, t, uctx);
   if (t->no_preempt_depth > 0) {
     t->preempt_pending = true;

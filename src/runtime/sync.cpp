@@ -295,7 +295,7 @@ bool Mutex::abandon(ThreadCtl* dead, bool release_lock) {
     q_.lock().unlock();
     return false;
   }
-  // Causally the dead owner freed the lock, not the watchdog thread running
+  // Causally the dead owner freed the lock, not the service thread running
   // this hook — attribute the wake edge to it so trace_critical_path can
   // walk a survivor's chain back into the broken cycle.
   release(nullptr, dead->trace_id);

@@ -1,11 +1,16 @@
-// Preemption timers (§3.2). Two families:
+// The runtime's service thread: the one clock behind preemption ticks (§3.2),
+// the watchdog, timed-wait expiry and the LPT_PROF_HZ sampling pacer.
 //
-//  * Monitor-thread timers — a dedicated thread sleeps on CLOCK_MONOTONIC and
-//    delivers preemption signals to worker KLTs. It implements the paper's
-//    four delivery schedules:
+// Every Runtime starts exactly one, whatever its options, and it sleeps on a
+// FutexGate until the earliest of:
+//
+//  * the next preemption tick. A tick signals the worker's *current* KLT,
+//    which keeps delivery correct while KLT-switching remaps workers. The
+//    schedule follows the paper's four delivery modes:
 //      PerWorkerAligned       every worker ticks at `interval`, phases
 //                             staggered by interval/N (§3.2.1 "timer
-//                             alignment")
+//                             alignment"): tick k goes to worker k % N at
+//                             interval·(k+1)/N
 //      PerWorkerCreationTime  every worker ticks at `interval`, all in phase
 //                             (the naive baseline of Fig 4)
 //      ProcessOneToAll        one tick per interval; the initiating worker's
@@ -13,41 +18,65 @@
 //      ProcessChain           one tick per interval; handlers forward to at
 //                             most one next eligible worker ("chained
 //                             signals")
-//    Targeting the worker's *current* KLT keeps delivery correct while
-//    KLT-switching remaps workers.
+//    PosixPerWorker is the paper's literal mechanism: one timer_create(2) per
+//    worker with SIGEV_THREAD_ID, armed by the worker itself
+//    (Worker::maybe_rearm_posix_timer), so the kernel delivers its ticks.
+//    When a worker's POSIX timer cannot be (re)created, the worker degrades
+//    (docs/robustness.md) and this thread ticks it on the aligned schedule;
+//    healthy workers keep their kernel timers;
+//  * the watchdog's next poll (runtime/watchdog.hpp);
+//  * the next LPT_PROF_HZ sampling tick (docs/observability.md, "Profiling");
+//  * the earliest timed wait or ULT deadline (Runtime::next_due_). Arming one
+//    earlier than the instant this thread sleeps toward posts the gate, so a
+//    timed wait ends within ~1 ms of its deadline even beside a busy worker.
 //
-//  * PosixPerWorker — the paper's literal mechanism: one timer_create(2) per
-//    worker with SIGEV_THREAD_ID (Linux), expirations aligned. The worker
-//    re-arms its timer from scheduler context after a KLT remap.
+// Whenever it wakes it calls Runtime::watchdog_tick, which expires due timed
+// waits and deadlines and drives the watchdog. Being the only caller, it
+// needs no lock against a second driver.
 //
-// Robustness (docs/robustness.md): when a worker's POSIX timer cannot be
-// (re)created, the runtime lazily starts a monitor-thread *fallback* timer
-// (make_fallback) that delivers PerWorkerAligned-style ticks to degraded
-// workers only — healthy workers keep their kernel timers.
+// Two helpers keep their own threads. MetricsPublisher writes files and
+// symbolizes profiles, which must never delay a tick; KltCreator is woken by
+// signal handlers, and its pthread_create backoff must not stall delivery.
 #pragma once
 
-#include <ctime>
-#include <memory>
+#include <atomic>
+#include <cstdint>
+#include <limits>
+#include <thread>
 
-#include "runtime/options.hpp"
+#include "common/futex.hpp"
 
 namespace lpt {
 
 class Runtime;
 
-class PreemptionTimer {
+class ServiceThread {
  public:
-  virtual ~PreemptionTimer() = default;
-  virtual void start(Runtime& rt) = 0;
-  virtual void stop() = 0;
+  static constexpr std::int64_t kNever =
+      std::numeric_limits<std::int64_t>::max();
 
-  /// nullptr for TimerKind::None.
-  static std::unique_ptr<PreemptionTimer> make(TimerKind kind);
+  ~ServiceThread() { stop(); }
 
-  /// Monitor-thread timer that ticks only workers whose POSIX per-worker
-  /// timer has degraded (Worker::posix_timer_degraded). Started lazily by
-  /// Runtime::enable_posix_timer_fallback.
-  static std::unique_ptr<PreemptionTimer> make_fallback();
+  void start(Runtime& rt);
+  void stop();
+
+  /// Wake the thread now so it recomputes when to sleep until.
+  void post() { gate_.post(); }
+  /// The instant the thread sleeps toward, next_due_ aside (kNever: until
+  /// posted). Published before it reads next_due_, so a due time lowered
+  /// below this value must post() to be seen in time.
+  std::int64_t wake_ns() const {
+    return wake_ns_.load(std::memory_order_seq_cst);
+  }
+
+ private:
+  void loop();
+
+  Runtime* rt_ = nullptr;
+  std::atomic<bool> stop_{false};
+  std::atomic<std::int64_t> wake_ns_{kNever};
+  FutexGate gate_;
+  std::thread thread_;
 };
 
 }  // namespace lpt

@@ -89,7 +89,7 @@ bool WaitQueue::remove(ThreadCtl* t) {
 }
 
 void WaitQueue::wake_chain(ThreadCtl* chain, std::uint32_t waker) {
-  Worker* hint = worker_tls()->worker;  // null on external/watchdog threads
+  Worker* hint = worker_tls()->worker;  // null on external/service threads
   while (chain != nullptr) {
     // Read the link first: once enqueued, the thread may run and wait again.
     ThreadCtl* const t = chain;

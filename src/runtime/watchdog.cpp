@@ -160,7 +160,7 @@ unsigned evaluate_worker(const WorkerObs& obs, const WatchdogLimits& limits,
 
 }  // namespace watchdog_detail
 
-void Watchdog::start(Runtime& rt, bool own_thread) {
+void Watchdog::start(Runtime& rt) {
   using watchdog_detail::WorkerWatch;
   rt_ = &rt;
   const RuntimeOptions& o = rt.options();
@@ -196,32 +196,15 @@ void Watchdog::start(Runtime& rt, bool own_thread) {
   // Deadlock-detection cadence, in watchdog periods (LPT_DEADLOCK_PERIODS).
   deadlock_every_ = o.deadlock_periods > 0 ? o.deadlock_periods : 1;
   deadlock_tick_ = 0;
-  enabled_.store(true, std::memory_order_release);
-  if (own_thread) {
-    thread_stop_.store(false, std::memory_order_release);
-    thread_ = std::thread([this] { thread_loop(); });
-  }
-}
-
-void Watchdog::stop() {
-  // Disabling first makes any still-running driver (the fallback timer
-  // outlives the main one in the destructor) tick into a no-op.
-  enabled_.store(false, std::memory_order_release);
-  if (thread_.joinable()) {
-    thread_stop_.store(true, std::memory_order_release);
-    gate_.post();
-    thread_.join();
-  }
 }
 
 void Watchdog::tick(std::int64_t now) {
-  if (!enabled_.load(std::memory_order_acquire)) return;
-  if (busy_.exchange(true, std::memory_order_acquire)) return;
+  if (rt_ == nullptr) return;
 
   // Sampled time-in-state: attribute the elapsed wall time to whichever
-  // state each worker advertises right now. Resolution is the driver's
-  // cadence (monitor tick or watchdog period); hot paths pay only the
-  // state-marker store.
+  // state each worker advertises right now. Resolution is the service
+  // thread's cadence (at least once per watchdog period); hot paths pay
+  // only the state-marker store.
   const std::int64_t delta = now - last_accrue_ns_;
   if (delta > 0) {
     last_accrue_ns_ = now;
@@ -238,7 +221,6 @@ void Watchdog::tick(std::int64_t now) {
     next_poll_ns_ = now + period_ns_;
     poll(now);
   }
-  busy_.store(false, std::memory_order_release);
 }
 
 void Watchdog::poll(std::int64_t now) {
@@ -424,20 +406,6 @@ void Watchdog::report(const WatchdogReport& r) {
                r.remediation != RemediationKind::kNone
                    ? remediation_kind_name(r.remediation)
                    : "");
-}
-
-void Watchdog::thread_loop() {
-  signals::block_runtime_signals();
-  worker_tls()->trace_ring =
-      trace::Collector::instance().acquire_ring(trace::TrackKind::kTimer, -1);
-  worker_tls()->trace_ring_epoch = trace::Collector::instance().config_epoch();
-  for (;;) {
-    gate_.wait_for(period_ns_);
-    if (thread_stop_.load(std::memory_order_acquire)) return;
-    // Via the runtime wrapper so timed-wait/deadline expiry runs even when
-    // no monitor timer thread exists to drive it.
-    rt_->watchdog_tick(now_ns());
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -35,14 +35,15 @@
 // raises a counter, emits a trace event when tracing is armed, and invokes
 // RuntimeOptions::watchdog_callback (default: a rate-limited stderr report).
 //
-// Driving: when a monitor timer thread exists it calls Runtime::watchdog_tick
-// from its loop (zero extra threads); with TimerKind::None or PosixPerWorker
-// the watchdog runs its own thread, parked on a futex between periods. The
-// same tick also accrues sampled time-in-state for WorkerMetrics.
+// Driving: the runtime's service thread (runtime/timer.hpp) is the only
+// caller of tick(). It wakes at least once per watchdog period, and also at
+// every preemption tick, profiler tick and timed-wait deadline; each call
+// accrues sampled time-in-state for WorkerMetrics.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -157,25 +158,17 @@ unsigned evaluate_worker(const WorkerObs& obs, const WatchdogLimits& limits,
 
 }  // namespace watchdog_detail
 
-/// The runtime-facing watchdog. Lifecycle is owned by Runtime: start() in
-/// the constructor (after the timer), stop() in the destructor (right after
-/// the timer stops, while workers still exist).
+/// The runtime-facing watchdog. Runtime::Runtime calls start() before it
+/// starts the service thread, which then drives tick().
 class Watchdog {
  public:
-  ~Watchdog() { stop(); }
+  void start(Runtime& rt);
 
-  /// `own_thread`: spawn a dedicated poll thread (TimerKind::None /
-  /// PosixPerWorker); otherwise the monitor timer drives tick().
-  void start(Runtime& rt, bool own_thread);
-  void stop();
-
-  /// Called by whichever thread drives the watchdog, at its own cadence
-  /// (every monitor tick, or once per watchdog period from the own thread).
   /// Accrues time-in-state each call; runs the starvation poll at most once
-  /// per watchdog period. Safe to call from multiple driver threads (the
-  /// fallback timer may coexist with the main monitor): a try-lock keeps
-  /// passes from overlapping, extra callers simply skip.
+  /// per watchdog period. Called only from the service thread.
   void tick(std::int64_t now);
+  /// When the next poll is due; INT64_MAX when the watchdog is off.
+  std::int64_t next_poll_ns() const { return next_poll_ns_; }
 
   std::uint64_t checks() const {
     return checks_.load(std::memory_order_relaxed);
@@ -191,16 +184,13 @@ class Watchdog {
 
   void poll(std::int64_t now);
   void report(const WatchdogReport& r);
-  void thread_loop();
 
-  Runtime* rt_ = nullptr;
-  std::atomic<bool> enabled_{false};
-  std::atomic<bool> busy_{false};  ///< try-lock over tick bodies
+  Runtime* rt_ = nullptr;  ///< null while the watchdog is off
   std::int64_t period_ns_ = 0;
   watchdog_detail::WatchdogLimits limits_;
   std::vector<watchdog_detail::WorkerWatch> watch_;
   std::int64_t last_accrue_ns_ = 0;
-  std::int64_t next_poll_ns_ = 0;
+  std::int64_t next_poll_ns_ = std::numeric_limits<std::int64_t>::max();
   /// Default-sink rate limit, per flag kind: a starving runtime flags every
   /// period, but one noisy kind must not silence reports of the others.
   std::int64_t last_stderr_ns_[7] = {};
@@ -216,11 +206,6 @@ class Watchdog {
 
   std::atomic<std::uint64_t> checks_{0};
   std::atomic<std::uint64_t> flags_[7] = {};
-
-  // Own-thread mode.
-  std::atomic<bool> thread_stop_{false};
-  FutexGate gate_;
-  std::thread thread_;
 };
 
 /// Background publisher: rewrites LPT_METRICS_FILE atomically (tmp + rename)

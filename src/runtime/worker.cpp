@@ -625,10 +625,6 @@ void Worker::process_post_action() {
 
 void Worker::idle_backoff(int& failures) {
   metrics.set_state(metrics::WorkerState::kIdle);
-  // Idle workers double as the timed-wait clock: with TimerKind::None there
-  // is no monitor tick, so this (plus the 1 ms bound on idle_wait) is what
-  // keeps sleep_for / try_lock_for at ~1 ms granularity.
-  rt->maybe_expire_timers();
   ++failures;
   if (failures < 64) {
     for (int i = 0; i < 32; ++i) cpu_pause();
@@ -660,7 +656,7 @@ void Worker::park_for_packing() {
 void Worker::maybe_rearm_posix_timer(pid_t tid) {
   if (rt->options().timer != TimerKind::PosixPerWorker) return;
   if (rt->shutting_down()) return;
-  // Once degraded, ticks come from the monitor-thread fallback; retrying
+  // Once degraded, ticks come from the service thread; retrying
   // timer_create on every reschedule would just repeat the failure.
   if (posix_timer_degraded.load(std::memory_order_relaxed)) return;
   if (tid == 0) tid = worker_tls()->klt->tid.load(std::memory_order_relaxed);
@@ -714,13 +710,12 @@ void Worker::maybe_rearm_posix_timer(pid_t tid) {
 
 void Worker::note_posix_timer_failure() {
   // Degrade (docs/robustness.md): preemption for this worker now rides the
-  // shared monitor thread, which signals only degraded workers. Sticky for
-  // the runtime's lifetime — the POSIX timer API failed repeatedly and the
-  // fallback keeps preemption guarantees intact, just with more jitter.
-  posix_timer_degraded.store(true, std::memory_order_release);
+  // runtime's service thread, which signals only degraded workers. Sticky
+  // for the runtime's lifetime — the POSIX timer API failed repeatedly and
+  // the fallback keeps preemption guarantees intact, just with more jitter.
   LPT_TRACE_EVENT(trace::EventType::kTimerFallback, 0,
                   static_cast<std::uint64_t>(rank));
-  rt->enable_posix_timer_fallback();
+  rt->enable_posix_timer_fallback(*this);
 }
 
 }  // namespace lpt

@@ -139,15 +139,15 @@ struct alignas(kCacheLineSize) Worker {
   // -- graceful degradation (docs/robustness.md) --
   /// Total timer_create/timer_settime failures observed by this worker.
   int posix_timer_failures = 0;
-  /// This worker's preemption ticks come from the fallback monitor thread
-  /// instead of its (failed) POSIX timer. Read by the fallback timer to
-  /// signal only degraded workers; sticky until shutdown.
+  /// This worker's preemption ticks come from the service thread instead of
+  /// its (failed) POSIX timer. Read by the service thread to signal only
+  /// degraded workers; sticky until shutdown.
   std::atomic<bool> posix_timer_degraded{false};
   /// Arm attempts per maybe_rearm_posix_timer() call before degrading. The
   /// retries happen in-call so a worker is armed or degraded before it
   /// dispatches — never silently unpreemptible.
   static constexpr int kPosixTimerFailLimit = 3;
-  /// Degrade this worker to monitor-thread delivery (sticky).
+  /// Degrade this worker to service-thread delivery (sticky).
   void note_posix_timer_failure();
 
   /// Always-on counters and the sampled state marker (common/metrics.hpp).

@@ -43,13 +43,22 @@ TEST(TelemetryReader, RejectsMalformedJson) {
 
 TEST(TelemetryReader, RejectsMalformedPrometheus) {
   expect_only_first_passes(
-      {{"valid", "# HELP a_total says a\n# TYPE a_total counter\na_total 12\n"},
+      {{"valid",
+        "# HELP a_total says a\n# TYPE a_total counter\na_total 12\n"
+        "# TYPE g gauge\ng{k=\"0\"} -1.5e-3\ng{k=\"1\"} .5\ng{k=\"2\"} NaN\n"
+        "g{k=\"3\"} +Inf\ng{k=\"4\"} -Inf\n"},
        {"no TYPE before the sample", "orphan_total 1\n"},
        {"counter without _total", "# TYPE bad counter\nbad 1\n"},
        {"duplicate series",
         "# TYPE a_total counter\na_total{w=\"0\"} 1\na_total{w=\"0\"} 2\n"},
        {"unterminated label set", "# TYPE a gauge\na{w=\"0\" 1\n"},
-       {"bad value", "# TYPE a gauge\na twelve\n"}},
+       {"bad value", "# TYPE a gauge\na twelve\n"},
+       {"hex value", "# TYPE a gauge\na 0x1F\n"},
+       {"second space before the value", "# TYPE a gauge\na  12\n"},
+       {"lowercase inf", "# TYPE a gauge\na inf\n"},
+       {"lowercase nan", "# TYPE a gauge\na nan\n"},
+       {"Inf without a sign", "# TYPE a gauge\na Inf\n"},
+       {"exponent without digits", "# TYPE a gauge\na 1e\n"}},
       [](const std::string& text) { return parse_prometheus(text).ok(); });
 }
 

@@ -146,7 +146,7 @@ TEST_F(FaultInjection, MixedFaultStormCompletesAllWork) {
   sys::reset_faults();
 }
 
-// --- timer_create failure: fall back to monitor-thread delivery ------------
+// --- timer_create failure: fall back to service-thread delivery ------------
 
 TEST_F(FaultInjection, PosixTimerFailureFallsBackToMonitor) {
   // Armed BEFORE construction: every timer_create fails, so each worker must

@@ -232,7 +232,7 @@ TEST(Metrics, PublisherWritesJsonForJsonPath) {
 TEST(Metrics, TimeInStateAccruesUnderWatchdog) {
   RuntimeOptions o;
   o.num_workers = 1;
-  o.watchdog_period_ms = 20;  // watchdog thread also drives state sampling
+  o.watchdog_period_ms = 20;  // the service thread samples state every period
   Runtime rt(o);
   Thread t = rt.spawn([] { busy_spin_ns(120'000'000); });
   t.join();

@@ -353,7 +353,7 @@ TEST(SyscallComp, SaturationDegradesGracefully) {
   Pipe p;
   RuntimeOptions o;
   o.num_workers = 1;
-  o.timer = TimerKind::None;  // watchdog drives itself on its own thread
+  o.timer = TimerKind::None;  // the service thread wakes only for the watchdog
   o.watchdog_period_ms = 10;
   o.syscall_grace_ns = 5'000'000;
   o.max_klts = 1;

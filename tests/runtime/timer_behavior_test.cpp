@@ -1,10 +1,15 @@
 // Behavioural tests of the preemption timers: rates, eligibility filtering,
-// fairness of the chain, and re-arming across KLT remaps.
+// fairness of the chain, and re-arming across KLT remaps; and of the service
+// thread that delivers them: one helper thread in every mode, and timed
+// waits that end on time beside a busy worker.
+#include <dirent.h>
 #include <gtest/gtest.h>
-
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/cpu.hpp"
@@ -157,6 +162,94 @@ TEST(TimerTargets, OnlyPreemptiveThreadsAreEverPreempted) {
   EXPECT_EQ(coop_preempts, 0u);  // signalled, but never preempted
   EXPECT_GT(rt.total_preemptions(), 0u);
 }
+
+int task_count() {
+  DIR* d = opendir("/proc/self/task");
+  if (d == nullptr) return -1;
+  int n = 0;
+  while (const dirent* e = readdir(d))
+    if (e->d_name[0] != '.') ++n;
+  closedir(d);
+  return n;
+}
+
+TEST(ServiceThread, OneHelperThreadInEveryMode) {
+  // An idle runtime of 2 workers runs the same threads whatever its timer,
+  // watchdog and profiler pacer: the workers' KLTs, the KLT creator and one
+  // service thread.
+  const int before = task_count();
+  ASSERT_GT(before, 0);
+  auto threads_of = [before](TimerKind timer, bool watchdog, int sample_hz) {
+    RuntimeOptions o;
+    o.num_workers = 2;
+    o.timer = timer;
+    o.watchdog = watchdog;
+    o.initial_spare_klts = 0;
+    o.prof.enabled = sample_hz > 0;
+    o.prof.sample_hz = sample_hz;
+    Runtime rt(o);
+    return task_count() - before;
+  };
+  for (TimerKind timer :
+       {TimerKind::None, TimerKind::PerWorkerAligned,
+        TimerKind::PerWorkerCreationTime, TimerKind::PosixPerWorker,
+        TimerKind::ProcessOneToAll, TimerKind::ProcessChain})
+    EXPECT_EQ(threads_of(timer, true, 0), 4)
+        << "timer kind " << static_cast<int>(timer);
+  EXPECT_EQ(threads_of(TimerKind::None, false, 0), 4) << "watchdog off";
+  EXPECT_EQ(threads_of(TimerKind::None, true, 500), 4) << "LPT_PROF_HZ pacer";
+}
+
+enum class TimedWait { kSleepFor, kTryAcquireFor };
+
+class ServiceThreadTimedWait
+    : public ::testing::TestWithParam<std::tuple<TimedWait, bool>> {};
+
+TEST_P(ServiceThreadTimedWait, EndsOnTimeBesideABusyWorker) {
+  // One worker that never goes idle (a ULT yielding in a loop) and no
+  // preemption timer: only the service thread can end the 2 ms wait, with a
+  // 1 s watchdog period or no watchdog at all.
+  const auto [wait, watchdog] = GetParam();
+  RuntimeOptions o;
+  o.num_workers = 1;
+  o.timer = TimerKind::None;
+  o.watchdog = watchdog;
+  o.watchdog_period_ms = 1000;
+  Runtime rt(o);
+  std::atomic<bool> done{false};
+  Thread spinner = rt.spawn([&done] {
+    const std::int64_t cap = now_ns() + 1'000'000'000;
+    while (!done.load(std::memory_order_acquire) && now_ns() < cap)
+      this_thread::yield();
+  });
+  std::int64_t waited_ns = 0;
+  Thread waiter = rt.spawn([&, wait = wait] {
+    Semaphore never(0);
+    const std::int64_t t0 = now_ns();
+    if (wait == TimedWait::kSleepFor)
+      this_thread::sleep_for(std::chrono::milliseconds(2));
+    else
+      EXPECT_FALSE(never.try_acquire_for(std::chrono::milliseconds(2)));
+    waited_ns = now_ns() - t0;
+    done.store(true, std::memory_order_release);
+  });
+  waiter.join();
+  spinner.join();
+  EXPECT_GE(waited_ns, 2'000'000);
+  EXPECT_LT(waited_ns, 50'000'000);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WaitsAndWatchdogs, ServiceThreadTimedWait,
+    ::testing::Combine(::testing::Values(TimedWait::kSleepFor,
+                                         TimedWait::kTryAcquireFor),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<TimedWait, bool>>& info) {
+      return std::string(std::get<0>(info.param) == TimedWait::kSleepFor
+                             ? "SleepFor"
+                             : "TryAcquireFor") +
+             (std::get<1>(info.param) ? "Watchdog1s" : "NoWatchdog");
+    });
 
 }  // namespace
 }  // namespace lpt

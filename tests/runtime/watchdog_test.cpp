@@ -47,8 +47,8 @@ TEST(Watchdog, DetectsRunnableStarvation) {
 
   RuntimeOptions o;
   o.num_workers = 1;
-  // No preemption timer: the hog cannot be preempted away, and the watchdog
-  // runs on its own thread.
+  // No preemption timer: the hog cannot be preempted away, and the service
+  // thread wakes only for the watchdog.
   o.timer = TimerKind::None;
   o.watchdog_period_ms = 50;
   o.watchdog_runnable_ns = 100'000'000;

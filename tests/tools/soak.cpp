@@ -402,7 +402,7 @@ int main(int argc, char** argv) {
     std::printf("soak: maps lines: %d after the first batch, max %d\n",
                 maps_first, maps_max);
 
-    // The breaker's accounting lands on the watchdog thread after the victim
+    // The breaker's accounting lands on the service thread after the victim
     // is already joinable, so the final round's break/cycle counters can lag
     // the join by a beat — give the watchdog a few periods to settle before
     // auditing them.

@@ -314,12 +314,43 @@ inline bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+/// A Prometheus sample value: [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?, NaN, +Inf
+/// or -Inf, and nothing else (no hex, no padding, no lowercase inf/nan).
+inline bool prom_value(const std::string& v, double* out) {
+  if (v == "NaN" || v == "+Inf" || v == "-Inf") {
+    *out = std::strtod(v.c_str(), nullptr);
+    return true;
+  }
+  std::size_t i = 0;
+  auto digits = [&] {
+    const std::size_t from = i;
+    while (i < v.size() && std::isdigit(static_cast<unsigned char>(v[i]))) ++i;
+    return i - from;
+  };
+  if (i < v.size() && (v[i] == '+' || v[i] == '-')) ++i;
+  std::size_t mantissa = digits();
+  if (i < v.size() && v[i] == '.') {
+    ++i;
+    mantissa += digits();
+  }
+  if (mantissa == 0) return false;
+  if (i < v.size() && (v[i] == 'e' || v[i] == 'E')) {
+    ++i;
+    if (i < v.size() && (v[i] == '+' || v[i] == '-')) ++i;
+    if (digits() == 0) return false;
+  }
+  if (i != v.size()) return false;
+  *out = std::strtod(v.c_str(), nullptr);
+  return true;
+}
+
 }  // namespace detail
 
 /// Parses a full exposition, strictly on the subset the runtime emits: name
-/// and label syntax, numeric values, TYPE before a family's samples, the
-/// counter `_total` suffix, and no duplicate series. Every problem is
-/// collected into `errors` with its line number.
+/// and label syntax, decimal, NaN and ±Inf values (detail::prom_value),
+/// TYPE before a family's samples, the counter `_total` suffix, and no
+/// duplicate series. Every problem is collected into `errors` with its line
+/// number.
 inline Metrics parse_prometheus(const std::string& text) {
   Metrics out;
   std::set<std::string> sampled;  // families with a sample already
@@ -377,9 +408,7 @@ inline Metrics parse_prometheus(const std::string& text) {
     if (i >= line.size() || line[i] != ' ')
       return err("missing value separator");
     const std::string valstr = line.substr(i + 1);
-    char* end = nullptr;
-    s.value = std::strtod(valstr.c_str(), &end);
-    if (end == valstr.c_str() || *end != '\0')
+    if (!detail::prom_value(valstr, &s.value))
       return err("bad sample value '" + valstr + "'");
 
     // A sample's family is its own TYPE'd name or, for the _bucket, _sum
