@@ -36,9 +36,9 @@
 # (ASan owns the SIGSEGV handler; fault::available() is false in sanitizer
 # builds), while the exception firewall, join/compat plumbing, stack-pool
 # quarantine, and the fault-storm watchdog still run fully instrumented. So
-# does the inline-join suite (its exception test skips itself, as the
-# firewall tests do). The BLAS kernel tests run under ASan too (no context
-# switches there).
+# do the inline-join suite and the stranded-KLT endings of the remediation
+# suite (their exception tests skip themselves, as the firewall tests do).
+# The BLAS kernel tests run under ASan too (no context switches there).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,13 +86,18 @@ cmake --build "$BUILD-asan" -j "$JOBS" --target test_sys test_fault test_apps
 # arithmetic at the ragged edges and sub-view strides of every variant.
 "$BUILD-asan/tests/test_apps" --gtest_filter='Blas.*:*BlasVariant.*'
 
-echo "== [6/15] fault-isolation and inline-join tests (normal + ASan) =="
+echo "== [6/15] fault-isolation, inline-join, stranded-KLT tests (normal + ASan) =="
 "$BUILD/tests/test_fault_isolation"
-cmake --build "$BUILD-asan" -j "$JOBS" --target test_fault_isolation test_inline_join
+cmake --build "$BUILD-asan" -j "$JOBS" --target test_fault_isolation \
+  test_inline_join test_remediation
 "$BUILD-asan/tests/test_fault_isolation"
 # A child run inline shares its joiner's stack, and a cancel cuts its frames
 # off without unwinding them: ASan watches that stack across both.
 "$BUILD-asan/tests/test_inline_join"
+# A ULT stranded on a KLT whose worker the watchdog replaced leaves that KLT
+# by each of its endings (return, yield, sleep; the throw skips itself):
+# ASan watches the stack and control blocks that klt_main finishes with.
+"$BUILD-asan/tests/test_remediation" --gtest_filter='Stranded/RemediationEnding.*'
 
 echo "== [7/15] stack pool: unsealed fallback + TSan shard stress =="
 # Where the kernel refuses mseal(2), each stack keeps an ordinary PROT_NONE

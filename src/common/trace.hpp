@@ -65,7 +65,7 @@ enum class EventType : std::uint16_t {
   kUltFault,           ///< fault isolation terminated a ULT; arg0=FaultKind, arg1=fault addr
   kKltRetired,         ///< poisoned KLT retired after a contained fault; arg1=KLT trace id
   kStackNearOverflow,  ///< released stack's watermark within a page of the guard; arg0=watermark bytes
-  kUltCancel,          ///< ULT cancelled; arg0: 0=cancellation point, 1=directed tick, 2=orphan landing
+  kUltCancel,          ///< ULT cancelled; arg0: 0=cancellation point, 1=directed tick, 2=stranded KLT
   kRemediation,        ///< watchdog remediation acted; arg0=RemediationKind, arg1=rank
   kProfSample,         ///< profiler captured an on-CPU sample; arg0=PC, arg1=frames
   kSyscallBlock,       ///< ULT entered an annotated blocking syscall; arg0=rank

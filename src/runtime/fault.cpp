@@ -97,40 +97,19 @@ void fault_handler(int signo, siginfo_t* si, void* uctx) {
     return;
   }
 
-  t->fault.kind = overflow                ? FaultKind::kStackOverflow
-                  : signo == SIGBUS       ? FaultKind::kBus
-                                          : FaultKind::kSegv;
+  const FaultKind kind = overflow          ? FaultKind::kStackOverflow
+                         : signo == SIGBUS ? FaultKind::kBus
+                                           : FaultKind::kSegv;
   t->fault.fault_addr = addr;
-  t->store_state(ThreadState::kFailed);
-  w->metrics.ult_faults.add(1);
-  if (overflow) w->metrics.stack_overflows.add(1);
-  LPT_TRACE_EVENT(trace::EventType::kUltFault, t->trace_id,
-                  static_cast<std::uint64_t>(t->fault.kind), addr);
 
   // Claim scheduler-context ownership before recovering through it
   // (worker.hpp host_token). A failed claim means the watchdog force-replaced
-  // this KLT's worker host: the scheduler context runs elsewhere, so recover
-  // through the orphan retirement instead — klt_main finalizes the thread
-  // after the jump and this kernel thread exits.
-  {
-    KltCtl* self = tls->klt;
-    KltCtl* expect = self;
-    if (self == nullptr ||
-        !w->host_token.compare_exchange_strong(expect, nullptr,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire)) {
-      if (self == nullptr) {
-        chain_to_previous(signo);
-        return;
-      }
-      tls->in_ult = false;
-      self->orphan_finalize = t;
-      self->orphan_finished = false;
-      self->pending_wake = nullptr;
-      self->pending_wake_in_handler = false;
-      self->native_op = KltNativeOp::kExit;
-      context_jump(self->native_ctx);
-    }
+  // this KLT's worker host: the scheduler context runs elsewhere, so the
+  // thread leaves the stranded KLT instead — klt_main finalizes it after the
+  // switch and this kernel thread exits.
+  if (!detail::claim_host_token(tls)) {
+    detail::record_failure(t, kind, w->metrics);
+    detail::leave_klt(t, PostAction{PostKind::kFault, t}, KltNativeOp::kExit);
   }
 
   // Recover via the signal-yield trick (§3.1.1), minus the context save: the
@@ -138,39 +117,7 @@ void fault_handler(int signo, siginfo_t* si, void* uctx) {
   // let the kFault post action quarantine the stack and wake joiners. No
   // sigreturn happens, so the post action must also unblock the fault
   // signals (unblock_fault_signals, mirroring unblock_preempt()).
-  tls->in_ult = false;
-  w->post = PostAction{PostKind::kFault, t, nullptr, nullptr};
-
-  if (t->preempt == Preempt::KltSwitch) {
-    // KLT-switching advertises that the thread may use KLT-dependent state
-    // (§3.1.2) — and this KLT's copy of it just died mid-fault. Retire the
-    // poisoned KLT: hand the worker role to a pool spare (exactly the
-    // handler's preemption handoff) and exit this kernel thread instead of
-    // ever returning it to the pool. The retired KLT keeps counting against
-    // max_klts until shutdown joins it.
-    KltCtl* self = tls->klt;
-    KltCtl* b = self != nullptr ? rt->klt_pool().try_pop(w->rank) : nullptr;
-    if (b != nullptr) {
-      rt->note_klt_retired();
-      LPT_TRACE_EVENT(trace::EventType::kKltRetired, t->trace_id,
-                      static_cast<std::uint64_t>(self->trace_id >= 0
-                                                     ? self->trace_id
-                                                     : 0));
-      b->action = KltAction::kBecomeWorker;
-      b->assign_worker = w;
-      b->gate.post();  // b resumes w->sched_ctx and runs the post action
-      self->pending_wake = nullptr;
-      self->pending_wake_in_handler = false;
-      self->native_op = KltNativeOp::kExit;
-      context_jump(self->native_ctx);  // klt_main returns; joined at shutdown
-    }
-    // No spare to take over: keep hosting the worker here (the KLT survived
-    // well enough to run this handler) and request a replacement so a later
-    // fault can retire it.
-    if (!rt->klt_creator().saturated() && !rt->klt_cap_reached())
-      rt->klt_creator().request();
-  }
-  context_jump(w->sched_ctx);
+  detail::fail_in_handler(rt, w, t, kind);
 }
 
 #endif  // LPT_FAULT_CONTAINMENT

@@ -71,7 +71,7 @@ blocking_region::~blocking_region() {
     //   * host_token == me → nobody took the worker; continue normally.
     //   * current_klt != me with no matching compensation → a *generic*
     //     forced replacement orphaned this KLT; continue — the next
-    //     suspension point takes the normal orphan path.
+    //     suspension point leaves the stranded KLT (detail::leave_klt).
     for (;;) {
       if (worker_->syscall_compensated_epoch.load(std::memory_order_acquire) ==
           epoch_) {
@@ -92,22 +92,13 @@ blocking_region::~blocking_region() {
   if ((LPT_TRACE_ON() || offcpu) && enter_ns_ != 0)
     blocked_ns = std::max<std::int64_t>(now_ns() - enter_ns_, 0);
 
-  if (reabsorb) {
-    // The sentinel gave this worker a fresh host while we slept in the
-    // kernel. Same save-before-publish discipline as the orphan landings:
-    // save our context, hand the re-enqueue to klt_main (it may only run
-    // once we are off this stack), and park this KLT back into the pool.
-    // The ULT resumes right here on whichever worker dispatches it next.
-    WorkerTls* tls = worker_tls();
-    KltCtl* k = tls->klt;
-    tls->in_ult = false;
-    k->reabsorb_enqueue = self_;
-    k->pending_wake = nullptr;
-    k->pending_wake_in_handler = false;
-    k->native_op = KltNativeOp::kPark;
-    context_switch(self_->ctx, k->native_ctx);
-    lpt::detail::mark_in_ult();
-  }
+  // The sentinel gave this worker a fresh host while we slept in the
+  // kernel: leave this KLT with a re-enqueue (klt_main runs it once we are
+  // off this stack) and park the KLT back into the pool. The ULT resumes
+  // right here on whichever worker dispatches it next.
+  if (reabsorb)
+    lpt::detail::leave_klt(self_, PostAction{PostKind::kYield, self_},
+                           KltNativeOp::kPark);
 
   LPT_TRACE_EVENT(trace::EventType::kSyscallReturn, self_->trace_id,
                   static_cast<std::uint64_t>(blocked_ns), reabsorb ? 1 : 0);

@@ -15,13 +15,11 @@
 #include "common/spinlock.hpp"
 #include "common/treiber_stack.hpp"
 #include "context/context.hpp"
+#include "runtime/worker.hpp"
 
 namespace lpt {
 
 class Runtime;
-struct Worker;
-struct ThreadCtl;
-class Mutex;
 
 /// What a woken KLT should do. Written by the waker before posting the gate.
 enum class KltAction : std::uint8_t {
@@ -62,20 +60,11 @@ struct KltCtl : TreiberNode {
   KltCtl* pending_wake = nullptr;  ///< KLT to wake once off the scheduler stack
   bool pending_wake_in_handler = false;  ///< use in-handler resume protocol
 
-  // -- orphaned-KLT handoff (docs/robustness.md "Self-healing") --
-  // Set by a ULT stranded on a KLT whose worker host the watchdog replaced.
-  // klt_main performs the deferred work after the context switch off the ULT
-  // stack — the same save-before-publish discipline as the post-action
-  // protocol — then exits on kExit.
-  ThreadCtl* orphan_finalize = nullptr;  ///< finalize after the switch
-  bool orphan_finished = false;  ///< true: normal exit; false: failed/cancelled
-  Spinlock* orphan_release_lock = nullptr;  ///< orphaned block: drop after save
-  Mutex* orphan_release_mutex = nullptr;    ///< ditto (condvar wait path)
-  /// Syscall-compensation reabsorption (docs/robustness.md): the ULT whose
-  /// blocking region returned after the sentinel replaced its host. klt_main
-  /// re-enqueues it after the context switch (same save-before-publish
-  /// discipline as orphan_finalize) and this KLT parks back into the pool.
-  ThreadCtl* reabsorb_enqueue = nullptr;
+  /// Post action of a ULT stranded on this KLT after its worker moved on to
+  /// another host (docs/robustness.md "Self-healing"), written by
+  /// detail::leave_klt. klt_main runs it once the ULT's context is saved —
+  /// the worker's post-action discipline, on the KLT's native stack.
+  PostAction post;
 
   /// Preferred worker-local pool to return to (-1 = global only).
   int home_worker = -1;

@@ -48,12 +48,11 @@ void scheduler_trampoline(void* arg) {
 /// exception escaping it would std::terminate the whole process from a
 /// context no handler owns, so it is recorded as t's failure instead,
 /// symmetrical with fault containment. Unlike a SEGV, the stack unwinds
-/// normally here — destructors of the ULT's frames do run. Returns false
-/// when an exception escaped.
-bool run_firewalled(ThreadCtl* t) {
+/// normally here — destructors of the ULT's frames do run. An escaped
+/// exception leaves t->fault.kind == kException.
+void run_firewalled(ThreadCtl* t) {
   try {
     t->fn();
-    return true;
   } catch (const std::exception& e) {
     t->fault.kind = FaultKind::kException;
     std::strncpy(t->fault.what, e.what(), sizeof(t->fault.what) - 1);
@@ -62,15 +61,14 @@ bool run_firewalled(ThreadCtl* t) {
     std::strncpy(t->fault.what, "non-std exception",
                  sizeof(t->fault.what) - 1);
   }
-  return false;
 }
 
 /// Entry of every ULT context.
 void thread_trampoline(void* arg) {
   auto* t = static_cast<ThreadCtl*>(arg);
   detail::mark_in_ult();
-  if (!run_firewalled(t)) detail::suspend_fail(t);
-  detail::suspend_exit(t);
+  run_firewalled(t);
+  detail::suspend_exit(t, t->fault.kind);
 }
 
 /// Body of an inline join (Runtime::run_inline); a failure stays in
@@ -325,45 +323,39 @@ void Runtime::klt_main(KltCtl* self) {
     const KltNativeOp op = self->native_op;
     self->native_op = KltNativeOp::kPark;
 
-    // Orphan handoff (docs/robustness.md "Self-healing"): a ULT stranded on
-    // this KLT by a forced replacement deferred its guard releases and
-    // finalization to here — doing either on the ULT stack would publish the
-    // thread before its context save completed (the usual
-    // enqueue-before-save race, now on the orphan path).
-    if (self->orphan_release_lock != nullptr) {
-      self->orphan_release_lock->unlock();
-      self->orphan_release_lock = nullptr;
-    }
-    if (self->orphan_release_mutex != nullptr) {
-      self->orphan_release_mutex->unlock();
-      self->orphan_release_mutex = nullptr;
-    }
-    if (self->orphan_finalize != nullptr) {
-      ThreadCtl* dead = self->orphan_finalize;
-      self->orphan_finalize = nullptr;
-      if (self->orphan_finished)
-        finalize_thread(dead, nullptr);
-      else
-        finalize_failed_thread(dead, nullptr);
-      self->orphan_finished = false;
-    }
-
-    // Blocking-syscall reabsorption (docs/robustness.md): the blocking
-    // region on this KLT returned after the wedge sentinel gave its worker a
-    // fresh host. The ULT saved its context and handed itself here (same
-    // save-before-publish discipline as the orphan handoff); re-enqueue it —
-    // counting first, so a join-then-assert test sees the reconciliation —
-    // and fall through to the kPark tail: the KLT rejoins the pool and the
-    // kernel-thread population returns to baseline.
-    if (self->reabsorb_enqueue != nullptr) {
-      ThreadCtl* t = self->reabsorb_enqueue;
-      self->reabsorb_enqueue = nullptr;
-      note_syscall_reabsorbed();
-      t->store_state(ThreadState::kReady);
-      // The wake edge labels this as a syscall return (the region leaves no
-      // wait tag: it times its syscall itself).
-      t->prof_wait_kind = prof::WaitKind::kSyscall;
-      enqueue_ready(t, nullptr, EnqueueKind::kUnblock, /*waker=*/0);
+    // A ULT stranded on this KLT (docs/robustness.md "Self-healing") left
+    // its post action here, since its worker moved on to another host. Like
+    // the worker's, it runs only now that the ULT's context is saved — on
+    // the ULT stack it would publish the thread before the save completed.
+    // No worker's store-based Counter is written: their one writer is the
+    // worker's own scheduler.
+    const PostAction post = self->post;
+    self->post = PostAction{};
+    switch (post.kind) {
+      case PostKind::kBlock:  // stranded mid-block: drop the guards
+        if (post.release_lock != nullptr) post.release_lock->unlock();
+        if (post.release_mutex != nullptr) post.release_mutex->unlock();
+        break;
+      case PostKind::kExit:
+        finalize_thread(post.thread, nullptr);
+        break;
+      case PostKind::kFault:
+        finalize_failed_thread(post.thread, nullptr);
+        break;
+      case PostKind::kYield:
+        // Blocking-syscall reabsorption (docs/robustness.md): the region
+        // returned after the wedge sentinel gave its worker a fresh host.
+        // Count first, so a join-then-assert test sees the reconciliation,
+        // then re-enqueue; the kPark tail returns this KLT to the pool and
+        // the kernel-thread population to baseline. The wake edge labels
+        // this a syscall return (the region times its syscall itself).
+        note_syscall_reabsorbed();
+        post.thread->store_state(ThreadState::kReady);
+        post.thread->prof_wait_kind = prof::WaitKind::kSyscall;
+        enqueue_ready(post.thread, nullptr, EnqueueKind::kUnblock, /*waker=*/0);
+        break;
+      default:
+        break;
     }
 
     if (peer != nullptr) {
@@ -912,54 +904,7 @@ void Runtime::disarm_deadline(ThreadCtl* t) {
 }
 
 bool Runtime::force_replace_worker_klt(Worker& w) {
-  if (shutting_down()) return false;
-  KltCtl* old_host = w.current_klt.load(std::memory_order_acquire);
-  if (old_host == nullptr) return false;
-
-  // Claim the scheduler context exactly like a suspension primitive would.
-  // Success means the wedged tenant (if any) has NOT entered the scheduler:
-  // when it eventually tries, its own claim fails and it lands on the orphan
-  // path. Failure means the scheduler currently owns the context (the worker
-  // is not actually wedged in ULT code) — nothing to replace.
-  KltCtl* expect = old_host;
-  if (!w.host_token.compare_exchange_strong(expect, nullptr,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire))
-    return false;
-
-  KltCtl* fresh = klt_pool_.try_pop(w.rank);
-  if (fresh == nullptr) fresh = create_klt();
-  if (fresh == nullptr) {
-    // No replacement host available: hand the token back untouched so the
-    // tenant keeps running normally, and ask the creator to restock for the
-    // watchdog's next attempt.
-    w.host_token.store(old_host, std::memory_order_release);
-    if (!klt_creator_.saturated() && !klt_cap_reached())
-      klt_creator_.request();
-    return false;
-  }
-
-  // The stranded tenant must not be visible as this worker's current ULT —
-  // the new host's scheduler context would otherwise report a thread it does
-  // not run (and a directed cancel tick could unwind the wrong victim).
-  w.current_ult.store(nullptr, std::memory_order_release);
-  w.current_preempt.store(static_cast<std::uint8_t>(Preempt::None),
-                          std::memory_order_release);
-
-  // The old host is poisoned from the runtime's perspective: it exits at its
-  // tenant's next runtime entry (orphan path) and is joined at shutdown.
-  note_klt_retired();
-  LPT_TRACE_EVENT(trace::EventType::kKltRetired, 0, 0,
-                  static_cast<std::uint64_t>(
-                      old_host->trace_id >= 0 ? old_host->trace_id : 0));
-
-  fresh->action = KltAction::kBecomeWorker;
-  fresh->assign_worker = &w;
-  w.current_klt.store(fresh, std::memory_order_release);
-  w.current_tid.store(fresh->tid.load(std::memory_order_relaxed),
-                      std::memory_order_release);
-  fresh->gate.post();
-  return true;
+  return !shutting_down() && hand_off_worker(w, 0);
 }
 
 bool Runtime::compensate_syscall_blocked_worker(Worker& w,
@@ -977,25 +922,29 @@ bool Runtime::compensate_syscall_blocked_worker(Worker& w,
   if (in_flight >=
       static_cast<std::uint64_t>(opts_.syscall_max_compensations))
     return false;
+  return hand_off_worker(w, epoch);
+}
 
+bool Runtime::hand_off_worker(Worker& w, std::uint64_t epoch) {
   KltCtl* old_host = w.current_klt.load(std::memory_order_acquire);
   if (old_host == nullptr) return false;
 
-  // Claim the scheduler context from the wedged host — the same CAS arbiter
-  // as a forced replacement. The region holder sits inside a no-preempt
-  // guard, so only its own exit can contest this claim; losing the race
-  // simply means the syscall already returned.
+  // Claim the scheduler context exactly like a suspension primitive would.
+  // Success means the tenant has NOT entered the scheduler: when it
+  // eventually tries, its own claim fails and it leaves the stranded KLT
+  // (detail::leave_klt). Failure means the scheduler owns the context (the
+  // worker is not wedged in ULT code) or, for a compensation, the region's
+  // exit won the race — nothing to hand off.
   KltCtl* expect = old_host;
   if (!w.host_token.compare_exchange_strong(expect, nullptr,
                                             std::memory_order_acq_rel,
                                             std::memory_order_acquire))
     return false;
 
-  // Re-validate the epoch *after* owning the token: if the region exited
-  // (or a newer one started) between the watchdog's read and now, this
-  // compensation would target a region that no longer exists — hand the
-  // token back untouched.
-  if (w.syscall_epoch.load(std::memory_order_acquire) != epoch) {
+  // A compensation re-validates its epoch *after* owning the token: if the
+  // region exited (or a newer one started) since the watchdog's read, it
+  // would target a region that no longer exists — hand the token back.
+  if (epoch != 0 && w.syscall_epoch.load(std::memory_order_acquire) != epoch) {
     w.host_token.store(old_host, std::memory_order_release);
     return false;
   }
@@ -1003,37 +952,46 @@ bool Runtime::compensate_syscall_blocked_worker(Worker& w,
   KltCtl* fresh = klt_pool_.try_pop(w.rank);
   if (fresh == nullptr) fresh = create_klt();
   if (fresh == nullptr) {
-    // Committed to compensate but no KLT exists to do it with: restore the
-    // token (the region exit must see itself still the owner and continue
-    // normally) and account the commitment as saturated degradation —
-    // activated and saturated move together so the reconciliation identity
-    // holds. Ask the creator to restock for the next poll's retry.
+    // No KLT to hand the worker to: restore the token so the tenant keeps
+    // running normally (a region exit sees itself still the owner) and ask
+    // the creator to restock for the next poll's retry. A compensation was
+    // committed, so it counts as saturated degradation — activated and
+    // saturated move together and the reconciliation identity holds.
     w.host_token.store(old_host, std::memory_order_release);
-    n_syscall_comp_[0].add(1);
-    n_syscall_comp_[2].add(1);
+    if (epoch != 0) {
+      n_syscall_comp_[0].add(1);
+      n_syscall_comp_[2].add(1);
+    }
     if (!klt_creator_.saturated() && !klt_cap_reached())
       klt_creator_.request();
     return false;
   }
 
-  // Commit. Order is load-bearing: the region exit decides "was I
-  // compensated?" by compensated_epoch, and concludes "a replacement
-  // committed" from current_klt — so compensated_epoch must be visible
-  // before the new host is.
-  n_syscall_comp_[0].add(1);
-  w.syscall_compensated_epoch.store(epoch, std::memory_order_release);
+  if (epoch != 0) {
+    // Commit. Order is load-bearing: the region exit decides "was I
+    // compensated?" by compensated_epoch, and concludes "a replacement
+    // committed" from current_klt — so compensated_epoch must be visible
+    // before the new host is. The old host is NOT retired: it reabsorbs
+    // into the KLT pool when its syscall returns.
+    n_syscall_comp_[0].add(1);
+    w.syscall_compensated_epoch.store(epoch, std::memory_order_release);
+    LPT_TRACE_EVENT(trace::EventType::kSyscallCompensate, 0,
+                    static_cast<std::uint64_t>(w.rank), epoch);
+  } else {
+    // The old host is poisoned from the runtime's perspective: it exits at
+    // its tenant's next runtime entry and is joined at shutdown.
+    note_klt_retired();
+    LPT_TRACE_EVENT(trace::EventType::kKltRetired, 0, 0,
+                    static_cast<std::uint64_t>(
+                        old_host->trace_id >= 0 ? old_host->trace_id : 0));
+  }
 
-  // The wedged tenant must not be visible as this worker's current ULT —
-  // the fresh host's scheduler would otherwise report a thread it does not
-  // run. Unlike force replacement the old host is NOT retired: it reabsorbs
-  // into the KLT pool when its syscall returns.
+  // The stranded tenant must not be visible as this worker's current ULT —
+  // the new host's scheduler context would otherwise report a thread it does
+  // not run (and a directed cancel tick could unwind the wrong victim).
   w.current_ult.store(nullptr, std::memory_order_release);
   w.current_preempt.store(static_cast<std::uint8_t>(Preempt::None),
                           std::memory_order_release);
-
-  LPT_TRACE_EVENT(trace::EventType::kSyscallCompensate, 0,
-                  static_cast<std::uint64_t>(w.rank), epoch);
-
   fresh->action = KltAction::kBecomeWorker;
   fresh->assign_worker = &w;
   w.current_klt.store(fresh, std::memory_order_release);
@@ -1210,23 +1168,11 @@ void Runtime::finalize_inline_chain(ThreadCtl* self, ThreadCtl* stop,
 }
 
 void Runtime::finalize_inlined(ThreadCtl* t, FaultKind kind, Worker* w) {
-  t->fault.kind = kind;
-  if (kind == FaultKind::kNone) {
+  if (kind == FaultKind::kNone)
     t->store_state(ThreadState::kFinished);
-  } else {
-    t->store_state(ThreadState::kFailed);
-    // Fault counters are atomic, so any worker's will do without one.
-    metrics::WorkerMetrics& m = (w != nullptr ? w : workers_.front().get())->metrics;
-    m.ult_faults.add(1);
-    if (kind == FaultKind::kCancelled || kind == FaultKind::kDeadlock) {
-      m.ult_cancels.add(1);
-      LPT_TRACE_EVENT(trace::EventType::kUltCancel, t->trace_id);
-    } else {
-      if (kind == FaultKind::kException) m.escaped_exceptions.add(1);
-      LPT_TRACE_EVENT(trace::EventType::kUltFault, t->trace_id,
-                      static_cast<std::uint64_t>(kind));
-    }
-  }
+  else  // fault counters are atomic, so any worker's will do without one
+    detail::record_failure(
+        t, kind, (w != nullptr ? w : workers_.front().get())->metrics);
   if (w != nullptr) {
     w->metrics.exits.inc();
     w->ults_finished.inc();

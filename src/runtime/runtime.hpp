@@ -221,8 +221,9 @@ class Runtime {
     inline_cancel_epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
 
-  /// Count a poisoned KLT retired by the fault handler. Async-signal-safe
-  /// (called from the SIGSEGV handler before the KLT exits).
+  /// Count a poisoned KLT retired (a contained fault, a directed cancel, a
+  /// forced replacement). Async-signal-safe: the handlers call it before
+  /// their KLT exits.
   void note_klt_retired() { n_klts_retired_.add(1); }
 
   // ----- self-healing: timed waits, deadlines, remediation -----
@@ -253,8 +254,9 @@ class Runtime {
   /// Watchdog remediation (options().remediation): replace worker w's wedged
   /// host KLT with a pool spare / fresh KLT. The old KLT is orphaned via the
   /// host_token protocol (worker.hpp) and exits at the stranded ULT's next
-  /// runtime entry. False when no replacement KLT could be found (graceful
-  /// degradation) or ownership could not be claimed this period.
+  /// runtime entry (detail::leave_klt). False when no replacement KLT could
+  /// be found (graceful degradation) or ownership could not be claimed this
+  /// period.
   bool force_replace_worker_klt(Worker& w);
 
   /// Wedge sentinel action (docs/robustness.md "Blocking-syscall
@@ -313,6 +315,12 @@ class Runtime {
   /// Finalize an inlined child as `kind` (kNone = finished): count it and
   /// publish done. `w` may be nullptr.
   void finalize_inlined(ThreadCtl* t, FaultKind kind, Worker* w);
+  /// The one worker hand-off of force_replace_worker_klt and, with `epoch`
+  /// nonzero, compensate_syscall_blocked_worker: claim w's host token from
+  /// its current host, give w to a pool spare or a new KLT and wake that.
+  /// Without a KLT the token goes back and the creator is asked to restock.
+  /// False when nothing was handed off.
+  bool hand_off_worker(Worker& w, std::uint64_t epoch);
   /// Give t's stack back: default-sized ones to w's pool shard (the shared
   /// one without w), others unmapped. Never from a preemptible ULT:
   /// unmapping a sealed stack takes the parked-guard lock.

@@ -134,66 +134,21 @@ void preempt_handler(int /*signo*/, siginfo_t* si, void* uctx) {
 
   // Claim scheduler-context ownership before touching it (worker.hpp
   // host_token). A failed claim means the watchdog force-replaced this KLT's
-  // worker host: the ULT is orphaned here and will hit the orphan landing at
-  // its next suspension — this tick does nothing.
-  {
-    KltCtl* expect = tls->klt;
-    if (!w->host_token.compare_exchange_strong(expect, nullptr,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire)) {
-      errno = saved_errno;
-      return;
-    }
+  // worker host: the ULT is stranded here and leaves the KLT at its next
+  // suspension — this tick does nothing.
+  if (!detail::claim_host_token(tls)) {
+    errno = saved_errno;
+    return;
   }
 
-  if (t->cancel_requested.load(std::memory_order_relaxed)) {
-    // Directed cancel (docs/robustness.md "Self-healing"): this tick was (or
-    // might as well have been) aimed at a ULT with a pending cancel request
-    // that never reached a cancellation point. Unwind it through the
-    // fault-isolation landing instead of rescheduling it: mark
-    // Failed(kCancelled), abandon the interrupted frames (no sigreturn — the
-    // kFault post action re-unblocks the signals), and let the post action
-    // quarantine the stack and wake joiners. Same async-signal-safe recovery
-    // as fault.cpp's handler, minus the classification.
-    t->fault.kind = FaultKind::kCancelled;
-    t->store_state(ThreadState::kFailed);
-    w->metrics.ult_faults.add(1);
-    w->metrics.ult_cancels.add(1);
-    LPT_TRACE_EVENT(trace::EventType::kUltCancel, t->trace_id, 1);
-    tls->in_ult = false;
-    w->post = PostAction{PostKind::kFault, t, nullptr, nullptr};
-    if (t->preempt == Preempt::KltSwitch) {
-      // The interrupted thread may have KLT-dependent state frozen on this
-      // kernel thread (§3.1.2): retire the poisoned KLT to a pool spare,
-      // exactly like a contained fault under KLT-switching.
-      KltCtl* self = tls->klt;
-      KltCtl* b = self != nullptr ? rt->klt_pool().try_pop(w->rank) : nullptr;
-      if (b != nullptr) {
-        rt->note_klt_retired();
-        LPT_TRACE_EVENT(trace::EventType::kKltRetired, t->trace_id,
-                        static_cast<std::uint64_t>(self->trace_id >= 0
-                                                       ? self->trace_id
-                                                       : 0));
-        b->action = KltAction::kBecomeWorker;
-        b->assign_worker = w;
-        // Unlike the fault handler (sigaltstack), this handler is running on
-        // the cancelled ULT's own stack — and the kFault post action b will
-        // execute scrubs that stack for quarantine. Defer b's wake to
-        // klt_main (pending_wake), which posts it only after the jump below
-        // has moved this KLT onto its native stack.
-        self->pending_wake = b;
-        self->pending_wake_in_handler = false;
-        self->native_op = KltNativeOp::kExit;
-        context_jump(self->native_ctx);  // klt_main wakes b, then returns
-      }
-      // No spare: keep hosting the worker here (the cancelled thread's
-      // KLT-local damage, if any, is the app's stated risk) and request a
-      // replacement like the fault path does.
-      if (!rt->klt_creator().saturated() && !rt->klt_cap_reached())
-        rt->klt_creator().request();
-    }
-    context_jump(w->sched_ctx);
-  }
+  // Directed cancel (docs/robustness.md "Self-healing"): this tick was (or
+  // might as well have been) aimed at a ULT with a pending cancel request
+  // that never reached a cancellation point. Unwind it through the
+  // fault-isolation landing instead of rescheduling it, abandoning the
+  // interrupted frames — the same async-signal-safe recovery as fault.cpp's
+  // handler, minus the classification.
+  if (t->cancel_requested.load(std::memory_order_relaxed))
+    detail::fail_in_handler(rt, w, t, FaultKind::kCancelled);
 
   // Timer-fire → handler-entry latency: the sender stamped the worker; all
   // operations here (exchange, histogram fetch_add, ring record) are

@@ -157,7 +157,7 @@ struct ThreadCtl {
   /// ThreadAttrs::deadline / RuntimeOptions::default_ult_deadline and scanned
   /// by the watchdog tick, expiring into request_cancel().
   std::int64_t deadline_ns = 0;
-  /// FaultKind that suspend_cancel records when the pending cancel fires.
+  /// FaultKind that detail::record_failure records when a cancel fires.
   /// Defaults to kCancelled; the deadlock breaker sets kDeadlock before
   /// waking its victim. Written only by whoever exclusively owns the thread
   /// (the canceller under the primitive's guard, consumed by the thread

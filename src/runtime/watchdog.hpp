@@ -4,7 +4,7 @@
 // The paper's value proposition is a *bounded* time-to-preemption; the
 // watchdog is the component that checks the bound instead of assuming it.
 // It periodically inspects each worker's always-on counters
-// (common/metrics.hpp) and flags three pathologies:
+// (common/metrics.hpp) and flags five pathologies:
 //
 //   kRunnableStarvation  a worker has queued runnable ULTs but has not
 //                        dispatched anything for watchdog_runnable_ns —
@@ -29,11 +29,17 @@
 //                        KLT and the old host is reabsorbed when the syscall
 //                        returns (docs/robustness.md).
 //
-// Detection is a pure function over counter *progress* (evaluate_worker):
-// no per-dispatch timestamps, no hot-path clock reads, and no dereference
-// of ThreadCtl pointers (which a concurrent join may delete). Each flag
-// raises a counter, emits a trace event when tracing is armed, and invokes
-// RuntimeOptions::watchdog_callback (default: a rate-limited stderr report).
+// The deadlock detector (runtime/park.hpp, docs/robustness.md) flags two
+// more through the same report path: kDeadlock, a waits-for cycle confirmed
+// by Runtime::deadlock_poll or a self-deadlock caught at lock(), and
+// kAbandonedLock, a tracked lock whose owner ended while holding it.
+//
+// Detecting the first five is a pure function over counter *progress*
+// (evaluate_worker): no per-dispatch timestamps, no hot-path clock reads, and
+// no dereference of ThreadCtl pointers (which a concurrent join may delete).
+// Each flag raises a counter, emits a trace event when tracing is armed, and
+// invokes RuntimeOptions::watchdog_callback (default: a rate-limited stderr
+// report).
 //
 // Driving: the runtime's service thread (runtime/timer.hpp) is the only
 // caller of tick(). It wakes at least once per watchdog period, and also at

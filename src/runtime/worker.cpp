@@ -58,14 +58,8 @@ ThreadCtl* current_ult_or_null() {
 Worker* borrow_worker(ThreadCtl* self) {
   if (self == nullptr) return nullptr;
   WorkerTls* tls = worker_tls();
-  Worker* w = tls->worker;
-  KltCtl* expect = tls->klt;
-  if (w == nullptr || expect == nullptr) return nullptr;
-  return w->host_token.compare_exchange_strong(expect, nullptr,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire)
-             ? w
-             : nullptr;
+  if (tls->worker == nullptr || tls->klt == nullptr) return nullptr;
+  return claim_host_token(tls) ? tls->worker : nullptr;
 }
 
 void return_worker(Worker* w) {
@@ -73,57 +67,33 @@ void return_worker(Worker* w) {
     w->host_token.store(worker_tls()->klt, std::memory_order_release);
 }
 
-namespace {
-
-/// Claim the worker's scheduler-context ownership token for this KLT.
-/// Returns false when the watchdog force-replaced this worker's host in the
-/// meantime — the caller is orphaned and must not touch the worker again.
-bool claim_host_token(WorkerTls* tls) {
-  KltCtl* expect = tls->klt;
-  return tls->worker->host_token.compare_exchange_strong(
-      expect, nullptr, std::memory_order_acq_rel, std::memory_order_acquire);
-}
-
-/// Terminal landing for a ULT whose host KLT was orphaned by a forced
-/// replacement: the scheduler context now runs elsewhere, so the thread is
-/// finalized via klt_main's deferred hook (never before this stack is
-/// abandoned) and the kernel thread exits through its native context —
-/// the same retirement shape as a poisoned-KLT fault.
-[[noreturn]] void orphan_terminate(ThreadCtl* self, bool finished) {
-  WorkerTls* tls = worker_tls();
-  Worker* w = tls->worker;
-  KltCtl* k = tls->klt;
-  LPT_CHECK(w != nullptr && k != nullptr && self != nullptr);
-  tls->in_ult = false;
-  if (finished) {
-    self->store_state(ThreadState::kFinished);
-  } else {
-    // An unfinished ULT stranded on an orphaned KLT is cancelled — it was
-    // the wedged tenant the watchdog replaced the KLT to get away from
-    // (docs/robustness.md "Self-healing").
-    if (self->fault.kind == FaultKind::kNone)
-      self->fault.kind = self->cancel_fault;
-    self->store_state(ThreadState::kFailed);
-    w->metrics.ult_faults.add(1);
-    if (self->fault.kind == FaultKind::kCancelled ||
-        self->fault.kind == FaultKind::kDeadlock) {
-      w->metrics.ult_cancels.add(1);
-      LPT_TRACE_EVENT(trace::EventType::kUltCancel, self->trace_id, 2);
-    } else {
-      LPT_TRACE_EVENT(trace::EventType::kUltFault, self->trace_id,
-                      static_cast<std::uint64_t>(self->fault.kind),
-                      self->fault.fault_addr);
-    }
+void record_failure(ThreadCtl* t, FaultKind kind, metrics::WorkerMetrics& m,
+                    std::uint64_t cancel_site) {
+  if (kind == FaultKind::kCancelled) kind = t->cancel_fault;
+  t->fault.kind = kind;
+  t->store_state(ThreadState::kFailed);
+  m.ult_faults.add(1);
+  if (kind == FaultKind::kCancelled || kind == FaultKind::kDeadlock) {
+    m.ult_cancels.add(1);
+    LPT_TRACE_EVENT(trace::EventType::kUltCancel, t->trace_id, cancel_site);
+    return;
   }
-  k->orphan_finalize = self;
-  k->orphan_finished = finished;
-  k->pending_wake = nullptr;
-  k->pending_wake_in_handler = false;
-  k->native_op = KltNativeOp::kExit;
-  context_jump(k->native_ctx);
+  if (kind == FaultKind::kException) m.escaped_exceptions.add(1);
+  if (kind == FaultKind::kStackOverflow) m.stack_overflows.add(1);
+  LPT_TRACE_EVENT(trace::EventType::kUltFault, t->trace_id,
+                  static_cast<std::uint64_t>(kind), t->fault.fault_addr);
 }
 
-}  // namespace
+__attribute__((noinline, cold)) void leave_klt(ThreadCtl* self, PostAction a,
+                                               KltNativeOp op) {
+  WorkerTls* tls = worker_tls();
+  KltCtl* k = tls->klt;
+  tls->in_ult = false;
+  k->post = a;
+  k->native_op = op;
+  context_switch(self->ctx, k->native_ctx);
+  mark_in_ult();
+}
 
 void begin_no_preempt(ThreadCtl* self) {
   if (self != nullptr) self->no_preempt_depth = self->no_preempt_depth + 1;
@@ -173,7 +143,10 @@ __attribute__((noinline)) void suspend_yield(ThreadCtl* self) {
   WorkerTls* tls = worker_tls();
   Worker* w = tls->worker;
   LPT_CHECK(w != nullptr);
-  if (!claim_host_token(tls)) orphan_terminate(self, /*finished=*/false);
+  // A ULT stranded on a KLT whose worker moved on is cancelled: it was the
+  // wedged tenant the watchdog replaced the KLT to get away from
+  // (docs/robustness.md "Self-healing").
+  if (!claim_host_token(tls)) suspend_exit(self, FaultKind::kCancelled);
   // Order matters: clear in_ult before writing the post action so a signal
   // in between is a harmless no-op instead of a post-action clobber.
   tls->in_ult = false;
@@ -191,21 +164,12 @@ __attribute__((noinline)) void suspend_block(ThreadCtl* self, Spinlock* sl,
   Worker* w = tls->worker;
   LPT_CHECK(w != nullptr);
   if (!claim_host_token(tls)) {
-    // Orphaned mid-block: the block itself stays valid — the thread is on a
-    // WaitQueue others will wake through WaitQueue::wake. Save the context,
-    // hand the guard releases to klt_main (they may only drop once the save
-    // is complete — the usual enqueue-before-save race), and retire this
-    // KLT. The thread resumes right here on whichever worker wakes it.
-    KltCtl* k = tls->klt;
-    tls->in_ult = false;
+    // Stranded mid-block: the block itself stays valid — the thread is on a
+    // WaitQueue others will wake through WaitQueue::wake. It resumes right
+    // here on whichever worker wakes it.
     self->store_state(ThreadState::kBlocked);
-    k->orphan_release_lock = sl;
-    k->orphan_release_mutex = m;
-    k->pending_wake = nullptr;
-    k->pending_wake_in_handler = false;
-    k->native_op = KltNativeOp::kExit;
-    context_switch(self->ctx, k->native_ctx);
-    mark_in_ult();
+    leave_klt(self, PostAction{PostKind::kBlock, self, sl, m},
+              KltNativeOp::kExit);
     unpin_from_klt(self);
     return;
   }
@@ -216,61 +180,28 @@ __attribute__((noinline)) void suspend_block(ThreadCtl* self, Spinlock* sl,
   unpin_from_klt(self);
 }
 
-__attribute__((noinline)) void suspend_exit(ThreadCtl* self) {
+__attribute__((noinline)) void suspend_exit(ThreadCtl* self, FaultKind end) {
   LPT_CHECK(self != nullptr);
   pin_to_klt(self);  // terminal: never unpinned, the ThreadCtl dies with it
   WorkerTls* tls = worker_tls();
   Worker* w = tls->worker;
   LPT_CHECK(w != nullptr);
-  if (!claim_host_token(tls)) orphan_terminate(self, /*finished=*/true);
+  const bool stranded = !claim_host_token(tls);
+  PostKind kind = PostKind::kExit;
+  if (end == FaultKind::kNone) {
+    self->store_state(ThreadState::kFinished);
+  } else {
+    // Failed, cancelled included: the stack goes through quarantine, not
+    // straight back to the pool — an unwound-through stack is intact, but
+    // treating every failed ULT's stack alike keeps the release path single.
+    // A cancel's trace site: 2 on a stranded KLT, else 0 (cancel point).
+    record_failure(self, end, w->metrics, stranded ? 2 : 0);
+    kind = PostKind::kFault;
+  }
+  if (stranded)  // never returns: the thread has ended
+    leave_klt(self, PostAction{kind, self}, KltNativeOp::kExit);
   tls->in_ult = false;
-  self->store_state(ThreadState::kFinished);
-  w->post = PostAction{PostKind::kExit, self, nullptr, nullptr};
-  context_jump(w->sched_ctx);
-}
-
-__attribute__((noinline)) void suspend_fail(ThreadCtl* self) {
-  // Exception firewall landing: self->fault is already filled in by the
-  // trampoline's catch block. Same shape as suspend_exit, but the thread
-  // ends kFailed and its stack goes through quarantine, not straight back
-  // to the pool — an unwound-through stack is intact, but treating every
-  // failed ULT's stack identically keeps the release path single.
-  LPT_CHECK(self != nullptr);
-  pin_to_klt(self);  // terminal: never unpinned, the ThreadCtl dies with it
-  WorkerTls* tls = worker_tls();
-  Worker* w = tls->worker;
-  LPT_CHECK(w != nullptr);
-  if (!claim_host_token(tls)) orphan_terminate(self, /*finished=*/false);
-  tls->in_ult = false;
-  self->store_state(ThreadState::kFailed);
-  w->metrics.ult_faults.add(1);
-  w->metrics.escaped_exceptions.add(1);
-  LPT_TRACE_EVENT(trace::EventType::kUltFault, self->trace_id,
-                  static_cast<std::uint64_t>(self->fault.kind),
-                  self->fault.fault_addr);
-  w->post = PostAction{PostKind::kFault, self, nullptr, nullptr};
-  context_jump(w->sched_ctx);
-}
-
-__attribute__((noinline)) void suspend_cancel(ThreadCtl* self) {
-  // Cooperative cancellation landing: same shape as suspend_fail, but the
-  // failure record says kCancelled and the action is counted separately.
-  // Like every containment path, the abandoned stack's destructors are
-  // skipped; the stack itself goes through quarantine.
-  LPT_CHECK(self != nullptr);
-  pin_to_klt(self);  // terminal: never unpinned, the ThreadCtl dies with it
-  WorkerTls* tls = worker_tls();
-  Worker* w = tls->worker;
-  LPT_CHECK(w != nullptr);
-  if (!claim_host_token(tls)) orphan_terminate(self, /*finished=*/false);
-  tls->in_ult = false;
-  // kCancelled unless a deadlock break marked this thread its victim.
-  self->fault.kind = self->cancel_fault;
-  self->store_state(ThreadState::kFailed);
-  w->metrics.ult_faults.add(1);
-  w->metrics.ult_cancels.add(1);
-  LPT_TRACE_EVENT(trace::EventType::kUltCancel, self->trace_id);
-  w->post = PostAction{PostKind::kFault, self, nullptr, nullptr};
+  w->post = PostAction{kind, self};
   context_jump(w->sched_ctx);
 }
 
@@ -283,7 +214,7 @@ void cancel_point(ThreadCtl* self) {
                self->rt->inline_cancel_epoch() == self->inline_epoch))
     return;
   if (self->no_preempt_depth > 0) return;  // guard exit will re-check
-  if (own) suspend_cancel(self);
+  if (own) suspend_exit(self, FaultKind::kCancelled);
   self->inline_epoch = self->rt->inline_cancel_epoch();
   ThreadCtl* c = self->cancelled_inline_child();
   if (c == nullptr) return;
@@ -391,6 +322,41 @@ __attribute__((noinline)) void handler_klt_switch(Runtime* rt, Worker* w,
                 static_cast<std::uint64_t>(trip));
   }
   // Return unwinds the handler; t continues on its original KLT.
+}
+
+void fail_in_handler(Runtime* rt, Worker* w, ThreadCtl* t, FaultKind kind) {
+  WorkerTls* tls = worker_tls();
+  record_failure(t, kind, w->metrics, /*cancel_site=*/1);
+  // No sigreturn happens: the kFault post action re-unblocks the signals.
+  tls->in_ult = false;
+  w->post = PostAction{PostKind::kFault, t};
+  if (t->preempt == Preempt::KltSwitch) {
+    // Retire the poisoned KLT: hand the worker role to a pool spare (the
+    // preemption handler's handoff) and exit this kernel thread instead of
+    // ever returning it to the pool; it keeps counting against max_klts
+    // until shutdown joins it. The spare's wake waits for klt_main
+    // (pending_wake): a directed cancel's handler still runs on t's stack,
+    // which the spare's kFault post action scrubs.
+    KltCtl* self = tls->klt;
+    KltCtl* b = rt->klt_pool().try_pop(w->rank);
+    if (b != nullptr) {
+      rt->note_klt_retired();
+      LPT_TRACE_EVENT(trace::EventType::kKltRetired, t->trace_id,
+                      static_cast<std::uint64_t>(
+                          self->trace_id >= 0 ? self->trace_id : 0));
+      b->action = KltAction::kBecomeWorker;
+      b->assign_worker = w;
+      self->pending_wake = b;
+      self->native_op = KltNativeOp::kExit;
+      context_jump(self->native_ctx);  // klt_main wakes b, then returns
+    }
+    // No spare to take over: keep hosting the worker here (the KLT survived
+    // well enough to run this handler) and request a replacement so a later
+    // failure can retire it.
+    if (!rt->klt_creator().saturated() && !rt->klt_cap_reached())
+      rt->klt_creator().request();
+  }
+  context_jump(w->sched_ctx);
 }
 
 void wake_bound_klt(Runtime* rt, KltCtl* k) {

@@ -101,8 +101,8 @@ struct alignas(kCacheLineSize) Worker {
   /// with compare_exchange(my_klt -> nullptr); the watchdog's forced KLT
   /// replacement claims it the same way. A failed claim on the ULT side
   /// means this KLT was orphaned by a forced replacement — it must not touch
-  /// the worker again (suspension primitives exit via orphan path, handlers
-  /// return / chain).
+  /// the worker again (suspension primitives leave the KLT through
+  /// detail::leave_klt, handlers return / chain).
   std::atomic<KltCtl*> host_token{nullptr};
 
   PostAction post;

@@ -2,7 +2,8 @@
 // "Self-healing"): ULT cancellation — cooperative at cancellation points and
 // forced via a directed preemption tick — per-ULT deadlines, and the
 // watchdog remediation ladder (retick / cancel / KLT replacement), under
-// both preemption techniques. Every wedged workload here releases its spin
+// both preemption techniques, with each way the ULT stranded by a KLT
+// replacement can end. Every wedged workload here releases its spin
 // flags before the Runtime is destroyed: a still-wedged orphaned KLT would
 // otherwise block shutdown (the documented caveat).
 #include <gtest/gtest.h>
@@ -10,6 +11,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/time.hpp"
@@ -18,6 +21,14 @@
 
 namespace lpt {
 namespace {
+
+// Throwing on a fiber stack trips ASan's no-return handling
+// (google/sanitizers#189), as in the fault-isolation suite.
+#if defined(LPT_SANITIZE_BUILD)
+constexpr bool kUltThrowSafe = false;
+#else
+constexpr bool kUltThrowSafe = true;
+#endif
 
 bool wait_until(const std::atomic<bool>& flag, std::int64_t timeout_ns) {
   const std::int64_t deadline = now_ns() + timeout_ns;
@@ -250,7 +261,18 @@ TEST(Deadline, ExpiryCancelsBlockedThreadAtWakeup) {
 // Watchdog remediation ladder
 // ---------------------------------------------------------------------------
 
-TEST(Remediation, ReplacesMaskedWorkerKlt) {
+// How the wedged tenant ends once the watchdog replaced its host KLT. Each
+// ending takes a different way off the stranded KLT (docs/robustness.md
+// "Self-healing"): a return or a throw ends the thread there, a yield ends
+// it as cancelled, and a sleep blocks it, so it resumes on the fresh host.
+enum class Ending { kReturn, kThrow, kYield, kSleep };
+
+class RemediationEnding : public ::testing::TestWithParam<Ending> {};
+
+TEST_P(RemediationEnding, ReplacesMaskedWorkerKlt) {
+  const Ending ending = GetParam();
+  if (ending == Ending::kThrow && !kUltThrowSafe)
+    GTEST_SKIP() << "ULT-stack throws unsupported by ASan";
   std::atomic<bool> replaced{false};
   RuntimeOptions o;
   o.num_workers = 1;
@@ -266,7 +288,7 @@ TEST(Remediation, ReplacesMaskedWorkerKlt) {
   };
   Runtime rt(o);
 
-  std::atomic<bool> victim_ran{false};
+  std::atomic<bool> victim_ran{false}, woke{false};
   ThreadAttrs sy;
   sy.preempt = Preempt::SignalYield;
   // A buggy ULT blocking the preemption signal wedges its worker: ticks land
@@ -284,8 +306,21 @@ TEST(Remediation, ReplacesMaskedWorkerKlt) {
                now_ns() < deadline)
           busy_spin_ns(100'000);
         pthread_sigmask(SIG_SETMASK, &old, nullptr);
-        // Returning lands on the orphaned KLT's exit path (the worker moved
-        // on); finishing before Runtime destruction keeps shutdown clean.
+        // Every ending finishes before Runtime destruction, which keeps
+        // shutdown clean.
+        switch (ending) {
+          case Ending::kReturn:
+            break;
+          case Ending::kThrow:
+            throw std::runtime_error("stranded boom");
+          case Ending::kYield:
+            this_thread::yield();
+            break;
+          case Ending::kSleep:
+            this_thread::sleep_for(std::chrono::milliseconds(2));
+            woke.store(true, std::memory_order_release);
+            break;
+        }
       },
       sy);
   usleep(5'000);  // let the wedge occupy the worker before queueing a victim
@@ -295,16 +330,46 @@ TEST(Remediation, ReplacesMaskedWorkerKlt) {
       << "stalled worker never remediated";
   EXPECT_TRUE(wait_until(victim_ran, 5'000'000'000))
       << "fresh host KLT never ran the queued victim";
-  wedge.join();
+  const ThreadStatus st = wedge.join_status();
   victim.join();
 
+  EXPECT_TRUE(st.completed);
   const metrics::Snapshot s = rt.metrics_snapshot();
+  switch (ending) {
+    case Ending::kReturn:
+    case Ending::kSleep:
+      EXPECT_EQ(st.fault.kind, FaultKind::kNone);
+      EXPECT_EQ(s.ult_faults, 0u);
+      break;
+    case Ending::kThrow:
+      EXPECT_EQ(st.fault.kind, FaultKind::kException);
+      EXPECT_EQ(s.ult_faults, 1u);
+      EXPECT_EQ(s.escaped_exceptions, 1u);
+      break;
+    case Ending::kYield:
+      EXPECT_EQ(st.fault.kind, FaultKind::kCancelled);
+      EXPECT_EQ(s.ult_faults, 1u);
+      EXPECT_EQ(s.ult_cancels, 1u);
+      break;
+  }
+  if (ending == Ending::kSleep) {
+    EXPECT_TRUE(woke.load()) << "the sleeper never resumed on the fresh host";
+  }
+  EXPECT_EQ(s.ults_live, 0);
   EXPECT_GE(s.remediations_klt_replace, 1u);
   EXPECT_GE(s.klts_retired, 1u);
-  const metrics::Snapshot m = rt.metrics_snapshot();
-  EXPECT_GE(m.remediations_klt_replace, 1u);
-  EXPECT_GE(m.watchdog_worker_stall, 1u);
+  EXPECT_GE(s.watchdog_worker_stall, 1u);
 }
+
+std::string ending_name(const ::testing::TestParamInfo<Ending>& i) {
+  static const char* const kNames[] = {"Return", "Throw", "Yield", "Sleep"};
+  return kNames[static_cast<int>(i.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(Stranded, RemediationEnding,
+                         ::testing::Values(Ending::kReturn, Ending::kThrow,
+                                           Ending::kYield, Ending::kSleep),
+                         ending_name);
 
 TEST(Remediation, RetickOnQuantumOverrun) {
   // Degraded KLT-switching (max_klts == worker hosts): every tick is
